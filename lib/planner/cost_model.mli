@@ -156,7 +156,10 @@ type partial
     component is monotone under {!add_contribution} and in the committee
     size [m] used to price, so a partial priced at a lower-bound [m] over a
     plan prefix finalizes to a componentwise lower bound for every
-    completion of that prefix. *)
+    completion of that prefix. For the sequential fold
+    ({!partial_of_contributions}, vignettes in plan order) this holds
+    exactly in floats, since rounding is monotone and contributions are
+    non-negative; the search's exact cut-offs rely on it. *)
 
 val empty_partial : partial
 val add_contribution : partial -> contribution -> partial

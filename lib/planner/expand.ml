@@ -503,3 +503,12 @@ let choices ctx domain (op : Extract.aop) =
         List.init (max 1 n) (fun i ->
             { c with label = Printf.sprintf "%s/seg%d" c.label i }))
       cs
+
+(* Cleartext post-processing and public re-masking have one choice, the
+   same from every domain. *)
+let forced_vignettes ctx (op : Extract.aop) =
+  match op with
+  | Extract.A_post _ | A_mask _ -> (
+      match choices ctx D_enc op with [ c ] -> c.vignettes | _ -> [])
+  | A_sum _ | A_scan _ | A_affine _ | A_nonlinear _ | A_laplace _ | A_em _ ->
+      []

@@ -44,6 +44,11 @@ val choices : ctx -> domain -> Extract.aop -> choice list
 (** All instantiations of one operator from a given domain state. The list
     is never empty for supported operators. *)
 
+val forced_vignettes : ctx -> Extract.aop -> Plan.vignette list
+(** The vignettes every instantiation of an operator holds, from whatever
+    domain it is reached: those of the single choice of cleartext
+    post-processing and public masking, none for the other operators. *)
+
 val sampled_bins_options : Extract.aop list -> int option list
 (** Bin-count choices for secrecy-of-the-sample queries ([None] when the
     query does not sample). *)

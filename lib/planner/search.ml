@@ -83,6 +83,9 @@ type searcher = {
   m_lb : int;
       (* committee size at c = 1: a lower bound on the size any completed
          plan will be priced with, making prefix bounds admissible *)
+  sizes : (int, int) Hashtbl.t;
+      (* committee count -> size: this task's own memo in front of the
+         shared, mutex-guarded [committee_size_for] *)
   shared_best : float Atomic.t;  (* cross-task/-domain incumbent *)
   mutable best_value : float;
   mutable best : (Plan.t * Cost_model.metrics) option;
@@ -129,6 +132,57 @@ let price_all s ~m vs =
   s.price_calls <- s.price_calls + List.length vs;
   List.map (fun v -> Cost_model.price s.cm ~n_devices:s.n ~m ~cols:s.cols v) vs
 
+let size_of s c =
+  match Hashtbl.find_opt s.sizes c with
+  | Some m -> m
+  | None ->
+      let m = committee_size_for ~f:s.f ~g:s.g ~p1:s.p1 (max 1 c) in
+      Hashtbl.add s.sizes c m;
+      m
+
+(* A value memoized per committee size. One search meets only a handful of
+   sizes, so an association list is enough. *)
+type 'a per_m = { mutable at : (int * 'a) list }
+
+let per_m () = { at = [] }
+
+let memo_m t m compute =
+  match List.assoc_opt m t.at with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      t.at <- (m, v) :: t.at;
+      v
+
+(* A choice as the choice memo keeps it: its delta partial at m_lb (which
+   orders siblings and feeds the incumbent prune), the MPC committees it
+   adds, and its contributions per committee size, priced on first use. *)
+type priced_choice = {
+  choice : Expand.choice;
+  delta : Cost_model.partial;
+  adds : int;
+  contributions : Cost_model.contribution list per_m;
+}
+
+(* A node of the incremental DFS. Its canonical partial at committee size
+   m is the fold [score_full] would run over the node's path — the same
+   [add_contribution] sequence, in vignette order — priced at m. *)
+type node = {
+  up : node option;
+  committees : int;  (* MPC committees on the path *)
+  own : int -> Cost_model.contribution list;  (* this step's vignettes at m *)
+  folds : Cost_model.partial per_m;
+}
+
+let rec fold_at node m =
+  memo_m node.folds m (fun () ->
+      let base =
+        match node.up with
+        | None -> Cost_model.empty_partial
+        | Some up -> fold_at up m
+      in
+      List.fold_left Cost_model.add_contribution base (node.own m))
+
 (* Monotone-min publication of the incumbent for cross-domain pruning. *)
 let rec publish_best shared v =
   let cur = Atomic.get shared in
@@ -148,16 +202,13 @@ let rec insert_top cap ((v, _, _) as entry) tops =
         if v < v' then entry :: insert_top (cap - 1) e rest
         else e :: insert_top (cap - 1) entry rest
 
-let score_full s ~em_variant acc query_name =
+(* Score a complete plan holding [c] committees. [partial m] is its fold
+   priced at the true committee size m, only known now that c is. *)
+let score_full s ~em_variant ~committees:c ~partial acc query_name =
   s.full_plans <- s.full_plans + 1;
   let t_start = if s.timed then Unix.gettimeofday () else 0.0 in
-  let c = mpc_committee_count acc in
-  let m = committee_size_for ~f:s.f ~g:s.g ~p1:s.p1 (max 1 c) in
-  (* The one full re-pricing pass: the true committee size m is only known
-     now that the plan's total committee count is. *)
-  let metrics =
-    Cost_model.combine ?sample_phi:s.phi ~n_devices:s.n (price_all s ~m acc)
-  in
+  let m = size_of s c in
+  let metrics = Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n (partial m) in
   if s.timed then
     s.score_seconds <- s.score_seconds +. (Unix.gettimeofday () -. t_start);
   if Constraints.satisfies s.limits metrics then begin
@@ -199,7 +250,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
      led there, so the DFS revisits the same few expansions thousands of
      times. Memoize them per task; this, not the per-node delta fold, is
      where incremental pricing earns its keep. *)
-  let choice_memo : (Expand.domain * int, (Expand.choice * Cost_model.partial) list) Hashtbl.t =
+  let choice_memo : (Expand.domain * int, priced_choice list) Hashtbl.t =
     Hashtbl.create 32
   in
   let priced_choices domain depth op =
@@ -214,7 +265,13 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
           let choices = Expand.choices ctx domain op in
           let price () =
             List.map
-              (fun (c : Expand.choice) -> (c, partial_lb c.Expand.vignettes))
+              (fun (c : Expand.choice) ->
+                {
+                  choice = c;
+                  delta = partial_lb c.Expand.vignettes;
+                  adds = mpc_committee_count c.Expand.vignettes;
+                  contributions = per_m ();
+                })
               choices
           in
           match s.tr with
@@ -237,21 +294,64 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
         Hashtbl.replace choice_memo (domain, depth) cs;
         cs
   in
+  (* [forced.(d)]: the vignettes every completion holds from the operators
+     after position d, in op order, with their contributions per committee
+     size. *)
+  let forced =
+    let rec after = function [] -> [] | _ :: rest -> List.concat rest :: after rest in
+    Array.of_list
+      (List.map
+         (fun vs -> (vs, per_m ()))
+         (after (List.map (Expand.forced_vignettes ctx) ops)))
+  in
+  (* The exact cut-offs (DESIGN.md §7.4). [node]'s canonical partial at the
+     committee size its path already commits to, with the forced suffix
+     folded in, is at most — in floats, with no epsilon — the score of any
+     completion. A bound that breaks a limit, or that cannot beat the last
+     entry of a full ranked list, rules out the whole subtree: its plans
+     would be infeasible, or dropped by [insert_top] and unable to become
+     the incumbent. *)
+  let exact_cut depth node =
+    let m = size_of s node.committees in
+    let vs, memo = forced.(depth) in
+    let bound =
+      Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n
+        (List.fold_left Cost_model.add_contribution (fold_at node m)
+           (memo_m memo m (fun () -> price_all s ~m vs)))
+    in
+    Constraints.lower_bound_infeasible s.limits bound
+    ||
+    match List.nth_opt s.top (top_cap - 1) with
+    | Some (last, _, _) -> Constraints.goal_value s.goal bound >= last
+    | None -> false
+  in
   (* DFS over operators. [acc] holds vignettes in order; [acc_partial] is
-     its running lower-bound partial, priced at m_lb. *)
-  let rec go domain depth acc acc_partial em_variant = function
-    | [] -> score_full s ~em_variant acc query_name
+     its running lower-bound partial, priced at m_lb; [node] is its
+     canonical node (None when re-pricing the whole prefix). *)
+  let rec go domain depth node acc acc_partial em_variant = function
+    | [] -> (
+        match node with
+        | Some node ->
+            score_full s ~em_variant ~committees:node.committees
+              ~partial:(fold_at node) acc query_name
+        | None ->
+            score_full s ~em_variant ~committees:(mpc_committee_count acc)
+              ~partial:(fun m ->
+                Cost_model.partial_of_contributions (price_all s ~m acc))
+              acc query_name)
     | op :: rest ->
-        (* [vs] caches the extended prefix when the pricing mode had to
-           build it anyway, so neither mode pays the append twice. *)
+        (* [pc] is the memoized choice in incremental mode; [vs] caches the
+           extended prefix when the re-pricing mode had to build it anyway,
+           so neither mode pays the append twice. *)
         let priced =
           if s.incremental then
             List.map
-              (fun ((c : Expand.choice), delta) ->
+              (fun pc ->
                 (* Fold only the delta vignettes into the running prefix
                    partial; the delta itself comes priced from the memo. *)
-                let partial = Cost_model.combine_partial acc_partial delta in
-                ( c,
+                let partial = Cost_model.combine_partial acc_partial pc.delta in
+                ( pc.choice,
+                  Some pc,
                   None,
                   partial,
                   Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n partial ))
@@ -264,6 +364,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
                 let vs = acc @ c.Expand.vignettes in
                 let partial = partial_lb vs in
                 ( c,
+                  None,
                   Some vs,
                   partial,
                   Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n partial ))
@@ -274,7 +375,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
         let priced =
           if s.heuristics then
             List.sort
-              (fun (_, _, _, m1) (_, _, _, m2) ->
+              (fun (_, _, _, _, m1) (_, _, _, _, m2) ->
                 Float.compare
                   (Constraints.goal_value s.goal m1)
                   (Constraints.goal_value s.goal m2))
@@ -282,7 +383,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
           else priced
         in
         List.iter
-          (fun ((c : Expand.choice), vs_cached, partial, bound) ->
+          (fun ((c : Expand.choice), pc, vs_cached, partial, bound) ->
             s.prefixes <- s.prefixes + 1;
             if s.obs_on then bump_depth_nodes s depth;
             if s.prefixes > s.max_prefixes then begin
@@ -304,18 +405,49 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
                     > Float.min s.best_value (Atomic.get s.shared_best))
             then s.pruned <- s.pruned + 1
             else
-              let em_variant' =
-                match c.Expand.em_variant with `None -> em_variant | v -> v
+              let node =
+                match (node, pc) with
+                | Some up, Some pc ->
+                    Some
+                      {
+                        up = Some up;
+                        committees = up.committees + pc.adds;
+                        own =
+                          (fun m ->
+                            memo_m pc.contributions m (fun () ->
+                                price_all s ~m c.Expand.vignettes));
+                        folds = per_m ();
+                      }
+                | _ -> None
               in
-              let vs =
-                match vs_cached with
-                | Some vs -> vs
-                | None -> acc @ c.Expand.vignettes
-              in
-              go c.Expand.domain_after (depth + 1) vs partial em_variant' rest)
+              match node with
+              | Some node when s.heuristics && exact_cut depth node ->
+                  s.pruned <- s.pruned + 1
+              | _ ->
+                  let em_variant' =
+                    match c.Expand.em_variant with `None -> em_variant | v -> v
+                  in
+                  let vs =
+                    match vs_cached with
+                    | Some vs -> vs
+                    | None -> acc @ c.Expand.vignettes
+                  in
+                  go c.Expand.domain_after (depth + 1) node vs partial em_variant'
+                    rest)
           priced
   in
-  (try go Expand.D_enc 0 prefix_vs (partial_lb prefix_vs) `None ops
+  let root =
+    if s.incremental then
+      Some
+        {
+          up = None;
+          committees = mpc_committee_count prefix_vs;
+          own = (fun m -> price_all s ~m prefix_vs);
+          folds = per_m ();
+        }
+    else None
+  in
+  (try go Expand.D_enc 0 root prefix_vs (partial_lb prefix_vs) `None ops
    with Abort -> ())
 
 type task_result = {
@@ -430,6 +562,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
         n;
         cols;
         m_lb;
+        sizes = Hashtbl.create 16;
         shared_best;
         best_value = infinity;
         best = None;

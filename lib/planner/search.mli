@@ -5,18 +5,24 @@
 
     Pricing is incremental: each DFS node folds only its delta vignettes
     into the running {!Cost_model.partial} for the prefix, so root→leaf
-    work is linear in depth rather than quadratic; complete candidates get
-    one full re-pricing pass at the true committee size m (only known once
-    the plan's total committee count is).
+    work is linear in depth rather than quadratic. Each node also carries
+    its canonical partial: the fold a complete plan is scored with, over
+    the node's path, priced at the committee size m its committees already
+    force. A complete candidate is scored on its own, at the true m (only
+    known once the plan's total committee count is).
 
     Pruning follows §4.4/§7.3 and is admissible: prefix bounds are priced
     with the c = 1 committee size — a lower bound on the size any completed
     plan is priced with, since the minimal safe m is monotone in the
     committee count — so a prefix is discarded only when no completion can
-    beat the incumbent or satisfy a limit. Disabling [heuristics] removes
-    both pruning rules and enumerates redundant re-segmentations,
-    reproducing the §7.3 ablation blowup; because the bound is admissible,
-    both settings find the same optimum.
+    beat the incumbent or satisfy a limit. The canonical partial, with the
+    vignettes of the later single-choice operators folded in, is a tighter
+    bound, exact in floats. It drops subtrees that could only hold
+    infeasible plans or plans the full ranked list would drop (DESIGN.md
+    §7.4). These cut-offs change only the counters, never the result.
+    Disabling [heuristics] removes all pruning and enumerates redundant
+    re-segmentations, reproducing the §7.3 ablation blowup; because the
+    bounds are admissible, both settings find the same optimum.
 
     The outer (crypto × sampled-bins) tasks are independent and can be
     fanned out across OCaml domains with [~domains]. Tasks share only a
@@ -70,9 +76,10 @@ val plan :
     task). [domains] (default 1) is the number of OCaml domains searching
     (crypto × sampled-bins) tasks concurrently; the winning plan and
     metrics are identical for every value. [incremental] (default true)
-    selects delta pricing; [false] re-prices the whole prefix at every
-    node — the pre-optimization behavior, kept for the planner_scaling
-    benchmark.
+    selects delta pricing and the exact cut-offs; [false] re-prices the
+    whole prefix at every node and every complete plan — the
+    pre-optimization behavior, kept for the planner_scaling benchmark and
+    as the reference the differential tests compare against.
 
     [tracer] records a plan → search → expand → price span tree: one
     "search" span per (crypto × bins) task carrying its node/prune/memo

@@ -145,11 +145,30 @@ let read_chunk fd buf =
 
 (* ---------------- connection handling ---------------- *)
 
+(* What became of one request or connection. [record] makes it visible in
+   [stats] and the metrics registry before the response that reveals it
+   is written: a client that has read its response never reads counters
+   that have not moved yet. *)
 type conn_outcome =
-  | Served of int  (* requests answered on this connection *)
-  | Bad of string
+  | Served  (* one request answered *)
+  | Bad
   | Timed_out
   | Disconnected
+
+let record t = function
+  | Served -> bump t (fun s -> { s with served = s.served + 1 })
+  | Bad ->
+      bump t (fun s -> { s with bad_requests = s.bad_requests + 1 });
+      count t "arb_http_bad_requests_total"
+        "Connections failed closed on malformed input"
+  | Timed_out ->
+      bump t (fun s -> { s with timeouts = s.timeouts + 1 });
+      count t "arb_http_timeouts_total"
+        "Connections that blew the whole-request deadline"
+  | Disconnected ->
+      bump t (fun s -> { s with client_disconnects = s.client_disconnects + 1 });
+      count t "arb_http_client_disconnects_total"
+        "Connections dropped by the client mid-request"
 
 let truncate_response resp =
   let s = Http.response_to_string ~close:true resp in
@@ -161,26 +180,25 @@ let handle_conn t fd =
      per-read timeouts alone would let one-byte-at-a-time clients pin a
      worker forever. The deadline resets between keep-alive requests. *)
   let chunk = Bytes.create 8192 in
-  let served = ref 0 in
   let respond ?(close = false) resp =
     let truncated = fault_fires t Fault.Response_truncate in
     let wire =
       if truncated then truncate_response resp
       else Http.response_to_string ~close resp
     in
-    let ok = write_all fd wire in
     count t
       ~labels:[ ("status", string_of_int resp.Http.status) ]
       "arb_http_responses_total" "HTTP responses by status";
     observe_bytes t "arb_http_response_bytes" "Response sizes on the wire"
       (String.length wire);
+    let ok = write_all fd wire in
     (not truncated) && ok
   in
   let rec requests buf deadline =
     match Http.parse_request ~limits:t.config.limits (Buffer.contents buf) with
     | Http.Reject (status, reason) ->
-        ignore (respond ~close:true (Http.error_response status reason));
-        Bad reason
+        record t Bad;
+        ignore (respond ~close:true (Http.error_response status reason))
     | Http.Complete (req, consumed) ->
         observe_bytes t "arb_http_request_bytes"
           "Request sizes on the wire (line + headers + body)" consumed;
@@ -193,7 +211,7 @@ let handle_conn t fd =
                     (Printexc.to_string exn));
               Http.error_response 500 "internal error"
         in
-        incr served;
+        record t Served;
         let keep = Http.keep_alive req && not t.stopping in
         if respond ~close:(not keep) resp && keep then begin
           (* Shift the leftover bytes down and start the next request
@@ -206,15 +224,15 @@ let handle_conn t fd =
           Buffer.add_string buf rest;
           requests buf (Unix.gettimeofday () +. t.config.request_timeout_s)
         end
-        else Served !served
     | Http.Partial -> (
         let remaining = deadline -. Unix.gettimeofday () in
         if remaining <= 0.0 then begin
-          if Buffer.length buf > 0 then
+          (* An empty buffer is an idle keep-alive expiry, not an error. *)
+          if Buffer.length buf > 0 then begin
+            record t Timed_out;
             ignore
-              (respond ~close:true (Http.error_response 408 "request timed out"));
-          if Buffer.length buf > 0 then Timed_out
-          else Served !served (* idle keep-alive expiry, not an error *)
+              (respond ~close:true (Http.error_response 408 "request timed out"))
+          end
         end
         else begin
           (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO (Float.min remaining 1.0)
@@ -224,34 +242,16 @@ let handle_conn t fd =
               Buffer.add_subbytes buf chunk 0 n;
               requests buf deadline
           | Timeout -> requests buf deadline (* deadline re-checked above *)
-          | Eof | Gone ->
-              if Buffer.length buf = 0 then Served !served
-              else Disconnected
+          | Eof | Gone -> if Buffer.length buf > 0 then record t Disconnected
         end)
   in
-  let outcome =
-    try
-      requests (Buffer.create 1024)
-        (Unix.gettimeofday () +. t.config.request_timeout_s)
-    with exn ->
-      Log.err (fun f -> f "connection handler raised: %s" (Printexc.to_string exn));
-      Bad (Printexc.to_string exn)
-  in
-  close_quiet fd;
-  (match outcome with
-  | Served n -> bump t (fun s -> { s with served = s.served + n })
-  | Bad _ ->
-      bump t (fun s -> { s with bad_requests = s.bad_requests + 1 });
-      count t "arb_http_bad_requests_total"
-        "Connections failed closed on malformed input"
-  | Timed_out ->
-      bump t (fun s -> { s with timeouts = s.timeouts + 1 });
-      count t "arb_http_timeouts_total"
-        "Connections that blew the whole-request deadline"
-  | Disconnected ->
-      bump t (fun s -> { s with client_disconnects = s.client_disconnects + 1 });
-      count t "arb_http_client_disconnects_total"
-        "Connections dropped by the client mid-request")
+  (try
+     requests (Buffer.create 1024)
+       (Unix.gettimeofday () +. t.config.request_timeout_s)
+   with exn ->
+     Log.err (fun f -> f "connection handler raised: %s" (Printexc.to_string exn));
+     record t Bad);
+  close_quiet fd
 
 (* ---------------- domains ---------------- *)
 
@@ -320,12 +320,12 @@ let accept_loop t =
             if not enqueued then begin
               (* Backpressure at the socket edge: answer 429 inline and
                  close, without touching the service at all. *)
-              ignore (write_all fd busy_response);
-              close_quiet fd;
               count t
                 ~labels:[ ("reason", "queue_full") ]
                 "arb_http_rejected_total"
-                "Connections refused at the accept edge"
+                "Connections refused at the accept edge";
+              ignore (write_all fd busy_response);
+              close_quiet fd
             end;
             (match t.config.metrics with
             | Some reg ->

@@ -72,3 +72,6 @@ val stop : t -> unit
     Idempotent; blocks until shutdown completes. *)
 
 val stats : t -> stats
+(** A snapshot of the counters. Each counter moves before the response
+    that reveals its event is written, so a client that has read a
+    response finds that response already counted. *)

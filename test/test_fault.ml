@@ -664,6 +664,49 @@ let test_net_malformed_requests_fail_closed () =
       checkb "server alive after malformed storm" true (healthz_ok port);
       checki "nothing submitted" 0 (S.Service.submitted svc))
 
+let test_net_counters_precede_responses () =
+  (* Regression: the server bumped its counters only after it had written
+     the response and closed the socket, so a client could read a
+     rejection that the stats did not show yet. Each outcome must already
+     be counted when its response can be read. *)
+  with_front_door
+    ~server_config:
+      { S.Server.default_config with S.Server.request_timeout_s = 0.4 }
+    (fun _svc _api server port ->
+      let exchange wire =
+        match S.Client.connect ~host:net_host ~port () with
+        | Error m -> Alcotest.fail m
+        | Ok conn ->
+            Fun.protect
+              ~finally:(fun () -> S.Client.close conn)
+              (fun () ->
+                (match S.Client.send_raw conn wire with
+                | Ok () -> ()
+                | Error m -> Alcotest.fail m);
+                match S.Client.read_response ~deadline_s:5.0 conn with
+                | Ok r -> r.H.status
+                | Error m -> Alcotest.fail ("no response came back: " ^ m))
+      in
+      let counted name field wire expect =
+        let before = field (S.Server.stats server) in
+        checki (name ^ ": status") expect (exchange wire);
+        checki (name ^ ": counted when its response is read") (before + 1)
+          (field (S.Server.stats server))
+      in
+      let bad st = st.S.Server.bad_requests in
+      counted "garbage" bad "GARBAGE\r\n\r\n" 400;
+      counted "bad version" bad "GET / SPDY/99\r\n\r\n" 505;
+      counted "chunked body" bad
+        "POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n" 501;
+      counted "oversized body" bad
+        "POST / HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n" 413;
+      counted "stalled request"
+        (fun st -> st.S.Server.timeouts)
+        "GET /healthz HTTP/1.1\r\n" 408;
+      counted "answered request"
+        (fun st -> st.S.Server.served)
+        "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n" 200)
+
 let test_net_slowloris_stall () =
   with_front_door
     ~server_config:
@@ -855,6 +898,8 @@ let () =
             test_net_partial_request_disconnect;
           Alcotest.test_case "malformed requests fail closed" `Quick
             test_net_malformed_requests_fail_closed;
+          Alcotest.test_case "counters move before the response" `Quick
+            test_net_counters_precede_responses;
           Alcotest.test_case "slowloris stall hits the deadline" `Quick
             test_net_slowloris_stall;
           Alcotest.test_case "stop/start overlap under load" `Quick

@@ -262,6 +262,61 @@ let prop_price_scales_with_m =
       c2.Cm.c_member_time > c1.Cm.c_member_time
       && c2.Cm.c_member_bytes > c1.Cm.c_member_bytes)
 
+(* The exact cut-offs rest on this: folding a plan's vignettes in order
+   with [add_contribution], a prefix priced at m1 finalizes to at most the
+   whole plan priced at any m2 >= m1 — componentwise, in floats, with no
+   epsilon. *)
+let gen_fold_split =
+  let open QCheck.Gen in
+  let* cols = 1 -- 5000 in
+  let* crypto = oneofl [ P.Plan.Ahe; P.Plan.Fhe ] in
+  let* n_devices = oneofl [ 64; 100_000; 1_000_000; 1 lsl 30 ] in
+  let* tolerance = opt (return 0.05) in
+  let* bins = opt (oneofl [ 4; 8; 16 ]) in
+  let c = { (ctx ~crypto ~cols ?tolerance ()) with P.Expand.n_devices; bins } in
+  let ops = P.Extract.A_sum { cols; sampled_phi = Some 0.25 } :: all_aops cols in
+  let domains = [ P.Expand.D_enc; P.Expand.D_shares 1; P.Expand.D_shares 16 ] in
+  let* steps = list_size (1 -- 6) (pair (oneofl ops) (oneofl domains)) in
+  let* picked =
+    flatten_l
+      (List.map
+         (fun (op, d) ->
+           map
+             (fun (ch : P.Expand.choice) -> ch.P.Expand.vignettes)
+             (oneofl (P.Expand.choices c d op)))
+         steps)
+  in
+  let vs = P.Expand.prefix c ~sampled_bins:bins @ List.concat picked in
+  let* k = 0 -- List.length vs in
+  let* m1 = 1 -- 80 in
+  let* dm = 0 -- 40 in
+  let* phi = opt (oneofl [ 0.25; 0.01; 0.001 ]) in
+  return (n_devices, cols, vs, k, m1, m1 + dm, phi)
+
+let prop_prefix_fold_lower_bounds_completion =
+  QCheck.Test.make
+    ~name:"prefix fold at m1 <= completed fold at m2 >= m1 (exact floats)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (n, cols, vs, k, m1, m2, _) ->
+         Printf.sprintf "N=%d C=%d split %d/%d m1=%d m2=%d" n cols k
+           (List.length vs) m1 m2)
+       gen_fold_split)
+    (fun (n_devices, cols, vs, k, m1, m2, sample_phi) ->
+      let fold m vs =
+        Cm.finalize ?sample_phi ~n_devices
+          (Cm.partial_of_contributions
+             (List.map (Cm.price Cm.default ~n_devices ~m ~cols) vs))
+      in
+      let lo = fold m1 (List.filteri (fun i _ -> i < k) vs) and hi = fold m2 vs in
+      lo.Cm.agg_time <= hi.Cm.agg_time
+      && lo.Cm.agg_bytes <= hi.Cm.agg_bytes
+      && lo.Cm.part_exp_time <= hi.Cm.part_exp_time
+      && lo.Cm.part_max_time <= hi.Cm.part_max_time
+      && lo.Cm.part_exp_bytes <= hi.Cm.part_exp_bytes
+      && lo.Cm.part_max_bytes <= hi.Cm.part_max_bytes
+      && lo.Cm.est_error <= hi.Cm.est_error)
+
 (* ---------------- search ---------------- *)
 
 let test_search_plans_everything () =
@@ -320,36 +375,58 @@ let test_search_pruning_admissible_all_queries () =
      bound" could exceed a completion's true cost and prune the branch
      holding the optimum. Prefixes are now priced at the single-committee
      size. Heuristic and exhaustive search must agree on the winner for
-     every registry query (on a space small enough to exhaust). *)
+     every registry query (on a space small enough to exhaust), under the
+     default goal and the two plateau goals where the exact cut-offs bite
+     hardest. *)
   List.iter
-    (fun name ->
-      let q = Q.test_instance name in
-      let pruned = P.Search.plan ~query:q ~n:100_000 () in
-      let exhaustive =
-        P.Search.plan ~heuristics:false ~max_prefixes:3_000_000 ~query:q
-          ~n:100_000 ()
-      in
-      checkb (name ^ ": neither run hit the prefix cap") true
-        ((not pruned.P.Search.stats.P.Search.aborted)
-        && not exhaustive.P.Search.stats.P.Search.aborted);
-      match (pruned.P.Search.metrics, exhaustive.P.Search.metrics) with
-      | Some m1, Some m2 ->
-          (* Both minimize over the same finite plan set and score full
-             plans with the same canonical combine, so the optimum matches
-             exactly — no tolerance. *)
-          checkb (name ^ ": pruned search finds the exhaustive optimum") true
-            (P.Constraints.goal_value P.Constraints.Min_part_exp_time m1
-            = P.Constraints.goal_value P.Constraints.Min_part_exp_time m2)
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: one mode found a plan, the other none" name)
-    Q.names
+    (fun goal ->
+      List.iter
+        (fun name ->
+          let q = Q.test_instance name in
+          let case = name ^ "/" ^ P.Constraints.goal_name goal in
+          let pruned = P.Search.plan ~goal ~query:q ~n:100_000 () in
+          let exhaustive =
+            P.Search.plan ~goal ~heuristics:false ~max_prefixes:3_000_000
+              ~query:q ~n:100_000 ()
+          in
+          checkb (case ^ ": neither run hit the prefix cap") true
+            ((not pruned.P.Search.stats.P.Search.aborted)
+            && not exhaustive.P.Search.stats.P.Search.aborted);
+          match (pruned.P.Search.metrics, exhaustive.P.Search.metrics) with
+          | Some m1, Some m2 ->
+              (* Both minimize over the same finite plan set and score full
+                 plans with the same canonical fold, so the optimum matches
+                 exactly — no tolerance. *)
+              checkb (case ^ ": pruned search finds the exhaustive optimum") true
+                (P.Constraints.goal_value goal m1 = P.Constraints.goal_value goal m2)
+          | None, None -> ()
+          | _ -> Alcotest.failf "%s: one mode found a plan, the other none" case)
+        Q.names)
+    P.Constraints.[ Min_part_exp_time; Min_part_max_time; Min_agg_time ]
+
+let render_plan (p, m) =
+  P.Plan_io.plan_to_string p ^ "\n"
+  ^ Arb_util.Json.to_string (P.Plan_io.metrics_to_json m)
 
 let render_winner r =
   match (r.P.Search.plan, r.P.Search.metrics) with
-  | Some p, Some m ->
-      P.Plan_io.plan_to_string p ^ "\n"
-      ^ Arb_util.Json.to_string (P.Plan_io.metrics_to_json m)
+  | Some p, Some m -> render_plan (p, m)
   | _ -> "none"
+
+(* The winner, then every ranked alternative, plan and metrics each. *)
+let render_all r =
+  String.concat "\n" (render_winner r :: List.map render_plan r.P.Search.alternatives)
+
+let goals =
+  P.Constraints.
+    [
+      ("part-exp-time", Min_part_exp_time);
+      ("part-max-time", Min_part_max_time);
+      ("part-exp-bytes", Min_part_exp_bytes);
+      ("part-max-bytes", Min_part_max_bytes);
+      ("agg-time", Min_agg_time);
+      ("agg-bytes", Min_agg_bytes);
+    ]
 
 let test_search_parallel_matches_sequential () =
   (* The multicore fan-out must be invisible in the winner: admissible
@@ -385,22 +462,194 @@ let test_search_parallel_exhaustive_fully_deterministic () =
     (render seq) (render par)
 
 let test_search_incremental_matches_full_repricing () =
-  (* The partial-metrics monoid prices only delta vignettes per node; the
-     winner must match the naive re-price-the-whole-prefix mode. *)
+  (* The partial-metrics monoid prices only delta vignettes per node, and
+     the exact cut-offs drop subtrees on canonical bounds; the winner and
+     its metrics must match the naive re-price-the-whole-prefix mode under
+     every goal. *)
   List.iter
-    (fun name ->
-      let q = Q.test_instance name in
-      let inc = P.Search.plan ~incremental:true ~query:q ~n:1_000_000 () in
-      let full = P.Search.plan ~incremental:false ~query:q ~n:1_000_000 () in
-      match (inc.P.Search.plan, full.P.Search.plan) with
-      | Some p1, Some p2 ->
+    (fun (tag, goal) ->
+      List.iter
+        (fun name ->
+          let q = Q.test_instance name in
+          let inc = P.Search.plan ~goal ~incremental:true ~query:q ~n:1_000_000 () in
+          let full = P.Search.plan ~goal ~incremental:false ~query:q ~n:1_000_000 () in
           Alcotest.check Alcotest.string
-            (name ^ ": incremental pricing preserves the winner")
-            (P.Plan_io.plan_to_string p2)
-            (P.Plan_io.plan_to_string p1)
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: pricing modes disagree on feasibility" name)
-    Q.names
+            (Printf.sprintf "%s/%s: incremental pricing preserves the winner" name tag)
+            (render_winner full) (render_winner inc))
+        Q.names)
+    goals
+
+(* SHA-256 of [render_all] — the winner's and every ranked alternative's
+   plan and metrics JSON — recorded before the exact cut-offs existed.
+   "paper": the ten paper instances under each goal at N = 2^30 with the
+   evaluation limits (the plan_paper benchmark's cases); "n64": the ten
+   test instances planned as the service plans them (N = 64, no limits,
+   expected participant time). *)
+let golden_digests =
+  [
+    ("paper", "top1", "part-exp-time",
+     "9e23ae3d28d2d6008a65585a3f206a373eb42982042754f1791d66c043414d26");
+    ("paper", "top1", "part-max-time",
+     "4d16edce7d84e330ff87a6d0ba396fef32594cee976cb17084a0388aee8653a4");
+    ("paper", "top1", "part-exp-bytes",
+     "15833d1c6930b0ab74b7c47eee2ad15656916809819d3ab6dda9fe007aec8a8f");
+    ("paper", "top1", "part-max-bytes",
+     "4d16edce7d84e330ff87a6d0ba396fef32594cee976cb17084a0388aee8653a4");
+    ("paper", "top1", "agg-time",
+     "aae3f6ebf6368afb1d5b3eef84c7e48e8004d950b5c43a7916a389cb72b6cea4");
+    ("paper", "top1", "agg-bytes",
+     "15833d1c6930b0ab74b7c47eee2ad15656916809819d3ab6dda9fe007aec8a8f");
+    ("paper", "topK", "part-exp-time",
+     "cc915c7f0ca36359bdc59164f6da0f829032cfb2e032740ad9aaba20d64b9ff6");
+    ("paper", "topK", "part-max-time",
+     "cd395c184c5557b7433548a51c12364df0d02f19f6df47fc08fdc10456732829");
+    ("paper", "topK", "part-exp-bytes",
+     "73bd93c1af64b62a2032d0d28675fb3593a6df4f9895ae88a0d4ee01f0d152a0");
+    ("paper", "topK", "part-max-bytes",
+     "cd395c184c5557b7433548a51c12364df0d02f19f6df47fc08fdc10456732829");
+    ("paper", "topK", "agg-time",
+     "0f85d3067950d7b74e875da29845d97734a5c392ea82c9846c63cad527ca2d34");
+    ("paper", "topK", "agg-bytes",
+     "73bd93c1af64b62a2032d0d28675fb3593a6df4f9895ae88a0d4ee01f0d152a0");
+    ("paper", "gap", "part-exp-time",
+     "4aa385da981b12a75043abcf6ec5e826d66e460769ef3759cf90d22ac070a394");
+    ("paper", "gap", "part-max-time",
+     "3d69e16501af62897af28bca21accc6131c893a4f1f90fc2b47c8207acea5f19");
+    ("paper", "gap", "part-exp-bytes",
+     "ca3f5fefac1d364d5ab18268f85e940bea00471da57360ddd3dddfdd2a9da32e");
+    ("paper", "gap", "part-max-bytes",
+     "3d69e16501af62897af28bca21accc6131c893a4f1f90fc2b47c8207acea5f19");
+    ("paper", "gap", "agg-time",
+     "4939b476aca62c8c9ebd3b508182eb4e76fb8c7b11117a7de8df50f5b210c928");
+    ("paper", "gap", "agg-bytes",
+     "ca3f5fefac1d364d5ab18268f85e940bea00471da57360ddd3dddfdd2a9da32e");
+    ("paper", "auction", "part-exp-time",
+     "8ad0fe1454b67476cbb3d4292ec28bc794bb49de02393c416957d86b20b4c112");
+    ("paper", "auction", "part-max-time",
+     "22698eea73852686a6e7ef007563412b421c94b49ddadff7cd26940ddce9d4f3");
+    ("paper", "auction", "part-exp-bytes",
+     "8ad0fe1454b67476cbb3d4292ec28bc794bb49de02393c416957d86b20b4c112");
+    ("paper", "auction", "part-max-bytes",
+     "22698eea73852686a6e7ef007563412b421c94b49ddadff7cd26940ddce9d4f3");
+    ("paper", "auction", "agg-time",
+     "db454822da5c5c9af51b82151920991e41827a43cb5476ab6fc2ec977c50ecba");
+    ("paper", "auction", "agg-bytes",
+     "8ad0fe1454b67476cbb3d4292ec28bc794bb49de02393c416957d86b20b4c112");
+    ("paper", "hypotest", "part-exp-time",
+     "1373b722dbbfff7239a9ee5f2b127c80785f03a9f5bf83d89f99f44b9c96e483");
+    ("paper", "hypotest", "part-max-time",
+     "9ed5d89450a698d10dd359e8390a680622ea6b7c4ac41ef2183eea4a3772e912");
+    ("paper", "hypotest", "part-exp-bytes",
+     "a4bfdbbb0f3582d2ba5b5c6f96658de19daf299c812819668ef2789ae82c25f0");
+    ("paper", "hypotest", "part-max-bytes",
+     "9ed5d89450a698d10dd359e8390a680622ea6b7c4ac41ef2183eea4a3772e912");
+    ("paper", "hypotest", "agg-time",
+     "bc90671b4a91d4abdbf7bab086418c7d833ac258c9656e02e68a5a7d073e2177");
+    ("paper", "hypotest", "agg-bytes",
+     "a4bfdbbb0f3582d2ba5b5c6f96658de19daf299c812819668ef2789ae82c25f0");
+    ("paper", "secrecy", "part-exp-time",
+     "05490a8cf7ab993be399a0bfdd358bd1cc4814af2923f85f28b69336eb765017");
+    ("paper", "secrecy", "part-max-time",
+     "1c19483319204d04c8ef0d7058662d2dd5750550d790838ccad96855cf0459f8");
+    ("paper", "secrecy", "part-exp-bytes",
+     "05490a8cf7ab993be399a0bfdd358bd1cc4814af2923f85f28b69336eb765017");
+    ("paper", "secrecy", "part-max-bytes",
+     "d2d6ebc583395a6217b280a5913c15807ca3aa7944dd1c1d59e126e669ebff3e");
+    ("paper", "secrecy", "agg-time",
+     "d2d6ebc583395a6217b280a5913c15807ca3aa7944dd1c1d59e126e669ebff3e");
+    ("paper", "secrecy", "agg-bytes",
+     "05490a8cf7ab993be399a0bfdd358bd1cc4814af2923f85f28b69336eb765017");
+    ("paper", "median", "part-exp-time",
+     "2af4d3bd199a669b42d7e8f723d24ab4c098802c9e8cdf4fff8b8db89af9abe3");
+    ("paper", "median", "part-max-time",
+     "5ca5417323a1aeb43ae0845d4217bb44b3d1d71b2baac23f45b85638b2e3c93a");
+    ("paper", "median", "part-exp-bytes",
+     "9b600dd02b930f63bebf201d1c73b83a008b28c9ef5a950f3a58e8b71dcf9f86");
+    ("paper", "median", "part-max-bytes",
+     "d8800c36b21ed9be5d33479a19ba0a2cde276f8a6eae069e078df0ddb2952685");
+    ("paper", "median", "agg-time",
+     "0f3b038f71a5b9bef6586215da56c4bbb23d7a39634cbe015d9469abfbd18f28");
+    ("paper", "median", "agg-bytes",
+     "9b600dd02b930f63bebf201d1c73b83a008b28c9ef5a950f3a58e8b71dcf9f86");
+    ("paper", "cms", "part-exp-time",
+     "2a26042bd49da6656f45ca133805d2e2cda64908e57f342fb247262c9a282620");
+    ("paper", "cms", "part-max-time",
+     "17e729989a41bece43ac17976ee91333be41e4b79b32b59a4587d679611ba452");
+    ("paper", "cms", "part-exp-bytes",
+     "79548b355d6205a6ca785e014a8cae46bb22259af0e888a7a690c3b3997ca920");
+    ("paper", "cms", "part-max-bytes",
+     "873fbafb59af89a6f29c21988eb657e1982acd17ebb468bc3dbc92d84ed5407e");
+    ("paper", "cms", "agg-time",
+     "445048b6197f9fb5b5a273b36d74f3af2074904b7bc4336812b7b7c47d5dd075");
+    ("paper", "cms", "agg-bytes",
+     "79548b355d6205a6ca785e014a8cae46bb22259af0e888a7a690c3b3997ca920");
+    ("paper", "bayes", "part-exp-time",
+     "f6a79f83ce2bb80da746e1d2f7374ec673354a57576c88126d0e540bc9b23042");
+    ("paper", "bayes", "part-max-time",
+     "e2ed8fd23c4d088556fca5daaf37115bc99fec63ae00a13680ee70173d789254");
+    ("paper", "bayes", "part-exp-bytes",
+     "ba4533a1e783edfdf8cc2e80d827395158d5253b51886ddd4812e1168c6e5199");
+    ("paper", "bayes", "part-max-bytes",
+     "202128842b70123174b2f48904861af779379152e2c0468385014b739519cfd6");
+    ("paper", "bayes", "agg-time",
+     "30c60e78dc30be28733070d80fbb6812064a376aa24c248e86203fc43bf00cc0");
+    ("paper", "bayes", "agg-bytes",
+     "ba4533a1e783edfdf8cc2e80d827395158d5253b51886ddd4812e1168c6e5199");
+    ("paper", "kmedians", "part-exp-time",
+     "b32192236d62e9b9e62ad49b3d495ede8835c767c1972b7a0804584b77312901");
+    ("paper", "kmedians", "part-max-time",
+     "e54e9eb8717816c63439d34663c812c7f554ebd604216851e51831ec383715d7");
+    ("paper", "kmedians", "part-exp-bytes",
+     "4d9029a9dc244d20cdfac98708e9e36b0b373aa243a65bc09b754df372b02626");
+    ("paper", "kmedians", "part-max-bytes",
+     "407d6379537f7e531e13e24d116d2ebb2f00f5225091924f55ee6122810a98fe");
+    ("paper", "kmedians", "agg-time",
+     "2d65a766385982ed80b256e54934a11b16ccab91800863e62a96ca06699a5c52");
+    ("paper", "kmedians", "agg-bytes",
+     "4d9029a9dc244d20cdfac98708e9e36b0b373aa243a65bc09b754df372b02626");
+    ("n64", "top1", "part-exp-time",
+     "0dfb75b4f18f0afc135ea30a0eb64860ad71b56364c672abac40aa2abe9ece08");
+    ("n64", "topK", "part-exp-time",
+     "be3d478a6f3bf647fab4981035af3c3a7e7d3ed8142ce9b0362d728c8166da30");
+    ("n64", "gap", "part-exp-time",
+     "e261508d04c0b5c9bab95e98b06151ba1d704306fd5551c0360e762e0c0d5271");
+    ("n64", "auction", "part-exp-time",
+     "bf96031d3802c4a154799010a0faac9f815895088f4173c887fbb66c8d7dc17b");
+    ("n64", "hypotest", "part-exp-time",
+     "696c72ee03c07202966c74233e093dbff58f224b52f9996c518c125d1a79be92");
+    ("n64", "secrecy", "part-exp-time",
+     "53f14a85d5869b7cbc67a60acd8f6f6830cd10d0e5d0517b0a5bcf8730e5b638");
+    ("n64", "median", "part-exp-time",
+     "08afb3490216caae7ae7a7f69f3fef4a29ba5586a4343c5906a6a518a7a11e09");
+    ("n64", "cms", "part-exp-time",
+     "fd70ee2c37211413982be2a681291c469e3373dc4ec26b0f78f8599045cb8141");
+    ("n64", "bayes", "part-exp-time",
+     "cc1f62509ff6419510fa6772b52fcb82485e68a299bff9ddcead6811d278c624");
+    ("n64", "kmedians", "part-exp-time",
+     "5974d18fa078850eeee52730a23bd461c35350d26ffaacaa6691c7bed88dcf0a")
+  ]
+
+let test_search_golden_byte_identity () =
+  let moved =
+    List.filter_map
+      (fun (setup, name, tag, digest) ->
+        let goal = List.assoc tag goals in
+        let query, n, limits =
+          match setup with
+          | "paper" -> (Q.paper_instance name, 1 lsl 30, P.Constraints.evaluation_limits)
+          | _ -> (Q.test_instance name, 64, P.Constraints.no_limits)
+        in
+        let r = P.Search.plan ~goal ~limits ~query ~n () in
+        let got =
+          Arb_crypto.Sha256.to_hex (Arb_crypto.Sha256.digest (render_all r))
+        in
+        if got = digest then None else Some (Printf.sprintf "%s (%s, %s)" setup name tag))
+      golden_digests
+  in
+  checki "golden cases" 70 (List.length golden_digests);
+  Alcotest.check
+    Alcotest.(list string)
+    "cases whose winner, metrics or alternatives moved" [] moved
 
 let test_search_ablation_blowup () =
   (* §7.3: disabling the heuristics inflates the explored space by orders
@@ -803,6 +1052,7 @@ let () =
           Alcotest.test_case "combine max semantics" `Quick
             test_cost_combine_max_semantics;
           qtest prop_price_scales_with_m;
+          qtest prop_prefix_fold_lower_bounds_completion;
         ] );
       ( "search",
         [
@@ -821,6 +1071,8 @@ let () =
             test_search_parallel_exhaustive_fully_deterministic;
           Alcotest.test_case "incremental pricing matches full" `Slow
             test_search_incremental_matches_full_repricing;
+          Alcotest.test_case "golden byte-identity" `Slow
+            test_search_golden_byte_identity;
           Alcotest.test_case "ablation blowup" `Slow test_search_ablation_blowup;
           Alcotest.test_case "committee sizing consistent" `Quick
             test_search_committee_sizing_consistent;
