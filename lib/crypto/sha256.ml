@@ -3,92 +3,100 @@ type digest = string
 let digest_length = 32
 
 let k =
-  [| 0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-     0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-     0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-     0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-     0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-     0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-     0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-     0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-     0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-     0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-     0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-     0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-     0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l |]
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+     0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+     0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+     0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+     0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+     0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+     0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+     0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+     0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+     0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+     0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+     0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+
+(* Native-int kernel. Each 32-bit word lives in an OCaml int (63 bits on
+   the 64-bit targets this code requires), kept in [0, 2^32) at every
+   store. Additions and xors run on the full int and are reduced once with
+   [land mask]: the low 32 bits of a sum or xor depend only on the low 32
+   bits of its operands, and int arithmetic wraps mod 2^63, a multiple of
+   2^32. A right rotation by n reads the doubled word d = x lor (x lsl 32):
+   bits 0-31 of d are x and bits 32-62 are bits 0-30 of x (bit 31 falls off
+   the top), so bit j of d lsr n is bit (j + n) mod 32 of x whenever
+   j + n <= 62, which holds for every j <= 31 and n in 1..31. No word is
+   boxed, so a block compresses without allocating. *)
+
+let () = assert (Sys.int_size >= 63)
+let mask = 0xFFFF_FFFF
 
 type ctx = {
-  h : int32 array; (* 8 words of chaining state *)
+  h : int array; (* 8 words of chaining state *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* total message bytes fed *)
-  w : int32 array; (* message schedule scratch *)
+  mutable total : int; (* total message bytes fed *)
+  w : int array; (* message schedule scratch *)
 }
 
+let iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+     0x1f83d9ab; 0x5be0cd19 |]
+
 let init () =
-  {
-    h =
-      [| 0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-         0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0l;
-  }
+  { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0; w = Array.make 64 0 }
 
-let ( >>> ) x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( ^^ ) = Int32.logxor
-let ( &&& ) = Int32.logand
-let lnot32 = Int32.lognot
-let ( +% ) = Int32.add
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 0
 
+(* [t] stays within 0..63 and [k] and [w] both hold 64 entries, so the
+   unchecked accesses below are in bounds. *)
 let compress ctx block off =
   let w = ctx.w in
   for t = 0 to 15 do
-    let base = off + (t * 4) in
-    let b i = Int32.of_int (Char.code (Bytes.get block (base + i))) in
-    w.(t) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor
-           (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+    w.(t) <- Int32.to_int (Bytes.get_int32_be block (off + (t * 4))) land mask
   done;
   for t = 16 to 63 do
-    let s0 = (w.(t - 15) >>> 7) ^^ (w.(t - 15) >>> 18) ^^ Int32.shift_right_logical w.(t - 15) 3 in
-    let s1 = (w.(t - 2) >>> 17) ^^ (w.(t - 2) >>> 19) ^^ Int32.shift_right_logical w.(t - 2) 10 in
-    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+    let x = Array.unsafe_get w (t - 15) and y = Array.unsafe_get w (t - 2) in
+    let dx = x lor (x lsl 32) and dy = y lor (y lsl 32) in
+    let s0 = (dx lsr 7) lxor (dx lsr 18) lxor (x lsr 3) in
+    let s1 = (dy lsr 17) lxor (dy lsr 19) lxor (y lsr 10) in
+    let w16 = Array.unsafe_get w (t - 16) and w7 = Array.unsafe_get w (t - 7) in
+    Array.unsafe_set w t ((w16 + s0 + w7 + s1) land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = (!e >>> 6) ^^ (!e >>> 11) ^^ (!e >>> 25) in
-    let ch = (!e &&& !f) ^^ (lnot32 !e &&& !g) in
-    let t1 = !hh +% s1 +% ch +% k.(t) +% w.(t) in
-    let s0 = (!a >>> 2) ^^ (!a >>> 13) ^^ (!a >>> 22) in
-    let maj = (!a &&& !b) ^^ (!a &&& !c) ^^ (!b &&& !c) in
-    let t2 = s0 +% maj in
+    let e0 = !e and a0 = !a in
+    let de = e0 lor (e0 lsl 32) and da = a0 lor (a0 lsl 32) in
+    let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
+    let ch = !g lxor (e0 land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
+    let s0 = (da lsr 2) lxor (da lsr 13) lxor (da lsr 22) in
+    let maj = (a0 land !b) lor (!c land (a0 lor !b)) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := !d +% t1;
+    f := e0;
+    e := (!d + t1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := t1 +% t2
+    b := a0;
+    a := (t1 + s0 + maj) land mask
   done;
-  h.(0) <- h.(0) +% !a;
-  h.(1) <- h.(1) +% !b;
-  h.(2) <- h.(2) +% !c;
-  h.(3) <- h.(3) +% !d;
-  h.(4) <- h.(4) +% !e;
-  h.(5) <- h.(5) +% !f;
-  h.(6) <- h.(6) +% !g;
-  h.(7) <- h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let feed_bytes ctx data off len =
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
   (* Top up a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -116,30 +124,22 @@ let feed_bytes ctx data off len =
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let rem = (ctx.buf_len + 9) mod 64 in
-    if rem = 0 then 9 else 9 + (64 - rem)
-  in
-  let pad = Bytes.make pad_len '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len - 1 - i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len (8 * i)) 0xFFL)))
-  done;
-  (* Bypass total-length accounting for the padding itself. *)
-  let saved = ctx.total in
-  feed_bytes ctx pad 0 pad_len;
-  ctx.total <- saved;
+  (* Padding, written into the block buffer: 0x80, zeros, then the message
+     length in bits as a 64-bit big-endian integer in the last 8 bytes —
+     in a block of its own when fewer than 9 bytes are left. *)
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n + 1 > 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\x00';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\x00';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total lsl 3));
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr (Int32.to_int (Int32.shift_right_logical v 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr (Int32.to_int (Int32.shift_right_logical v 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr (Int32.to_int (Int32.shift_right_logical v 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (Int32.to_int v land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 
@@ -150,18 +150,24 @@ let digest s =
 
 let digest_bytes b = digest (Bytes.to_string b)
 
+(* The padded key and the message stream through one context, so neither
+   the inner nor the outer input is ever built as a string. The pad is
+   flipped from ipad to opad in place: 0x36 lxor 0x5c = 0x6a. *)
 let hmac ~key msg =
-  let key =
-    if String.length key > 64 then digest key else key
-  in
-  let ipad = Bytes.make 64 '\x36' and opad = Bytes.make 64 '\x5c' in
-  String.iteri
-    (fun i c ->
-      Bytes.set ipad i (Char.chr (Char.code c lxor 0x36));
-      Bytes.set opad i (Char.chr (Char.code c lxor 0x5c)))
-    key;
-  let inner = digest (Bytes.to_string ipad ^ msg) in
-  digest (Bytes.to_string opad ^ inner)
+  let key = if String.length key > 64 then digest key else key in
+  let pad = Bytes.make 64 '\x36' in
+  String.iteri (fun i c -> Bytes.set pad i (Char.chr (Char.code c lxor 0x36))) key;
+  let ctx = init () in
+  feed_bytes ctx pad 0 64;
+  feed ctx msg;
+  let inner = finalize ctx in
+  for i = 0 to 63 do
+    Bytes.set pad i (Char.chr (Char.code (Bytes.get pad i) lxor 0x6a))
+  done;
+  reset ctx;
+  feed_bytes ctx pad 0 64;
+  feed ctx inner;
+  finalize ctx
 
 let to_hex d =
   let buf = Buffer.create 64 in

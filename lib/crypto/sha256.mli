@@ -2,8 +2,11 @@
 
     Used for Merkle trees, sortition hashes, deterministic signatures and
     commitment schemes throughout the runtime. The implementation is pure
-    OCaml over [Bytes] and [Int32] and is validated against the FIPS test
-    vectors in the test suite. *)
+    OCaml: each 32-bit word is held in a native [int] (a 63-bit int is
+    required), so compressing a block allocates nothing; a digest
+    allocates only its context and result. It is validated against the
+    FIPS vectors, digests at every padding boundary and RFC 4231 in the
+    test suite (DESIGN.md §10, "Hashing kernel"). *)
 
 type digest = string
 (** 32-byte raw digest. *)
@@ -18,7 +21,8 @@ val digest_bytes : bytes -> digest
 
 val hmac : key:string -> string -> digest
 (** HMAC-SHA256 (RFC 2104); used as a keyed PRF for deterministic
-    device signatures in sortition. *)
+    device signatures in sortition. The padded key and the message stream
+    through one context; no concatenated input is built. *)
 
 val to_hex : digest -> string
 (** Lowercase hex rendering (64 chars). *)

@@ -4,38 +4,44 @@
    commitments: c[b][i] = H(s[b][i]); public = H(c[0][0] || ... || c[1][255]).
    A signature on m reveals, for each bit i of H(m), the preimage
    s[bit_i][i], plus the full commitment list so the verifier can re-derive
-   the public digest and check revealed preimages against commitments. *)
+   the public digest and check revealed preimages against commitments.
 
-type secret = string (* the seed; preimages are re-derived on demand *)
+   keygen derives all of that once and the secret keeps it, so signing
+   hashes only the message. *)
+
+type secret = {
+  preimages : string array; (* s[b][i] at index b * 256 + i *)
+  commitments : string; (* c[0][0] || ... || c[1][255], 512 x 32 bytes *)
+}
+
 type public = string
 type keypair = { secret : secret; public : public }
 
 let signature_bytes = 256
 
-let preimage seed b i =
-  Sha256.digest (Printf.sprintf "lamport|%d|%d|" b i ^ seed)
+(* "lamport|b|i|", the PRF input's prefix for s[b][i]. *)
+let prefixes = Array.init 512 (fun j -> Printf.sprintf "lamport|%d|%d|" (j / 256) (j mod 256))
 
-let commitments seed =
-  let buf = Buffer.create (512 * 32) in
-  for b = 0 to 1 do
-    for i = 0 to 255 do
-      Buffer.add_string buf (Sha256.digest (preimage seed b i))
-    done
-  done;
-  Buffer.contents buf
+let preimage seed j =
+  let ctx = Sha256.init () in
+  Sha256.feed ctx prefixes.(j);
+  Sha256.feed ctx seed;
+  Sha256.finalize ctx
 
 let keygen ~seed =
-  { secret = seed; public = Sha256.digest (commitments seed) }
+  let preimages = Array.init 512 (preimage seed) in
+  let commitments = String.concat "" (Array.to_list (Array.map Sha256.digest preimages)) in
+  { secret = { preimages; commitments }; public = Sha256.digest commitments }
 
-let msg_bits msg =
-  let h = Sha256.digest msg in
-  Array.init 256 (fun i -> (Char.code h.[i / 8] lsr (7 - (i mod 8))) land 1)
+let msg_bit h i = (Char.code h.[i / 8] lsr (7 - (i mod 8))) land 1
 
 let sign ~secret msg =
-  let bits = msg_bits msg in
+  let h = Sha256.digest msg in
   let buf = Buffer.create ((256 + 512) * 32) in
-  Array.iteri (fun i b -> Buffer.add_string buf (preimage secret b i)) bits;
-  Buffer.add_string buf (commitments secret);
+  for i = 0 to 255 do
+    Buffer.add_string buf secret.preimages.((msg_bit h i * 256) + i)
+  done;
+  Buffer.add_string buf secret.commitments;
   Buffer.contents buf
 
 let verify ~public ~msg ~signature =
@@ -44,12 +50,11 @@ let verify ~public ~msg ~signature =
     let commits = String.sub signature (256 * 32) (512 * 32) in
     if not (String.equal (Sha256.digest commits) public) then false
     else
-      let bits = msg_bits msg in
+      let h = Sha256.digest msg in
       let ok = ref true in
-      Array.iteri
-        (fun i b ->
-          let revealed = String.sub signature (i * 32) 32 in
-          let expected = String.sub commits (((b * 256) + i) * 32) 32 in
-          if not (String.equal (Sha256.digest revealed) expected) then ok := false)
-        bits;
+      for i = 0 to 255 do
+        let revealed = String.sub signature (i * 32) 32 in
+        let expected = String.sub commits (((msg_bit h i * 256) + i) * 32) 32 in
+        if not (String.equal (Sha256.digest revealed) expected) then ok := false
+      done;
       !ok

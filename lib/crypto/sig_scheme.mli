@@ -11,6 +11,11 @@
     derives a fresh per-query key from a device's long-term seed. *)
 
 type secret
+(** Everything {!keygen} derived: the 512 per-bit preimages and the 16 KiB
+    commitment string (~32 KiB per one-time key), so {!sign} need not
+    derive them again. Still one-time: signing two messages with one key
+    reveals both preimages of every bit where their digests differ. *)
+
 type public = string
 (** Compact public key: SHA-256 digest of the 512 per-bit commitments. *)
 
@@ -18,10 +23,14 @@ type keypair = { secret : secret; public : public }
 
 val keygen : seed:string -> keypair
 (** Deterministic keypair from a seed; the runtime uses
-    [seed = device_secret ^ query_tag] to get per-query one-time keys. *)
+    [seed = device_secret ^ query_tag] to get per-query one-time keys.
+    Costs 1,281 SHA-256 compressions when the seed is at most 41 bytes:
+    512 preimages, 512 commitments and the 257-block public digest. *)
 
 val sign : secret:secret -> string -> string
-(** Deterministic signature (8 KiB + commitment material). *)
+(** Deterministic signature (8 KiB + commitment material). Hashes only
+    the message; the revealed preimages and the commitments are copied
+    from the secret. *)
 
 val verify : public:public -> msg:string -> signature:string -> bool
 

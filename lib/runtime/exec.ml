@@ -790,7 +790,9 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
              ~compute_per_round:0.002);
         r)
   in
-  let certificate_ok = Setup.verify_certificate certificate in
+  let certificate_ok =
+    spn cfg "certificate-check" (fun () -> Setup.verify_certificate certificate)
+  in
   Log.info (fun m ->
       m "query %d: keygen done (ring %d, t=%d, %d ct/device), certificate %s"
         cfg.query_id params.C.Bgv.n params.C.Bgv.t ct_count

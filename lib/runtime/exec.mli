@@ -72,7 +72,8 @@ type config = {
           (the default) injects nothing *)
   tracer : Arb_obs.Tracer.t option;
       (** when set, the pipeline emits a span tree (exec → sortition /
-          keygen / inputs / decrypt / vsr-handoff / interpret / audit, with
+          keygen / certificate-check / inputs / sortition-check / decrypt /
+          vsr-handoff / interpret / audit, with
           per-mechanism and per-noise-committee spans inside [interpret]).
           Drive it with an {!Arb_obs.Clock.Simulated} clock and the spans
           sit on the protocol's simulated timeline (keygen/decrypt MPC

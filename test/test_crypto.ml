@@ -47,14 +47,61 @@ let test_sha_incremental () =
         (C.Sha256.to_hex (C.Sha256.finalize ctx)))
     [ 1; 3; 55; 56; 63; 64; 65; 128; 999 ]
 
+let test_sha_padding_boundaries () =
+  (* Byte i of the message is i mod 251. The lengths straddle both padding
+     cases, at one and two blocks: a final block of at most 55 message
+     bytes takes the 0x80 byte and the 8-byte length itself, one of 56-63
+     pushes the length into a block of its own. Reference digests from
+     Python's hashlib. *)
+  List.iter
+    (fun (n, want) ->
+      let msg = String.init n (fun i -> Char.chr (i mod 251)) in
+      checks (Printf.sprintf "length %d" n) want (C.Sha256.to_hex (C.Sha256.digest msg)))
+    [
+      (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+      (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (65, "4bfd2c8b6f1eec7a2afeb48b934ee4b2694182027e6d0fc075074f2fabb31781");
+      (111, "60780e9451bdc43cf4530ffc95cbb0c4eb24dae2c39f55f334d679e076c08065");
+      (112, "09373f127d34e61dbbaa8bc4499c87074f2ddb10e1b465f506d7d70a15011979");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+      (127, "92ca0fa6651ee2f97b884b7246a562fa71250fedefe5ebf270d31c546bfea976");
+      (128, "471fb943aa23c511f6f72f8d1652d9c880cfa392ad80503120547703e56a2be5");
+      (1000, "4e4c294b331f7a2099a379bec34b9f9fc03dc46ab465d998f4d683da53487e6d");
+    ]
+
 let test_hmac_vectors () =
-  (* RFC 4231 test cases 1 and 2. *)
-  checks "rfc4231 case 2"
-    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (C.Sha256.to_hex (C.Sha256.hmac ~key:"Jefe" "what do ya want for nothing?"));
-  checks "rfc4231 case 1"
-    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (C.Sha256.to_hex (C.Sha256.hmac ~key:(String.make 20 '\x0b') "Hi There"))
+  (* RFC 4231 test cases 1-4, 6 and 7 (case 5 truncates the output). Cases
+     6 and 7 take a 131-byte key, longer than the block, which HMAC hashes
+     first. *)
+  let aa131 = String.make 131 '\xaa' in
+  List.iter
+    (fun (name, key, msg, want) ->
+      checks name want (C.Sha256.to_hex (C.Sha256.hmac ~key msg)))
+    [
+      ( "rfc4231 case 1", String.make 20 '\x0b', "Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+      ( "rfc4231 case 2", "Jefe", "what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+      ( "rfc4231 case 3", String.make 20 '\xaa', String.make 50 '\xdd',
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+      ( "rfc4231 case 4", String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( "rfc4231 case 6", aa131, "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( "rfc4231 case 7", aa131,
+        "This is a test using a larger than block-size key and a larger than block-size \
+         data. The key needs to be hashed before being used by the HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+      (* A key of exactly one block is used as is, not hashed (Python's hmac). *)
+      ( "64-byte key", String.init 64 (fun i -> Char.chr (((i * 7) + 3) mod 256)),
+        "key of exactly one block",
+        "9e9e883a6d3f8f5cd739b8121380be13ef22893b7cc9c208d44dae4e957c3261" );
+    ]
 
 let prop_sha_deterministic_and_sensitive =
   QCheck.Test.make ~name:"sha256 deterministic + bit-sensitive" ~count:100
@@ -135,6 +182,39 @@ let test_sig_tamper () =
   in
   checkb "tampered signature fails" false
     (C.Sig_scheme.verify ~public:kp.C.Sig_scheme.public ~msg:"m" ~signature:tampered)
+
+let test_sig_swapped_preimage () =
+  (* Signing a second message with the same one-time key reveals, at a bit
+     where the two digests differ, the preimage for the other bit value.
+     It matches a commitment in the list, but not the one the first
+     message's bit selects, so splicing it in must not verify. *)
+  let kp = C.Sig_scheme.keygen ~seed:"d3" in
+  let sign = C.Sig_scheme.sign ~secret:kp.C.Sig_scheme.secret in
+  let verify msg signature =
+    C.Sig_scheme.verify ~public:kp.C.Sig_scheme.public ~msg ~signature
+  in
+  let bit msg i =
+    let h = C.Sha256.digest msg in
+    (Char.code h.[i / 8] lsr (7 - (i mod 8))) land 1
+  in
+  let m = "m" and m' = "m'" in
+  let i =
+    let rec first i = if bit m i <> bit m' i then i else first (i + 1) in
+    first 0
+  in
+  let s = sign m and s' = sign m' in
+  let other = String.sub s' (i * 32) 32 in
+  let commitment b = String.sub s (((256 + (b * 256)) + i) * 32) 32 in
+  checks "the swapped-in preimage opens the other bit's commitment"
+    (C.Sha256.to_hex (commitment (1 - bit m i)))
+    (C.Sha256.to_hex (C.Sha256.digest other));
+  let forged =
+    let b = Bytes.of_string s in
+    Bytes.blit_string other 0 b (i * 32) 32;
+    Bytes.to_string b
+  in
+  checkb "genuine signature verifies" true (verify m s);
+  checkb "swapped preimage fails" false (verify m forged)
 
 (* ---------------- Field ---------------- *)
 
@@ -965,6 +1045,7 @@ let () =
           Alcotest.test_case "FIPS vectors" `Quick test_sha_vectors;
           Alcotest.test_case "million a" `Slow test_sha_million_a;
           Alcotest.test_case "incremental" `Quick test_sha_incremental;
+          Alcotest.test_case "padding boundaries" `Quick test_sha_padding_boundaries;
           Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
           qtest prop_sha_deterministic_and_sensitive;
         ] );
@@ -981,6 +1062,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_sig_roundtrip;
           Alcotest.test_case "deterministic" `Quick test_sig_deterministic;
           Alcotest.test_case "tamper" `Quick test_sig_tamper;
+          Alcotest.test_case "swapped preimage" `Quick test_sig_swapped_preimage;
         ] );
       ( "field",
         [

@@ -366,6 +366,30 @@ let test_sortition_spot_checks () =
   checkb "devices verified committee membership" true
     (report.R.Exec.trace.R.Trace.sortition_checks > 0)
 
+let test_stage_spans () =
+  (* Each protocol stage has one span under exec, the certificate check
+     included, and a deterministic-clock trace is byte-identical across
+     worker counts. *)
+  let q = Q.test_instance ~epsilon:1000.0 "top1" in
+  let db = Q.random_database (Rng.create 99L) q ~n:64 () in
+  let r = P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:64 () in
+  let plan = Option.get r.P.Search.plan in
+  let traced workers =
+    let tr = Arb_obs.Tracer.create ~clock:Arb_obs.Clock.Deterministic () in
+    ignore
+      (R.Exec.execute { (config ()) with R.Exec.tracer = Some tr; workers } ~query:q ~plan ~db);
+    tr
+  in
+  let tr = traced 1 in
+  let counts = List.map (fun (name, count, _) -> (name, count)) (Arb_obs.Tracer.totals tr) in
+  List.iter
+    (fun stage ->
+      checki (stage ^ " spans") 1 (Option.value ~default:0 (List.assoc_opt stage counts)))
+    [ "exec"; "sortition"; "keygen"; "certificate-check"; "inputs"; "sortition-check";
+      "decrypt"; "audit" ];
+  checkb "deterministic trace identical at 2 workers" true
+    (String.equal (Arb_obs.Tracer.to_string tr) (Arb_obs.Tracer.to_string (traced 2)))
+
 let test_churn_reassignment () =
   let q = Q.test_instance ~epsilon:1000.0 "top1" in
   let db = Q.random_database (Rng.create 50L) q ~n:96 () in
@@ -752,6 +776,7 @@ let () =
           Alcotest.test_case "sampled-vs-full within est_error" `Slow
             test_sampled_vs_full_within_est_error;
           Alcotest.test_case "sortition spot checks" `Slow test_sortition_spot_checks;
+          Alcotest.test_case "stage spans" `Slow test_stage_spans;
           Alcotest.test_case "churn reassignment" `Slow test_churn_reassignment;
           Alcotest.test_case "catastrophic churn aborts" `Quick
             test_catastrophic_churn_aborts;
