@@ -352,8 +352,10 @@ let run_cmd =
   in
   let workers_arg =
     let doc =
-      "OCaml domains for the parallel encrypt/aggregate stages. Reports and \
-       traces are byte-identical at any worker count."
+      "OCaml domains for the per-member and per-device stages (key \
+       generation, certificate and sortition checks, device uploads) and \
+       the sum-tree folds. Reports and traces are byte-identical at any \
+       worker count."
     in
     Arg.(value & opt int 1 & info [ "workers" ] ~docv:"K" ~doc)
   in
@@ -540,6 +542,11 @@ let serve_summary ?engine service records ~json reg =
       (Arb_service.Service.chain_verifies service)
   end
 
+(* Executions use the same --workers domains as planning, and record their
+   stage spans (keygen, inputs, ...) inside each drain's execute span. *)
+let serve_exec_config ~workers ~tracer =
+  { Arb_runtime.Exec.default_config with workers; tracer }
+
 (* The network front door: service + API executor + HTTP server, running
    until SIGINT or POST /v1/stop, then a graceful drain of both the
    connection queue and the submission queue before the summary prints. *)
@@ -569,6 +576,7 @@ let serve_listen ~host ~port ~max_queue ~http_workers ~workers ~timeout
   let service =
     Arb_service.Service.create ~cache ~metrics:reg ~calibration:calib
       ?snapshots:(Option.map (fun d -> (d, "serve")) snapshots)
+      ~exec_config:(serve_exec_config ~workers ~tracer)
       ~budget ~devices ~seed ()
   in
   (* Recurring workload entries become continual sessions rather than
@@ -761,6 +769,7 @@ let serve_cmd =
         let service =
           Arb_service.Service.create ~cache ~metrics:reg ~calibration:calib
             ?snapshots:(Option.map (fun d -> (d, "serve")) snapshots)
+            ~exec_config:(serve_exec_config ~workers ~tracer)
             ~budget ~devices ~seed ()
         in
         let records =
@@ -846,7 +855,12 @@ let serve_cmd =
     Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"SEED" ~doc)
   in
   let workers_arg =
-    let doc = "Planner worker domains." in
+    let doc =
+      "Worker domains: cold plans search on them, and each query's \
+       per-member and per-device execution stages (key generation, \
+       certificate and sortition checks, device uploads) fan out over them. \
+       Output is identical at any value."
+    in
     Arg.(value & opt int 1 & info [ "workers" ] ~docv:"K" ~doc)
   in
   let cache_dir_arg =

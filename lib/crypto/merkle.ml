@@ -12,19 +12,23 @@ let node_hash l r = Sha256.digest ("\x01" ^ l ^ r)
 let build leaves =
   let n = Array.length leaves in
   if n = 0 then invalid_arg "Merkle.build: no leaves";
-  let level0 = Array.map leaf_hash leaves in
+  (* Levels start from a constant and are filled in place: [Array.init] of
+     fresh digests past 256 elements makes the runtime empty the minor heap
+     first. *)
+  let level0 = Array.make n "" in
+  Array.iteri (fun i leaf -> level0.(i) <- leaf_hash leaf) leaves;
   let rec up acc level =
     if Array.length level = 1 then List.rev (level :: acc)
     else
       let len = Array.length level in
-      let next =
-        Array.init ((len + 1) / 2) (fun i ->
-            let l = level.(2 * i) in
-            (* An odd node is paired with itself, as in Certificate
-               Transparency-style trees. *)
-            let r = if (2 * i) + 1 < len then level.((2 * i) + 1) else l in
-            node_hash l r)
-      in
+      let next = Array.make ((len + 1) / 2) "" in
+      for i = 0 to Array.length next - 1 do
+        let l = level.(2 * i) in
+        (* An odd node is paired with itself, as in Certificate
+           Transparency-style trees. *)
+        let r = if (2 * i) + 1 < len then level.((2 * i) + 1) else l in
+        next.(i) <- node_hash l r
+      done;
       up (level :: acc) next
   in
   { levels = Array.of_list (up [] level0); nleaves = n }

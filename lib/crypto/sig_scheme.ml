@@ -28,9 +28,18 @@ let preimage seed j =
   Sha256.feed ctx seed;
   Sha256.finalize ctx
 
+(* The preimage array starts from a constant and is filled in place:
+   [Array.init] of fresh strings past 256 elements makes the runtime empty
+   the minor heap first (DESIGN.md §10). *)
 let keygen ~seed =
-  let preimages = Array.init 512 (preimage seed) in
-  let commitments = String.concat "" (Array.to_list (Array.map Sha256.digest preimages)) in
+  let preimages = Array.make 512 "" in
+  let commitments = Bytes.create (512 * 32) in
+  for j = 0 to 511 do
+    let s = preimage seed j in
+    preimages.(j) <- s;
+    Bytes.blit_string (Sha256.digest s) 0 commitments (j * 32) 32
+  done;
+  let commitments = Bytes.unsafe_to_string commitments in
   { secret = { preimages; commitments }; public = Sha256.digest commitments }
 
 let msg_bit h i = (Char.code h.[i / 8] lsr (7 - (i mod 8))) land 1

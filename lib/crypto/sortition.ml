@@ -15,16 +15,25 @@ let ticket device ~block ~query_id =
      integrity matters (the query authorization certificate). *)
   Sha256.digest (Sha256.hmac ~key:device.seed (message ~block ~query_id))
 
-let ranked ~devices ~block ~query_id =
-  let tickets =
-    Array.map (fun d -> (ticket d ~block ~query_id, d.id)) devices
-  in
+(* (ticket, id) pairs sorted by ticket, ties by id. The array starts from
+   a constant and is filled in place: mapping straight to fresh tuples
+   past 256 elements makes the runtime empty the minor heap first. *)
+let sort_tickets n ticket_of =
+  let tickets = Array.make n ("", 0) in
+  for i = 0 to n - 1 do
+    tickets.(i) <- ticket_of i
+  done;
   Array.sort
     (fun (h1, id1) (h2, id2) ->
       let c = Sha256.compare_le h1 h2 in
       if c <> 0 then c else compare id1 id2)
     tickets;
   tickets
+
+let ranked ~devices ~block ~query_id =
+  sort_tickets (Array.length devices) (fun i ->
+      let d = devices.(i) in
+      (ticket d ~block ~query_id, d.id))
 
 let registry_root devices =
   Merkle.root
@@ -81,18 +90,18 @@ module Registry = struct
     if n <= 0 then invalid_arg "Sortition.Registry.create: n <= 0";
     let n_blocks = (n + block_size - 1) / block_size in
     let master = Printf.sprintf "reg|%Ld|%d" seed n in
-    let block_seeds =
-      Array.init n_blocks (fun b -> Sha256.hmac ~key:master (Printf.sprintf "blk|%d" b))
-    in
+    let block_seeds = Array.make n_blocks "" in
     (* Leaf = (block index, population, commitment to the block seed):
        enough for any third party holding the block seeds to recompute the
        root, without the tree ever being O(N). *)
-    let leaves =
-      Array.init n_blocks (fun b ->
-          let size = min block_size (n - (b * block_size)) in
-          Printf.sprintf "%d|%d|%s" b size
-            (Sha256.to_hex (Sha256.digest block_seeds.(b))))
-    in
+    let leaves = Array.make n_blocks "" in
+    for b = 0 to n_blocks - 1 do
+      block_seeds.(b) <- Sha256.hmac ~key:master (Printf.sprintf "blk|%d" b);
+      let size = min block_size (n - (b * block_size)) in
+      leaves.(b) <-
+        Printf.sprintf "%d|%d|%s" b size
+          (Sha256.to_hex (Sha256.digest block_seeds.(b)))
+    done;
     { n; block_seeds; root = Merkle.root (Merkle.build leaves) }
 
   let size t = t.n
@@ -113,30 +122,15 @@ module Registry = struct
       (Sha256.hmac ~key:t.block_seeds.(b) (message ~block ~query_id ^ "|blk"))
 
   let ranked_blocks t ~block ~query_id =
-    let a =
-      Array.init (n_blocks t) (fun b -> (block_ticket t b ~block ~query_id, b))
-    in
-    Array.sort
-      (fun (h1, b1) (h2, b2) ->
-        let c = Sha256.compare_le h1 h2 in
-        if c <> 0 then c else compare b1 b2)
-      a;
-    a
+    sort_tickets (n_blocks t) (fun b -> (block_ticket t b ~block ~query_id, b))
 
   (* Members of block [b] in their within-block ticket order. *)
   let ranked_in_block t b ~block ~query_id =
     let lo = b * block_size in
-    let tickets =
-      Array.init (block_population t b) (fun j ->
-          let id = lo + j in
-          (ticket (device t id) ~block ~query_id, id))
-    in
-    Array.sort
-      (fun (h1, i1) (h2, i2) ->
-        let c = Sha256.compare_le h1 h2 in
-        if c <> 0 then c else compare i1 i2)
-      tickets;
-    Array.map snd tickets
+    Array.map snd
+      (sort_tickets (block_population t b) (fun j ->
+           let id = lo + j in
+           (ticket (device t id) ~block ~query_id, id)))
 
   let select t ~block ~query_id ~committees ~size =
     if committees <= 0 || size <= 0 then invalid_arg "Sortition.select: bad shape";

@@ -467,35 +467,23 @@ type task_result = {
   t_depth_seconds : float array;
 }
 
-(* Run [work.(i)] for every i across [workers] domains (the calling domain
-   included), dealing indices through a shared counter. [on_worker], when
-   given, receives each worker's (index, tasks run, busy seconds) after it
-   drains — per-domain utilization for the metrics registry. *)
+(* Run [work.(i)] for every i on [workers] domains of the shared pool (the
+   calling domain included). [on_worker], when given, receives each pool
+   slot's (slot, tasks run, busy seconds) once the pool drains —
+   per-domain utilization for the metrics registry. *)
 let parallel_map ~workers ?on_worker work =
   let n_tasks = Array.length work in
   let out = Array.make n_tasks None in
-  let next = Atomic.make 0 in
-  let worker w () =
-    let busy = ref 0.0 and ran = ref 0 in
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n_tasks then begin
-        (match on_worker with
-        | None -> out.(i) <- Some (work.(i) ())
-        | Some _ ->
-            let t0 = Unix.gettimeofday () in
-            out.(i) <- Some (work.(i) ());
-            busy := !busy +. (Unix.gettimeofday () -. t0);
-            incr ran);
-        loop ()
-      end
-    in
-    loop ();
-    match on_worker with Some f -> f w !ran !busy | None -> ()
-  in
-  let spawned = List.init (workers - 1) (fun k -> Domain.spawn (worker (k + 1))) in
-  worker 0 ();
-  List.iter Domain.join spawned;
+  let busy = Array.make workers 0.0 and ran = Array.make workers 0 in
+  Arb_util.Pool.run ~workers n_tasks (fun ~slot i ->
+      match on_worker with
+      | None -> out.(i) <- Some (work.(i) ())
+      | Some _ ->
+          let t0 = Unix.gettimeofday () in
+          out.(i) <- Some (work.(i) ());
+          busy.(slot) <- busy.(slot) +. (Unix.gettimeofday () -. t0);
+          ran.(slot) <- ran.(slot) + 1);
+  Option.iter (fun f -> Array.iteri (fun w r -> f w r busy.(w)) ran) on_worker;
   Array.map (function Some r -> r | None -> assert false) out
 
 let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)

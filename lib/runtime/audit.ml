@@ -11,8 +11,11 @@ let record_step t s =
   t.entries <- s :: t.entries
 
 let seal t =
-  let leaves = Array.of_list (List.rev t.entries) in
-  let leaves = if Array.length leaves = 0 then [| "empty" |] else leaves in
+  (* Filled from a constant, newest entry last: [Array.of_list] of fresh
+     strings past 256 elements makes the runtime empty the minor heap. *)
+  let n = List.length t.entries in
+  let leaves = Array.make (max 1 n) "empty" in
+  List.iteri (fun i s -> leaves.(n - 1 - i) <- s) t.entries;
   let tree = Arb_crypto.Merkle.build leaves in
   t.tree <- Some tree;
   t.sealed_leaves <- leaves;

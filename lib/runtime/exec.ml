@@ -39,10 +39,13 @@ type config = {
       (* span tracer for the execution pipeline; drive it with a Simulated
          clock and the spans advance along the protocol's simulated time *)
   workers : int;
-      (* OCaml domains for the embarrassingly-parallel stages (per-device
-         encryption, sum-tree groups). Reports and traces are byte-
-         identical at any worker count: RNG draws happen in a sequential
-         canonical-order pass, only deterministic arithmetic fans out. *)
+      (* Domains for the per-member and per-device stages (keygen,
+         certificate-check, inputs, sortition-check) and the sum-tree
+         folds, fanned out over Arb_util.Pool. Reports and traces are
+         byte-identical at any worker count: fanned-out items draw only
+         from their own per-device streams, every session and fault draw
+         stays on the calling domain, and results merge in canonical
+         order. *)
   sharding : sharding;
 }
 
@@ -65,32 +68,6 @@ let default_config =
     workers = 1;
     sharding = Full;
   }
-
-(* Deal indices to [workers] domains via a shared atomic counter; results
-   land at their own index, so the output order is canonical regardless of
-   scheduling (the same pattern as the planner's search fan-out). [f] must
-   be safe to run concurrently (no shared mutable state, no RNG). *)
-let parallel_map ~workers n f =
-  if workers <= 1 || n <= 1 then Array.init n f
-  else begin
-    let out = Array.make n None in
-    let idx = Atomic.make 0 in
-    let work () =
-      let rec go () =
-        let i = Atomic.fetch_and_add idx 1 in
-        if i < n then begin
-          out.(i) <- Some (f i);
-          go ()
-        end
-      in
-      go ()
-    in
-    let spawned = min workers n - 1 in
-    let doms = Array.init spawned (fun _ -> Domain.spawn work) in
-    work ();
-    Array.iter Domain.join doms;
-    Array.map (function Some v -> v | None -> assert false) out
-  end
 
 (* A device database that is addressed, not materialized: [row i] is
    device [i]'s input, computed on demand. A sharded run over 10^8 devices
@@ -628,6 +605,14 @@ let rec exec st (s : L.Ast.stmt) =
 
 (* --- the crypto pipeline up to shared sums --- *)
 
+(* [Array.of_list] from the constant [init], filled in place: built from a
+   fresh head instead, an array past 256 elements makes the runtime empty
+   the minor heap first (DESIGN.md §10). *)
+let array_of_list init l =
+  let a = Array.make (List.length l) init in
+  List.iteri (fun i x -> a.(i) <- x) l;
+  a
+
 let next_pow2 x =
   let rec go p = if p >= x then p else go (2 * p) in
   go 1
@@ -769,7 +754,8 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
   let sk, pk, certificate =
     spn cfg "keygen" (fun () ->
         let r =
-          Setup.keygen_ceremony rng ~device_seed:(Setup.device_seed pop)
+          Setup.keygen_ceremony ~workers:cfg.workers rng
+            ~device_seed:(Setup.device_seed pop)
             ~committee:kg_committee ~params
             ~query_id:cfg.query_id ~plan_digest ~budget:cfg.budget
             ~cost:
@@ -791,7 +777,8 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
         r)
   in
   let certificate_ok =
-    spn cfg "certificate-check" (fun () -> Setup.verify_certificate certificate)
+    spn cfg "certificate-check" (fun () ->
+        Setup.verify_certificate ~workers:cfg.workers certificate)
   in
   Log.info (fun m ->
       m "query %d: keygen done (ring %d, t=%d, %d ct/device), certificate %s"
@@ -879,21 +866,21 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
               if k = fanout then groups (List.rev cur :: acc) [ ct ] 1 rest
               else groups acc (ct :: cur) (k + 1) rest
         in
-        let gs = Array.of_list (groups [] [] 0 cts) in
+        let gs = array_of_list [] (groups [] [] 0 cts) in
         (* Groups are disjoint, so their folds fan out over domains; the
            within-group fold stays sequential (the noise bookkeeping's
            log-sum-exp is float, hence order-sensitive) and the merge
            keeps canonical group order. Counters move out of the fold so
            the parallel path stays race-free — same totals. *)
-        let folded =
-          parallel_map ~workers:cfg.workers (Array.length gs) (fun gi ->
-              match gs.(gi) with
-              | [] -> assert false
-              | first :: rest ->
+        let folded = Array.make (Array.length gs) [||] in
+        Arb_util.Pool.run ~workers:cfg.workers (Array.length gs) (fun ~slot:_ gi ->
+            match gs.(gi) with
+            | [] -> assert false
+            | first :: rest ->
+                folded.(gi) <-
                   List.fold_left
                     (fun acc cts -> Array.map2 C.Bgv.accumulate acc cts)
-                    first rest)
-        in
+                    first rest);
         Array.iter
           (fun g ->
             trace.Trace.device_tree_adds <-
@@ -915,39 +902,28 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
     let lo = c * cohort_size in
     let size = cohort_population c in
     if is_sampled c then begin
-      (* Materialized cohort: the real crypto path.
-         Pass 1 (sequential, canonical order): per-device stream draws and
-         row materialization. *)
-      let prepared =
-        Array.init size (fun k ->
-            let gi = lo + k in
-            (* A device outside the sample does no work at all: no stream
-               draw, no row, no upload. *)
-            if not (dev_included gi) then None
-            else
-              let drng = Setup.device_input_rng pop gi in
-              let byz = device_byz drng in
-              let bin = device_bin drng in
-              let row = src.row gi in
-              let row = if byz then Array.map (fun _ -> 1) row else row in
-              let slots = Array.make slots_needed 0 in
-              Array.iteri
-                (fun j v -> if j < cols then slots.((bin * cols) + j) <- v)
-                row;
-              let rand =
-                Array.init ct_count (fun _ ->
-                    C.Bgv.sample_encrypt_randomness pk drng)
-              in
-              Some (byz, slots, row, rand))
-      in
-      (* Pass 2 (parallel fan-out): the deterministic per-device compute —
-         proof construction and the encryption arithmetic (no RNG access in
-         Bgv.encrypt_with_randomness). *)
-      let computed =
-        parallel_map ~workers:cfg.workers size (fun k ->
-            match prepared.(k) with
-            | None -> None
-            | Some (byz, slots, row, rand) ->
+      (* Materialized cohort: the real crypto path. Pass 1 (parallel
+         fan-out): each device's draws come from its own stream, so its
+         draws, row, proof and encryption are a pure function of its id.
+         A device outside the sample does no work at all: no stream draw,
+         no row, no upload. *)
+      let computed = Array.make size None in
+      Arb_util.Pool.run ~workers:cfg.workers size (fun ~slot:_ k ->
+          let gi = lo + k in
+          if dev_included gi then begin
+            let drng = Setup.device_input_rng pop gi in
+            let byz = device_byz drng in
+            let bin = device_bin drng in
+            let row = src.row gi in
+            let row = if byz then Array.map (fun _ -> 1) row else row in
+            let slots = Array.make slots_needed 0 in
+            Array.iteri
+              (fun j v -> if j < cols then slots.((bin * cols) + j) <- v)
+              row;
+            let rand =
+              Array.init ct_count (fun _ ->
+                  C.Bgv.sample_encrypt_randomness pk drng)
+            in
             (* The proof statement covers the full slot layout for one-hot
                rows (so a device cannot claim several bins); range
                statements cover the raw row. *)
@@ -957,7 +933,7 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
                   slots
               | C.Zkp.Range _ -> row
             in
-            let prover = string_of_int (lo + k) in
+            let prover = string_of_int gi in
             let proof =
               if byz then C.Zkp.forge statement ~prover ~nonce
               else C.Zkp.prove statement ~witness ~prover ~nonce
@@ -969,9 +945,9 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
                   C.Bgv.encrypt_with_randomness pk rand.(kk)
                     (Array.sub slots slo len))
             in
-            Some (proof, cts))
-      in
-      (* Pass 3 (sequential, canonical order): trace accounting, the lossy
+            computed.(k) <- Some (proof, cts)
+          end);
+      (* Pass 2 (sequential, canonical order): trace accounting, the lossy
          uplink (per-kind fault streams fire in device order), verification
          and aggregation. *)
       let cohort_cts = ref [] in
@@ -1160,15 +1136,23 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
      assignments from the public block and registry (§5.1). *)
   let checks = min 8 (Array.length kg_committee) in
   spn cfg "sortition-check" (fun () ->
-  for c = 0 to checks - 1 do
-    let member = kg_committee.(c) in
-    (match
-       Setup.verify_member pop ~block:cfg.block ~query_id:cfg.query_id
-         ~committees:n_committees ~size:cfg.committee_size ~id:member
-     with
-    | Some _ -> trace.Trace.sortition_checks <- trace.Trace.sortition_checks + 1
-    | None -> err "sortition verification failed for committee member %d" member)
-  done);
+      (* Each recomputation is pure, so they fan out; the counter and the
+         first failure are read back in member order. *)
+      let verdicts =
+        Arb_util.Pool.map ~workers:cfg.workers checks (fun c ->
+            Setup.verify_member pop ~block:cfg.block ~query_id:cfg.query_id
+              ~committees:n_committees ~size:cfg.committee_size
+              ~id:kg_committee.(c))
+      in
+      Array.iteri
+        (fun c verdict ->
+          match verdict with
+          | Some _ ->
+              trace.Trace.sortition_checks <- trace.Trace.sortition_checks + 1
+          | None ->
+              err "sortition verification failed for committee member %d"
+                kg_committee.(c))
+        verdicts);
   (* 4. Optional secrecy-of-the-sample masking. *)
   let eng_decrypt = E.create ~parties:cfg.committee_size rng () in
   let eng_ops = E.create ~parties:cfg.committee_size rng () in

@@ -81,12 +81,17 @@ type config = {
           [Deterministic] clock yields byte-identical traces across runs.
           [None] (the default) adds no work. *)
   workers : int;
-      (** OCaml domains for the embarrassingly-parallel stages: per-device
-          proof + encryption and sum-tree group folds. All RNG draws happen
-          in a sequential canonical-order pass before the fan-out and
-          results merge in canonical order, so reports, traces and
+      (** Domains of the shared {!Arb_util.Pool} for the per-member and
+          per-device stages: keygen (each member's one-time key and
+          signature), certificate-check (each signature),
+          sortition-check (each member's recomputation), inputs (each
+          device's draws from its own stream, row, proof and encryption)
+          and the sum-tree group folds. Every session and fault-stream
+          draw, verification, aggregation and trace counter stays on the
+          calling domain in canonical order, so reports, traces and
           decrypted outputs are byte-identical at any worker count
-          (regression-tested). Default 1. *)
+          (regression-tested against recorded bytes at 1 and 2).
+          Default 1. *)
   sharding : sharding;
       (** cohort structure of the input stage; [Full] by default. Does not
           affect decrypted outputs, budget deductions or certificates (see

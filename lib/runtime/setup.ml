@@ -81,8 +81,8 @@ let pk_digest_of pk =
      representation. *)
   C.Sha256.digest (C.Bgv.serialize_public_key pk)
 
-let keygen_ceremony rng ~device_seed ~committee ~params ~query_id ~plan_digest
-    ~budget ~cost ~registry_root ~engine =
+let keygen_ceremony ?(workers = 1) rng ~device_seed ~committee ~params ~query_id
+    ~plan_digest ~budget ~cost ~registry_root ~engine =
   (* 1. Budget check (§5.2): refuse the query if the balance is short. *)
   let budget_left =
     match Arb_dp.Budget.charge budget ~cost with
@@ -122,22 +122,24 @@ let keygen_ceremony rng ~device_seed ~committee ~params ~query_id ~plan_digest
     }
   in
   let payload = certificate_payload unsigned in
-  (* 4. Every member signs with a per-query one-time key. *)
+  (* 4. Every member signs with a per-query one-time key. Each member's
+     key and signature are a pure function of its seed and the payload, so
+     the members fan out over the worker domains; the RNG draws above stay
+     on the calling domain, which has also created the ciphertext context
+     by now. *)
   let signatures =
-    Array.to_list committee
-    |> List.map (fun member ->
-           let seed =
-             device_seed member ^ Printf.sprintf "|cert%d" query_id
-           in
-           let kp = C.Sig_scheme.keygen ~seed in
-           (kp.C.Sig_scheme.public, C.Sig_scheme.sign ~secret:kp.C.Sig_scheme.secret payload))
+    Arb_util.Pool.map ~workers (Array.length committee) (fun i ->
+        let seed = device_seed committee.(i) ^ Printf.sprintf "|cert%d" query_id in
+        let kp = C.Sig_scheme.keygen ~seed in
+        (kp.C.Sig_scheme.public, C.Sig_scheme.sign ~secret:kp.C.Sig_scheme.secret payload))
   in
-  (sk, pk, { unsigned with signatures })
+  (sk, pk, { unsigned with signatures = Array.to_list signatures })
 
-let verify_certificate cert =
+let verify_certificate ?(workers = 1) cert =
   let payload = certificate_payload { cert with signatures = [] } in
-  cert.signatures <> []
-  && List.for_all
-       (fun (public, signature) ->
-         C.Sig_scheme.verify ~public ~msg:payload ~signature)
-       cert.signatures
+  let signatures = Array.of_list cert.signatures in
+  signatures <> [||]
+  && Array.for_all Fun.id
+       (Arb_util.Pool.map ~workers (Array.length signatures) (fun i ->
+            let public, signature = signatures.(i) in
+            C.Sig_scheme.verify ~public ~msg:payload ~signature))

@@ -88,6 +88,7 @@ val certificate_payload : certificate -> string
 (** The signed byte string (everything except the signatures). *)
 
 val keygen_ceremony :
+  ?workers:int ->
   Arb_util.Rng.t ->
   device_seed:(int -> string) ->
   committee:int array ->
@@ -103,7 +104,13 @@ val keygen_ceremony :
     secret key is the ceremony's output held only as shares in a real
     deployment; the simulation hands it to the decryption step directly
     (which re-shares it). MPC costs are charged to [engine]. Committee
-    members sign with one-time keys derived from [device_seed]. *)
+    members sign with one-time keys derived from [device_seed].
 
-val verify_certificate : certificate -> bool
-(** Every member signature checks out against the payload. *)
+    [workers] (default 1) is how many domains derive the members' one-time
+    keys and signatures ({!Arb_util.Pool}); every RNG draw stays on the
+    calling domain, so the certificate is byte-identical at any value. *)
+
+val verify_certificate : ?workers:int -> certificate -> bool
+(** Every member signature checks out against the payload. [workers]
+    (default 1) is how many domains check the signatures; the answer does
+    not depend on it. *)

@@ -400,29 +400,17 @@ let drain ?tracer ?(workers = 1) t =
                  ~tid:((Arb_obs.Tracer.tid tr * 100) + i + 1)))
           tasks
   in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < Array.length tasks then begin
-        let _, query, goal = tasks.(i) in
-        let limits =
-          P.Constraints.with_error_tolerance P.Constraints.no_limits
-            query.Q.error_tolerance
-        in
-        slots.(i) <-
-          Some
-            (P.Search.plan ~cm ~goal ~limits ?tracer:children.(i)
-               ?metrics:t.metrics ~query ~n ());
-        loop ()
-      end
-    in
-    loop ()
-  in
   let pool = max 1 (min workers (Array.length tasks)) in
-  let spawned = List.init (pool - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join spawned;
+  Arb_util.Pool.run ~workers:pool (Array.length tasks) (fun ~slot:_ i ->
+      let _, query, goal = tasks.(i) in
+      let limits =
+        P.Constraints.with_error_tolerance P.Constraints.no_limits
+          query.Q.error_tolerance
+      in
+      slots.(i) <-
+        Some
+          (P.Search.plan ~cm ~goal ~limits ?tracer:children.(i)
+             ?metrics:t.metrics ~query ~n ()));
   (match tracer with
   | Some tr -> Array.iter (Option.iter (Arb_obs.Tracer.graft tr)) children
   | None -> ());

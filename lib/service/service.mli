@@ -27,8 +27,9 @@
       Per-query device inputs are synthesized deterministically from the
       service seed and the submission index.
 
-    Only planning parallelizes; that is where the service's latency goes
-    once results are streaming (and cached plans skip it entirely). *)
+    Planning parallelizes across submissions; each execution then fans
+    its per-member and per-device stages out over the [workers] of its
+    exec config (see {!create}). *)
 
 type t
 
@@ -62,7 +63,15 @@ val create :
     pair: when set (and [metrics] is attached), every drain appends a
     tagged registry snapshot to [dir]'s store
     ({!Arb_obs.Snapshot.append}) so ground truth accumulates for
-    [arb calibrate]. *)
+    [arb calibrate].
+
+    [exec_config] (default {!Arb_runtime.Exec.default_config}) configures
+    every execution: its [workers] are the domains each execution's
+    keygen, certificate-check, sortition-check and inputs stages fan out
+    over (records are byte-identical at any value), and a [tracer] set
+    there records the execution's stage spans inside the drain's
+    [execute] span when it is the tracer passed to {!drain}. [arb serve]
+    passes its [--workers] and its [--trace-out] tracer here. *)
 
 val submit : t -> Workload.submission -> int
 (** Enqueue ([repeat] is honored); returns the submission index of the
@@ -108,8 +117,10 @@ val record : t -> int -> Lifecycle.record option
 
 val drain : ?tracer:Arb_obs.Tracer.t -> ?workers:int -> t -> Lifecycle.record list
 (** Process the whole queue; returns this batch's records in submission
-    order. [workers] (default 1) sizes the planning pool; every value
-    yields byte-identical canonical records ({!Lifecycle.records_to_string}).
+    order. [workers] (default 1) is how many domains plan the distinct
+    cache misses (execution takes its workers from the exec config); every
+    value yields byte-identical canonical records
+    ({!Lifecycle.records_to_string}).
 
     [tracer] records drain → admit / per-cold-plan search / per-submission
     execute spans. Cold plans search under per-task child tracers grafted

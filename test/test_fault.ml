@@ -24,12 +24,13 @@ let contains s needle =
 
 let big_budget = Arb_dp.Budget.create ~epsilon:1.0e7 ~delta:0.5
 
-let config ?(seed = 1L) ?(faults = Fault.no_faults) () =
+let config ?(seed = 1L) ?(faults = Fault.no_faults) ?(workers = 1) () =
   {
     R.Exec.default_config with
     R.Exec.seed;
     budget = big_budget;
     faults;
+    workers;
   }
 
 (* One planned (query, db, plan) context per query name, shared across
@@ -57,9 +58,9 @@ let context =
         Hashtbl.add cache name c;
         c
 
-let exec_run ?(faults = Fault.no_faults) ~seed name =
+let exec_run ?(faults = Fault.no_faults) ?workers ~seed name =
   let q, db, plan = context name in
-  R.Exec.run (config ~seed ~faults ()) ~query:q ~plan ~db
+  R.Exec.run (config ~seed ~faults ?workers ()) ~query:q ~plan ~db
 
 let clean_report ~seed name =
   match exec_run ~seed name with
@@ -381,6 +382,27 @@ let run_twice_identical ~faults seed =
   | Error fa, Error fb ->
       fa.R.Exec.stage = fb.R.Exec.stage && fa.R.Exec.reason = fb.R.Exec.reason
   | _ -> false
+
+(* The full chaos spec replays identically when the per-member and
+   per-device stages fan out: every fault and session draw stays on the
+   calling domain, in canonical order. *)
+let test_chaos_replay_across_workers () =
+  List.iter
+    (fun (query, seed) ->
+      let case = Printf.sprintf "%s seed %Ld" query seed in
+      match
+        ( exec_run ~faults:Fault.chaos ~workers:1 ~seed query,
+          exec_run ~faults:Fault.chaos ~workers:2 ~seed query )
+      with
+      | Ok a, Ok b ->
+          checks (case ^ ": trace json") (trace_string a) (trace_string b);
+          checks (case ^ ": audit root") a.R.Exec.audit_root b.R.Exec.audit_root;
+          checkb (case ^ ": outputs") true (a.R.Exec.outputs = b.R.Exec.outputs)
+      | Error a, Error b ->
+          checks (case ^ ": failure stage") a.R.Exec.stage b.R.Exec.stage;
+          checks (case ^ ": failure reason") a.R.Exec.reason b.R.Exec.reason
+      | _ -> Alcotest.failf "%s: released at one worker count only" case)
+    [ ("top1", 17L); ("top1", 23L); ("gap", 17L); ("median", 23L); ("auction", 17L) ]
 
 let prop_same_seed_same_trace =
   QCheck.Test.make ~name:"same seed => byte-identical trace (chaos spec)"
@@ -873,6 +895,8 @@ let () =
           qtest prop_injector_schedule_deterministic;
           qtest prop_backoff_respects_budget;
           qtest prop_transmit_deterministic;
+          Alcotest.test_case "chaos replay identical at 1 and 2 workers" `Quick
+            test_chaos_replay_across_workers;
         ] );
       ( "session-lifecycle",
         [

@@ -83,12 +83,15 @@ let sig_expected =
 
 (* ---------------- key-generation ceremony ---------------- *)
 
-let ceremony =
+(* The ceremony and the execution run at 1 and at 2 workers against the
+   same literals: fanning members and devices out over domains must not
+   move a byte. *)
+let ceremony ~workers =
   lazy
     (let rng = Rng.create 7L in
      let engine = Arb_mpc.Engine.create ~parties:5 (Rng.create 8L) () in
      let _, _, cert =
-       R.Setup.keygen_ceremony rng
+       R.Setup.keygen_ceremony ~workers rng
          ~device_seed:(fun id -> Printf.sprintf "golden-device-%d" id)
          ~committee:[| 3; 14; 15; 92; 65 |]
          ~params:(C.Bgv.ahe_params ~n:256 ())
@@ -102,7 +105,8 @@ let ceremony =
 let signatures_digest (cert : R.Setup.certificate) =
   hash (String.concat "" (List.map (fun (pub, s) -> pub ^ s) cert.R.Setup.signatures))
 
-let ceremony_cases =
+let ceremony_cases ~workers =
+  let ceremony = ceremony ~workers in
   [
     ("ceremony payload", fun () -> R.Setup.certificate_payload (Lazy.force ceremony));
     ("ceremony signatures", fun () -> signatures_digest (Lazy.force ceremony));
@@ -164,7 +168,7 @@ let registry_expected =
 
 (* ---------------- one end-to-end execution ---------------- *)
 
-let execution =
+let execution ~workers =
   lazy
     (let q = Q.test_instance "top1" in
      let db = Q.random_database (Rng.create 99L) q ~n:64 () in
@@ -176,11 +180,12 @@ let execution =
        | Some p -> p
        | None -> Alcotest.fail "no plan for top1 at 64 devices"
      in
-     match R.Exec.run R.Exec.default_config ~query:q ~plan ~db with
+     match R.Exec.run { R.Exec.default_config with workers } ~query:q ~plan ~db with
      | Ok report -> report
      | Error f -> Alcotest.failf "top1 failed: %a" R.Exec.pp_failure f)
 
-let exec_cases =
+let exec_cases ~workers =
+  let execution = execution ~workers in
   let report () = Lazy.force execution in
   [
     ("exec top1 audit_root", fun () -> hex (report ()).R.Exec.audit_root);
@@ -209,10 +214,14 @@ let () =
           Alcotest.test_case "lamport keys and signatures" `Quick
             (check_cases ~expected:sig_expected sig_cases);
           Alcotest.test_case "keygen ceremony certificate" `Quick
-            (check_cases ~expected:ceremony_expected ceremony_cases);
+            (check_cases ~expected:ceremony_expected (ceremony_cases ~workers:1));
           Alcotest.test_case "registry roots, committees, device seeds" `Quick
             (check_cases ~expected:registry_expected registry_cases);
           Alcotest.test_case "top1 execution at 64 devices" `Quick
-            (check_cases ~expected:exec_expected exec_cases);
+            (check_cases ~expected:exec_expected (exec_cases ~workers:1));
+          Alcotest.test_case "keygen ceremony certificate, 2 workers" `Quick
+            (check_cases ~expected:ceremony_expected (ceremony_cases ~workers:2));
+          Alcotest.test_case "top1 execution at 64 devices, 2 workers" `Quick
+            (check_cases ~expected:exec_expected (exec_cases ~workers:2));
         ] );
     ]

@@ -608,6 +608,50 @@ let test_fixed_calibration_worker_identity () =
       checks (Printf.sprintf "workers=%d byte-identical" w) reference (run w))
     [ 2; 3 ]
 
+(* With the drain's tracer also in the exec config (as both serve modes
+   set it up), each execute span holds its execution's stage spans, and a
+   Deterministic clock keeps the bytes independent of the worker count. *)
+let test_traced_drain_shows_exec_stages () =
+  let run workers =
+    let tr = Arb_obs.Tracer.create ~clock:Arb_obs.Clock.Deterministic () in
+    let t =
+      S.Service.create
+        ~exec_config:{ Arb_runtime.Exec.default_config with tracer = Some tr; workers }
+        ~budget:(B.create ~epsilon:100.0 ~delta:0.01)
+        ~devices:32 ~seed:5 ()
+    in
+    List.iter
+      (fun q -> ignore (S.Service.submit t (sub ~epsilon:0.5 q)))
+      [ "top1"; "median"; "top1" ];
+    ignore (S.Service.drain ~tracer:tr ~workers t);
+    (tr, (S.Service.counters t).S.Lifecycle.executed)
+  in
+  let tr, executed = run 1 in
+  checks "trace bytes identical at 1 and 2 workers" (Arb_obs.Tracer.to_string tr)
+    (Arb_obs.Tracer.to_string (fst (run 2)));
+  checki "every submission executed" 3 executed;
+  let module J = Arb_util.Json in
+  let spans name =
+    List.filter_map
+      (fun e ->
+        if J.member "name" e = J.String name then
+          let ts = J.to_int (J.member "ts" e) in
+          Some (ts, ts + J.to_int (J.member "dur" e))
+        else None)
+      (J.to_list (Arb_obs.Tracer.to_json tr))
+  in
+  let executes = spans "execute" in
+  List.iter
+    (fun stage ->
+      let inside = spans stage in
+      checki (stage ^ " spans: one per executed query") executed (List.length inside);
+      List.iter
+        (fun (a, b) ->
+          checkb (stage ^ " span inside an execute span") true
+            (List.exists (fun (ea, eb) -> ea <= a && b <= eb) executes))
+        inside)
+    [ "keygen"; "inputs" ]
+
 let () =
   Alcotest.run "service"
     [
@@ -665,6 +709,11 @@ let () =
             `Quick test_cache_dir_creation;
           Alcotest.test_case "stale tmp files swept on create" `Quick
             test_cache_tmp_sweep;
+        ] );
+      ( "tracing",
+        [
+          Alcotest.test_case "traced drain shows execution stages" `Quick
+            test_traced_drain_shows_exec_stages;
         ] );
       ( "workload",
         [

@@ -397,9 +397,110 @@ let test_table_render () =
   (* short row padded, long ok *)
   checkb "has rule lines" true (String.contains s '+')
 
+(* ---------------- Pool ---------------- *)
+
+module Pool = Arb_util.Pool
+
+exception Three
+exception Seven
+
+(* Spin until [flag] holds or a few seconds pass; a helper that never
+   arrives fails the test instead of hanging it. *)
+let await flag =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (flag ())) && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done
+
+let test_pool_map_matches_init () =
+  List.iter
+    (fun workers ->
+      List.iter
+        (fun n ->
+          check
+            Alcotest.(array int)
+            (Printf.sprintf "map at %d workers, n=%d" workers n)
+            (Array.init n (fun i -> i * i))
+            (Pool.map ~workers n (fun i -> i * i)))
+        [ 0; 1; 2; 7; 300 ])
+    [ 1; 2; 3 ]
+
+(* Indices 3 and 7 raise distinct exceptions, 7 first in time: the lowest
+   failing index's exception surfaces at every worker count, only after
+   every participant has left the job; the next fan-out then runs on every
+   helper and returns correct results. *)
+let test_pool_lowest_failure_wins () =
+  List.iter
+    (fun workers ->
+      let running = Atomic.make 0 and seven = Atomic.make false in
+      (match
+         Pool.run ~workers 10 (fun ~slot:_ i ->
+             Atomic.incr running;
+             Fun.protect
+               ~finally:(fun () -> Atomic.decr running)
+               (fun () ->
+                 if i = 3 then begin
+                   (* Give index 7 the chance to fail first. *)
+                   if workers > 1 then await (fun () -> Atomic.get seven);
+                   raise Three
+                 end;
+                 if i = 7 then begin
+                   Atomic.set seven true;
+                   raise Seven
+                 end))
+       with
+      | () -> Alcotest.failf "no exception at %d workers" workers
+      | exception Three -> ()
+      | exception e ->
+          Alcotest.failf "at %d workers got %s, want index 3's" workers
+            (Printexc.to_string e));
+      checki
+        (Printf.sprintf "no call still running at %d workers" workers)
+        0 (Atomic.get running);
+      (* Every index waits until all [workers] have arrived, so each runs
+         on its own participant: a helper lost to the failed job would
+         time the wait out. *)
+      let arrived = Atomic.make 0 in
+      let slots = Array.make workers (-1) in
+      let squares =
+        let out = Array.make workers 0 in
+        Pool.run ~workers workers (fun ~slot i ->
+            Atomic.incr arrived;
+            await (fun () -> Atomic.get arrived = workers);
+            slots.(i) <- slot;
+            out.(i) <- i * i);
+        out
+      in
+      check
+        Alcotest.(array int)
+        (Printf.sprintf "next fan-out correct at %d workers" workers)
+        (Array.init workers (fun i -> i * i))
+        squares;
+      checki
+        (Printf.sprintf "every participant joined at %d workers" workers)
+        workers
+        (List.length (List.sort_uniq compare (Array.to_list slots))))
+    [ 1; 2; 3 ]
+
+(* A fan-out started from inside a job finds the pool owned and runs on
+   its calling domain, with the same results. *)
+let test_pool_nested_runs_inline () =
+  let inner =
+    Pool.map ~workers:2 4 (fun i -> Array.fold_left ( + ) 0 (Pool.map ~workers:2 (i + 1) Fun.id))
+  in
+  check Alcotest.(array int) "nested sums" [| 0; 1; 3; 6 |] inner
+
 let () =
   Alcotest.run "arb_util"
     [
+      ( "pool",
+        [
+          Alcotest.test_case "map matches Array.init" `Quick test_pool_map_matches_init;
+          Alcotest.test_case "lowest failing index wins" `Quick
+            test_pool_lowest_failure_wins;
+          Alcotest.test_case "nested fan-out runs inline" `Quick
+            test_pool_nested_runs_inline;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
