@@ -59,6 +59,19 @@ let participant_split contributions =
         mb +. (seats /. nf *. c.Cm.c_member_bytes) ))
     (0.0, 0.0, 0.0, 0.0) contributions
 
+(* The report of a released run; an experiment whose run fails closed
+   fails with the stage. *)
+let released = function
+  | Ok report -> report
+  | Error f -> failwith (Format.asprintf "run failed closed: %a" Arb_runtime.Exec.pp_failure f)
+
+let execute config ~query ~plan ~src =
+  released (Arb_runtime.Exec.run_source config ~query ~plan ~src)
+
+(* Plan at the database's scale (no cost limits), then execute. *)
+let plan_and_execute config ~query ~db =
+  released (Arboretum.run ~config ~db (Arboretum.plan ~n:(Array.length db) query))
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: strawman comparison on the zip-code query (§3.2).          *)
 
@@ -428,7 +441,7 @@ let e2e () =
             Arb_runtime.Exec.budget = Arb_dp.Budget.create ~epsilon:100.0 ~delta:1e-3;
           }
         in
-        match Arb_runtime.Exec.plan_and_execute config ~query:q ~db with
+        match plan_and_execute config ~query:q ~db with
         | rep ->
             [ name;
               String.concat "; "
@@ -479,7 +492,10 @@ let chaos () =
                 faults = spec;
               }
             in
-            match Arb_runtime.Exec.run config ~query:q ~plan ~db with
+            match
+              Arb_runtime.Exec.run_source config ~query:q ~plan
+                ~src:(Arb_runtime.Exec.source_of_db db)
+            with
             | Ok rep ->
                 let tr = rep.Arb_runtime.Exec.trace in
                 [ name; Printf.sprintf "%Ld" seed; "ok";
@@ -681,7 +697,7 @@ let validation () =
         Arb_runtime.Exec.budget = Arb_dp.Budget.create ~epsilon:1000.0 ~delta:0.5;
       }
     in
-    let report = Arb_runtime.Exec.plan_and_execute cfg ~query:q ~db in
+    let report = plan_and_execute cfg ~query:q ~db in
     float_of_int
       (Arb_runtime.Trace.mpc_bytes report.Arb_runtime.Exec.trace
          Arb_runtime.Trace.Operations)
@@ -1018,7 +1034,7 @@ let profiling () =
       Arb_runtime.Exec.budget = Arb_dp.Budget.create ~epsilon:100.0 ~delta:1e-3;
       tracer = Some rt_tracer }
   in
-  let rep = Arb_runtime.Exec.plan_and_execute config ~query:qx ~db in
+  let rep = plan_and_execute config ~query:qx ~db in
   ignore (validate_trace_json (Obs.Tracer.to_string rt_tracer));
   Printf.printf
     "  runtime trace: %d events on the simulated clock (%.3f protocol s); \
@@ -1235,7 +1251,7 @@ let crypto_kernels () =
       }
     in
     let t0 = Unix.gettimeofday () in
-    let rep = Arb_runtime.Exec.plan_and_execute config ~query:q ~db in
+    let rep = plan_and_execute config ~query:q ~db in
     (rep, Unix.gettimeofday () -. t0)
   in
   let rep1, t_exec_1 = exec_with 1 in
@@ -1380,17 +1396,18 @@ let device_scaling () =
   let n_eq = 512 in
   let plan_eq = plan_for n_eq in
   let full =
-    R.Exec.execute_source (config R.Exec.Full) ~query:q ~plan:plan_eq
-      ~src:(source n_eq)
+    execute (config R.Exec.Full) ~query:q ~plan:plan_eq ~src:(source n_eq)
   in
   let sharded_eq =
-    R.Exec.execute_source
+    execute
       (config (R.Exec.Sharded { cohort_size = 64; sampled_cohorts = 2 }))
       ~query:q ~plan:plan_eq ~src:(source n_eq)
   in
   if
     full.R.Exec.outputs <> sharded_eq.R.Exec.outputs
-    || (not (Arb_dp.Budget.equal full.R.Exec.budget_left sharded_eq.R.Exec.budget_left))
+    || not
+         (Arb_dp.Budget.equal full.R.Exec.certificate.R.Setup.budget_left
+            sharded_eq.R.Exec.certificate.R.Setup.budget_left)
     || full.R.Exec.certificate <> sharded_eq.R.Exec.certificate
   then failwith "device_scaling: sharded run diverged from full run";
   Printf.printf
@@ -1398,7 +1415,7 @@ let device_scaling () =
     n_eq;
   (* --- gate 2: worker count changes nothing in sharded mode --- *)
   let sharded_w w =
-    R.Exec.execute_source
+    execute
       {
         (config (R.Exec.Sharded { cohort_size = 64; sampled_cohorts = 2 })) with
         R.Exec.workers = w;
@@ -1428,7 +1445,7 @@ let device_scaling () =
         Gc.compact ();
         let t0 = Unix.gettimeofday () in
         let rep =
-          R.Exec.execute_source
+          execute
             {
               (config (R.Exec.Sharded { cohort_size; sampled_cohorts = 2 })) with
               R.Exec.workers;
@@ -2733,10 +2750,10 @@ let approx_crossover () =
   if p_approx.P.Plan.device_sample = None then
     failwith "approx_crossover: tolerance winner does not sample devices";
   let rep_exact =
-    R.Exec.execute_source config ~query:qx ~plan:p_exact ~src:(src n_exec)
+    execute config ~query:qx ~plan:p_exact ~src:(src n_exec)
   in
   let rep_approx =
-    R.Exec.execute_source config ~query:qx ~plan:p_approx ~src:(src n_exec)
+    execute config ~query:qx ~plan:p_approx ~src:(src n_exec)
   in
   let upload t = t.R.Trace.device_upload_bytes in
   let exec_speedup =
@@ -2748,7 +2765,7 @@ let approx_crossover () =
       (Printf.sprintf "approx_crossover: executed speedup %.1fx < 10x"
          exec_speedup);
   let spent r =
-    10.0 -. r.R.Exec.budget_left.B.epsilon
+    10.0 -. r.R.Exec.certificate.R.Setup.budget_left.B.epsilon
   in
   if not (spent rep_approx < spent rep_exact) then
     failwith "approx_crossover: sampled plan did not spend strictly less budget";
@@ -2788,7 +2805,7 @@ let approx_crossover () =
     let q = Q.test_instance ~epsilon:1.0 name in
     let p, m = plan_with ~tol:exec_tol ~q n_err in
     let rep =
-      R.Exec.execute_source err_cfg ~query:q ~plan:p
+      execute err_cfg ~query:q ~plan:p
         ~src:{ R.Exec.n_devices = n_err; row = Q.device_source ~seed:7L q }
     in
     let sums = true_sums q n_err in
@@ -2832,7 +2849,7 @@ let approx_crossover () =
     failwith "approx_crossover: determinism plan does not sample devices";
   let det_run w =
     let rep =
-      R.Exec.execute_source
+      execute
         { err_cfg with R.Exec.workers = w }
         ~query:qx ~plan:p_det ~src:(src n_det)
     in

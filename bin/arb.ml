@@ -317,9 +317,12 @@ let run_cmd =
                   Arb_runtime.Exec.Sharded { cohort_size; sampled_cohorts };
               }
             in
-            (p, Arboretum.run_source ~config ~src p)
+            (p, Arb_runtime.Exec.run_source config ~query:q ~plan:p.Arboretum.plan ~src)
       with
-      | planned, report ->
+      | _, Error f ->
+          Format.eprintf "failed: %a@." Arb_runtime.Exec.pp_failure f;
+          1
+      | planned, Ok report ->
           Printf.printf "outputs: %s\n"
             (String.concat "; " (Arboretum.outputs_to_strings report));
           Printf.printf
@@ -403,15 +406,19 @@ let verify_cmd =
     | planned ->
         let budget_before = Arb_dp.Budget.create ~epsilon:1000.0 ~delta:0.01 in
         let config = { Arb_runtime.Exec.default_config with budget = budget_before } in
-        let report = Arboretum.run ~config ~db planned in
-        Printf.printf "outputs: %s\n"
-          (String.concat "; " (Arboretum.outputs_to_strings report));
-        let findings =
-          Arb_runtime.Verify.verify_report ~query:q
-            ~plan:planned.Arboretum.plan ~budget_before ~n_devices:devices report
-        in
-        Format.printf "%a" Arb_runtime.Verify.pp_findings findings;
-        if Arb_runtime.Verify.all_ok findings then 0 else 1
+        match Arboretum.run ~config ~db planned with
+        | Error f ->
+            Format.eprintf "failed: %a@." Arb_runtime.Exec.pp_failure f;
+            1
+        | Ok report ->
+            Printf.printf "outputs: %s\n"
+              (String.concat "; " (Arboretum.outputs_to_strings report));
+            let findings =
+              Arb_runtime.Verify.verify_report ~query:q
+                ~plan:planned.Arboretum.plan ~budget_before ~n_devices:devices report
+            in
+            Format.printf "%a" Arb_runtime.Verify.pp_findings findings;
+            if Arb_runtime.Verify.all_ok findings then 0 else 1
   in
   let term =
     Term.(const run $ verbose_arg $ query_arg $ devices_arg $ epsilon_arg $ seed_arg)

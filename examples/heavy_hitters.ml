@@ -27,6 +27,11 @@ let gap_src = {|
   output(r[1]);
 |}
 
+(* A run either releases its outputs or fails closed at a named stage. *)
+let released = function
+  | Ok report -> report
+  | Error f -> failwith (Format.asprintf "run failed closed: %a" Arb_runtime.Exec.pp_failure f)
+
 let () =
   let n = 256 in
   (* Five em rounds at eps = 2.5 need a larger standing budget than the
@@ -57,7 +62,7 @@ let () =
     | `Exponentiate -> "exponentiation"
     | `Sketch -> "count-min sketch"
     | `None -> "?");
-  let report = Arboretum.run ~config ~db planned in
+  let report = released (Arboretum.run ~config ~db planned) in
   Printf.printf "DP top-5: %s\n" (String.concat ", " (Arboretum.outputs_to_strings report));
 
   (* Force the other instantiation (Fig. 4 left): same query, same data. *)
@@ -68,14 +73,17 @@ let () =
         { planned.Arboretum.plan with Arb_planner.Plan.em_variant = `Exponentiate };
     }
   in
-  let report' = Arboretum.run ~config ~db forced in
+  let report' = released (Arboretum.run ~config ~db forced) in
   Printf.printf "DP top-5 (exponentiation variant): %s\n"
     (String.concat ", " (Arboretum.outputs_to_strings report'));
 
   (* Free-gap query: winner plus its lead over the runner-up. *)
   let gap = mk "battery-gap" gap_src in
   let gp = Arboretum.plan ~limits:Arb_planner.Constraints.no_limits ~n gap in
-  let greport = Arboretum.run ~config ~db:(Arboretum.synthesize_database ~seed:21L ~skew:1.6 gap ~n) gp in
+  let greport =
+    released
+      (Arboretum.run ~config ~db:(Arboretum.synthesize_database ~seed:21L ~skew:1.6 gap ~n) gp)
+  in
   (match greport.Arb_runtime.Exec.outputs with
   | [ w; g ] ->
       Printf.printf "worst app: %s, noisy lead over runner-up: %s users\n"

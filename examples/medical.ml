@@ -58,20 +58,25 @@ let () =
      must be refused. *)
   let budget = Arb_dp.Budget.create ~epsilon:2.0 ~delta:1e-6 in
   let config = { Arb_runtime.Exec.default_config with budget } in
+  (* Each run returns the budget its certificate leaves standing. *)
   let run_query label q budget =
     let planned = Arboretum.plan ~limits:Arb_planner.Constraints.no_limits ~n q in
-    let config = { config with budget } in
-    let report = Arboretum.run ~config ~db planned in
-    Printf.printf "%-18s -> %s   (budget left: %s)\n" label
-      (String.concat "; " (Arboretum.outputs_to_strings report))
-      (Format.asprintf "%a" Arb_dp.Budget.pp report.Arb_runtime.Exec.budget_left);
-    report.Arb_runtime.Exec.budget_left
+    Result.map
+      (fun report ->
+        let left = report.Arb_runtime.Exec.certificate.Arb_runtime.Setup.budget_left in
+        Printf.printf "%-18s -> %s   (budget left: %s)\n" label
+          (String.concat "; " (Arboretum.outputs_to_strings report))
+          (Format.asprintf "%a" Arb_dp.Budget.pp left);
+        left)
+      (Arboretum.run ~config:{ config with budget } ~db planned)
   in
-  let budget = run_query "hypothesis test" q1 budget in
-  let budget = run_query "worst combination" q2 budget in
-  (match
-     run_query "third query" q1 budget
-   with
+  let released = function
+    | Ok left -> left
+    | Error f -> failwith (Format.asprintf "%a" Arb_runtime.Exec.pp_failure f)
+  in
+  let budget = released (run_query "hypothesis test" q1 budget) in
+  let budget = released (run_query "worst combination" q2 budget) in
+  match run_query "third query" q1 budget with
+  | Error { Arb_runtime.Exec.stage = "budget"; _ } ->
+      print_endline "third query        -> refused: privacy budget exhausted (as intended)"
   | _ -> print_endline "BUG: third query should have been refused"
-  | exception Arb_runtime.Setup.Budget_exhausted ->
-      print_endline "third query        -> refused: privacy budget exhausted (as intended)")

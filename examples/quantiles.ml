@@ -29,6 +29,11 @@ let quantile_src ~num ~den =
     |}
     num den
 
+(* A run either releases its outputs or fails closed at a named stage. *)
+let released = function
+  | Ok report -> report
+  | Error f -> failwith (Format.asprintf "run failed closed: %a" Arb_runtime.Exec.pp_failure f)
+
 let () =
   let n = 256 in
   (* A right-skewed population over the buckets. *)
@@ -73,7 +78,7 @@ let () =
           ~epsilon:500.0 ()
       in
       let planned = Arboretum.plan ~limits:Arb_planner.Constraints.no_limits ~n q in
-      let report = Arboretum.run ~config ~db planned in
+      let report = released (Arboretum.run ~config ~db planned) in
       Printf.printf "%-14s -> bucket %-3s (true: %d)\n" label
         (String.concat ";" (Arboretum.outputs_to_strings report))
         (true_quantile p))

@@ -26,11 +26,15 @@ let () =
      committee below is real. *)
   let db = Arboretum.synthesize_database query ~n:128 in
   let sim = Arboretum.plan ~limits:Arb_planner.Constraints.no_limits ~n:128 query in
-  let report = Arboretum.run ~db sim in
   Printf.printf "\n=== simulated run over %d devices ===\n" (Array.length db);
-  Printf.printf "outputs: %s\n" (String.concat "; " (Arboretum.outputs_to_strings report));
-  Printf.printf "certificate verified: %b; aggregator audit passed: %b\n"
-    report.Arb_runtime.Exec.certificate_ok report.Arb_runtime.Exec.audit_ok;
+  (* A run that fails closed (budget short, audit failed, ...) releases
+     nothing and says which stage stopped it. *)
+  (match Arboretum.run ~db sim with
+  | Ok report ->
+      Printf.printf "outputs: %s\n" (String.concat "; " (Arboretum.outputs_to_strings report));
+      Printf.printf "certificate verified: %b; aggregator audit passed: %b\n"
+        report.Arb_runtime.Exec.certificate_ok report.Arb_runtime.Exec.audit_ok
+  | Error f -> Format.printf "run failed closed: %a@." Arb_runtime.Exec.pp_failure f);
 
   (* Compare against the single-machine reference semantics. *)
   let reference = Arboretum.reference_outputs ~db query in

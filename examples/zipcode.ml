@@ -47,7 +47,11 @@ let () =
   in
   let db = Arboretum.synthesize_database ~skew:1.4 small ~n:192 in
   let sim = Arboretum.plan ~limits:Arb_planner.Constraints.no_limits ~n:192 small in
-  let report = Arboretum.run ~db sim in
+  let report =
+    match Arboretum.run ~db sim with
+    | Ok report -> report
+    | Error f -> failwith (Format.asprintf "run failed closed: %a" Arb_runtime.Exec.pp_failure f)
+  in
   let truth =
     (* Cleartext mode of the synthetic population, for comparison. *)
     let counts = Array.make 64 0 in

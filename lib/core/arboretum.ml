@@ -113,10 +113,8 @@ let synthesize_database ?(seed = 7L) ?skew (q : query) ~n =
   Arb_queries.Registry.random_database rng q ~n ?skew ()
 
 let run ?(config = Arb_runtime.Exec.default_config) ~db p =
-  Arb_runtime.Exec.execute config ~query:p.query ~plan:p.plan ~db
-
-let run_source ?(config = Arb_runtime.Exec.default_config) ~src p =
-  Arb_runtime.Exec.execute_source config ~query:p.query ~plan:p.plan ~src
+  Arb_runtime.Exec.run_source config ~query:p.query ~plan:p.plan
+    ~src:(Arb_runtime.Exec.source_of_db db)
 
 let reference_outputs ?(seed = 7L) ~db (q : query) =
   Arb_lang.Interp.run q.Arb_queries.Registry.program ~db (Arb_util.Rng.create seed)

@@ -13,8 +13,9 @@
       print_string (Arboretum.explain planned);
       (* Execution phase, at simulation scale with real cryptography. *)
       let db = Arboretum.synthesize_database query ~n:512 in
-      let report = Arboretum.run ~db planned in
-      List.iter print_endline (Arboretum.outputs_to_strings report)
+      match Arboretum.run ~db planned with
+      | Ok report -> List.iter print_endline (Arboretum.outputs_to_strings report)
+      | Error f -> Format.eprintf "failed: %a@." Arb_runtime.Exec.pp_failure f
     ]}
 
     Submodules of the underlying libraries remain available for advanced
@@ -89,19 +90,12 @@ val run :
   ?config:Arb_runtime.Exec.config ->
   db:int array array ->
   planned ->
-  Arb_runtime.Exec.report
+  (Arb_runtime.Exec.report, Arb_runtime.Exec.failure) result
 (** Execute the plan end to end over a concrete database (§5), with real
-    BGV/Shamir/ZKP machinery at simulation scale. *)
-
-val run_source :
-  ?config:Arb_runtime.Exec.config ->
-  src:Arb_runtime.Exec.source ->
-  planned ->
-  Arb_runtime.Exec.report
-(** {!run} over an indexed row source instead of a materialized database —
-    combined with a [Sharded] {!Arb_runtime.Exec.config} this executes
-    populations far larger than memory (see
-    {!Arb_queries.Registry.device_source} for a ready-made source). *)
+    BGV/Shamir/ZKP machinery at simulation scale. [Error] carries the
+    stage that failed closed. For populations far larger than memory, call
+    {!Arb_runtime.Exec.run_source} with a [Sharded] config and an indexed
+    source (see {!Arb_queries.Registry.device_source}). *)
 
 val reference_outputs :
   ?seed:int64 -> db:int array array -> query -> Arb_lang.Interp.value list

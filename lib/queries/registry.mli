@@ -49,7 +49,7 @@ val device_source : seed:int64 -> ?skew:float -> query -> int -> int array
     {!Arb_util.Rng.derive}), so any subset of an arbitrarily large
     population can be materialized independently and in any order. Same
     per-row distributions as {!random_database}, different draw sequence.
-    Feed it to {!Arb_runtime.Exec.execute_source} to run sharded queries
+    Feed it to {!Arb_runtime.Exec.run_source} to run sharded queries
     over populations too large to hold in memory. *)
 
 val indexed_database :

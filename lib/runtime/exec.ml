@@ -4,6 +4,7 @@ module E = Arb_mpc.Engine
 module Fm = Arb_mpc.Fixpoint_mpc
 module Pr = Arb_mpc.Protocols
 module Fx = Arb_util.Fixed
+module J = Arb_util.Json
 module Plan = Arb_planner.Plan
 
 let log_src = Logs.Src.create "arb.runtime" ~doc:"Arboretum execution runtime"
@@ -28,9 +29,6 @@ type config = {
   bgv_n : int;
   latency : Net.profile;
   seed : int64;
-  audit_p_max : float;
-  auditing_devices : int;
-  tamper_aggregator : bool;
   budget : Arb_dp.Budget.t;
   block : string; (* sortition randomness block B_i (§5.1) *)
   query_id : int;
@@ -57,9 +55,6 @@ let default_config =
     bgv_n = 256;
     latency = Net.lan;
     seed = 1L;
-    audit_p_max = 1e-6;
-    auditing_devices = 16;
-    tamper_aggregator = false;
     budget = Arb_dp.Budget.create ~epsilon:10.0 ~delta:1e-4;
     block = "B0";
     query_id = 1;
@@ -87,36 +82,50 @@ type report = {
   audit_ok : bool;
   accepted_inputs : int;
   rejected_inputs : int;
-  budget_left : Arb_dp.Budget.t;
   committee_wall_clock : (Trace.committee_kind * float) list;
 }
 
-exception Execution_error of string
-exception Execution_degraded of string
+type failure = { stage : string; reason : string }
 
-let err fmt = Printf.ksprintf (fun s -> raise (Execution_error s)) fmt
-let degraded fmt = Printf.ksprintf (fun s -> raise (Execution_degraded s)) fmt
+let pp_failure fmt f = Format.fprintf fmt "[%s] %s" f.stage f.reason
 
-(* Values flowing through the distributed interpreter. *)
-type rvalue =
-  | R_clean of L.Interp.value
-  | R_svec of E.sec array (* shared fixpoint vector (raw 2^16-scaled ints) *)
-  | R_sscalar of E.sec
+(* A stage that fails closed raises [Failed]; [run_source] is the only
+   place that catches it. *)
+exception Failed of failure
 
-type state = {
-  cfg : config;
+let fail stage fmt = Printf.ksprintf (fun reason -> raise (Failed { stage; reason })) fmt
+let err fmt = fail "execute" fmt
+let degraded fmt = fail "degraded" fmt
+
+(* What every stage shares: the configuration, the session RNG (drawn in
+   protocol order), the trace the stages charge, and the fault plan, which
+   draws from its own per-kind streams (same seed) so a clean run and a
+   faulted run make identical session draws up to the first recovery. *)
+type ctx = { cfg : config; rng : Arb_util.Rng.t; trace : Trace.t; inj : Fault.t }
+
+(* The run's geometry, fixed before the first protocol step. *)
+type shape = {
   query : Arb_queries.Registry.query;
   plan : Plan.t;
-  rng : Arb_util.Rng.t;
-  trace : Trace.t;
-  inj : Fault.t;
-  epsilon : float;
-  sensitivity : float;
-  eng_ops : E.t;
-  vars : (string, rvalue) Hashtbl.t;
-  mutable outputs : L.Interp.value list;
-  shared_db_sums : E.sec array; (* result of sum(db), prepared by the pipeline *)
-  sampled_var : string option; (* variable bound by sampleUniform, if any *)
+  src : source;
+  cert : L.Certify.report;
+  pop : Setup.population;
+  sampled : (string * float) option;  (* the sampleUniform binding and its phi *)
+  cols : int;
+  bins : int;
+  slots : int;  (* one device's plaintext layout: cols x bins *)
+  ring_n : int;
+  ct_count : int;  (* ciphertexts per device: the slots in ring-sized chunks *)
+  params : C.Bgv.params;
+  statement : C.Zkp.statement;
+  cohort_size : int;
+  n_cohorts : int;
+  sampled_idx : int array;  (* the materialized cohorts *)
+  (* Read off the plan's vignettes ([read_vignette]): *)
+  sketch : int * int;  (* count-min width and depth *)
+  noise_chunk : int;  (* scores per noising committee *)
+  sum_outsourced : bool;  (* devices sum their uploads in a tree (§4.3) *)
+  coarsen : int option;  (* bin groups of a coarsened scan *)
 }
 
 (* --- observability helpers: no-ops when no tracer is configured --- *)
@@ -129,6 +138,26 @@ let spn cfg ?args name f =
 (* Advance the tracer's simulated clock (no-op for other clocks), so span
    boundaries line up with the protocol's estimated wall time. *)
 let adv cfg dt = match cfg.tracer with None -> () | Some t -> Arb_obs.Tracer.advance t dt
+
+(* ---------------- the share interpreter (interpret stage) ---------------- *)
+
+(* Values flowing through the distributed interpreter. *)
+type rvalue =
+  | R_clean of L.Interp.value
+  | R_svec of E.sec array (* shared fixpoint vector (raw 2^16-scaled ints) *)
+  | R_sscalar of E.sec
+
+type state = {
+  ctx : ctx;
+  sh : shape;
+  epsilon : float;
+  sensitivity : float;
+  eng_ops : E.t;
+  vars : (string, rvalue) Hashtbl.t;
+  mutable outputs : L.Interp.value list;
+  shared_db_sums : E.sec array; (* result of sum(db), prepared by the pipeline *)
+  sampled_var : string option; (* variable bound by sampleUniform, if any *)
+}
 
 (* --- helpers over the engine: values are fixpoint-raw integers --- *)
 
@@ -219,6 +248,154 @@ let secret_abs st s =
   let eng = st.eng_ops in
   let neg = Fm.less_than eng s (E.const eng 0) in
   E.select eng neg (E.neg eng s) s
+
+(* --- mechanisms: each runs as one charged vignette of the operations
+   committee --- *)
+
+(* Run [f] on the operations engine and charge what it cost there to the
+   trace as one executed vignette, advancing the simulated clock by its
+   rounds. *)
+let charged st f =
+  let open Arb_mpc.Cost in
+  let b = add (E.cost st.eng_ops) (zero ()) in
+  let result = f () in
+  let n = E.cost st.eng_ops in
+  let delta =
+    {
+      rounds = n.rounds - b.rounds;
+      bytes_per_party = n.bytes_per_party - b.bytes_per_party;
+      triples = n.triples - b.triples;
+      mults = n.mults - b.mults;
+      opens = n.opens - b.opens;
+      comparisons = n.comparisons - b.comparisons;
+      truncations = n.truncations - b.truncations;
+      inputs = n.inputs - b.inputs;
+      field_ops = n.field_ops - b.field_ops;
+    }
+  in
+  let trace = st.ctx.trace and cfg = st.ctx.cfg in
+  Trace.record_committee trace Trace.Operations delta;
+  trace.Trace.vignettes_executed <- trace.Trace.vignettes_executed + 1;
+  adv cfg
+    (Net.mpc_wall_clock cfg.latency ~rounds:delta.rounds
+       ~compute:(0.002 *. float_of_int delta.rounds));
+  result
+
+let laplace_mechanism st v : rvalue =
+  spn st.ctx.cfg "laplace" @@ fun () ->
+  let eng = st.eng_ops in
+  let scale = Fx.of_float (st.sensitivity /. st.epsilon) in
+  let noise_one s =
+    let noised = Fm.add eng s (Fm.laplace eng ~scale) in
+    L.Interp.V_fix (Fm.open_fixed eng noised)
+  in
+  charged st (fun () ->
+      match v with
+      | R_sscalar s -> R_clean (noise_one s)
+      | R_svec a -> R_clean (V_arr (Array.map noise_one a))
+      | R_clean _ -> err "laplace over an already-public value")
+
+(* Count-min variant: fold the C scores into depth x width counters on
+   shares, noise and open only the counters, and pick the winner from the
+   cleartext point estimates — the approximate plan's whole point is that
+   width << C. Hash placement is pure in (row, category), so the counters
+   are identical at any worker count. *)
+let em_sketch st scores =
+  let eng = st.eng_ops in
+  let width, depth = st.sh.sketch in
+  let n = Array.length scores in
+  let counters = Array.init (depth * width) (fun _ -> E.const eng 0) in
+  for c = 0 to n - 1 do
+    for row = 0 to depth - 1 do
+      let b = (row * width) + Arb_util.Sketch.cms_bucket ~row ~width c in
+      counters.(b) <- Fm.add eng counters.(b) scores.(c)
+    done
+  done;
+  let scale = Fx.of_float (2.0 *. st.sensitivity /. st.epsilon) in
+  let noisy =
+    spn st.ctx.cfg
+      ~args:[ ("width", J.Int width); ("depth", J.Int depth) ]
+      "sketch-noise"
+      (fun () ->
+        Array.map
+          (fun s -> Fx.to_float (Fm.open_fixed eng (Fm.add eng s (Fm.laplace eng ~scale))))
+          counters)
+  in
+  let best = ref 0 and best_v = ref neg_infinity in
+  for c = 0 to n - 1 do
+    let est = Arb_util.Sketch.cms_estimate ~depth ~width noisy c in
+    if est > !best_v then begin
+      best := c;
+      best_v := est
+    end
+  done;
+  !best
+
+(* Committee parallelism (Fig. 5): the noise chunk size chosen by the
+   planner determines how many parallel committees noise the scores; each
+   runs its own engine whose costs are traced separately, and the noised
+   values are handed (VSR-charged) to the argmax committee. *)
+let em_chunked st scores ~chunk =
+  let eng = st.eng_ops and ctx = st.ctx in
+  let scale = Fx.of_float (2.0 *. st.sensitivity /. st.epsilon) in
+  let n = Array.length scores in
+  let noised = Array.make n scores.(0) in
+  (* A noising committee may lose its quorum before starting; reassignment
+     picks a replacement, charged against the backoff budget like any
+     other retry. *)
+  let rec fresh_committee attempt =
+    let committee = E.create ~parties:(E.parties eng) ctx.rng () in
+    if Fault.fires ctx.inj Fault.Committee_dropout then begin
+      ctx.trace.Trace.committees_reassigned <- ctx.trace.Trace.committees_reassigned + 1;
+      match Fault.backoff ctx.inj ~attempt with
+      | None -> err "noise-committee reassignment budget exhausted"
+      | Some _ ->
+          Fault.record_recovery ctx.inj Fault.Committee_dropout;
+          fresh_committee (attempt + 1)
+    end
+    else committee
+  in
+  let pos = ref 0 in
+  while !pos < n do
+    let len = min chunk (n - !pos) in
+    spn ctx.cfg ~args:[ ("chunk", J.Int len) ] "noise-committee" (fun () ->
+        let committee = fresh_committee 0 in
+        for k = !pos to !pos + len - 1 do
+          (* The committee holds the score via a VSR hand-off, adds its
+             Gumbel draw, and hands the noised value onward. *)
+          let local = E.reshare_in committee (E.mirror eng scores.(k)) in
+          let noisy = Fm.add committee local (Fm.gumbel committee ~scale) in
+          noised.(k) <- E.reshare_in eng (E.mirror committee noisy)
+        done;
+        Trace.record_committee ctx.trace Trace.Operations (E.cost committee));
+    pos := !pos + len
+  done;
+  E.open_value eng (Pr.argmax eng noised)
+
+let em_mechanism st ~gap v : rvalue =
+  spn st.ctx.cfg ~args:[ ("gap", J.Bool gap) ] "em" @@ fun () ->
+  let eng = st.eng_ops in
+  let epsilon = st.epsilon and sensitivity = st.sensitivity in
+  let scores =
+    match v with
+    | R_svec a -> a
+    | _ -> err "em over a non-secret-vector"
+  in
+  charged st (fun () ->
+      if gap then
+        let w, g = Pr.em_gumbel_gap eng ~epsilon ~sensitivity scores in
+        R_clean (V_arr [| V_int w; V_fix g |])
+      else
+        R_clean
+          (V_int
+             (match st.sh.plan.Plan.em_variant with
+             | `Exponentiate -> Pr.em_exponentiate eng ~epsilon ~sensitivity scores
+             | `Sketch -> em_sketch st scores
+             | `Gumbel | `None ->
+                 let chunk = st.sh.noise_chunk in
+                 if chunk >= Array.length scores then
+                   Pr.em_gumbel eng ~epsilon ~sensitivity scores
+                 else em_chunked st scores ~chunk)))
 
 (* --- expression evaluation --- *)
 
@@ -336,195 +513,10 @@ and eval_call st f (args : L.Ast.expr list) : rvalue =
       | _ -> err "log on secret values must go through a mechanism")
   | "sampleUniform", _ ->
       (* Sampling is folded into the input pipeline; the variable is bound
-         in [prepare]; reaching here means the query used it oddly. *)
+         by the interpret stage; reaching here means the query used it
+         oddly. *)
       err "sampleUniform may only be bound to a variable and summed"
   | _ -> err "unsupported builtin %s/%d" f (List.length args)
-
-and laplace_mechanism st v : rvalue =
-  spn st.cfg "laplace" @@ fun () ->
-  let eng = st.eng_ops in
-  let scale = Fx.of_float (st.sensitivity /. st.epsilon) in
-  let noise_one s =
-    let noised = Fm.add eng s (Fm.laplace eng ~scale) in
-    L.Interp.V_fix (Fm.open_fixed eng noised)
-  in
-  let cost_before = copy_cost (E.cost eng) in
-  let result =
-    match v with
-    | R_sscalar s -> R_clean (noise_one s)
-    | R_svec a -> R_clean (V_arr (Array.map noise_one a))
-    | R_clean _ -> err "laplace over an already-public value"
-  in
-  record_ops_cost st cost_before;
-  result
-
-and em_mechanism st ~gap v : rvalue =
-  spn st.cfg ~args:[ ("gap", Arb_util.Json.Bool gap) ] "em" @@ fun () ->
-  let eng = st.eng_ops in
-  let scores =
-    match v with
-    | R_svec a -> a
-    | _ -> err "em over a non-secret-vector"
-  in
-  let cost_before = copy_cost (E.cost eng) in
-  let result =
-    if gap then begin
-      let w, g =
-        Pr.em_gumbel_gap eng ~epsilon:st.epsilon ~sensitivity:st.sensitivity scores
-      in
-      R_clean (V_arr [| V_int w; V_fix g |])
-    end
-    else
-      let winner =
-        match st.plan.Plan.em_variant with
-        | `Exponentiate ->
-            Pr.em_exponentiate eng ~epsilon:st.epsilon ~sensitivity:st.sensitivity
-              scores
-        | `Sketch ->
-            (* Count-min variant: fold the C scores into depth x width
-               counters on shares, noise and open only the counters, and
-               pick the winner from the cleartext point estimates — the
-               approximate plan's whole point is that width << C. Hash
-               placement is pure in (row, category), so the counters are
-               identical at any worker count. *)
-            let width, depth = sketch_shape_of_plan st.plan in
-            let n = Array.length scores in
-            let counters = Array.init (depth * width) (fun _ -> E.const eng 0) in
-            for c = 0 to n - 1 do
-              for row = 0 to depth - 1 do
-                let b = (row * width) + Arb_util.Sketch.cms_bucket ~row ~width c in
-                counters.(b) <- Fm.add eng counters.(b) scores.(c)
-              done
-            done;
-            let scale =
-              Arb_util.Fixed.of_float (2.0 *. st.sensitivity /. st.epsilon)
-            in
-            let noisy =
-              spn st.cfg
-                ~args:
-                  [ ("width", Arb_util.Json.Int width);
-                    ("depth", Arb_util.Json.Int depth) ]
-                "sketch-noise"
-                (fun () ->
-                  Array.map
-                    (fun s ->
-                      Fx.to_float
-                        (Fm.open_fixed eng (Fm.add eng s (Fm.laplace eng ~scale))))
-                    counters)
-            in
-            let best = ref 0 and best_v = ref neg_infinity in
-            for c = 0 to n - 1 do
-              let est = Arb_util.Sketch.cms_estimate ~depth ~width noisy c in
-              if est > !best_v then begin
-                best := c;
-                best_v := est
-              end
-            done;
-            !best
-        | `Gumbel | `None ->
-            (* Honor the plan's committee parallelism (Fig. 5): the noise
-               chunk size chosen by the planner determines how many
-               parallel committees noise the scores; each runs its own
-               engine whose costs are traced separately, and the noised
-               values are handed (VSR-charged) to the argmax committee. *)
-            let chunk = noise_chunk_of_plan st.plan in
-            if chunk >= Array.length scores then
-              Pr.em_gumbel eng ~epsilon:st.epsilon ~sensitivity:st.sensitivity scores
-            else begin
-              let scale =
-                Arb_util.Fixed.of_float (2.0 *. st.sensitivity /. st.epsilon)
-              in
-              let n = Array.length scores in
-              let noised = Array.make n scores.(0) in
-              let pos = ref 0 in
-              while !pos < n do
-                let len = min chunk (n - !pos) in
-                spn st.cfg
-                  ~args:[ ("chunk", Arb_util.Json.Int len) ]
-                  "noise-committee"
-                  (fun () ->
-                    (* A noising committee may lose its quorum before
-                       starting; reassignment picks a replacement, charged
-                       against the backoff budget like any other retry. *)
-                    let rec fresh_committee attempt =
-                      let committee = E.create ~parties:(E.parties eng) st.rng () in
-                      if Fault.fires st.inj Fault.Committee_dropout then begin
-                        st.trace.Trace.committees_reassigned <-
-                          st.trace.Trace.committees_reassigned + 1;
-                        match Fault.backoff st.inj ~attempt with
-                        | None ->
-                            err "noise-committee reassignment budget exhausted"
-                        | Some _ ->
-                            Fault.record_recovery st.inj Fault.Committee_dropout;
-                            fresh_committee (attempt + 1)
-                      end
-                      else committee
-                    in
-                    let committee = fresh_committee 0 in
-                    for k = !pos to !pos + len - 1 do
-                      (* The committee holds the score via a VSR hand-off,
-                         adds its Gumbel draw, and hands the noised value
-                         onward. *)
-                      let local =
-                        E.reshare_in committee (E.mirror eng scores.(k))
-                      in
-                      let noisy =
-                        Fm.add committee local (Fm.gumbel committee ~scale)
-                      in
-                      noised.(k) <- E.reshare_in eng (E.mirror committee noisy)
-                    done;
-                    Trace.record_committee st.trace Trace.Operations
-                      (E.cost committee));
-                pos := !pos + len
-              done;
-              E.open_value eng (Pr.argmax eng noised)
-            end
-      in
-      R_clean (V_int winner)
-  in
-  record_ops_cost st cost_before;
-  result
-
-and sketch_shape_of_plan (plan : Plan.t) =
-  List.fold_left
-    (fun acc (v : Plan.vignette) ->
-      match v.Plan.work with
-      | Plan.W_he_sketch { width; depth; _ } -> (width, depth)
-      | _ -> acc)
-    (256, 3) plan.Plan.vignettes
-
-and noise_chunk_of_plan (plan : Plan.t) =
-  List.fold_left
-    (fun acc (v : Plan.vignette) ->
-      match v.Plan.work with
-      | Plan.W_mpc_noise { count; _ } | Plan.W_mpc_decrypt_noise { count; _ } ->
-          min acc count
-      | _ -> acc)
-    max_int plan.Plan.vignettes
-
-and copy_cost (c : Arb_mpc.Cost.t) = Arb_mpc.Cost.add c (Arb_mpc.Cost.zero ())
-
-and record_ops_cost st before =
-  let now = E.cost st.eng_ops in
-  let delta =
-    {
-      Arb_mpc.Cost.rounds = now.Arb_mpc.Cost.rounds - before.Arb_mpc.Cost.rounds;
-      bytes_per_party =
-        now.Arb_mpc.Cost.bytes_per_party - before.Arb_mpc.Cost.bytes_per_party;
-      triples = now.Arb_mpc.Cost.triples - before.Arb_mpc.Cost.triples;
-      mults = now.Arb_mpc.Cost.mults - before.Arb_mpc.Cost.mults;
-      opens = now.Arb_mpc.Cost.opens - before.Arb_mpc.Cost.opens;
-      comparisons = now.Arb_mpc.Cost.comparisons - before.Arb_mpc.Cost.comparisons;
-      truncations = now.Arb_mpc.Cost.truncations - before.Arb_mpc.Cost.truncations;
-      inputs = now.Arb_mpc.Cost.inputs - before.Arb_mpc.Cost.inputs;
-      field_ops = now.Arb_mpc.Cost.field_ops - before.Arb_mpc.Cost.field_ops;
-    }
-  in
-  Trace.record_committee st.trace Trace.Operations delta;
-  st.trace.Trace.vignettes_executed <- st.trace.Trace.vignettes_executed + 1;
-  adv st.cfg
-    (Net.mpc_wall_clock st.cfg.latency ~rounds:delta.Arb_mpc.Cost.rounds
-       ~compute:(0.002 *. float_of_int delta.Arb_mpc.Cost.rounds))
 
 (* --- statements --- *)
 
@@ -603,7 +595,12 @@ let rec exec st (s : L.Ast.stmt) =
       | R_clean (V_int i) -> exec st (if i <> 0 then s1 else s2)
       | _ -> err "branch on a secret value")
 
-(* --- the crypto pipeline up to shared sums --- *)
+(* ---------------- the protocol pipeline (§5) ---------------- *)
+
+let n_committees = 4 (* sortitioned per query (§5.1) *)
+let fanout = 8 (* device sum-tree group size *)
+let audit_p_max = 1e-6 (* chance a bad step escapes every auditor *)
+let auditing_devices = 16 (* devices that spot-check the aggregator *)
 
 (* [Array.of_list] from the constant [init], filled in place: built from a
    fresh head instead, an array past 256 elements makes the runtime empty
@@ -626,205 +623,401 @@ let find_sampled_binding (p : L.Ast.program) =
       | _ -> acc)
     None p.L.Ast.body
 
-let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~src =
-  let rng = Arb_util.Rng.create cfg.seed in
-  let trace = Trace.create () in
-  (* The fault plan draws from its own per-kind streams (same seed), so a
-     clean run and a faulted run make identical session-RNG draws up to the
-     first recovery action. *)
-  let inj = Fault.create ~seed:cfg.seed cfg.faults in
-  let n_devices = src.n_devices in
-  if n_devices < 4 * cfg.committee_size then
+let read_vignette sh (v : Plan.vignette) =
+  match (v.Plan.work, v.Plan.location) with
+  | Plan.W_he_sketch { width; depth; _ }, _ -> { sh with sketch = (width, depth) }
+  | (Plan.W_mpc_noise { count; _ } | Plan.W_mpc_decrypt_noise { count; _ }), _ ->
+      { sh with noise_chunk = min sh.noise_chunk count }
+  | Plan.W_he_sum _, Plan.Committees _ -> { sh with sum_outsourced = true }
+  | Plan.W_he_coarsen { groups; _ }, _ -> { sh with coarsen = Some groups }
+  | _ -> sh
+
+let cohort_population sh c = min sh.cohort_size (sh.src.n_devices - (c * sh.cohort_size))
+
+(* Chunk [k] of a slot layout: the slots one ciphertext carries. *)
+let chunk sh a k =
+  let lo = k * sh.ring_n in
+  Array.sub a lo (min sh.ring_n (sh.slots - lo))
+
+(* The aggregator's running sum: the first ciphertexts start it, later ones
+   accumulate into it in place. *)
+let accumulate sum cts =
+  match sum with None -> Some cts | Some acc -> Some (Array.map2 C.Bgv.accumulate acc cts)
+
+(* Validate the run and fix its geometry. Cohorts: Full is the degenerate
+   single materialized cohort, so both modes run the same input stage;
+   sampled cohorts are spread evenly across the id space. *)
+let prepare ctx ~(query : Arb_queries.Registry.query) ~plan ~src =
+  let cfg = ctx.cfg and n = src.n_devices in
+  if n < 4 * cfg.committee_size then
     err "need at least %d devices for %d-member committees" (4 * cfg.committee_size)
       cfg.committee_size;
-  (* Cohort structure. Full is the degenerate single materialized cohort,
-     so both modes run the same input loop below. Sampled cohorts are
-     spread evenly across the id space (deterministic, distinct). *)
   let cohort_size, n_cohorts, sampled_idx =
     match cfg.sharding with
-    | Full -> (n_devices, 1, [| 0 |])
+    | Full -> (n, 1, [| 0 |])
     | Sharded { cohort_size; sampled_cohorts } ->
         if cohort_size < 1 then err "sharding: cohort_size must be >= 1";
         if sampled_cohorts < 1 then err "sharding: sampled_cohorts must be >= 1";
-        let nc = (n_devices + cohort_size - 1) / cohort_size in
+        let nc = (n + cohort_size - 1) / cohort_size in
         let k = min sampled_cohorts nc in
         (cohort_size, nc, Array.init k (fun j -> j * nc / k))
   in
-  let is_sampled c = Array.exists (fun s -> s = c) sampled_idx in
-  let cohort_population c = min cohort_size (n_devices - (c * cohort_size)) in
-  trace.Trace.devices_total <- n_devices;
-  trace.Trace.cohorts_total <- n_cohorts;
-  trace.Trace.cohorts_sampled <- Array.length sampled_idx;
-  trace.Trace.devices_materialized <-
-    Array.fold_left (fun acc c -> acc + cohort_population c) 0 sampled_idx;
   let program = query.Arb_queries.Registry.program in
-  let cert_report = L.Certify.certify program ~n:n_devices in
-  if not cert_report.L.Certify.certified then
-    err "query failed certification: %s"
-      (Option.value cert_report.L.Certify.reason ~default:"?");
+  let cert = L.Certify.certify program ~n in
+  if not cert.L.Certify.certified then
+    err "query failed certification: %s" (Option.value cert.L.Certify.reason ~default:"?");
   let cols = query.Arb_queries.Registry.categories in
   let sampled = find_sampled_binding program in
   let bins =
-    match sampled with
-    | None -> 1
-    | Some _ -> Option.value plan.Plan.sample_bins ~default:8
+    match sampled with None -> 1 | Some _ -> Option.value plan.Plan.sample_bins ~default:8
   in
-  let slots_needed = cols * bins in
   (* The configured ring degree is the packing unit; wider slot layouts
      split across multiple ciphertexts per device, as the paper's large-C
-     queries do. *)
+     queries do. The plaintext modulus grows with the population (sums up
+     to N must stay exact), which shrinks the noise margin q/(2t). Past
+     t = 16384 the single-prime AHE modulus no longer leaves room to
+     accumulate millions of fresh ciphertexts, so large populations take
+     the wider two-prime basis even for addition-only plans. *)
   let ring_n = max 16 (next_pow2 cfg.bgv_n) in
-  let ct_count = (slots_needed + ring_n - 1) / ring_n in
-  let min_t = max 12289 (next_pow2 (4 * n_devices)) in
-  (* The plaintext modulus grows with the population (sums up to N must
-     stay exact), which shrinks the noise margin q/(2t). Past t = 16384
-     the single-prime AHE modulus no longer leaves room to accumulate
-     millions of fresh ciphertexts, so large populations take the wider
-     two-prime basis even for addition-only plans. *)
+  let min_t = max 12289 (next_pow2 (4 * n)) in
   let params =
     match plan.Plan.crypto with
     | Plan.Ahe when min_t <= 16384 -> C.Bgv.ahe_params ~n:ring_n ~min_t ()
     | Plan.Ahe | Plan.Fhe -> C.Bgv.fhe_params ~n:ring_n ~min_t ()
   in
-  (* 1. Registry + sortition: one committee per logical role. The
-     population is derived, not materialized — sortition ranks registry
-     blocks, and committee members may live in cohorts the input stage
-     never executes (their seeds derive on demand). *)
-  let pop =
-    Setup.population ~seed:cfg.seed ~n:n_devices
-      ~byzantine_fraction:cfg.byzantine_fraction
-  in
-  (* Device sampling (approximate plans): inclusion is a pure PRF of
-     (population seed, id) from its own derived stream, so the sampled
-     device set — and every downstream byte — is identical at any worker
-     count and cohort geometry. *)
-  let dphi = plan.Plan.device_sample in
-  let dev_included gi = Setup.device_sampled pop ~phi:dphi gi in
-  let n_committees = 4 in
-  let assignment =
-    spn cfg "sortition" (fun () ->
-        Setup.run_sortition pop ~block:cfg.block ~query_id:cfg.query_id
-          ~committees:n_committees ~size:cfg.committee_size)
-  in
-  (* Churn (§5.1): members may be offline when their committee's vignette
-     starts. A committee that loses its honest-majority quorum hands its
-     tasks to the next one (reassign_failed); the run only aborts if every
-     committee is below quorum. *)
-  let quorum = (cfg.committee_size / 2) + 1 in
-  let assignment = ref assignment in
-  let dropout_seen = ref false in
-  let kg_committee =
-    let rec pick attempts idx =
-      if attempts >= n_committees then
-        err "catastrophic churn: no committee retained a quorum"
-      else
-        let members = !assignment.C.Sortition.committees.(idx) in
-        let survivors =
-          Array.of_list
-            (List.filter
-               (fun _ -> Arb_util.Rng.uniform01 rng >= cfg.churn)
-               (Array.to_list members))
-        in
-        (* Injected dropout: the whole pick loses its quorum regardless of
-           churn, and the retry is charged against the backoff budget. *)
-        let dropped = Fault.fires inj Fault.Committee_dropout in
-        if dropped then dropout_seen := true;
-        if (not dropped) && Array.length survivors >= quorum then begin
-          if !dropout_seen then Fault.record_recovery inj Fault.Committee_dropout;
-          survivors
-        end
-        else begin
-          trace.Trace.committees_reassigned <-
-            trace.Trace.committees_reassigned + 1;
-          (if dropped then
-             match Fault.backoff inj ~attempt:attempts with
-             | None -> err "committee reassignment backoff budget exhausted"
-             | Some _ -> ());
-          assignment := C.Sortition.reassign_failed !assignment ~failed:idx;
-          pick (attempts + 1) ((idx + 1) mod n_committees)
-        end
-    in
-    spn cfg "committee-select" (fun () -> pick 0 0)
-  in
-  let assignment = !assignment in
-  ignore assignment;
-  (* 2. Key generation ceremony. *)
-  let eng_keygen = E.create ~parties:cfg.committee_size rng () in
-  let plan_digest = C.Sha256.digest (Format.asprintf "%a" Plan.pp plan) in
-  let sk, pk, certificate =
-    spn cfg "keygen" (fun () ->
-        let r =
-          Setup.keygen_ceremony ~workers:cfg.workers rng
-            ~device_seed:(Setup.device_seed pop)
-            ~committee:kg_committee ~params
-            ~query_id:cfg.query_id ~plan_digest ~budget:cfg.budget
-            ~cost:
-              (* Privacy amplification by subsampling: a sampled plan is
-                 charged the strictly smaller amplified cost (§2.1). *)
-              (match dphi with
-              | None -> cert_report.L.Certify.cost
-              | Some phi ->
-                  Arb_dp.Budget.amplify cert_report.L.Certify.cost ~phi)
-            ~registry_root:assignment.C.Sortition.registry_root
-            ~engine:eng_keygen
-        in
-        Arb_mpc.Protocols.charge_zk_setup eng_keygen
-          ~constraints:(3 * slots_needed);
-        Trace.record_committee trace Trace.Keygen (E.cost eng_keygen);
-        adv cfg
-          (Trace.committee_wall_clock trace cfg.latency Trace.Keygen
-             ~compute_per_round:0.002);
-        r)
-  in
-  let certificate_ok =
-    spn cfg "certificate-check" (fun () ->
-        Setup.verify_certificate ~workers:cfg.workers certificate)
-  in
-  Log.info (fun m ->
-      m "query %d: keygen done (ring %d, t=%d, %d ct/device), certificate %s"
-        cfg.query_id params.C.Bgv.n params.C.Bgv.t ct_count
-        (if certificate_ok then "verified" else "INVALID"));
-  (* Only participating devices fetch the public key. *)
-  let key_recipients =
-    match dphi with
-    | None -> float_of_int n_devices
-    | Some phi -> Float.round (phi *. float_of_int n_devices)
-  in
-  trace.Trace.agg_bytes_sent <-
-    trace.Trace.agg_bytes_sent
-    +. (key_recipients *. float_of_int (C.Bgv.public_key_bytes params));
-  (* 3. Input: encrypt + prove; aggregator verifies and aggregates. *)
-  let audit = Audit.create () in
   let statement : C.Zkp.statement =
     match (program.L.Ast.row, sampled) with
     | L.Ast.One_hot len, None -> C.Zkp.One_hot { length = len }
     | L.Ast.One_hot len, Some _ -> C.Zkp.One_hot_binned { bins; length = len }
     | L.Ast.Bounded { width; lo; hi }, _ -> C.Zkp.Range { lo; hi; count = width }
   in
-  let nonce = Setup.certificate_payload certificate in
-  (* Did the planner outsource the aggregation to a device sum-tree
-     (§4.3)? If so, devices perform the homomorphic additions in groups
-     and pass partial sums up; the aggregator only combines the roots. *)
-  let sum_outsourced =
-    List.exists
-      (fun (v : Plan.vignette) ->
-        match (v.Plan.work, v.Plan.location) with
-        | Plan.W_he_sum _, Plan.Committees _ -> true
-        | _ -> false)
+  let sh =
+    List.fold_left read_vignette
+      {
+        query; plan; src; cert;
+        (* The population is derived, not materialized: sortition ranks
+           registry blocks, and committee members may live in cohorts the
+           input stage never executes (their seeds derive on demand). *)
+        pop = Setup.population ~seed:cfg.seed ~n ~byzantine_fraction:cfg.byzantine_fraction;
+        sampled; cols; bins; slots = cols * bins; ring_n;
+        ct_count = ((cols * bins) + ring_n - 1) / ring_n;
+        params; statement; cohort_size; n_cohorts; sampled_idx;
+        sketch = (256, 3); noise_chunk = max_int; sum_outsourced = false; coarsen = None;
+      }
       plan.Plan.vignettes
   in
-  let pending_roots = ref [] in
-  let acc_ct = ref None in
-  let accepted = ref 0 and rejected = ref 0 in
-  (* Devices the sampling PRF actually included (= n_devices for exact
-     plans); the interpreted program's N so sampled sums pair with the
-     matching population count. *)
-  let included_devices = ref 0 in
-  (* Uploads travel over a link whose drops and delays come from the fault
-     plan; a delay is absorbed as latency, a drop costs a retry. The
-     per-kind fault streams are only consulted for materialized devices —
-     the sharding fidelity contract pins injected faults inside sampled
-     cohorts (DESIGN.md §11). *)
+  let t = ctx.trace in
+  t.Trace.devices_total <- n;
+  t.Trace.cohorts_total <- n_cohorts;
+  t.Trace.cohorts_sampled <- Array.length sampled_idx;
+  t.Trace.devices_materialized <-
+    Array.fold_left (fun acc c -> acc + cohort_population sh c) 0 sampled_idx;
+  sh
+
+(* 1. Registry + sortition: one committee per logical role. *)
+let sortition ctx sh =
+  let cfg = ctx.cfg in
+  spn cfg "sortition" (fun () ->
+      Setup.run_sortition sh.pop ~block:cfg.block ~query_id:cfg.query_id
+        ~committees:n_committees ~size:cfg.committee_size)
+
+(* Churn (§5.1): members may be offline when their committee's vignette
+   starts. A committee that loses its honest-majority quorum hands its
+   tasks to the next one (reassign_failed); the run only aborts if every
+   committee is below quorum. An injected dropout costs the pick its
+   quorum regardless of churn, and the retry is charged against the
+   backoff budget. *)
+let select_committee ctx assignment =
+  let cfg = ctx.cfg and trace = ctx.trace in
+  let quorum = (cfg.committee_size / 2) + 1 in
+  let rec pick assignment ~dropout_seen attempts idx =
+    if attempts >= n_committees then err "catastrophic churn: no committee retained a quorum"
+    else
+      let members = assignment.C.Sortition.committees.(idx) in
+      let survivors =
+        Array.of_list
+          (List.filter
+             (fun _ -> Arb_util.Rng.uniform01 ctx.rng >= cfg.churn)
+             (Array.to_list members))
+      in
+      let dropped = Fault.fires ctx.inj Fault.Committee_dropout in
+      let dropout_seen = dropout_seen || dropped in
+      if (not dropped) && Array.length survivors >= quorum then begin
+        if dropout_seen then Fault.record_recovery ctx.inj Fault.Committee_dropout;
+        survivors
+      end
+      else begin
+        trace.Trace.committees_reassigned <- trace.Trace.committees_reassigned + 1;
+        (if dropped then
+           match Fault.backoff ctx.inj ~attempt:attempts with
+           | None -> err "committee reassignment backoff budget exhausted"
+           | Some _ -> ());
+        pick
+          (C.Sortition.reassign_failed assignment ~failed:idx)
+          ~dropout_seen (attempts + 1)
+          ((idx + 1) mod n_committees)
+      end
+  in
+  spn cfg "committee-select" (fun () -> pick assignment ~dropout_seen:false 0 0)
+
+(* 2. Key generation ceremony: budget check, DKG and the signed query
+   certificate. A sampled plan is charged the strictly smaller amplified
+   privacy cost (privacy amplification by subsampling, §2.1). *)
+let keygen ctx sh ~committee ~registry_root =
+  let cfg = ctx.cfg in
+  let eng = E.create ~parties:cfg.committee_size ctx.rng () in
+  let plan_digest = C.Sha256.digest (Format.asprintf "%a" Plan.pp sh.plan) in
+  let cost =
+    match sh.plan.Plan.device_sample with
+    | None -> sh.cert.L.Certify.cost
+    | Some phi -> Arb_dp.Budget.amplify sh.cert.L.Certify.cost ~phi
+  in
+  spn cfg "keygen" (fun () ->
+      let r =
+        Setup.keygen_ceremony ~workers:cfg.workers ctx.rng
+          ~device_seed:(Setup.device_seed sh.pop) ~committee ~params:sh.params
+          ~query_id:cfg.query_id ~plan_digest ~budget:cfg.budget ~cost ~registry_root
+          ~engine:eng
+      in
+      Pr.charge_zk_setup eng ~constraints:(3 * sh.slots);
+      Trace.record_committee ctx.trace Trace.Keygen (E.cost eng);
+      adv cfg (Trace.committee_wall_clock ctx.trace cfg.latency Trace.Keygen ~compute_per_round:0.002);
+      r)
+
+let check_certificate ctx sh certificate =
+  let ok =
+    spn ctx.cfg "certificate-check" (fun () ->
+        Setup.verify_certificate ~workers:ctx.cfg.workers certificate)
+  in
+  Log.info (fun m ->
+      m "query %d: keygen done (ring %d, t=%d, %d ct/device), certificate %s"
+        ctx.cfg.query_id sh.params.C.Bgv.n sh.params.C.Bgv.t sh.ct_count
+        (if ok then "verified" else "INVALID"));
+  ok
+
+(* 3. Inputs: devices encrypt and prove; the aggregator verifies and sums. *)
+
+(* What the input stage hands on, threaded through the cohorts in id order. *)
+type intake = {
+  sum : C.Bgv.ciphertext array option;  (* the aggregator's running sum *)
+  roots : C.Bgv.ciphertext array list;  (* cohort sum-tree roots, newest first *)
+  accepted : int;
+  rejected : int;
+  lost : int;
+  included : int;  (* devices the sampling PRF included (all, for exact plans) *)
+  residual : int array;  (* the streamed cohorts' exact honest slot sums *)
+  residual_devices : int;  (* honest devices folded into [residual] *)
+}
+
+let included sh gi = Setup.device_sampled sh.pop ~phi:sh.plan.Plan.device_sample gi
+
+(* A device's private draws come from its own per-index stream
+   ([Setup.device_input_rng]), in the protocol order Byzantine-flag, bin,
+   encryption randomness — a pure function of (seed, id), identical
+   whether its cohort is materialized or streamed, untouched by worker
+   count or by any other device. *)
+let draw_byzantine ctx drng = Arb_util.Rng.uniform01 drng < ctx.cfg.byzantine_fraction
+let draw_bin sh drng = if sh.bins > 1 then Arb_util.Rng.int drng sh.bins else 0
+
+let add_row sh slots ~bin row =
+  Array.iteri
+    (fun j v -> if j < sh.cols then slots.((bin * sh.cols) + j) <- slots.((bin * sh.cols) + j) + v)
+    row
+
+(* Device-side work of [k] devices that encrypted, proved and uploaded —
+   the same closed-form charges whether they ran or were extrapolated.
+   Upload bytes are the wire format's length, computed rather than
+   serialized: fresh ciphertexts are degree 1. *)
+let charge_devices ctx sh k =
+  let t = ctx.trace in
+  let upload_bytes = C.Zkp.proof_bytes + (sh.ct_count * C.Bgv.serialized_bytes sh.params 1) in
+  t.Trace.device_encrypt_ops <- t.Trace.device_encrypt_ops + (k * sh.ct_count);
+  t.Trace.device_proof_constraints <-
+    t.Trace.device_proof_constraints + (k * C.Zkp.statement_constraints sh.statement);
+  t.Trace.device_upload_bytes <- t.Trace.device_upload_bytes +. float_of_int (k * upload_bytes)
+
+(* One device's upload: its row in its bin (all ones for a Byzantine
+   device, with a forged proof), encrypted in ring-sized chunks. The proof
+   statement covers the full slot layout for one-hot rows (so a device
+   cannot claim several bins); range statements cover the raw row. *)
+let device_upload ctx sh ~pk ~nonce gi =
+  let drng = Setup.device_input_rng sh.pop gi in
+  let byz = draw_byzantine ctx drng in
+  let bin = draw_bin sh drng in
+  let row = sh.src.row gi in
+  let row = if byz then Array.map (fun _ -> 1) row else row in
+  let slots = Array.make sh.slots 0 in
+  add_row sh slots ~bin row;
+  let rand = Array.init sh.ct_count (fun _ -> C.Bgv.sample_encrypt_randomness pk drng) in
+  let witness =
+    match sh.statement with
+    | C.Zkp.One_hot _ | C.Zkp.One_hot_binned _ | C.Zkp.Bits _ -> slots
+    | C.Zkp.Range _ -> row
+  in
+  let prover = string_of_int gi in
+  let proof =
+    if byz then C.Zkp.forge sh.statement ~prover ~nonce
+    else C.Zkp.prove sh.statement ~witness ~prover ~nonce
+  in
+  (proof, Array.init sh.ct_count (fun k -> C.Bgv.encrypt_with_randomness pk rand.(k) (chunk sh slots k)))
+
+(* Device sum-tree (§4.3): fold ciphertext uploads level by level in
+   fanout-sized groups, each group summed by a participant device
+   (attributed to device_tree_adds); the aggregator audits every vertex.
+   Groups are disjoint, so their folds fan out over domains; the
+   within-group fold stays sequential (the noise bookkeeping's log-sum-exp
+   is float, hence order-sensitive), the merge keeps canonical group
+   order, and counters stay out of the fold so it is race-free. *)
+let rec tree_reduce ctx sh audit ~label level cts =
+  match cts with
+  | [] -> err "no valid inputs"
+  | [ only ] -> only
+  | _ ->
+      let rec groups acc cur k = function
+        | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+        | ct :: rest ->
+            if k = fanout then groups (List.rev cur :: acc) [ ct ] 1 rest
+            else groups acc (ct :: cur) (k + 1) rest
+      in
+      let gs = array_of_list [] (groups [] [] 0 cts) in
+      let folded = Array.make (Array.length gs) [||] in
+      Arb_util.Pool.run ~workers:ctx.cfg.workers (Array.length gs) (fun ~slot:_ gi ->
+          match gs.(gi) with
+          | [] -> assert false
+          | first :: rest ->
+              folded.(gi) <-
+                List.fold_left (fun acc cts -> Array.map2 C.Bgv.accumulate acc cts) first rest);
+      Array.iter
+        (fun g ->
+          ctx.trace.Trace.device_tree_adds <-
+            ctx.trace.Trace.device_tree_adds + ((List.length g - 1) * sh.ct_count))
+        gs;
+      Audit.record_step audit (Printf.sprintf "%s|%d|%d" label level (Array.length folded));
+      tree_reduce ctx sh audit ~label (level + 1) (Array.to_list folded)
+
+(* A materialized cohort runs the real crypto path. Pass 1 fans out: each
+   device's draws, row, proof and encryption are a pure function of its
+   id, and a device outside the sample does no work at all. Pass 2 stays
+   on the calling domain in device order: the lossy uplink (per-kind fault
+   streams fire in device order), verification and aggregation. *)
+let materialized_cohort ctx sh ~pk ~nonce ~link audit acc ~c ~lo ~size =
+  let cfg = ctx.cfg and t = ctx.trace in
+  let fspec = Fault.spec ctx.inj in
+  let computed = Array.make size None in
+  Arb_util.Pool.run ~workers:cfg.workers size (fun ~slot:_ k ->
+      if included sh (lo + k) then computed.(k) <- Some (device_upload ctx sh ~pk ~nonce (lo + k)));
+  let sum = ref acc.sum and cohort_cts = ref [] in
+  let accepted = ref 0 and rejected = ref 0 and lost = ref 0 and uploaded = ref 0 in
+  Array.iteri
+    (fun k -> function
+      | None -> ()
+      | Some (proof, cts) -> (
+          incr uploaded;
+          let gi = lo + k in
+          (* The device did its work either way; the transmit decides
+             whether the aggregator ever sees it. *)
+          match
+            Net.transmit link
+              ~max_attempts:(fspec.Fault.max_retries + 1)
+              ~backoff:(fun a -> Fault.backoff ctx.inj ~attempt:a)
+          with
+          | None ->
+              incr lost;
+              t.Trace.lost_uploads <- t.Trace.lost_uploads + 1
+          | Some del ->
+              if del.Net.attempts > 1 then begin
+                t.Trace.upload_retries <- t.Trace.upload_retries + (del.Net.attempts - 1);
+                Fault.record_recovery ctx.inj Fault.Message_drop
+              end;
+              t.Trace.upload_latency_s <- t.Trace.upload_latency_s +. del.Net.latency;
+              adv cfg del.Net.latency;
+              t.Trace.agg_proofs_verified <- t.Trace.agg_proofs_verified + 1;
+              if C.Zkp.verify sh.statement proof ~prover:(string_of_int gi) ~nonce then begin
+                incr accepted;
+                if sh.sum_outsourced then cohort_cts := cts :: !cohort_cts
+                else begin
+                  if Option.is_some !sum then
+                    t.Trace.agg_he_adds <- t.Trace.agg_he_adds + sh.ct_count;
+                  sum := accumulate !sum cts
+                end;
+                if gi mod 64 = 0 then
+                  Audit.record_step audit (Printf.sprintf "sum-step|%d|%d" gi sh.ct_count)
+              end
+              else begin
+                incr rejected;
+                t.Trace.agg_proofs_rejected <- t.Trace.agg_proofs_rejected + 1
+              end))
+    computed;
+  charge_devices ctx sh !uploaded;
+  let roots =
+    match List.rev !cohort_cts with
+    | [] -> acc.roots
+    | cts -> tree_reduce ctx sh audit ~label:(Printf.sprintf "cohort-tree|%d" c) 0 cts :: acc.roots
+  in
+  {
+    acc with
+    sum = !sum;
+    roots;
+    accepted = acc.accepted + !accepted;
+    rejected = acc.rejected + !rejected;
+    lost = acc.lost + !lost;
+    included = acc.included + !uploaded;
+  }
+
+(* An extrapolated cohort streams its devices without crypto. Honest rows
+   fold into the exact residual slot sums (same bin layout and the same
+   mod-t wrap as homomorphic accumulation); Byzantine devices contribute
+   nothing, exactly as their forged proofs would be rejected in a
+   materialized pass. Cost counters extrapolate from the same closed-form
+   per-device costs the materialized path charges. *)
+let streamed_cohort ctx sh audit acc ~c ~lo ~size =
+  let t = ctx.trace in
+  let byz = ref 0 and streamed = ref 0 in
+  for gi = lo to lo + size - 1 do
+    if included sh gi then begin
+      incr streamed;
+      let drng = Setup.device_input_rng sh.pop gi in
+      if draw_byzantine ctx drng then incr byz
+      else add_row sh acc.residual ~bin:(draw_bin sh drng) (sh.src.row gi)
+    end
+  done;
+  let streamed = !streamed and byz = !byz in
+  let honest = streamed - byz in
+  let latency = float_of_int streamed *. (ctx.cfg.latency.Net.rtt /. 2.0) in
+  charge_devices ctx sh streamed;
+  t.Trace.agg_proofs_verified <- t.Trace.agg_proofs_verified + streamed;
+  t.Trace.agg_proofs_rejected <- t.Trace.agg_proofs_rejected + byz;
+  t.Trace.upload_latency_s <- t.Trace.upload_latency_s +. latency;
+  adv ctx.cfg latency;
+  if sh.sum_outsourced then
+    t.Trace.device_tree_adds <- t.Trace.device_tree_adds + (max 0 (honest - 1) * sh.ct_count)
+  else t.Trace.agg_he_adds <- t.Trace.agg_he_adds + (honest * sh.ct_count);
+  Audit.record_step audit (Printf.sprintf "cohort-extrapolate|%d|%d|%d" c streamed byz);
+  {
+    acc with
+    accepted = acc.accepted + honest;
+    rejected = acc.rejected + byz;
+    included = acc.included + streamed;
+    residual_devices = acc.residual_devices + honest;
+  }
+
+(* Uploads travel over a link whose drops and delays come from the fault
+   plan; a delay is absorbed as latency, a drop costs a retry. The fault
+   streams are only consulted for materialized devices — the sharding
+   fidelity contract pins injected faults inside sampled cohorts
+   (DESIGN.md §11). *)
+let inputs ctx sh ~pk ~certificate audit =
+  let cfg = ctx.cfg and inj = ctx.inj in
+  (* Only participating devices fetch the public key. *)
+  let key_recipients =
+    match sh.plan.Plan.device_sample with
+    | None -> float_of_int sh.src.n_devices
+    | Some phi -> Float.round (phi *. float_of_int sh.src.n_devices)
+  in
+  ctx.trace.Trace.agg_bytes_sent <-
+    ctx.trace.Trace.agg_bytes_sent
+    +. (key_recipients *. float_of_int (C.Bgv.public_key_bytes sh.params));
+  let nonce = Setup.certificate_payload certificate in
   let fspec = Fault.spec inj in
   let link =
     Net.lossy cfg.latency
@@ -836,590 +1029,344 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
         end
         else 0.0)
   in
-  let lost = ref 0 in
-  let clean_latency = cfg.latency.Net.rtt /. 2.0 in
-  let constraints = C.Zkp.statement_constraints statement in
-  (* Byte accounting uses the real wire format's length — computed, not
-     materialized: fresh ciphertexts are degree 1. *)
-  let upload_bytes =
-    C.Zkp.proof_bytes + (ct_count * C.Bgv.serialized_bytes params 1)
+  let empty =
+    {
+      sum = None; roots = []; accepted = 0; rejected = 0; lost = 0; included = 0;
+      residual = Array.make sh.slots 0; residual_devices = 0;
+    }
   in
-  (* Exact honest plaintext contribution of the extrapolated cohorts,
-     accumulated slot-wise and injected as one ciphertext after the input
-     loop. *)
-  let residual = Array.make slots_needed 0 in
-  let residual_devices = ref 0 in
-  (* Device sum-tree (§4.3): fold ciphertext uploads level by level in
-     fanout-sized groups, each group summed by a participant device
-     (attributed to device_tree_adds); the aggregator audits every vertex.
-     Runs once per materialized cohort (bounding peak memory at O(cohort))
-     and once more over the cohort roots. *)
-  let fanout = 8 in
-  let rec tree_reduce ~label level cts =
-    match cts with
-    | [] -> err "no valid inputs"
-    | [ only ] -> only
-    | _ ->
-        let rec groups acc cur k = function
-          | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-          | ct :: rest ->
-              if k = fanout then groups (List.rev cur :: acc) [ ct ] 1 rest
-              else groups acc (ct :: cur) (k + 1) rest
-        in
-        let gs = array_of_list [] (groups [] [] 0 cts) in
-        (* Groups are disjoint, so their folds fan out over domains; the
-           within-group fold stays sequential (the noise bookkeeping's
-           log-sum-exp is float, hence order-sensitive) and the merge
-           keeps canonical group order. Counters move out of the fold so
-           the parallel path stays race-free — same totals. *)
-        let folded = Array.make (Array.length gs) [||] in
-        Arb_util.Pool.run ~workers:cfg.workers (Array.length gs) (fun ~slot:_ gi ->
-            match gs.(gi) with
-            | [] -> assert false
-            | first :: rest ->
-                folded.(gi) <-
-                  List.fold_left
-                    (fun acc cts -> Array.map2 C.Bgv.accumulate acc cts)
-                    first rest);
-        Array.iter
-          (fun g ->
-            trace.Trace.device_tree_adds <-
-              trace.Trace.device_tree_adds + ((List.length g - 1) * ct_count))
-          gs;
-        let nodes = Array.to_list folded in
-        Audit.record_step audit
-          (Printf.sprintf "%s|%d|%d" label level (List.length nodes));
-        tree_reduce ~label (level + 1) nodes
+  let intake =
+    spn cfg "inputs" (fun () ->
+        let acc = ref empty in
+        for c = 0 to sh.n_cohorts - 1 do
+          let lo = c * sh.cohort_size and size = cohort_population sh c in
+          acc :=
+            if Array.mem c sh.sampled_idx then
+              materialized_cohort ctx sh ~pk ~nonce ~link audit !acc ~c ~lo ~size
+            else streamed_cohort ctx sh audit !acc ~c ~lo ~size
+        done;
+        Option.iter
+          (fun t ->
+            Arb_obs.Tracer.add_args t
+              [ ("accepted", J.Int !acc.accepted); ("rejected", J.Int !acc.rejected);
+                ("lost", J.Int !acc.lost) ])
+          cfg.tracer;
+        !acc)
   in
-  (* A device's private draws come from its own per-index stream, in the
-     protocol order Byzantine-flag, bin, encryption randomness — a pure
-     function of (seed, id), identical whether its cohort is materialized
-     or streamed, untouched by worker count or by any other device. *)
-  let device_byz drng = Arb_util.Rng.uniform01 drng < cfg.byzantine_fraction in
-  let device_bin drng = if bins > 1 then Arb_util.Rng.int drng bins else 0 in
-  spn cfg "inputs" (fun () ->
-  for c = 0 to n_cohorts - 1 do
-    let lo = c * cohort_size in
-    let size = cohort_population c in
-    if is_sampled c then begin
-      (* Materialized cohort: the real crypto path. Pass 1 (parallel
-         fan-out): each device's draws come from its own stream, so its
-         draws, row, proof and encryption are a pure function of its id.
-         A device outside the sample does no work at all: no stream draw,
-         no row, no upload. *)
-      let computed = Array.make size None in
-      Arb_util.Pool.run ~workers:cfg.workers size (fun ~slot:_ k ->
-          let gi = lo + k in
-          if dev_included gi then begin
-            let drng = Setup.device_input_rng pop gi in
-            let byz = device_byz drng in
-            let bin = device_bin drng in
-            let row = src.row gi in
-            let row = if byz then Array.map (fun _ -> 1) row else row in
-            let slots = Array.make slots_needed 0 in
-            Array.iteri
-              (fun j v -> if j < cols then slots.((bin * cols) + j) <- v)
-              row;
-            let rand =
-              Array.init ct_count (fun _ ->
-                  C.Bgv.sample_encrypt_randomness pk drng)
-            in
-            (* The proof statement covers the full slot layout for one-hot
-               rows (so a device cannot claim several bins); range
-               statements cover the raw row. *)
-            let witness =
-              match statement with
-              | C.Zkp.One_hot _ | C.Zkp.One_hot_binned _ | C.Zkp.Bits _ ->
-                  slots
-              | C.Zkp.Range _ -> row
-            in
-            let prover = string_of_int gi in
-            let proof =
-              if byz then C.Zkp.forge statement ~prover ~nonce
-              else C.Zkp.prove statement ~witness ~prover ~nonce
-            in
-            let cts =
-              Array.init ct_count (fun kk ->
-                  let slo = kk * ring_n in
-                  let len = min ring_n (slots_needed - slo) in
-                  C.Bgv.encrypt_with_randomness pk rand.(kk)
-                    (Array.sub slots slo len))
-            in
-            computed.(k) <- Some (proof, cts)
-          end);
-      (* Pass 2 (sequential, canonical order): trace accounting, the lossy
-         uplink (per-kind fault streams fire in device order), verification
-         and aggregation. *)
-      let cohort_cts = ref [] in
-      Array.iteri
-        (fun k result ->
-          match result with
-          | None -> ()
-          | Some (proof, cts) ->
-          incr included_devices;
-          let gi = lo + k in
-          let prover = string_of_int gi in
-          trace.Trace.device_encrypt_ops <-
-            trace.Trace.device_encrypt_ops + ct_count;
-          trace.Trace.device_proof_constraints <-
-            trace.Trace.device_proof_constraints + constraints;
-          trace.Trace.device_upload_bytes <-
-            trace.Trace.device_upload_bytes +. float_of_int upload_bytes;
-          (* The device did its work either way; the transmit decides
-             whether the aggregator ever sees it. *)
-          match
-            Net.transmit link
-              ~max_attempts:(fspec.Fault.max_retries + 1)
-              ~backoff:(fun a -> Fault.backoff inj ~attempt:a)
-          with
-          | None ->
-              incr lost;
-              trace.Trace.lost_uploads <- trace.Trace.lost_uploads + 1
-          | Some del ->
-              if del.Net.attempts > 1 then begin
-                trace.Trace.upload_retries <-
-                  trace.Trace.upload_retries + (del.Net.attempts - 1);
-                Fault.record_recovery inj Fault.Message_drop
-              end;
-              trace.Trace.upload_latency_s <-
-                trace.Trace.upload_latency_s +. del.Net.latency;
-              adv cfg del.Net.latency;
-              (* Aggregator verifies and aggregates. *)
-              trace.Trace.agg_proofs_verified <-
-                trace.Trace.agg_proofs_verified + 1;
-              if C.Zkp.verify statement proof ~prover ~nonce then begin
-                incr accepted;
-                if sum_outsourced then cohort_cts := cts :: !cohort_cts
-                else
-                  (acc_ct :=
-                     match !acc_ct with
-                     | None -> Some cts
-                     | Some acc ->
-                         trace.Trace.agg_he_adds <-
-                           trace.Trace.agg_he_adds + ct_count;
-                         (* In-place accumulation: the fold owns [acc]. *)
-                         Some (Array.map2 C.Bgv.accumulate acc cts));
-                if gi mod 64 = 0 then
-                  Audit.record_step audit
-                    (Printf.sprintf "sum-step|%d|%d" gi ct_count)
-              end
-              else begin
-                incr rejected;
-                trace.Trace.agg_proofs_rejected <-
-                  trace.Trace.agg_proofs_rejected + 1
-              end)
-        computed;
-      if sum_outsourced then
-        match List.rev !cohort_cts with
-        | [] -> ()
-        | cts ->
-            pending_roots :=
-              tree_reduce ~label:(Printf.sprintf "cohort-tree|%d" c) 0 cts
-              :: !pending_roots
-    end
-    else begin
-      (* Extrapolated cohort: stream the devices without crypto. Honest
-         rows fold into the exact residual slot sums (same bin layout and
-         the same mod-t wrap as homomorphic accumulation); Byzantine
-         devices contribute nothing, exactly as their forged proofs would
-         be rejected in a materialized pass. Cost counters extrapolate
-         from the same closed-form per-device costs the materialized path
-         charges, so report accounting stays Full-comparable. *)
-      let byz_count = ref 0 in
-      let inc_count = ref 0 in
-      for k = 0 to size - 1 do
-        let gi = lo + k in
-        if dev_included gi then begin
-          incr inc_count;
-          let drng = Setup.device_input_rng pop gi in
-          if device_byz drng then incr byz_count
-          else begin
-            let bin = device_bin drng in
-            let row = src.row gi in
-            Array.iteri
-              (fun j v ->
-                if j < cols then
-                  residual.((bin * cols) + j) <- residual.((bin * cols) + j) + v)
-              row
-          end
-        end
-      done;
-      let streamed = !inc_count in
-      included_devices := !included_devices + streamed;
-      let honest = streamed - !byz_count in
-      residual_devices := !residual_devices + honest;
-      accepted := !accepted + honest;
-      rejected := !rejected + !byz_count;
-      trace.Trace.device_encrypt_ops <-
-        trace.Trace.device_encrypt_ops + (streamed * ct_count);
-      trace.Trace.device_proof_constraints <-
-        trace.Trace.device_proof_constraints + (streamed * constraints);
-      trace.Trace.device_upload_bytes <-
-        trace.Trace.device_upload_bytes +. float_of_int (streamed * upload_bytes);
-      trace.Trace.agg_proofs_verified <-
-        trace.Trace.agg_proofs_verified + streamed;
-      trace.Trace.agg_proofs_rejected <-
-        trace.Trace.agg_proofs_rejected + !byz_count;
-      trace.Trace.upload_latency_s <-
-        trace.Trace.upload_latency_s +. (float_of_int streamed *. clean_latency);
-      adv cfg (float_of_int streamed *. clean_latency);
-      if sum_outsourced then
-        trace.Trace.device_tree_adds <-
-          trace.Trace.device_tree_adds + (max 0 (honest - 1) * ct_count)
-      else
-        trace.Trace.agg_he_adds <- trace.Trace.agg_he_adds + (honest * ct_count);
-      Audit.record_step audit
-        (Printf.sprintf "cohort-extrapolate|%d|%d|%d" c streamed !byz_count)
-    end
-  done;
-  match cfg.tracer with
-  | Some t ->
-      Arb_obs.Tracer.add_args t
-        [
-          ("accepted", Arb_util.Json.Int !accepted);
-          ("rejected", Arb_util.Json.Int !rejected);
-          ("lost", Arb_util.Json.Int !lost);
-        ]
-  | None -> ());
   (* Fail closed rather than silently answer over a partial database: a
      lost input would change the query's true answer. *)
-  if !lost > 0 then
-    degraded "%d device upload%s lost despite %d retries" !lost
-      (if !lost = 1 then "" else "s")
+  if intake.lost > 0 then
+    degraded "%d device upload%s lost despite %d retries" intake.lost
+      (if intake.lost = 1 then "" else "s")
       fspec.Fault.max_retries;
-  (* Residual injection: the extrapolated cohorts' exact honest sums,
-     reduced mod t (matching the wrap semantics of mod-t homomorphic
-     accumulation, which matters when per-slot sums exceed t) and
-     encrypted once under a dedicated derived stream. After the
-     homomorphic add, the aggregate decrypts to exactly what a Full run
-     at the same seed produces. *)
-  (if n_cohorts > Array.length sampled_idx then
-     spn cfg "residual-inject" (fun () ->
-         let t_plain = params.C.Bgv.t in
-         let reduced =
-           Array.map (fun v -> ((v mod t_plain) + t_plain) mod t_plain) residual
-         in
-         let rrng = Setup.residual_rng pop in
-         let cts =
-           Array.init ct_count (fun k ->
-               let slo = k * ring_n in
-               let len = min ring_n (slots_needed - slo) in
-               C.Bgv.encrypt pk rrng (Array.sub reduced slo len))
-         in
-         trace.Trace.agg_he_adds <- trace.Trace.agg_he_adds + ct_count;
-         Audit.record_step audit
-           (Printf.sprintf "residual-inject|%d" !residual_devices);
-         if sum_outsourced then pending_roots := cts :: !pending_roots
-         else
-           acc_ct :=
-             (match !acc_ct with
-             | None -> Some cts
-             | Some acc -> Some (Array.map2 C.Bgv.accumulate acc cts))));
-  (* Final combine of the per-cohort partial-sum roots (outsourced plans);
-     in Full mode this is the single cohort's root passing straight
-     through. *)
-  if sum_outsourced then
-    spn cfg "sum-tree" (fun () ->
-        acc_ct :=
-          Some (tree_reduce ~label:"tree-level" 0 (List.rev !pending_roots)));
-  let sum_cts =
-    match !acc_ct with Some cts -> cts | None -> err "no valid inputs"
+  intake
+
+(* Residual injection, for sharded runs with extrapolated cohorts: their
+   exact honest sums, reduced mod t (matching the wrap semantics of mod-t
+   homomorphic accumulation, which matters when per-slot sums exceed t)
+   and encrypted once under a dedicated derived stream. After the
+   homomorphic add, the aggregate decrypts to exactly what a Full run at
+   the same seed produces. *)
+let inject_residual ctx sh ~pk audit intake =
+  if sh.n_cohorts = Array.length sh.sampled_idx then intake
+  else
+    spn ctx.cfg "residual-inject" (fun () ->
+        let t_plain = sh.params.C.Bgv.t in
+        let reduced = Array.map (fun v -> ((v mod t_plain) + t_plain) mod t_plain) intake.residual in
+        let rrng = Setup.residual_rng sh.pop in
+        let cts = Array.init sh.ct_count (fun k -> C.Bgv.encrypt pk rrng (chunk sh reduced k)) in
+        ctx.trace.Trace.agg_he_adds <- ctx.trace.Trace.agg_he_adds + sh.ct_count;
+        Audit.record_step audit (Printf.sprintf "residual-inject|%d" intake.residual_devices);
+        if sh.sum_outsourced then { intake with roots = cts :: intake.roots }
+        else { intake with sum = accumulate intake.sum cts })
+
+(* The aggregate ciphertexts. Outsourced plans combine the per-cohort
+   sum-tree roots; in Full mode this is the single cohort's root passing
+   straight through. *)
+let sum_tree ctx sh audit intake =
+  let sum =
+    if sh.sum_outsourced then
+      spn ctx.cfg "sum-tree" (fun () ->
+          Some (tree_reduce ctx sh audit ~label:"tree-level" 0 (List.rev intake.roots)))
+    else intake.sum
   in
+  let cts = match sum with Some cts -> cts | None -> err "no valid inputs" in
   Log.info (fun m ->
-      m "aggregation done: %d accepted, %d rejected%s" !accepted !rejected
-        (if sum_outsourced then " (device sum-tree)" else ""));
-  (* One per-run tamper opportunity: the aggregator rewrites an aggregated
-     ciphertext. Its audit commitment no longer matches, so the device
-     spot-checks below catch it and the run fails closed. *)
-  let ct_tampered = Fault.fires inj Fault.Ciphertext_tamper in
-  (* Devices spot-check the sortition: recompute a few members' committee
-     assignments from the public block and registry (§5.1). *)
-  let checks = min 8 (Array.length kg_committee) in
+      m "aggregation done: %d accepted, %d rejected%s" intake.accepted intake.rejected
+        (if sh.sum_outsourced then " (device sum-tree)" else ""));
+  cts
+
+(* Devices spot-check the sortition: recompute a few members' committee
+   assignments from the public block and registry (§5.1). Each
+   recomputation is pure, so they fan out; the counter and the first
+   failure are read back in member order. *)
+let check_sortition ctx sh committee =
+  let cfg = ctx.cfg in
+  let checks = min 8 (Array.length committee) in
   spn cfg "sortition-check" (fun () ->
-      (* Each recomputation is pure, so they fan out; the counter and the
-         first failure are read back in member order. *)
       let verdicts =
         Arb_util.Pool.map ~workers:cfg.workers checks (fun c ->
-            Setup.verify_member pop ~block:cfg.block ~query_id:cfg.query_id
-              ~committees:n_committees ~size:cfg.committee_size
-              ~id:kg_committee.(c))
+            Setup.verify_member sh.pop ~block:cfg.block ~query_id:cfg.query_id
+              ~committees:n_committees ~size:cfg.committee_size ~id:committee.(c))
       in
       Array.iteri
-        (fun c verdict ->
-          match verdict with
+        (fun c -> function
           | Some _ ->
-              trace.Trace.sortition_checks <- trace.Trace.sortition_checks + 1
-          | None ->
-              err "sortition verification failed for committee member %d"
-                kg_committee.(c))
-        verdicts);
-  (* 4. Optional secrecy-of-the-sample masking. *)
-  let eng_decrypt = E.create ~parties:cfg.committee_size rng () in
-  let eng_ops = E.create ~parties:cfg.committee_size rng () in
-  let phi = match sampled with Some (_, phi) -> phi | None -> 1.0 in
-  let window = max 1 (int_of_float (Float.round (phi *. float_of_int bins))) in
-  let window_start = if bins > 1 then Arb_util.Rng.int rng bins else 0 in
-  let in_window b =
-    let rel = (b - window_start + bins) mod bins in
-    rel < window
-  in
-  let sum_cts =
-    match (sampled, plan.Plan.crypto) with
-    | Some _, Plan.Fhe ->
-        spn cfg "mask" @@ fun () ->
-        (* The committee's secret window mask is applied under encryption:
-           a real ciphertext-by-ciphertext multiply plus relinearization,
-           per ciphertext chunk. *)
-        let rk = C.Bgv.relin_keygen params rng sk in
-        let mask =
-          Array.init slots_needed (fun slot -> if in_window (slot / cols) then 1 else 0)
-        in
-        Audit.record_step audit "fhe-mask";
-        Array.mapi
-          (fun k ct ->
-            let lo = k * ring_n in
-            let len = min ring_n (slots_needed - lo) in
-            let mask_ct = C.Bgv.encrypt pk rng (Array.sub mask lo len) in
-            trace.Trace.agg_he_muls <- trace.Trace.agg_he_muls + 1;
-            C.Bgv.relinearize rk (C.Bgv.mul ct mask_ct))
-          sum_cts
-    | _ -> sum_cts
-  in
-  (* 5. Threshold decryption into the operations committee. *)
-  let key_shares =
-    C.Bgv.share_secret_key params rng sk ~parties:cfg.committee_size
-  in
-  (* Each ciphertext chunk is threshold-decrypted; the slot views are
-     concatenated back into the full layout. *)
-  let decrypted =
-    spn cfg "decrypt" (fun () ->
-        let decrypted =
-          Array.concat
-            (Array.to_list
-               (Array.map
-                  (fun ct ->
-                    let partials =
-                      Array.to_list
-                        (Array.map
-                           (fun sh -> C.Bgv.partial_decrypt params rng sh ct)
-                           key_shares)
-                    in
-                    C.Bgv.combine_partials params ct partials)
-                  sum_cts))
-        in
-        Arb_mpc.Protocols.charge_bgv_decrypt eng_decrypt ~n:params.C.Bgv.n
-          ~rns_primes:(List.length params.C.Bgv.q_primes) ~ciphertexts:ct_count;
-        Trace.record_committee trace Trace.Decryption (E.cost eng_decrypt);
-        adv cfg
-          (Trace.committee_wall_clock trace cfg.latency Trace.Decryption
-             ~compute_per_round:0.002);
-        decrypted)
-  in
+              ctx.trace.Trace.sortition_checks <- ctx.trace.Trace.sortition_checks + 1
+          | None -> err "sortition verification failed for committee member %d" committee.(c))
+        verdicts)
+
+(* 4. Secrecy of the sample: the committee's hidden window of
+   phi * bins consecutive bins, drawn from the session RNG. *)
+let sample_window ctx sh =
+  let phi = match sh.sampled with Some (_, phi) -> phi | None -> 1.0 in
+  let window = max 1 (int_of_float (Float.round (phi *. float_of_int sh.bins))) in
+  let start = if sh.bins > 1 then Arb_util.Rng.int ctx.rng sh.bins else 0 in
+  fun b -> (b - start + sh.bins) mod sh.bins < window
+
+(* Under FHE the window mask is applied to the aggregate under encryption:
+   a real ciphertext-by-ciphertext multiply plus relinearization, per
+   ciphertext chunk. AHE plans mask on shares after decryption. *)
+let mask ctx sh ~sk ~pk ~in_window audit sum_cts =
+  match (sh.sampled, sh.plan.Plan.crypto) with
+  | Some _, Plan.Fhe ->
+      spn ctx.cfg "mask" @@ fun () ->
+      let rk = C.Bgv.relin_keygen sh.params ctx.rng sk in
+      let mask = Array.init sh.slots (fun slot -> if in_window (slot / sh.cols) then 1 else 0) in
+      Audit.record_step audit "fhe-mask";
+      Array.mapi
+        (fun k ct ->
+          let mask_ct = C.Bgv.encrypt pk ctx.rng (chunk sh mask k) in
+          ctx.trace.Trace.agg_he_muls <- ctx.trace.Trace.agg_he_muls + 1;
+          C.Bgv.relinearize rk (C.Bgv.mul ct mask_ct))
+        sum_cts
+  | _ -> sum_cts
+
+(* 5. Threshold decryption into the operations committee: each ciphertext
+   chunk is threshold-decrypted (real partial decryptions combined) and
+   the slot views are concatenated back into the full layout. *)
+let decrypt ctx sh ~sk sum_cts =
+  let cfg = ctx.cfg in
+  let key_shares = C.Bgv.share_secret_key sh.params ctx.rng sk ~parties:cfg.committee_size in
+  let eng = E.create ~parties:cfg.committee_size ctx.rng () in
+  spn cfg "decrypt" (fun () ->
+      let decrypted =
+        Array.concat
+          (Array.to_list
+             (Array.map
+                (fun ct ->
+                  C.Bgv.combine_partials sh.params ct
+                    (Array.to_list
+                       (Array.map (fun s -> C.Bgv.partial_decrypt sh.params ctx.rng s ct) key_shares)))
+                sum_cts))
+      in
+      Pr.charge_bgv_decrypt eng ~n:sh.params.C.Bgv.n
+        ~rns_primes:(List.length sh.params.C.Bgv.q_primes) ~ciphertexts:sh.ct_count;
+      Trace.record_committee ctx.trace Trace.Decryption (E.cost eng);
+      adv cfg (Trace.committee_wall_clock ctx.trace cfg.latency Trace.Decryption ~compute_per_round:0.002);
+      decrypted)
+
+(* Per-category sums from the decrypted slots, centered (sums can be
+   masked with negatives). Bins fold per category — only the window's
+   bins when an AHE plan masks on shares; for unsampled queries bins = 1
+   and this is the identity. A coarsened scan grouped adjacent bins
+   homomorphically, so downstream stages see group-resolution sums (each
+   group's mass on its first bin, full width preserved). *)
+let category_sums sh ~in_window audit decrypted =
   Audit.record_step audit "decrypt";
-  (* Centered plaintext values (sums can be masked with negatives). *)
-  let t_mod = params.C.Bgv.t in
+  let t_mod = sh.params.C.Bgv.t in
   let center v = if v > t_mod / 2 then v - t_mod else v in
-  (* Fold bins: per category, sum bins inside the window (for unsampled
-     queries bins = 1 and this is the identity). *)
+  let counted b =
+    match (sh.sampled, sh.plan.Plan.crypto) with Some _, Plan.Ahe -> in_window b | _ -> true
+  in
   let sums =
-    Array.init cols (fun cat ->
+    Array.init sh.cols (fun cat ->
         let acc = ref 0 in
-        for b = 0 to bins - 1 do
-          let v = center decrypted.((b * cols) + cat) in
-          match (sampled, plan.Plan.crypto) with
-          | None, _ -> acc := !acc + v
-          | Some _, Plan.Fhe ->
-              (* Mask already applied homomorphically. *)
-              acc := !acc + v
-          | Some _, Plan.Ahe ->
-              (* Committee masks on shares: only window bins contribute. *)
-              if in_window b then acc := !acc + v
+        for b = 0 to sh.bins - 1 do
+          if counted b then acc := !acc + center decrypted.((b * sh.cols) + cat)
         done;
         !acc)
   in
-  (* Coarsened-scan variant: the plan grouped adjacent bins homomorphically
-     before decryption, so downstream stages see group-resolution sums
-     (each group's mass on its first bin, full width preserved). *)
-  let sums =
-    let groups =
-      List.fold_left
-        (fun acc (v : Plan.vignette) ->
-          match v.Plan.work with
-          | Plan.W_he_coarsen { groups; _ } -> Some groups
-          | _ -> acc)
-        None plan.Plan.vignettes
-    in
-    match groups with
-    | None -> sums
-    | Some groups ->
-        Audit.record_step audit (Printf.sprintf "coarsen|%d" groups);
-        Arb_util.Sketch.coarsen ~groups sums
-  in
-  (* Hand the sums from the decryption committee to the operations
-     committee with real verifiable secret redistribution (§5.4): each
-     decryption-committee member re-shares its Shamir share of the value to
-     the operations committee with commitments; the receivers verify and
-     recombine. The recombined value seeds the ops engine's sharing (and
-     must equal the decrypted sum — checked as a protocol invariant). *)
-  let vsr_field = C.Field.create 998244353 in
-  let vsr_threshold = (cfg.committee_size - 1) / 2 in
-  let vsr_handoff v =
-    let centered = ((v mod vsr_field.C.Field.p) + vsr_field.C.Field.p) mod vsr_field.C.Field.p in
+  match sh.coarsen with
+  | None -> sums
+  | Some groups ->
+      Audit.record_step audit (Printf.sprintf "coarsen|%d" groups);
+      Arb_util.Sketch.coarsen ~groups sums
+
+(* Hand the sums from the decryption committee to the operations committee
+   with real verifiable secret redistribution (§5.4): each decryption-
+   committee member re-shares its Shamir share of the value with
+   commitments; the receivers verify and recombine. The recombined value
+   seeds the operations engine's sharing and must equal the decrypted sum,
+   a protocol invariant. *)
+let vsr_handoff ctx eng_ops sums =
+  let m = ctx.cfg.committee_size in
+  let field = C.Field.create 998244353 in
+  let p = field.C.Field.p and threshold = (m - 1) / 2 in
+  let handoff v =
     let dec_shares =
-      C.Shamir.share vsr_field rng ~secret:centered ~threshold:vsr_threshold
-        ~parties:cfg.committee_size
+      C.Shamir.share field ctx.rng ~secret:(((v mod p) + p) mod p) ~threshold ~parties:m
     in
-    let subs_and_commits =
+    let sent =
       Array.map
-        (fun sh ->
-          C.Vsr.redistribute vsr_field rng sh ~new_threshold:vsr_threshold
-            ~new_parties:cfg.committee_size)
+        (fun sh -> C.Vsr.redistribute field ctx.rng sh ~new_threshold:threshold ~new_parties:m)
         dec_shares
     in
-    let sender_idxs =
-      Array.to_list (Array.map (fun (s : C.Shamir.share) -> s.C.Shamir.idx) dec_shares)
+    let sender_idxs = Array.to_list (Array.map (fun (s : C.Shamir.share) -> s.C.Shamir.idx) dec_shares) in
+    (* The first sender's subshare to the first receiver may be corrupted
+       in transit; the receiver's commitment check catches it, and the
+       honest sender re-sends the same subshare (no fresh randomness),
+       bounded by the backoff budget. *)
+    let received ~corrupt j sender =
+      let sub = (fst sent.(sender)).(j) in
+      if corrupt && j = 0 && sender = 0 then { sub with C.Vsr.value = sub.C.Vsr.value + 1 } else sub
     in
-    (* A subshare may be corrupted in transit; Vsr.verify_subshare catches
-       it against the sender's commitments and the honest sender re-sends
-       the same subshare (no fresh randomness), bounded by the backoff
-       budget. *)
-    let corrupt_in_transit = ref (Fault.fires inj Fault.Share_corruption) in
-    let rec receive attempt =
-      match
-        List.init cfg.committee_size (fun j ->
+    let verified ~corrupt =
+      List.for_all
+        (fun j ->
+          Array.for_all Fun.id
+            (Array.mapi (fun s (_, commits) -> C.Vsr.verify_subshare (received ~corrupt j s) commits.(j)) sent))
+        (List.init m Fun.id)
+    in
+    let rec receive attempt ~corrupt =
+      if verified ~corrupt then
+        List.init m (fun j ->
             let pairs =
-              Array.to_list
-                (Array.mapi
-                   (fun sender (subs, commits) ->
-                     let sub = subs.(j) in
-                     let sub =
-                       if !corrupt_in_transit && j = 0 && sender = 0 then
-                         { sub with C.Vsr.value = sub.C.Vsr.value + 1 }
-                       else sub
-                     in
-                     if not (C.Vsr.verify_subshare sub commits.(j)) then
-                       err "VSR commitment verification failed";
-                     (sub.C.Vsr.from_idx, sub.C.Vsr.value))
-                   subs_and_commits)
+              List.init (Array.length sent) (fun s ->
+                  let sub = received ~corrupt j s in
+                  (sub.C.Vsr.from_idx, sub.C.Vsr.value))
             in
-            C.Vsr.combine vsr_field ~sender_idxs pairs ~to_idx:(j + 1))
-      with
-      | shares -> shares
-      | exception Execution_error _ when !corrupt_in_transit -> (
-          match Fault.backoff inj ~attempt with
-          | None -> err "VSR re-send backoff budget exhausted"
-          | Some _ ->
-              Pr.charge_vsr_retry eng_ops;
-              Fault.record_recovery inj Fault.Share_corruption;
-              corrupt_in_transit := false;
-              receive (attempt + 1))
+            C.Vsr.combine field ~sender_idxs pairs ~to_idx:(j + 1))
+      else if not corrupt then err "VSR commitment verification failed"
+      else
+        match Fault.backoff ctx.inj ~attempt with
+        | None -> err "VSR re-send backoff budget exhausted"
+        | Some _ ->
+            Pr.charge_vsr_retry eng_ops;
+            Fault.record_recovery ctx.inj Fault.Share_corruption;
+            receive (attempt + 1) ~corrupt:false
     in
-    let ops_shares = receive 0 in
-    let recombined =
-      C.Field.center vsr_field (C.Shamir.reconstruct vsr_field ops_shares)
-    in
-    if recombined <> v then err "VSR hand-off corrupted a value";
+    let shares = receive 0 ~corrupt:(Fault.fires ctx.inj Fault.Share_corruption) in
+    if C.Field.center field (C.Shamir.reconstruct field shares) <> v then
+      err "VSR hand-off corrupted a value";
     E.reshare_in eng_ops (v * fx_scale)
   in
-  let shared_db_sums = spn cfg "vsr-handoff" (fun () -> Array.map vsr_handoff sums) in
-  (* Byzantine minority inside the operations committee: before each share
-     opening the saboteur corrupts [corrupt_parties] shares. Within the
-     decoding radius the opening self-heals (robust Reed–Solomon);
-     beyond it, Cheating_detected aborts the run. *)
+  spn ctx.cfg "vsr-handoff" (fun () -> Array.map handoff sums)
+
+(* 6. Interpret the rest of the program on shares. A Byzantine minority
+   inside the operations committee corrupts [corrupt_parties] shares
+   before each opening the fault plan picks: within the decoding radius
+   the opening self-heals (robust Reed–Solomon); beyond it,
+   Cheating_detected aborts the run. *)
+let interpret ctx sh eng_ops ~included shared_db_sums =
+  let corrupt_parties = (Fault.spec ctx.inj).Fault.corrupt_parties in
   let sab_hits = ref 0 in
   E.set_saboteur eng_ops
     (Some
        (fun () ->
-         if Fault.fires inj Fault.Share_corruption then begin
+         if Fault.fires ctx.inj Fault.Share_corruption then begin
            incr sab_hits;
-           List.init fspec.Fault.corrupt_parties (fun p -> p)
+           List.init corrupt_parties Fun.id
          end
          else []));
-  (* 6. Interpret the rest of the program on shares. *)
+  let program = sh.query.Arb_queries.Registry.program in
   let st =
     {
-      cfg;
-      query;
-      plan;
-      rng;
-      trace;
-      inj;
+      ctx; sh; eng_ops; shared_db_sums;
       epsilon = program.L.Ast.epsilon;
-      sensitivity = cert_report.L.Certify.sensitivity;
-      eng_ops;
+      sensitivity = sh.cert.L.Certify.sensitivity;
       vars = Hashtbl.create 16;
       outputs = [];
-      shared_db_sums;
-      sampled_var = Option.map fst sampled;
+      sampled_var = Option.map fst sh.sampled;
     }
   in
   (* A sampled plan's sums cover only the included devices; pair them with
      the matching N so ratios computed by the program stay unbiased. *)
-  let n_for_program =
-    match dphi with None -> n_devices | Some _ -> !included_devices
-  in
-  Hashtbl.replace st.vars "N" (R_clean (V_int n_for_program));
-  Hashtbl.replace st.vars "C" (R_clean (V_int cols));
-  (match sampled with
-  | Some (v, _) -> Hashtbl.replace st.vars v (R_clean (V_int 0)) (* placeholder *)
-  | None -> ());
-  spn cfg "interpret" (fun () -> exec st program.L.Ast.body);
+  let n = match sh.plan.Plan.device_sample with None -> sh.src.n_devices | Some _ -> included in
+  Hashtbl.replace st.vars "N" (R_clean (V_int n));
+  Hashtbl.replace st.vars "C" (R_clean (V_int sh.cols));
+  Option.iter (fun v -> Hashtbl.replace st.vars v (R_clean (V_int 0))) st.sampled_var;
+  spn ctx.cfg "interpret" (fun () -> exec st program.L.Ast.body);
   (* Reaching here means every corrupted opening was corrected. *)
   E.set_saboteur eng_ops None;
   for _ = 1 to !sab_hits do
-    Fault.record_recovery inj Fault.Share_corruption
+    Fault.record_recovery ctx.inj Fault.Share_corruption
   done;
-  (* 7. Audit: seal; sampled devices challenge random steps. *)
-  let audit_root = Audit.seal audit in
-  if (cfg.tamper_aggregator || ct_tampered) && Audit.steps audit > 0 then
-    Audit.tamper audit 0;
+  List.rev st.outputs
+
+(* 7. Audit (§5.3): the aggregator seals its log and auditing devices
+   challenge random steps. The run's one tamper opportunity: a Byzantine
+   aggregator rewrites a committed step, so the spot-checks fail. Offline
+   auditors hand their load to the survivors, which recompute their
+   challenge count so the detection bound p_max still holds; only when
+   every auditor is gone does the run degrade. *)
+let run_audit ctx audit =
+  let t = ctx.trace in
+  let root = Audit.seal audit in
+  if Fault.fires ctx.inj Fault.Ciphertext_tamper && Audit.steps audit > 0 then Audit.tamper audit 0;
   let steps = Audit.steps audit in
-  (* Auditing devices may be offline; the survivors recompute their
-     challenge count so the detection bound p_max still holds. Only when
-     every auditor is gone does the run degrade. *)
-  let auditors =
-    let alive = ref 0 in
-    for _ = 1 to cfg.auditing_devices do
-      if Fault.fires inj Fault.Audit_failure then
-        trace.Trace.audit_devices_failed <- trace.Trace.audit_devices_failed + 1
-      else incr alive
-    done;
-    !alive
-  in
-  if auditors = 0 then
-    degraded "all %d auditing devices failed before the spot-check"
-      cfg.auditing_devices;
-  for _ = 1 to trace.Trace.audit_devices_failed do
-    Fault.record_recovery inj Fault.Audit_failure
+  let auditors = ref 0 in
+  for _ = 1 to auditing_devices do
+    if Fault.fires ctx.inj Fault.Audit_failure then
+      t.Trace.audit_devices_failed <- t.Trace.audit_devices_failed + 1
+    else incr auditors
   done;
-  let k = Audit.challenges_per_device ~steps ~devices:auditors ~p_max:cfg.audit_p_max in
-  let audit_ok = ref true in
-  spn cfg
-    ~args:
-      [
-        ("auditors", Arb_util.Json.Int auditors);
-        ("challenges", Arb_util.Json.Int (auditors * k));
-      ]
+  let auditors = !auditors in
+  if auditors = 0 then
+    degraded "all %d auditing devices failed before the spot-check" auditing_devices;
+  for _ = 1 to t.Trace.audit_devices_failed do
+    Fault.record_recovery ctx.inj Fault.Audit_failure
+  done;
+  let challenges =
+    auditors * Audit.challenges_per_device ~steps ~devices:auditors ~p_max:audit_p_max
+  in
+  spn ctx.cfg
+    ~args:[ ("auditors", J.Int auditors); ("challenges", J.Int challenges) ]
     "audit"
     (fun () ->
-      for _ = 1 to auditors * k do
-        let i = Arb_util.Rng.int rng steps in
-        let leaf, proof = Audit.respond audit i in
-        trace.Trace.audits_performed <- trace.Trace.audits_performed + 1;
-        if not (Audit.check ~root:audit_root ~leaf proof) then begin
-          audit_ok := false;
-          trace.Trace.audits_failed <- trace.Trace.audits_failed + 1
-        end
+      for _ = 1 to challenges do
+        let leaf, proof = Audit.respond audit (Arb_util.Rng.int ctx.rng steps) in
+        t.Trace.audits_performed <- t.Trace.audits_performed + 1;
+        if not (Audit.check ~root ~leaf proof) then
+          t.Trace.audits_failed <- t.Trace.audits_failed + 1
       done);
+  (root, t.Trace.audits_failed = 0)
+
+let execute cfg ~query ~plan ~src =
+  let ctx =
+    {
+      cfg;
+      rng = Arb_util.Rng.create cfg.seed;
+      trace = Trace.create ();
+      inj = Fault.create ~seed:cfg.seed cfg.faults;
+    }
+  in
+  let trace = ctx.trace and inj = ctx.inj in
+  let sh = prepare ctx ~query ~plan ~src in
+  let assignment = sortition ctx sh in
+  let committee = select_committee ctx assignment in
+  let sk, pk, certificate =
+    keygen ctx sh ~committee ~registry_root:assignment.C.Sortition.registry_root
+  in
+  let certificate_ok = check_certificate ctx sh certificate in
+  let audit = Audit.create () in
+  let intake = inject_residual ctx sh ~pk audit (inputs ctx sh ~pk ~certificate audit) in
+  let sum_cts = sum_tree ctx sh audit intake in
+  check_sortition ctx sh committee;
+  let in_window = sample_window ctx sh in
+  let sum_cts = mask ctx sh ~sk ~pk ~in_window audit sum_cts in
+  let sums = category_sums sh ~in_window audit (decrypt ctx sh ~sk sum_cts) in
+  let eng_ops = E.create ~parties:cfg.committee_size ctx.rng () in
+  let shared_db_sums = vsr_handoff ctx eng_ops sums in
+  let outputs = interpret ctx sh eng_ops ~included:intake.included shared_db_sums in
+  let audit_root, audit_ok = run_audit ctx audit in
   (* Wall-clock estimates for the committee MPCs under the configured
      network profile: rounds measured from the real share-level execution,
      per-round compute from the simulated ops (§7.5 methodology). *)
   let committee_wall_clock =
     List.map
       (fun kind ->
-        ( kind,
-          Trace.committee_wall_clock trace cfg.latency kind
-            ~compute_per_round:0.002 ))
+        (kind, Trace.committee_wall_clock trace cfg.latency kind ~compute_per_round:0.002))
       [ Trace.Keygen; Trace.Decryption; Trace.Operations ]
   in
   trace.Trace.faults_injected <- Fault.injected_named inj;
@@ -1430,77 +1377,46 @@ let execute_inner cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~sr
   if Fault.total_injected inj > 0 then
     Log.info (fun m -> m "fault plan absorbed: %a" Fault.pp inj);
   {
-    outputs = List.rev st.outputs;
+    outputs;
     trace;
     certificate;
     certificate_ok;
     audit_root;
-    audit_ok = !audit_ok;
-    accepted_inputs = !accepted;
-    rejected_inputs = !rejected;
-    budget_left = certificate.Setup.budget_left;
+    audit_ok;
+    accepted_inputs = intake.accepted;
+    rejected_inputs = intake.rejected;
     committee_wall_clock;
   }
 
-let execute_source cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t)
-    ~src =
-  match cfg.tracer with
-  | None -> execute_inner cfg ~query ~plan ~src
-  | Some t ->
-      (* with_span closes the root span even when the run fails closed, so
-         aborted executions still serialize as well-nested traces. *)
-      Arb_obs.Tracer.with_span t ~cat:"runtime"
-        ~args:
-          [
-            ("query", Arb_util.Json.String query.Arb_queries.Registry.name);
-            ("n", Arb_util.Json.Int src.n_devices);
-            ("crypto", Arb_util.Json.String (Plan.crypto_name plan.Plan.crypto));
-            ("seed", Arb_util.Json.String (Int64.to_string cfg.seed));
-          ]
-        "exec"
-        (fun () -> execute_inner cfg ~query ~plan ~src)
-
-let execute cfg ~query ~plan ~db =
-  execute_source cfg ~query ~plan ~src:(source_of_db db)
-
-type failure = { stage : string; reason : string }
-
-let pp_failure fmt f = Format.fprintf fmt "[%s] %s" f.stage f.reason
-
-let run_source cfg ~query ~plan ~src =
-  match execute_source cfg ~query ~plan ~src with
-  | report ->
-      (* Fail closed: outputs are released only when both the budget
-         certificate and the audit spot-checks verified. *)
-      if not report.certificate_ok then
-        Error
-          { stage = "certificate"; reason = "budget certificate failed to verify" }
-      else if not report.audit_ok then
-        Error
-          {
-            stage = "audit";
-            reason = "audit spot-checks failed; outputs withheld";
-          }
-      else Ok report
-  | exception Execution_degraded m -> Error { stage = "degraded"; reason = m }
-  | exception Execution_error m -> Error { stage = "execute"; reason = m }
-  | exception E.Cheating_detected m -> Error { stage = "mpc"; reason = m }
+let run_source cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~src =
+  let args =
+    [
+      ("query", J.String query.Arb_queries.Registry.name);
+      ("n", J.Int src.n_devices);
+      ("crypto", J.String (Plan.crypto_name plan.Plan.crypto));
+      ("seed", J.String (Int64.to_string cfg.seed));
+    ]
+  in
+  (* The root span closes even when the run fails closed, so aborted
+     executions still serialize as well-nested traces. Outputs are
+     released only when both the budget certificate and the audit
+     spot-checks verified. *)
+  match spn cfg ~args "exec" (fun () -> execute cfg ~query ~plan ~src) with
+  | r when not r.certificate_ok ->
+      Error { stage = "certificate"; reason = "budget certificate failed to verify" }
+  | r when not r.audit_ok ->
+      Error
+        {
+          stage = "audit";
+          reason =
+            Printf.sprintf "%d of %d audit spot-checks failed; outputs withheld"
+              r.trace.Trace.audits_failed r.trace.Trace.audits_performed;
+        }
+  | r -> Ok r
+  | exception Failed f -> Error f
+  | exception E.Cheating_detected reason -> Error { stage = "mpc"; reason }
   | exception Setup.Budget_exhausted ->
       Error { stage = "budget"; reason = "privacy budget exhausted" }
-
-let run cfg ~query ~plan ~db = run_source cfg ~query ~plan ~src:(source_of_db db)
-
-let plan_and_execute_source cfg ~query ~src =
-  let n = src.n_devices in
-  let result =
-    Arb_planner.Search.plan ~limits:Arb_planner.Constraints.no_limits ~query ~n ()
-  in
-  match result.Arb_planner.Search.plan with
-  | None -> err "planner found no plan"
-  | Some plan -> execute_source cfg ~query ~plan ~src
-
-let plan_and_execute cfg ~query ~db =
-  plan_and_execute_source cfg ~query ~src:(source_of_db db)
 
 (* ---------------- calibration ground truth ---------------- *)
 

@@ -19,6 +19,18 @@
     hand-offs between logical committees are charged VSR costs on one
     engine per committee type rather than thousands of real committees.
 
+    {2 Stages}
+
+    {!run_source} runs one fixed pipeline of stages (DESIGN.md §5.2), each
+    under a span of the same name nested in a root [exec] span when a
+    tracer is configured: [sortition], [committee-select], [keygen],
+    [certificate-check], [inputs], [residual-inject] (sharded runs with
+    extrapolated cohorts only), [sum-tree] (plans that outsource the sum
+    to devices only), [sortition-check], [mask] (sampled FHE plans only),
+    [decrypt], [vsr-handoff], [interpret] (holding per-mechanism [laplace]
+    / [em] spans, and [sketch-noise] or [noise-committee] spans inside
+    [em]) and [audit].
+
     {2 Cohort sharding}
 
     At the paper's 10^8–10^9 device scale, materializing every device is
@@ -60,9 +72,6 @@ type config = {
   bgv_n : int;  (** simulation ring degree (raised if the query needs more slots) *)
   latency : Net.profile;
   seed : int64;
-  audit_p_max : float;
-  auditing_devices : int;  (** how many devices spot-check the aggregator *)
-  tamper_aggregator : bool;  (** test hook: Byzantine aggregator rewrites a step *)
   budget : Arb_dp.Budget.t;  (** standing privacy budget before this query *)
   block : string;  (** sortition randomness block B_i from the previous
       certificate (§5.1); "B0" for the trusted genesis *)
@@ -71,10 +80,7 @@ type config = {
       (** deterministic fault plan, driven by [seed]; {!Fault.no_faults}
           (the default) injects nothing *)
   tracer : Arb_obs.Tracer.t option;
-      (** when set, the pipeline emits a span tree (exec → sortition /
-          keygen / certificate-check / inputs / sortition-check / decrypt /
-          vsr-handoff / interpret / audit, with
-          per-mechanism and per-noise-committee spans inside [interpret]).
+      (** when set, the pipeline emits the span tree listed under Stages.
           Drive it with an {!Arb_obs.Clock.Simulated} clock and the spans
           sit on the protocol's simulated timeline (keygen/decrypt MPC
           estimates, upload latencies, per-vignette round costs); a
@@ -116,63 +122,33 @@ type report = {
   outputs : Arb_lang.Interp.value list;
   trace : Trace.t;
   certificate : Setup.certificate;
+      (** the signed query certificate; its [budget_left] is the standing
+          budget after this query *)
   certificate_ok : bool;
   audit_root : Arb_crypto.Sha256.digest;
   audit_ok : bool;
   accepted_inputs : int;
   rejected_inputs : int;
-  budget_left : Arb_dp.Budget.t;
   committee_wall_clock : (Trace.committee_kind * float) list;
       (** estimated wall-clock seconds per committee type under the
           configured network profile (§7.5 methodology: measured rounds x
           RTT + compute) *)
 }
 
-exception Execution_error of string
-
-exception Execution_degraded of string
-(** The run could not absorb its injected faults (lost device inputs, every
-    auditing device offline, …) and refuses to release outputs. *)
-
-val execute :
-  config ->
-  query:Arb_queries.Registry.query ->
-  plan:Arb_planner.Plan.t ->
-  db:int array array ->
-  report
-(** Run the query end to end over a concrete database (one row per
-    device). Raises {!Setup.Budget_exhausted} when the budget is short,
-    [Execution_error] for queries outside the runtime's supported shape,
-    [Execution_degraded] when faults exceeded the recovery budget, and
-    {!Arb_mpc.Engine.Cheating_detected} when share corruption exceeded the
-    robust-decoding radius. *)
-
-val execute_source :
-  config ->
-  query:Arb_queries.Registry.query ->
-  plan:Arb_planner.Plan.t ->
-  src:source ->
-  report
-(** {!execute} over an on-demand {!source} — the entry point for
-    population sizes that cannot be materialized. Same exceptions. *)
-
 type failure = { stage : string; reason : string }
-(** Where a run failed closed ("certificate", "audit", "degraded",
-    "execute", "mpc", "budget") and why. *)
+(** Where a run failed closed and why. Stages:
+    - ["execute"]: the run is outside the runtime's supported shape (too
+      few devices for the committees, a bad sharding, an uncertifiable
+      query, catastrophic churn, a failed sortition or VSR check);
+    - ["budget"]: the query's certified cost exceeds [config.budget];
+    - ["degraded"]: injected faults exceeded the recovery budget (a lost
+      device upload, every auditing device offline);
+    - ["mpc"]: share corruption beyond the robust-decoding radius;
+    - ["certificate"]: the budget certificate's signatures did not verify;
+    - ["audit"]: audit spot-checks failed (the reason counts them). *)
 
 val pp_failure : Format.formatter -> failure -> unit
-
-val run :
-  config ->
-  query:Arb_queries.Registry.query ->
-  plan:Arb_planner.Plan.t ->
-  db:int array array ->
-  (report, failure) result
-(** {!execute} with every fault path reified as a typed [Error] instead of
-    an exception, and the release gate applied: a report whose certificate
-    or audit checks failed becomes an [Error] too, so [Ok] always means
-    "outputs were legitimately released". The DP budget is only committed
-    by callers on [Ok] (see {!Session.run}). *)
+(** [[stage] reason]. *)
 
 val run_source :
   config ->
@@ -180,22 +156,12 @@ val run_source :
   plan:Arb_planner.Plan.t ->
   src:source ->
   (report, failure) result
-(** {!run} over an on-demand {!source}. *)
-
-val plan_and_execute :
-  config ->
-  query:Arb_queries.Registry.query ->
-  db:int array array ->
-  report
-(** Convenience: plan at the database's scale (no cost limits), then
-    execute. *)
-
-val plan_and_execute_source :
-  config ->
-  query:Arb_queries.Registry.query ->
-  src:source ->
-  report
-(** {!plan_and_execute} over an on-demand {!source}. *)
+(** Execute [plan] for [query] end to end over [src] — the only way to run
+    a plan. [Ok] always means the outputs were legitimately released:
+    every fault path, and a report whose certificate or audit checks
+    failed, comes back as an [Error] instead. The DP budget is only
+    committed by callers on [Ok] (see {!Session.run}). Callers holding a
+    database pass [source_of_db db]. *)
 
 val cost_samples :
   cm:Arb_planner.Cost_model.t ->

@@ -65,13 +65,13 @@ let run_with_plan t ?db ~plan query =
         { t.config with Exec.seed; budget = t.budget; block = block_used;
           query_id = t.index + 1 }
       in
-      (* Exec.run fails closed: any fault the runtime could not absorb
-         (and any certificate/audit failure) comes back as a typed
+      (* Exec.run_source fails closed: any fault the runtime could not
+         absorb (and any certificate/audit failure) comes back as a typed
          error. The session commits the budget and advances the chain
          only on Ok, so a failed query leaves everything intact. *)
-      match Exec.run config ~query ~plan ~db with
+      match Exec.run_source config ~query ~plan ~src:(Exec.source_of_db db) with
       | Ok report ->
-          t.budget <- report.Exec.budget_left;
+          t.budget <- report.Exec.certificate.Setup.budget_left;
           t.block <- report.Exec.certificate.Setup.next_block;
           t.index <- t.index + 1;
           let qr = { report; query_index = t.index; block_used } in

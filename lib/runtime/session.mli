@@ -38,7 +38,7 @@ val run : t -> Arb_queries.Registry.query -> (query_result, string) result
     unchanged — budget, block and index intact) when the budget cannot
     cover the query's certified cost, when certification fails, when the
     round limit R is exhausted, or when execution fails closed
-    ({!Exec.run}: unabsorbed faults, detected cheating, failed audit or
+    ({!Exec.run_source}: unabsorbed faults, detected cheating, failed audit or
     certificate). *)
 
 val run_with_plan :

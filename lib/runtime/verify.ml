@@ -23,10 +23,11 @@ let verify_report ~query ~plan ~budget_before ~n_devices (report : Exec.report) 
   (match Arb_dp.Budget.charge budget_before ~cost:cert_report.Arb_lang.Certify.cost with
   | Some expected ->
       let close a b = Float.abs (a -. b) < 1e-9 in
+      let left = cert.Setup.budget_left in
       add "budget arithmetic"
-        (close expected.Arb_dp.Budget.epsilon report.Exec.budget_left.Arb_dp.Budget.epsilon
-        && close expected.Arb_dp.Budget.delta report.Exec.budget_left.Arb_dp.Budget.delta)
-        (Format.asprintf "left %a" Arb_dp.Budget.pp report.Exec.budget_left)
+        (close expected.Arb_dp.Budget.epsilon left.Arb_dp.Budget.epsilon
+        && close expected.Arb_dp.Budget.delta left.Arb_dp.Budget.delta)
+        (Format.asprintf "left %a" Arb_dp.Budget.pp left)
   | None ->
       add "budget arithmetic" false "the run should have been refused: cost exceeds the balance");
 

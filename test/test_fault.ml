@@ -58,9 +58,11 @@ let context =
         Hashtbl.add cache name c;
         c
 
+let exec cfg ~query ~plan ~db = R.Exec.run_source cfg ~query ~plan ~src:(R.Exec.source_of_db db)
+
 let exec_run ?(faults = Fault.no_faults) ?workers ~seed name =
   let q, db, plan = context name in
-  R.Exec.run (config ~seed ~faults ?workers ()) ~query:q ~plan ~db
+  exec (config ~seed ~faults ?workers ()) ~query:q ~plan ~db
 
 let clean_report ~seed name =
   match exec_run ~seed name with
@@ -117,7 +119,8 @@ let check_scenario ~name ~query ~seed spec =
         (Printf.sprintf "%s seed %Ld: absorbed faults leave the budget alone"
            name seed)
         true
-        (Arb_dp.Budget.equal clean.R.Exec.budget_left r.R.Exec.budget_left);
+        (Arb_dp.Budget.equal clean.R.Exec.certificate.R.Setup.budget_left
+           r.R.Exec.certificate.R.Setup.budget_left);
       checkb
         (Printf.sprintf "%s seed %Ld: released outputs imply audit ok" name seed)
         true
@@ -196,8 +199,35 @@ let test_tamper_always_detected () =
     (fun seed ->
       match exec_run ~faults:spec ~seed "top1" with
       | Ok _ -> Alcotest.fail "tampered aggregation must not release outputs"
-      | Error f -> checks "audit catches the tamper" "audit" f.R.Exec.stage)
+      | Error f ->
+          checks "audit catches the tamper" "audit" f.R.Exec.stage;
+          (* The reason counts the failed challenges: "F of N audit
+             spot-checks failed; ...". *)
+          checkb
+            (Printf.sprintf "failed challenges reported (%s)" f.R.Exec.reason)
+            true
+            (Scanf.sscanf f.R.Exec.reason "%d of %d " (fun failed total ->
+                 failed > 0 && failed <= total)))
     [ 1L; 2L; 3L ]
+
+(* Runs refused before any protocol step fail closed too, with a typed
+   stage rather than an exception: 12 devices cannot seat 5-member
+   committees, and epsilon 1000 does not fit a budget of 10. *)
+let test_refused_runs_fail_closed () =
+  let q, db, plan = context "top1" in
+  List.iter
+    (fun (cfg, db, stage, reason) ->
+      match exec cfg ~query:q ~plan ~db with
+      | Ok _ -> Alcotest.failf "a %s refusal must not release outputs" stage
+      | Error f ->
+          checks (stage ^ " stage") stage f.R.Exec.stage;
+          checks (stage ^ " reason") reason f.R.Exec.reason)
+    [
+      ( config (), Array.sub db 0 12, "execute",
+        "need at least 20 devices for 5-member committees" );
+      ( { (config ()) with R.Exec.budget = R.Exec.default_config.R.Exec.budget },
+        db, "budget", "privacy budget exhausted" );
+    ]
 
 let test_all_auditors_down_degrades () =
   let spec = { Fault.no_faults with Fault.audit_fail_p = 1.0 } in
@@ -253,7 +283,7 @@ let cohort_sharding = R.Exec.Sharded { cohort_size = 16; sampled_cohorts = 2 }
 
 let exec_run_sharded ?(faults = Fault.no_faults) ?(byz = 0.0) ~seed name =
   let q, db, plan = context name in
-  R.Exec.run
+  exec
     {
       (config ~seed ~faults ()) with
       R.Exec.sharding = cohort_sharding;
@@ -318,7 +348,7 @@ let test_cohort_chaos_byzantine_extrapolation () =
     (fun seed ->
       let q, db, plan = context "top1" in
       let full =
-        R.Exec.run
+        exec
           { (config ~seed ~faults:spec ()) with R.Exec.byzantine_fraction = 0.25 }
           ~query:q ~plan ~db
       in
@@ -879,6 +909,8 @@ let () =
             test_forced_dropout_at_round;
           Alcotest.test_case "backoff exhaustion fails closed" `Quick
             test_backoff_exhaustion_fails_closed;
+          Alcotest.test_case "refused runs fail closed" `Quick
+            test_refused_runs_fail_closed;
         ] );
       ( "cohort-chaos",
         [

@@ -89,7 +89,8 @@ let top1 ~devices ~workers =
     | None -> Alcotest.failf "no plan for top1 at %d devices" devices
   in
   fun () ->
-    match R.Exec.run { R.Exec.default_config with workers } ~query:q ~plan ~db with
+    let src = R.Exec.source_of_db db in
+    match R.Exec.run_source { R.Exec.default_config with workers } ~query:q ~plan ~src with
     | Ok _ -> ()
     | Error f -> Alcotest.failf "top1 failed: %a" R.Exec.pp_failure f
 

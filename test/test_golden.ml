@@ -180,7 +180,8 @@ let execution ~workers =
        | Some p -> p
        | None -> Alcotest.fail "no plan for top1 at 64 devices"
      in
-     match R.Exec.run { R.Exec.default_config with workers } ~query:q ~plan ~db with
+     let src = R.Exec.source_of_db db in
+     match R.Exec.run_source { R.Exec.default_config with workers } ~query:q ~plan ~src with
      | Ok report -> report
      | Error f -> Alcotest.failf "top1 failed: %a" R.Exec.pp_failure f)
 

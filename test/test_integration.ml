@@ -58,6 +58,10 @@ let test_plan_rejects_infeasible_limits () =
        false
      with A.Rejected _ -> true)
 
+let released = function
+  | Ok report -> report
+  | Error f -> Alcotest.failf "run failed closed: %a" Arb_runtime.Exec.pp_failure f
+
 let test_full_flow () =
   let q = simple_query () in
   let db = A.synthesize_database ~seed:3L ~skew:1.5 q ~n:96 in
@@ -68,7 +72,7 @@ let test_full_flow () =
       Arb_runtime.Exec.budget = Arb_dp.Budget.create ~epsilon:1000.0 ~delta:0.01;
     }
   in
-  let report = A.run ~config ~db planned in
+  let report = released (A.run ~config ~db planned) in
   let reference = A.reference_outputs ~db q in
   checki "one output" 1 (List.length report.Arb_runtime.Exec.outputs);
   (* At epsilon = 100 both must return the true mode. *)
@@ -113,7 +117,7 @@ let test_bounded_row_flow () =
       Arb_runtime.Exec.budget = Arb_dp.Budget.create ~epsilon:100_000.0 ~delta:0.1;
     }
   in
-  let report = A.run ~config ~db planned in
+  let report = released (A.run ~config ~db planned) in
   let want = Array.fold_left (fun acc row -> acc + row.(0)) 0 db in
   match report.Arb_runtime.Exec.outputs with
   | [ v ] ->
@@ -267,7 +271,7 @@ let prop_fuzz_execute_matches_reference =
           Arb_runtime.Exec.budget = Arb_dp.Budget.create ~epsilon:1.0e7 ~delta:0.9;
         }
       in
-      let report = A.run ~config ~db planned in
+      let report = released (A.run ~config ~db planned) in
       let reference = A.reference_outputs ~db q in
       List.length report.Arb_runtime.Exec.outputs = List.length reference
       &&
@@ -283,10 +287,10 @@ let prop_fuzz_execute_matches_reference =
 
 (* ---------------- differential: MPC runtime vs cleartext reference ----------------
 
-   Every registry query, executed end to end through the typed Exec.run
-   wrapper, must agree with the cleartext reference interpreter up to DP
-   noise: at epsilon 1000 integer outputs (em winners, medians, decisions)
-   are deterministic and compared exactly; noisy numeric outputs must land
+   Every registry query, executed end to end through Exec.run_source,
+   must agree with the cleartext reference interpreter up to DP noise: at
+   epsilon 1000 integer outputs (em winners, medians, decisions) are
+   deterministic and compared exactly; noisy numeric outputs must land
    within a small tolerance; secrecy-of-the-sample draws its own hidden
    window on each side, so only the magnitude is comparable.
 
@@ -337,7 +341,10 @@ let test_differential_all_registry_queries () =
           budget = Arb_dp.Budget.create ~epsilon:1.0e7 ~delta:0.9;
         }
       in
-      match Arb_runtime.Exec.run config ~query:q ~plan ~db with
+      match
+        Arb_runtime.Exec.run_source config ~query:q ~plan
+          ~src:(Arb_runtime.Exec.source_of_db db)
+      with
       | Error f ->
           Alcotest.fail
             (Format.asprintf "%s failed closed unexpectedly: %a" name

@@ -13,22 +13,31 @@ let checki = Alcotest.check Alcotest.int
 
 let big_budget = Arb_dp.Budget.create ~epsilon:1.0e7 ~delta:0.5
 
-let config ?(seed = 1L) ?(byz = 0.0) ?(tamper = false) () =
-  {
-    R.Exec.default_config with
-    R.Exec.seed;
-    byzantine_fraction = byz;
-    tamper_aggregator = tamper;
-    budget = big_budget;
-  }
+let config ?(seed = 1L) ?(byz = 0.0) () =
+  { R.Exec.default_config with R.Exec.seed; byzantine_fraction = byz; budget = big_budget }
 
-let run ?(n = 96) ?(epsilon = 1000.0) ?(seed = 1L) ?(byz = 0.0) ?(tamper = false) name =
+(* A Byzantine aggregator that rewrites a committed step on every run. *)
+let tampering = { R.Fault.no_faults with R.Fault.tamper_p = 1.0 }
+
+let plan_for q ~n =
+  Option.get (P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n ()).P.Search.plan
+
+let exec cfg ~query ~plan ~db = R.Exec.run_source cfg ~query ~plan ~src:(R.Exec.source_of_db db)
+
+let released = function
+  | Ok report -> report
+  | Error f -> Alcotest.failf "run failed closed: %a" R.Exec.pp_failure f
+
+let stage = function Ok _ -> "released" | Error f -> f.R.Exec.stage
+
+(* Plan at the database's scale (no cost limits), then execute. *)
+let plan_and_exec cfg ~query ~db =
+  exec cfg ~query ~plan:(plan_for query ~n:(Array.length db)) ~db
+
+let run ?(n = 96) ?(epsilon = 1000.0) ?(seed = 1L) ?(byz = 0.0) name =
   let q = Q.test_instance ~epsilon name in
   let db = Q.random_database (Rng.create 99L) q ~n () in
-  let report =
-    R.Exec.plan_and_execute (config ~seed ~byz ~tamper ()) ~query:q ~db
-  in
-  (q, db, report)
+  (q, db, released (plan_and_exec (config ~seed ~byz ()) ~query:q ~db))
 
 let first_int (report : R.Exec.report) =
   match report.R.Exec.outputs with
@@ -179,9 +188,9 @@ let test_budget_is_charged () =
   let db = Q.random_database (Rng.create 1L) q ~n:64 () in
   let budget = Arb_dp.Budget.create ~epsilon:5.0 ~delta:1.0e-3 in
   let cfg = { (config ()) with R.Exec.budget = budget } in
-  let report = R.Exec.plan_and_execute cfg ~query:q ~db in
+  let report = released (plan_and_exec cfg ~query:q ~db) in
   checkb "epsilon deducted" true
-    (report.R.Exec.budget_left.Arb_dp.Budget.epsilon < 5.0 -. 1.9)
+    (report.R.Exec.certificate.R.Setup.budget_left.Arb_dp.Budget.epsilon < 5.0 -. 1.9)
 
 let test_budget_exhaustion_refuses () =
   let q = Q.test_instance ~epsilon:2.0 "top1" in
@@ -189,11 +198,8 @@ let test_budget_exhaustion_refuses () =
   let cfg =
     { (config ()) with R.Exec.budget = Arb_dp.Budget.create ~epsilon:1.0 ~delta:1.0 }
   in
-  checkb "budget-exhausted refusal" true
-    (try
-       ignore (R.Exec.plan_and_execute cfg ~query:q ~db);
-       false
-     with R.Setup.Budget_exhausted -> true)
+  Alcotest.check Alcotest.string "budget-exhausted refusal" "budget"
+    (stage (plan_and_exec cfg ~query:q ~db))
 
 let test_byzantine_inputs_rejected () =
   let _, db, report = run ~n:128 ~byz:0.2 "top1" in
@@ -215,19 +221,19 @@ let test_audit_catches_tampering () =
   let _, _, honest = run "top1" in
   checkb "honest aggregator passes audit" true honest.R.Exec.audit_ok;
   checkb "honest audits performed" true (honest.R.Exec.trace.R.Trace.audits_performed > 0);
-  let _, _, tampered = run ~tamper:true "top1" in
-  checkb "tampering detected" false tampered.R.Exec.audit_ok;
-  checkb "failures recorded" true (tampered.R.Exec.trace.R.Trace.audits_failed > 0)
+  let q = Q.test_instance ~epsilon:1000.0 "top1" in
+  let db = Q.random_database (Rng.create 99L) q ~n:96 () in
+  Alcotest.check Alcotest.string "tampering detected" "audit"
+    (stage (plan_and_exec { (config ()) with R.Exec.faults = tampering } ~query:q ~db))
 
 let test_fhe_mask_path () =
   (* Force the FHE profile for secrecy: exercises real ciphertext-by-
      ciphertext multiplication plus relinearization in the pipeline. *)
   let q = Q.test_instance ~epsilon:1000.0 "secrecy" in
   let db = Q.random_database (Rng.create 2L) q ~n:96 () in
-  let r = P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:96 () in
-  let plan = Option.get r.P.Search.plan in
+  let plan = plan_for q ~n:96 in
   let fhe_plan = { plan with P.Plan.crypto = P.Plan.Fhe; sample_bins = Some 4 } in
-  let report = R.Exec.execute (config ()) ~query:q ~plan:fhe_plan ~db in
+  let report = released (exec (config ()) ~query:q ~plan:fhe_plan ~db) in
   checkb "fhe-masked run produces output" true (List.length report.R.Exec.outputs = 1);
   checkb "agg performed a homomorphic multiplication" true
     (report.R.Exec.trace.R.Trace.agg_he_muls > 0)
@@ -249,28 +255,30 @@ let test_deterministic_given_seed () =
   let _, _, r2 = run ~seed:42L "top1" in
   checkb "same outputs for same seed" true (r1.R.Exec.outputs = r2.R.Exec.outputs)
 
+(* The plan with its aggregation rewritten to the outsourced sum-tree form
+   (§4.3): devices sum their uploads in groups. *)
+let outsource (plan : P.Plan.t) =
+  {
+    plan with
+    P.Plan.vignettes =
+      List.map
+        (fun (v : P.Plan.vignette) ->
+          match (v.P.Plan.work, v.P.Plan.location) with
+          | P.Plan.W_he_sum w, P.Plan.Aggregator ->
+              { P.Plan.location = P.Plan.Committees 12; work = P.Plan.W_he_sum w }
+          | _ -> v)
+        plan.P.Plan.vignettes;
+  }
+
 let test_device_sum_tree_execution () =
   (* Rewrite the plan's aggregation to the outsourced sum-tree form and
      check the devices perform the additions while the answer is unchanged. *)
   let q = Q.test_instance ~epsilon:1000.0 "top1" in
   let db = Q.random_database (Rng.create 60L) q ~n:96 () in
-  let r = P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:96 () in
-  let plan = Option.get r.P.Search.plan in
-  let outsourced =
-    {
-      plan with
-      P.Plan.vignettes =
-        List.map
-          (fun (v : P.Plan.vignette) ->
-            match (v.P.Plan.work, v.P.Plan.location) with
-            | P.Plan.W_he_sum w, P.Plan.Aggregator ->
-                { P.Plan.location = P.Plan.Committees 12; work = P.Plan.W_he_sum w }
-            | _ -> v)
-          plan.P.Plan.vignettes;
-    }
-  in
-  let baseline = R.Exec.execute (config ~seed:9L ()) ~query:q ~plan ~db in
-  let treed = R.Exec.execute (config ~seed:9L ()) ~query:q ~plan:outsourced ~db in
+  let plan = plan_for q ~n:96 in
+  let outsourced = outsource plan in
+  let baseline = released (exec (config ~seed:9L ()) ~query:q ~plan ~db) in
+  let treed = released (exec (config ~seed:9L ()) ~query:q ~plan:outsourced ~db) in
   checkb "same answer either way" true
     (baseline.R.Exec.outputs = treed.R.Exec.outputs);
   checki "aggregator does no summation when outsourced" 0
@@ -288,25 +296,10 @@ let test_workers_byte_identical () =
      group folds also run on the worker pool. *)
   let q = Q.test_instance ~epsilon:1000.0 "top1" in
   let db = Q.random_database (Rng.create 61L) q ~n:96 () in
-  let r = P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:96 () in
-  let plan = Option.get r.P.Search.plan in
-  let outsourced =
-    {
-      plan with
-      P.Plan.vignettes =
-        List.map
-          (fun (v : P.Plan.vignette) ->
-            match (v.P.Plan.work, v.P.Plan.location) with
-            | P.Plan.W_he_sum w, P.Plan.Aggregator ->
-                { P.Plan.location = P.Plan.Committees 12; work = P.Plan.W_he_sum w }
-            | _ -> v)
-          plan.P.Plan.vignettes;
-    }
-  in
+  let plan = plan_for q ~n:96 in
+  let outsourced = outsource plan in
   let run_with ?(sharding = R.Exec.Full) plan workers =
-    R.Exec.execute
-      { (config ~seed:5L ()) with R.Exec.workers; sharding }
-      ~query:q ~plan ~db
+    released (exec { (config ~seed:5L ()) with R.Exec.workers; sharding } ~query:q ~plan ~db)
   in
   List.iter
     (fun plan ->
@@ -367,34 +360,48 @@ let test_sortition_spot_checks () =
     (report.R.Exec.trace.R.Trace.sortition_checks > 0)
 
 let test_stage_spans () =
-  (* Each protocol stage has one span under exec, the certificate check
-     included, and a deterministic-clock trace is byte-identical across
-     worker counts. *)
-  let q = Q.test_instance ~epsilon:1000.0 "top1" in
-  let db = Q.random_database (Rng.create 99L) q ~n:64 () in
-  let r = P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:64 () in
-  let plan = Option.get r.P.Search.plan in
-  let traced workers =
-    let tr = Arb_obs.Tracer.create ~clock:Arb_obs.Clock.Deterministic () in
-    ignore
-      (R.Exec.execute { (config ()) with R.Exec.tracer = Some tr; workers } ~query:q ~plan ~db);
-    tr
+  (* Each protocol stage has one span under exec, and a deterministic-clock
+     trace is byte-identical across worker counts. The conditional stages
+     run only for their plans: residual-inject for sharded runs with
+     extrapolated cohorts, sum-tree for outsourced sums, mask for sampled
+     FHE plans. *)
+  let unconditional =
+    [ "exec"; "sortition"; "committee-select"; "keygen"; "certificate-check"; "inputs";
+      "sortition-check"; "decrypt"; "vsr-handoff"; "interpret"; "audit" ]
+  and conditional = [ "residual-inject"; "sum-tree"; "mask" ] in
+  let check_spans ~label ?(sharding = R.Exec.Full) name ~plan ~expect =
+    let q = Q.test_instance ~epsilon:1000.0 name in
+    let db = Q.random_database (Rng.create 99L) q ~n:64 () in
+    let traced workers =
+      let tr = Arb_obs.Tracer.create ~clock:Arb_obs.Clock.Deterministic () in
+      let cfg = { (config ()) with R.Exec.tracer = Some tr; workers; sharding } in
+      ignore (released (exec cfg ~query:q ~plan:(plan (plan_for q ~n:64)) ~db));
+      tr
+    in
+    let tr = traced 1 in
+    let counts = List.map (fun (name, count, _) -> (name, count)) (Arb_obs.Tracer.totals tr) in
+    List.iter
+      (fun stage ->
+        checki
+          (Printf.sprintf "%s: %s spans" label stage)
+          (if List.mem stage unconditional || List.mem stage expect then 1 else 0)
+          (Option.value ~default:0 (List.assoc_opt stage counts)))
+      (unconditional @ conditional);
+    checkb (label ^ ": deterministic trace identical at 2 workers") true
+      (String.equal (Arb_obs.Tracer.to_string tr) (Arb_obs.Tracer.to_string (traced 2)))
   in
-  let tr = traced 1 in
-  let counts = List.map (fun (name, count, _) -> (name, count)) (Arb_obs.Tracer.totals tr) in
-  List.iter
-    (fun stage ->
-      checki (stage ^ " spans") 1 (Option.value ~default:0 (List.assoc_opt stage counts)))
-    [ "exec"; "sortition"; "keygen"; "certificate-check"; "inputs"; "sortition-check";
-      "decrypt"; "audit" ];
-  checkb "deterministic trace identical at 2 workers" true
-    (String.equal (Arb_obs.Tracer.to_string tr) (Arb_obs.Tracer.to_string (traced 2)))
+  check_spans ~label:"top1" "top1" ~plan:Fun.id ~expect:[];
+  check_spans ~label:"sharded outsourced FHE secrecy" "secrecy"
+    ~sharding:(R.Exec.Sharded { cohort_size = 16; sampled_cohorts = 2 })
+    ~plan:(fun p ->
+      { (outsource p) with P.Plan.crypto = P.Plan.Fhe; sample_bins = Some 4 })
+    ~expect:conditional
 
 let test_churn_reassignment () =
   let q = Q.test_instance ~epsilon:1000.0 "top1" in
   let db = Q.random_database (Rng.create 50L) q ~n:96 () in
   (* No churn: no reassignments. *)
-  let calm = R.Exec.plan_and_execute (config ~seed:5L ()) ~query:q ~db in
+  let calm = released (plan_and_exec (config ~seed:5L ()) ~query:q ~db) in
   checki "no reassignment without churn" 0
     calm.R.Exec.trace.R.Trace.committees_reassigned;
   (* Heavy churn: reassignments happen (or, rarely, the first committee
@@ -402,15 +409,11 @@ let test_churn_reassignment () =
   let stormy_cfg = { (config ~seed:6L ()) with R.Exec.churn = 0.7 } in
   let reassigned = ref 0 and completed = ref 0 in
   for seed = 1 to 8 do
-    match
-      R.Exec.plan_and_execute
-        { stormy_cfg with R.Exec.seed = Int64.of_int (100 + seed) }
-        ~query:q ~db
-    with
-    | report ->
+    match plan_and_exec { stormy_cfg with R.Exec.seed = Int64.of_int (100 + seed) } ~query:q ~db with
+    | Ok report ->
         incr completed;
         reassigned := !reassigned + report.R.Exec.trace.R.Trace.committees_reassigned
-    | exception R.Exec.Execution_error _ -> () (* catastrophic churn path *)
+    | Error f -> Alcotest.check Alcotest.string "catastrophic churn path" "execute" f.R.Exec.stage
   done;
   checkb "some runs complete under churn" true (!completed >= 2);
   checkb "reassignment path exercised" true (!reassigned > 0)
@@ -419,19 +422,16 @@ let test_catastrophic_churn_aborts () =
   let q = Q.test_instance ~epsilon:1000.0 "top1" in
   let db = Q.random_database (Rng.create 51L) q ~n:96 () in
   let cfg = { (config ~seed:7L ()) with R.Exec.churn = 1.0 } in
-  checkb "total churn aborts cleanly" true
-    (try
-       ignore (R.Exec.plan_and_execute cfg ~query:q ~db);
-       false
-     with R.Exec.Execution_error _ -> true)
+  Alcotest.check Alcotest.string "total churn aborts cleanly" "execute"
+    (stage (plan_and_exec cfg ~query:q ~db))
 
 let test_report_wall_clocks () =
   let q = Q.test_instance ~epsilon:1000.0 "top1" in
   let db = Q.random_database (Rng.create 97L) q ~n:96 () in
   let lan_cfg = { (config ~seed:18L ()) with R.Exec.latency = R.Net.lan } in
   let geo_cfg = { (config ~seed:18L ()) with R.Exec.latency = R.Net.geo_distributed } in
-  let lan = R.Exec.plan_and_execute lan_cfg ~query:q ~db in
-  let geo = R.Exec.plan_and_execute geo_cfg ~query:q ~db in
+  let lan = released (plan_and_exec lan_cfg ~query:q ~db) in
+  let geo = released (plan_and_exec geo_cfg ~query:q ~db) in
   List.iter2
     (fun (k1, t_lan) (k2, t_geo) ->
       checkb "same kinds" true (k1 = k2);
@@ -480,11 +480,8 @@ let test_runtime_rejects_uncertifiable () =
     in
     Option.get r.P.Search.plan
   in
-  checkb "uncertified query refused" true
-    (try
-       ignore (R.Exec.execute (config ()) ~query:q ~plan ~db);
-       false
-     with R.Exec.Execution_error _ -> true)
+  Alcotest.check Alcotest.string "uncertified query refused" "execute"
+    (stage (exec (config ()) ~query:q ~plan ~db))
 
 let test_multi_ciphertext_inputs () =
   (* More categories than a single ring holds: each device uploads several
@@ -492,7 +489,7 @@ let test_multi_ciphertext_inputs () =
   let q = Q.make ~epsilon:1000.0 ~name:"top1" ~c:160 () in
   let db = Q.random_database (Rng.create 80L) q ~n:96 ~skew:1.5 () in
   let cfg = { (config ~seed:11L ()) with R.Exec.bgv_n = 64 } in
-  let report = R.Exec.plan_and_execute cfg ~query:q ~db in
+  let report = released (plan_and_exec cfg ~query:q ~db) in
   let mode, _ = cleartext_mode db in
   checki "mode across 3 ciphertext chunks (160 slots / 64-ring)" mode
     (first_int report);
@@ -509,7 +506,7 @@ let test_multi_ciphertext_secrecy_fhe () =
   let fhe_plan = { plan with P.Plan.crypto = P.Plan.Fhe; sample_bins = Some 4 } in
   let cfg = { (config ~seed:12L ()) with R.Exec.bgv_n = 64 } in
   (* 40 cols x 4 bins = 160 slots -> 3 chunks at ring 64. *)
-  let report = R.Exec.execute cfg ~query:q ~plan:fhe_plan ~db in
+  let report = released (exec cfg ~query:q ~plan:fhe_plan ~db) in
   checkb "masked multi-chunk run produced one output" true
     (List.length report.R.Exec.outputs = 1);
   checkb "several homomorphic multiplications" true
@@ -521,7 +518,7 @@ let test_trace_agrees_with_cost_model_ordering () =
   let run_trace name =
     let q = Q.test_instance ~epsilon:2.0 name in
     let db = Q.random_database (Rng.create 95L) q ~n:96 () in
-    let report = R.Exec.plan_and_execute (config ~seed:16L ()) ~query:q ~db in
+    let report = released (plan_and_exec (config ~seed:16L ()) ~query:q ~db) in
     R.Trace.mpc_bytes report.R.Exec.trace R.Trace.Operations
   in
   let em_bytes = run_trace "top1" and lap_bytes = run_trace "bayes" in
@@ -548,7 +545,7 @@ let test_noise_committee_parallelism () =
               work = P.Plan.W_mpc_noise { kind = `Gumbel; count = 4 } } ];
     }
   in
-  let report = R.Exec.execute (config ~seed:17L ()) ~query:q ~plan:chunked ~db in
+  let report = released (exec (config ~seed:17L ()) ~query:q ~plan:chunked ~db) in
   let mode, _ = cleartext_mode db in
   checki "answer still the mode" mode (first_int report);
   (* 16 categories / chunk 4 = 4 noise committees + the main ops engine. *)
@@ -570,7 +567,7 @@ let test_verify_honest_run () =
   let plan = Option.get r.P.Search.plan in
   let budget_before = Arb_dp.Budget.create ~epsilon:5.0 ~delta:1e-3 in
   let cfg = { (config ~seed:13L ()) with R.Exec.budget = budget_before } in
-  let report = R.Exec.execute cfg ~query:q ~plan ~db in
+  let report = released (exec cfg ~query:q ~plan ~db) in
   let findings =
     R.Verify.verify_report ~query:q ~plan ~budget_before ~n_devices:96 report
   in
@@ -586,7 +583,7 @@ let test_verify_catches_wrong_plan () =
   let plan = Option.get r.P.Search.plan in
   let budget_before = Arb_dp.Budget.create ~epsilon:5.0 ~delta:1e-3 in
   let cfg = { (config ~seed:14L ()) with R.Exec.budget = budget_before } in
-  let report = R.Exec.execute cfg ~query:q ~plan ~db in
+  let report = released (exec cfg ~query:q ~plan ~db) in
   (* A swapped plan fails the commitment check. *)
   let other = { plan with P.Plan.em_variant = `Exponentiate } in
   let findings =
@@ -604,14 +601,17 @@ let test_verify_catches_tampered_audit () =
   let r = P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:96 () in
   let plan = Option.get r.P.Search.plan in
   let budget_before = Arb_dp.Budget.create ~epsilon:5.0 ~delta:1e-3 in
-  let cfg =
-    { (config ~seed:15L ~tamper:true ()) with R.Exec.budget = budget_before }
-  in
-  let report = R.Exec.execute cfg ~query:q ~plan ~db in
+  let cfg = { (config ~seed:15L ()) with R.Exec.budget = budget_before } in
+  let report = released (exec cfg ~query:q ~plan ~db) in
+  (* A run whose audit failed is never released, so the report a verifier
+     is handed here is the honest one with its audit verdict rewritten. *)
   let findings =
-    R.Verify.verify_report ~query:q ~plan ~budget_before ~n_devices:96 report
+    R.Verify.verify_report ~query:q ~plan ~budget_before ~n_devices:96
+      { report with R.Exec.audit_ok = false }
   in
-  checkb "tampered run fails verification" false (R.Verify.all_ok findings)
+  checkb "tampered run fails verification" false (R.Verify.all_ok findings);
+  checkb "exactly the audit check fails" true
+    (List.for_all (fun f -> f.R.Verify.ok = (f.R.Verify.check <> "aggregator audit")) findings)
 
 (* ---------------- sessions (query chains, §5.1-5.2) ---------------- *)
 
@@ -708,8 +708,8 @@ let test_sampled_vs_full_within_est_error () =
     let p_samp, m_samp = plan_with (Some 0.1) in
     checkb (name ^ ": tolerance winner samples devices") true
       (p_samp.P.Plan.device_sample <> None);
-    let full = R.Exec.execute_source sharded ~query:q ~plan:p_full ~src in
-    let samp = R.Exec.execute_source sharded ~query:q ~plan:p_samp ~src in
+    let full = released (R.Exec.run_source sharded ~query:q ~plan:p_full ~src) in
+    let samp = released (R.Exec.run_source sharded ~query:q ~plan:p_samp ~src) in
     let sums = Array.make q.Q.categories 0 in
     for i = 0 to n - 1 do
       Array.iteri (fun j v -> sums.(j) <- sums.(j) + v) (src.R.Exec.row i)

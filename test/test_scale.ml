@@ -50,16 +50,23 @@ let context =
         Hashtbl.add cache (name, n) c;
         c
 
-let run_mode ~name ~n ~seed ~byz sharding =
+let run_result ~name ~n ~seed ~byz sharding =
   let q, plan, src = context name n in
-  R.Exec.execute_source (config ~seed ~byz ~sharding ()) ~query:q ~plan ~src
+  R.Exec.run_source (config ~seed ~byz ~sharding ()) ~query:q ~plan ~src
+
+let run_mode ~name ~n ~seed ~byz sharding =
+  match run_result ~name ~n ~seed ~byz sharding with
+  | Ok report -> report
+  | Error f -> Alcotest.failf "%s failed closed: %a" name R.Exec.pp_failure f
+
+let budget_left (r : R.Exec.report) = r.R.Exec.certificate.R.Setup.budget_left
 
 (* The contract itself: everything the protocol releases is identical. *)
 let check_equivalent ~label full sharded =
   checkb (label ^ ": outputs bit-identical") true
     (full.R.Exec.outputs = sharded.R.Exec.outputs);
   checkb (label ^ ": budget deduction identical") true
-    (Arb_dp.Budget.equal full.R.Exec.budget_left sharded.R.Exec.budget_left);
+    (Arb_dp.Budget.equal (budget_left full) (budget_left sharded));
   checkb (label ^ ": certificate identical") true
     (full.R.Exec.certificate = sharded.R.Exec.certificate);
   checkb (label ^ ": both certificates verify") true
@@ -175,7 +182,7 @@ let prop_sharded_equals_full =
           (R.Exec.Sharded { cohort_size; sampled_cohorts })
       in
       full.R.Exec.outputs = sharded.R.Exec.outputs
-      && Arb_dp.Budget.equal full.R.Exec.budget_left sharded.R.Exec.budget_left
+      && Arb_dp.Budget.equal (budget_left full) (budget_left sharded)
       && full.R.Exec.certificate = sharded.R.Exec.certificate
       && full.R.Exec.accepted_inputs = sharded.R.Exec.accepted_inputs
       && full.R.Exec.rejected_inputs = sharded.R.Exec.rejected_inputs)
@@ -197,9 +204,9 @@ let prop_sharded_deterministic =
 
 let test_sharded_rejects_bad_config () =
   let bad sharding =
-    match run_mode ~name:"top1" ~n:64 ~seed:3L ~byz:0.0 sharding with
-    | exception R.Exec.Execution_error _ -> true
-    | _ -> false
+    match run_result ~name:"top1" ~n:64 ~seed:3L ~byz:0.0 sharding with
+    | Error f -> f.R.Exec.stage = "execute"
+    | Ok _ -> false
   in
   checkb "cohort_size 0 rejected" true
     (bad (R.Exec.Sharded { cohort_size = 0; sampled_cohorts = 1 }));
