@@ -1,126 +1,25 @@
-(* Benchmark entry point.
+(* Benchmark entry point: regenerates the tables and figures of the paper's
+   evaluation (§7).
 
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- --only fig9  -- one experiment
-     dune exec bench/main.exe -- --skip-micro -- skip the Bechamel pass
      dune exec bench/main.exe -- --smoke      -- tiny sizes (the bench-smoke
-                                                alias, run under dune runtest)
-
-   One Bechamel Test.make is registered per table/figure: it times the
-   experiment's core computation at a reduced size, so the micro pass stays
-   fast while the row-printing harness regenerates the full tables. *)
-
-open Bechamel
-open Toolkit
-
-let micro_tests () =
-  let rng = Arb_util.Rng.create 3L in
-  let q_small = Arb_queries.Registry.test_instance "top1" in
-  let q_med = Arb_queries.Registry.test_instance "median" in
-  let p = Arb_crypto.Bgv.ahe_params ~n:256 () in
-  let _sk, pk = Arb_crypto.Bgv.keygen p rng in
-  let ct = Arb_crypto.Bgv.encrypt pk rng [| 1; 2; 3 |] in
-  let strawman_n = 100_000 in
-  [
-    (* table1: strawman cost models *)
-    Test.make ~name:"table1:strawmen"
-      (Staged.stage (fun () ->
-           ignore (Arb_baselines.Baselines.fhe_only ~n:strawman_n ~cols:1000);
-           ignore (Arb_baselines.Baselines.all_to_all_mpc ~n:strawman_n)));
-    (* table2: parsing + line counting of all queries *)
-    Test.make ~name:"table2:parse-queries"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun n ->
-               ignore
-                 (Arb_lang.Ast.count_lines
-                    (Arb_queries.Registry.test_instance n).Arb_queries.Registry.program))
-             Arb_queries.Registry.names));
-    (* fig6/7/8 share the pricing machinery: one plan + combine *)
-    Test.make ~name:"fig6:price-plan"
-      (Staged.stage (fun () ->
-           ignore (Arb_planner.Search.plan ~query:q_small ~n:1_000_000 ())));
-    Test.make ~name:"fig7:committee-sizing"
-      (Staged.stage (fun () ->
-           ignore
-             (Arb_dp.Committee.min_size ~f:0.03 ~g:0.15 ~committees:1000
-                ~p1:1e-11)));
-    Test.make ~name:"fig8:he-add"
-      (Staged.stage (fun () -> ignore (Arb_crypto.Bgv.add ct ct)));
-    (* fig9: the planner itself on a mid-size query *)
-    Test.make ~name:"fig9:planner-median"
-      (Staged.stage (fun () ->
-           ignore (Arb_planner.Search.plan ~query:q_med ~n:1_000_000 ())));
-    (* fig10: planning under a binding limit *)
-    Test.make ~name:"fig10:plan-limited"
-      (Staged.stage (fun () ->
-           let limits =
-             Arb_planner.Constraints.with_agg_core_hours
-               Arb_planner.Constraints.evaluation_limits 1000.0
-           in
-           ignore (Arb_planner.Search.plan ~limits ~query:q_small ~n:(1 lsl 20) ())));
-    (* fig11: the power model's input — a committee MPC cost *)
-    Test.make ~name:"fig11:gumbel-sample"
-      (Staged.stage (fun () ->
-           let eng = Arb_mpc.Engine.create ~parties:5 rng () in
-           ignore (Arb_mpc.Fixpoint_mpc.gumbel eng ~scale:(Arb_util.Fixed.of_float 10.0))));
-    (* fig12: round counting for the heterogeneity model *)
-    Test.make ~name:"fig12:mpc-rounds"
-      (Staged.stage (fun () ->
-           let eng = Arb_mpc.Engine.create ~parties:7 rng () in
-           let a = Arb_mpc.Engine.input eng ~party:0 5 in
-           ignore (Arb_mpc.Engine.open_value eng (Arb_mpc.Engine.mul eng a a))));
-    (* e2e: a miniature full run *)
-    Test.make ~name:"e2e:sha256-merkle"
-      (Staged.stage (fun () ->
-           let t = Arb_crypto.Merkle.build [| "a"; "b"; "c"; "d" |] in
-           ignore (Arb_crypto.Merkle.verify ~root:(Arb_crypto.Merkle.root t) ~leaf:"c"
-                     (Arb_crypto.Merkle.prove t 2))));
-  ]
-
-let run_micro () =
-  print_endline "==================== Bechamel micro-benchmarks ====================";
-  let clock = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let grouped = Test.make_grouped ~name:"arboretum" (micro_tests ()) in
-  let raw = Benchmark.all cfg [ clock ] grouped in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let rendered =
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> Arb_util.Units.seconds_to_string (est *. 1e-9) ^ "/run"
-        | _ -> "(no estimate)"
-      in
-      rows := (name, rendered) :: !rows)
-    results;
-  List.iter
-    (fun (name, v) -> Printf.printf "  %-40s %s\n" name v)
-    (List.sort compare !rows)
+                                                alias, run under dune runtest) *)
 
 let () =
-  let only = ref None and skip_micro = ref false in
-  let args = Array.to_list Sys.argv in
+  let only = ref None in
   let rec parse = function
     | [] -> ()
     | "--only" :: v :: rest ->
         only := Some v;
-        parse rest
-    | "--skip-micro" :: rest ->
-        skip_micro := true;
         parse rest
     | "--smoke" :: rest ->
         Experiments.smoke := true;
         parse rest
     | _ :: rest -> parse rest
   in
-  parse args;
-  (match !only with
+  parse (Array.to_list Sys.argv);
+  match !only with
   | Some name -> (
       match List.assoc_opt name Experiments.all with
       | Some f -> f ()
@@ -128,6 +27,4 @@ let () =
           Printf.eprintf "unknown experiment %s; available: %s\n" name
             (String.concat ", " (List.map fst Experiments.all));
           exit 1)
-  | None ->
-      if not !skip_micro then run_micro ();
-      List.iter (fun (_, f) -> f ()) Experiments.all)
+  | None -> List.iter (fun (_, f) -> f ()) Experiments.all

@@ -94,8 +94,7 @@ let count_transform t extra =
 
 (* --- Reference kernels (seed implementation, hardware `mod`) ---
 
-   Kept verbatim as differential-test oracles and as the "pre-PR" baseline
-   the crypto_kernels bench measures speedups against. *)
+   Kept verbatim as differential-test oracles. *)
 
 let forward_reference t a =
   if Array.length a <> t.n then invalid_arg "Ntt.forward: wrong length";

@@ -54,9 +54,7 @@ val pointwise_add_into :
 (** {2 Reference kernels}
 
     The seed's hardware-[mod] butterflies, kept verbatim as differential
-    oracles for the qcheck bit-equality props and as the pre-PR baseline
-    the [crypto_kernels] bench measures speedups against. Not for
-    production use. *)
+    oracles for the qcheck bit-equality props. Not for production use. *)
 
 val forward_reference : plan -> int array -> unit
 val inverse_reference : plan -> int array -> unit

@@ -267,7 +267,7 @@ let save_json t path =
 (* Rebuild a registry from its [to_json] form. Help strings are not part of
    the JSON exposition, so they come back empty — values, labels, and
    bucket layouts round-trip exactly, which is all the snapshot store and
-   the bench summaries consume. *)
+   the calibration fit consume. *)
 let of_json json =
   match json with
   | J.List items -> (

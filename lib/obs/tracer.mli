@@ -65,6 +65,5 @@ val to_string : t -> string
 val save : t -> string -> unit
 
 val totals : t -> (string * int * float) list
-(** Per-span-name (count, total seconds), hottest first — the profiling
-    bench's top-k table. In deterministic mode "seconds" are logical
-    ticks. *)
+(** Per-span-name (count, total seconds), hottest first. In
+    deterministic mode "seconds" are logical ticks. *)

@@ -78,8 +78,8 @@ val plan :
     metrics are identical for every value. [incremental] (default true)
     selects delta pricing and the exact cut-offs; [false] re-prices the
     whole prefix at every node and every complete plan — the
-    pre-optimization behavior, kept for the planner_scaling benchmark and
-    as the reference the differential tests compare against.
+    pre-optimization behavior, kept only as the reference the
+    differential tests compare against.
 
     [tracer] records a plan → search → expand → price span tree: one
     "search" span per (crypto × bins) task carrying its node/prune/memo

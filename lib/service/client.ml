@@ -1,6 +1,6 @@
 (* A minimal blocking HTTP/1.1 client over Unix sockets: just enough for
-   the tests, the chaos suite, the service_load bench and the CLI to talk
-   to {!Server}. Keep-alive aware (one [conn] can carry many requests);
+   the tests, the chaos suite, the repository benchmark and the CLI to
+   talk to {!Server}. Keep-alive aware (one [conn] can carry many requests);
    every read is bounded by a deadline so a wedged server surfaces as
    [Error] rather than a hang. *)
 

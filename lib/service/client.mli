@@ -1,7 +1,7 @@
 (** A minimal blocking HTTP/1.1 client for tests, the chaos suite, the
-    [service_load] bench and the CLI. Keep-alive aware; every read is
-    bounded by a deadline so a wedged peer surfaces as [Error], never a
-    hang. *)
+    repository benchmark ([perfbench/]) and the CLI. Keep-alive aware;
+    every read is bounded by a deadline so a wedged peer surfaces as
+    [Error], never a hang. *)
 
 type conn
 

@@ -6,8 +6,8 @@
     ({!to_json} with [timings:false], the default) contains only
     deterministic fields: for a fixed workload and service seed it is
     byte-identical at any worker count, which the determinism property
-    tests and the [service_throughput] bench rely on. Wall-clock stage
-    timings are observability-only and must be requested explicitly. *)
+    tests rely on. Wall-clock stage timings are observability-only and
+    must be requested explicitly. *)
 
 type status =
   | Refused of string

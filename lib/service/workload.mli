@@ -1,5 +1,5 @@
 (** Workload files: a scripted stream of analyst submissions for
-    [arb serve] and the throughput bench.
+    [arb serve].
 
     A workload is versioned JSON ({!Arb_planner.Plan_io.format_version}):
 

@@ -29,8 +29,4 @@ let seconds_to_string s =
   else if Float.abs s < 24.0 *. hour then Printf.sprintf "%.1f h" (s /. hour)
   else Printf.sprintf "%.1f d" (s /. (24.0 *. hour))
 
-let si v =
-  scaled v
-    [ (1000.0, ""); (1000.0, "k"); (1000.0, "M"); (1000.0, "G"); (0.0, "T") ]
-
 let core_hours s = s /. hour

@@ -6,9 +6,6 @@ val bytes_to_string : float -> string
 val seconds_to_string : float -> string
 (** "7.1 s", "14.2 min", "9.8 h", "3.2 d". *)
 
-val si : float -> string
-(** Plain SI-scaled number: "1.3 G", "41.7 k". *)
-
 val core_hours : float -> float
 (** Seconds of single-core compute -> core-hours. *)
 

@@ -240,6 +240,58 @@ let test_fit_no_samples () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "zero-predicted samples must not fit"
 
+(* The loop end to end on real executions: one drain per query writes a
+   snapshot, the fit over that store at least halves the error it measures,
+   and re-running the same drains under the fitted model at least halves
+   the mean relative residual they record. *)
+let test_observe_fit_rerun () =
+  let module S = Arb_service in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "arb-test-cal-loop-%d" (Unix.getpid ()))
+  in
+  if Sys.file_exists (Arb_obs.Snapshot.file ~dir) then
+    Sys.remove (Arb_obs.Snapshot.file ~dir);
+  let drains ?calibration ?snapshots () =
+    let reg = M.create () in
+    List.iter
+      (fun query ->
+        let svc =
+          S.Service.create ~metrics:reg ?calibration
+            ?snapshots:(Option.map (fun d -> (d, query)) snapshots)
+            ~budget:(Arb_dp.Budget.create ~epsilon:1.0e6 ~delta:0.5)
+            ~devices:24 ~seed:11 ()
+        in
+        ignore
+          (S.Service.submit svc
+             { S.Workload.query; epsilon = 0.5; categories = None;
+               goal = P.Constraints.Min_part_exp_time; repeat = 1;
+               every = None; window = None; tolerance = None });
+        ignore (S.Service.drain svc))
+      [ "top1"; "median" ];
+    reg
+  in
+  let mean_residual reg =
+    match C.samples_of_registry reg with
+    | [] -> Alcotest.fail "no residual samples"
+    | samples ->
+        List.fold_left
+          (fun acc (_, p, m) ->
+            acc +. (Float.abs (p -. m) /. Float.max (Float.abs m) 1e-12))
+          0.0 samples
+        /. float_of_int (List.length samples)
+  in
+  let observed = mean_residual (drains ~snapshots:dir ()) in
+  match C.fit_snapshots ~dir () with
+  | Error m -> Alcotest.fail m
+  | Ok fitted ->
+      let prov = fitted.C.provenance in
+      checki "one run per query" 2 prov.C.p_runs;
+      checkb "fit halves its own error" true
+        (prov.C.p_err_after <= 0.5 *. prov.C.p_err_before);
+      checkb "re-run under the fit halves the residual" true
+        (mean_residual (drains ~calibration:fitted ()) <= 0.5 *. observed)
+
 let test_fingerprint_sensitivity () =
   let d0 = CM.default in
   let a = CM.fingerprint d0 in
@@ -278,5 +330,7 @@ let () =
             test_fit_no_samples;
           Alcotest.test_case "fingerprint sensitivity" `Quick
             test_fingerprint_sensitivity;
+          Alcotest.test_case "observe -> fit_snapshots -> re-run" `Quick
+            test_observe_fit_rerun;
         ] );
     ]

@@ -28,13 +28,28 @@ let win ?compose ~epochs ~epsilon ~delta () =
     w_compose = compose;
   }
 
-let fresh ?(epsilon = 1.0e6) ?(devices = 24) () =
+let fresh ?(epsilon = 1.0e6) ?(devices = 24) ?metrics () =
   let svc =
-    S.Service.create
+    S.Service.create ?metrics
       ~budget:(B.create ~epsilon ~delta:0.5)
       ~devices ~seed:11 ()
   in
   (svc, E.create ~service:svc ())
+
+(* A counter series as the registry's JSON exposition reports it; 0 when
+   the series was never registered. *)
+let counter reg ?(labels = []) name =
+  let key =
+    [ ("name", J.String name);
+      ("labels", J.Obj (List.map (fun (k, v) -> (k, J.String v)) labels)) ]
+  in
+  match
+    List.find_opt
+      (fun row -> List.for_all (fun (k, v) -> J.member k row = v) key)
+      (J.to_list (Arb_obs.Metrics.to_json reg))
+  with
+  | Some row -> int_of_float (J.to_float (J.member "value" row))
+  | None -> 0
 
 let register engine ?name s =
   match E.register engine ?name ~carry_state:true s with
@@ -156,7 +171,8 @@ let test_register () =
 (* ---------------- scheduling: cadence, revalidate, re-plan ---------------- *)
 
 let test_cadence_and_revalidation () =
-  let _svc, eng = fresh () in
+  let reg = Arb_obs.Metrics.create () in
+  let _svc, eng = fresh ~metrics:reg () in
   let a = register eng (sub ~epsilon:0.5 ~every:1 "top1") in
   let m = register eng (sub ~epsilon:0.4 ~every:2 "median") in
   let epochs = E.run_epochs eng 4 in
@@ -180,10 +196,15 @@ let test_cadence_and_revalidation () =
   let vm = view eng m in
   checki "median runs at half cadence" 2 vm.E.v_runs;
   checki "median cold once" 1 vm.E.v_cold;
-  checki "median revalidates once" 1 vm.E.v_revalidations
+  checki "median revalidates once" 1 vm.E.v_revalidations;
+  checki "cold-plan counter" 2 (counter reg "arb_continual_cold_plans_total");
+  checki "revalidation counter" 4
+    (counter reg "arb_continual_revalidations_total");
+  checki "epoch counter" 4 (counter reg "arb_continual_epochs_total")
 
 let test_drift_forces_one_replan () =
-  let _svc, eng = fresh () in
+  let reg = Arb_obs.Metrics.create () in
+  let _svc, eng = fresh ~metrics:reg () in
   let a = register eng (sub ~epsilon:0.5 ~every:1 "top1") in
   ignore (E.run_epochs eng 2);
   E.observe_population eng 48 (* 24 -> 48: 100% > the 20% threshold *);
@@ -203,7 +224,14 @@ let test_drift_forces_one_replan () =
       checkb "reason names calibration" true
         (String.length reason >= 11 && String.sub reason 0 11 = "calibration")
   | _ -> Alcotest.fail "calibration drift did not force exactly one re-plan");
-  checki "exactly two replans total" 2 (view eng a).E.v_replans
+  checkb "calibration fingerprint refreshed: next epoch revalidates" true
+    (List.filter_map planned_of (E.tick eng) = [ E.Revalidated ]);
+  checki "exactly two replans total" 2 (view eng a).E.v_replans;
+  List.iter
+    (fun reason ->
+      checki (reason ^ " re-plan counter") 1
+        (counter reg ~labels:[ ("reason", reason) ] "arb_continual_replans_total"))
+    [ "population drift"; "calibration drift" ]
 
 let test_tolerance_drift_forces_one_replan () =
   let _svc, eng = fresh () in
@@ -234,7 +262,8 @@ let test_tolerance_drift_forces_one_replan () =
 (* ---------------- window refusal and recovery ---------------- *)
 
 let test_window_refusal_and_recovery () =
-  let svc, eng = fresh () in
+  let reg = Arb_obs.Metrics.create () in
+  let svc, eng = fresh ~metrics:reg () in
   let c =
     register eng
       (sub ~epsilon:0.5 ~every:1
@@ -274,7 +303,9 @@ let test_window_refusal_and_recovery () =
             (B.equal er_refunded cost)
       | None -> Alcotest.fail "no recorded cost")
   | _ -> Alcotest.fail "expiry refund did not revive the session");
-  checki "exactly one refusal recorded" 1 (view eng c).E.v_window_refusals
+  checki "exactly one refusal recorded" 1 (view eng c).E.v_window_refusals;
+  checki "window-refusal counter" 1
+    (counter reg "arb_continual_window_refusals_total")
 
 (* ---------------- state carryover ---------------- *)
 

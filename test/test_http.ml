@@ -259,10 +259,13 @@ let test_e2e_concurrent_clients () =
 
 (* ---------------- the JSON API over sockets ---------------- *)
 
-let with_api ?(epsilon = 100.0) ?(api_config = S.Api.default_config) f =
-  let svc = service ~epsilon () in
-  let api = S.Api.create ~config:api_config ~service:svc () in
-  let server = S.Server.start ~handler:(S.Api.handler api) () in
+let with_api ?(epsilon = 100.0) ?(svc = service ~epsilon ())
+    ?(api_config = S.Api.default_config) ?(server_config = S.Server.default_config)
+    ?extra f =
+  let api = S.Api.create ~config:api_config ?extra ~service:svc () in
+  let server =
+    S.Server.start ~config:server_config ~handler:(S.Api.handler api) ()
+  in
   Fun.protect
     ~finally:(fun () ->
       S.Server.stop server;
@@ -505,16 +508,8 @@ let test_api_continual_routes () =
    with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
-  let api =
-    S.Api.create ~extra:(Arb_continual.Routes.handler engine) ~service:svc ()
-  in
-  let server = S.Server.start ~handler:(S.Api.handler api) () in
-  Fun.protect
-    ~finally:(fun () ->
-      S.Server.stop server;
-      S.Api.join api)
-    (fun () ->
-      let port = S.Server.port server in
+  with_api ~svc ~extra:(Arb_continual.Routes.handler engine)
+    (fun _svc _api port ->
       (* Recurring submissions are session-scoped: the one-shot endpoint
          rejects them with a pointer at /v1/sessions. *)
       (match
@@ -559,6 +554,134 @@ let test_api_continual_routes () =
           checkb "live window exposed" true
             (contains r.H.resp_body "\"windows\"")
       | Error m -> Alcotest.fail m)
+
+(* Recurring sessions ticked over POST /v1/epoch must leave the continual
+   records, the timing-free lifecycle records and the budget of the same
+   engine run in-process, whatever the server's worker count. *)
+let test_api_multi_epoch_equivalence () =
+  let module E = Arb_continual.Engine in
+  let epochs = 4 in
+  let run drive =
+    let svc = service () in
+    let engine = E.create ~service:svc () in
+    List.iter
+      (fun (name, carry_state, s) ->
+        match E.register engine ~name ~carry_state s with
+        | Ok _ -> ()
+        | Error m -> Alcotest.fail m)
+      [ ( "trend", true,
+          { (sub ~epsilon:0.5 "top1") with
+            every = Some 1;
+            window =
+              Some
+                { S.Workload.w_epochs = 3;
+                  w_budget = B.create ~epsilon:2.0 ~delta:1e-4;
+                  w_compose = None } } );
+        ("pulse", false, { (sub ~epsilon:0.4 "median") with every = Some 2 }) ];
+    drive svc engine;
+    ( String.concat "\n"
+        (List.map (fun v -> E.records_string v.E.v_history) (E.sessions engine)),
+      S.Lifecycle.records_to_string ~timings:false (S.Service.history svc),
+      S.Service.budget_left svc )
+  in
+  let cont, life, budget =
+    run (fun _svc engine -> ignore (E.run_epochs ~workers:2 engine epochs))
+  in
+  List.iter
+    (fun workers ->
+      let cont', life', budget' =
+        run (fun svc engine ->
+            with_api ~svc
+              ~server_config:{ S.Server.default_config with workers }
+              ~extra:(Arb_continual.Routes.handler ~workers:2 engine)
+              (fun _svc _api port ->
+                for _ = 1 to epochs do
+                  match S.Client.post ~host ~port ~body:"" "/v1/epoch" with
+                  | Ok r -> checki "epoch tick" 200 r.H.status
+                  | Error m -> Alcotest.fail m
+                done))
+      in
+      let at what = Printf.sprintf "%s at %d server workers" what workers in
+      checks (at "continual records") cont cont';
+      checks (at "lifecycle records") life life';
+      checkb (at "budget") true (B.equal budget budget'))
+    [ 1; 2; 4 ]
+
+(* All 520 connections are open before any of them sends, so the server
+   holds every one at once; each must still be answered, and a read-only
+   storm must not move the budget. *)
+let test_api_fan_in () =
+  let conns = 520 in
+  with_api (fun svc _api port ->
+      let before = S.Service.budget_left svc in
+      let opened =
+        List.init conns (fun _ ->
+            match S.Client.connect ~timeout_s:30.0 ~host ~port () with
+            | Ok c -> c
+            | Error m -> Alcotest.fail m)
+      in
+      List.iter
+        (fun c ->
+          match
+            S.Client.send_raw c "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n"
+          with
+          | Ok () -> ()
+          | Error m -> Alcotest.fail m)
+        opened;
+      let answered =
+        List.fold_left
+          (fun n c ->
+            let ok =
+              match S.Client.read_response ~deadline_s:60.0 c with
+              | Ok r -> r.H.status = 200
+              | Error _ -> false
+            in
+            S.Client.close c;
+            if ok then n + 1 else n)
+          0 opened
+      in
+      checki "every connection answered 200" conns answered;
+      checkb "budget unmoved" true (B.equal before (S.Service.budget_left svc)))
+
+(* Eight concurrent submitters against a budget that affords two. The
+   prescreen may admit a third while a drain releases its reservations,
+   but exactly two execute, the drain refuses every other 202, and the
+   spend is exactly the budget. *)
+let test_api_concurrent_backpressure () =
+  with_api ~epsilon:1.0 (fun svc _api port ->
+      let statuses =
+        List.init 8 (fun _ ->
+            Domain.spawn (fun () ->
+                match
+                  S.Client.post_json ~host ~port
+                    ~json:(submit_json (sub ~epsilon:0.5 "top1"))
+                    "/v1/queries"
+                with
+                | Ok r -> r.H.status
+                | Error _ -> 0))
+        |> List.map Domain.join
+      in
+      let count st = List.length (List.filter (( = ) st) statuses) in
+      checki "every status is 202 or 429" 8 (count 202 + count 429);
+      checkb "at least one 429" true (count 429 >= 1);
+      checkb "admitted submissions drained" true
+        (wait_until ~tries:2400 (fun () ->
+             S.Service.pending svc = 0
+             && List.length (S.Service.history svc) = count 202));
+      let executed, refused =
+        List.fold_left
+          (fun (e, r) rc ->
+            match rc.S.Lifecycle.status with
+            | S.Lifecycle.Executed _ -> (e + 1, r)
+            | S.Lifecycle.Refused _ -> (e, r + 1)
+            | _ -> (e, r))
+          (0, 0) (S.Service.history svc)
+      in
+      checki "exactly two executed" 2 executed;
+      checki "every other 202 refused at drain" (count 202 - 2) refused;
+      checkb "epsilon spent exactly" true
+        (Float.abs (S.Service.budget_left svc).B.epsilon <= 1e-9);
+      checkb "chain verifies" true (S.Service.chain_verifies svc))
 
 let () =
   Alcotest.run "http"
@@ -605,5 +728,10 @@ let () =
             test_api_continual_routes;
           Alcotest.test_case "calibration routes" `Quick
             test_api_calibration_routes;
+          Alcotest.test_case "multi-epoch HTTP == in-process engine" `Quick
+            test_api_multi_epoch_equivalence;
+          Alcotest.test_case "520-connection fan-in" `Quick test_api_fan_in;
+          Alcotest.test_case "concurrent backpressure" `Quick
+            test_api_concurrent_backpressure;
         ] );
     ]

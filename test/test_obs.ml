@@ -1,7 +1,8 @@
 (* Tests for the observability layer (lib/obs): metrics registry edge
-   cases, span tracer nesting, clock injection, and the deterministic-mode
-   canonical-bytes guarantees the profiling bench and the chaos suite
-   rely on. *)
+   cases, span tracer nesting (on synthetic span programs and on the
+   traces the planner and the runtime emit), clock injection, and the
+   deterministic-mode canonical-bytes guarantees the service and the
+   chaos suite rely on. *)
 
 module Obs = Arb_obs
 module M = Obs.Metrics
@@ -109,30 +110,36 @@ let test_metrics_json_matches_text_order () =
 
 (* --- tracer: structure and clocks --- *)
 
-(* The same structural check the profiling bench applies to trace files:
-   every complete event parses with the required fields and, per tid, spans
-   are disjoint or properly contained. *)
+(* The structural check a Chrome trace_event consumer relies on. Every
+   event has a non-empty name, a cat and a pid; ts and dur are
+   non-negative; instant events carry a scope; and per (pid, tid) the
+   complete events are disjoint or properly contained. A missing or
+   malformed field raises; overlapping spans return false. *)
 let well_nested json =
   let events = J.to_list json in
   let spans = Hashtbl.create 8 in
   List.iter
     (fun ev ->
+      if J.to_str (J.member "name" ev) = "" then failwith "empty event name";
+      ignore (J.to_str (J.member "cat" ev));
+      let key = (J.to_int (J.member "pid" ev), J.to_int (J.member "tid" ev)) in
       let ts = J.to_int (J.member "ts" ev) in
+      if ts < 0 then failwith "negative ts";
       match J.to_str (J.member "ph" ev) with
       | "X" ->
-          let tid = J.to_int (J.member "tid" ev) in
           let dur = J.to_int (J.member "dur" ev) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt spans tid) in
-          Hashtbl.replace spans tid ((ts, ts + dur) :: prev)
-      | "i" -> ()
+          if dur < 0 then failwith "negative dur";
+          let prev = Option.value ~default:[] (Hashtbl.find_opt spans key) in
+          Hashtbl.replace spans key ((ts, ts + dur) :: prev)
+      | "i" -> ignore (J.to_str (J.member "s" ev))
       | ph -> failwith ("unexpected ph " ^ ph))
     events;
   Hashtbl.fold
-    (fun _tid sps ok ->
+    (fun _key sps ok ->
       let sps =
         List.sort (fun (s1, e1) (s2, e2) -> compare (s1, -e1) (s2, -e2)) sps
       in
-      let ok_tid, _ =
+      let ok_thread, _ =
         List.fold_left
           (fun (ok, stack) (s, e) ->
             let stack = List.filter (fun (_, pe) -> pe > s) stack in
@@ -145,7 +152,7 @@ let well_nested json =
             (ok, (s, e) :: stack))
           (true, []) sps
       in
-      ok && ok_tid)
+      ok && ok_thread)
     spans true
 
 let test_deterministic_ticks () =
@@ -202,6 +209,41 @@ let test_graft_guard_and_splice () =
       checki "child tid" 9 (J.to_int (J.member "tid" ch));
       checki "child spliced ts" 2 (J.to_int (J.member "ts" ch))
   | _ -> Alcotest.fail "expected two events"
+
+(* A planner search of paper top1 at N = 10^9, traced and metered. *)
+let test_planner_trace () =
+  let t = Tr.create () and reg = M.create () in
+  let r =
+    Arb_planner.Search.plan ~tracer:t ~metrics:reg
+      ~query:(Arb_queries.Registry.paper_instance "top1") ~n:1_000_000_000 ()
+  in
+  checkb "search spans recorded" true
+    (List.exists (fun (name, _, _) -> name = "search") (Tr.totals t));
+  checkb "planner trace well nested" true (well_nested (J.of_string (Tr.to_string t)));
+  let stats = r.Arb_planner.Search.stats in
+  checkb "node counter matches the search" true
+    (M.value_at reg "arb_planner_nodes_total"
+    = Some (float_of_int stats.Arb_planner.Search.prefixes));
+  checkb "plan counter matches the search" true
+    (M.value_at reg "arb_planner_plans_total"
+    = Some (float_of_int stats.Arb_planner.Search.full_plans))
+
+(* An execution of top1 on 32 devices, traced on the simulated clock. *)
+let test_exec_trace () =
+  let sim = Obs.Clock.sim () in
+  let t = Tr.create ~clock:(Obs.Clock.Simulated sim) () in
+  let q = Arb_queries.Registry.test_instance ~epsilon:2.0 "top1" in
+  let db = Arb_queries.Registry.random_database (Arb_util.Rng.create 17L) q ~n:32 () in
+  let config =
+    { Arb_runtime.Exec.default_config with
+      Arb_runtime.Exec.budget = Arb_dp.Budget.create ~epsilon:100.0 ~delta:1e-3;
+      tracer = Some t }
+  in
+  (match Arboretum.run ~config ~db (Arboretum.plan ~n:32 q) with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "run failed closed: %a" Arb_runtime.Exec.pp_failure f);
+  checkb "protocol time advanced" true (sim.Obs.Clock.sim_now > 0.0);
+  checkb "runtime trace well nested" true (well_nested (J.of_string (Tr.to_string t)))
 
 (* --- qcheck properties --- *)
 
@@ -450,6 +492,10 @@ let () =
             test_simulated_clock_spans;
           Alcotest.test_case "graft guard + deterministic splice" `Quick
             test_graft_guard_and_splice;
+          Alcotest.test_case "planner trace well nested" `Quick
+            test_planner_trace;
+          Alcotest.test_case "simulated-clock runtime trace well nested" `Quick
+            test_exec_trace;
         ] );
       ( "properties",
         [

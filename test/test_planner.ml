@@ -721,22 +721,24 @@ let test_tolerance_byte_identity () =
 let test_tolerance_admits_cheaper_winner () =
   let q = Q.paper_instance "top1" in
   let goal = P.Constraints.Min_part_exp_time in
-  let run tol =
-    let limits = P.Constraints.with_error_tolerance P.Constraints.no_limits tol in
-    match
-      (P.Search.plan ~goal ~limits ~query:q ~n:paper_n ()).P.Search.metrics
-    with
-    | Some m -> m
-    | None -> Alcotest.fail "no plan"
-  in
-  let m_exact = run None and m_approx = run (Some 0.1) in
-  checkb "exact winner carries zero est_error" true
-    (m_exact.Cm.est_error = 0.0);
-  checkb "approx winner within tolerance" true
-    (m_approx.Cm.est_error > 0.0 && m_approx.Cm.est_error <= 0.1);
-  checkb "approx winner at least 10x cheaper" true
-    (P.Constraints.goal_value goal m_approx
-    <= 0.1 *. P.Constraints.goal_value goal m_exact)
+  List.iter
+    (fun (n, tol) ->
+      let run tol =
+        let limits = P.Constraints.with_error_tolerance P.Constraints.no_limits tol in
+        match (P.Search.plan ~goal ~limits ~query:q ~n ()).P.Search.metrics with
+        | Some m -> m
+        | None -> Alcotest.fail "no plan"
+      in
+      let m_exact = run None and m_approx = run (Some tol) in
+      let at what = Printf.sprintf "%s (N=%d, tolerance %g)" what n tol in
+      checkb (at "exact winner carries zero est_error") true
+        (m_exact.Cm.est_error = 0.0);
+      checkb (at "approx winner within tolerance") true
+        (m_approx.Cm.est_error > 0.0 && m_approx.Cm.est_error <= tol);
+      checkb (at "approx winner at least 10x cheaper") true
+        (P.Constraints.goal_value goal m_approx
+        <= 0.1 *. P.Constraints.goal_value goal m_exact))
+    [ (paper_n, 0.1); (1_000_000, 0.05) ]
 
 let test_est_error_pricing_and_pruning () =
   (* The sampling term is 2/sqrt(phi*n), additive with vignette error;

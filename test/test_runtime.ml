@@ -681,7 +681,10 @@ let test_session_round_limit () =
 let test_sampled_vs_full_within_est_error () =
   (* The tolerance winner executes a PRF-derived device sample; its
      declassified answer must stay within the priced est_error bound of
-     the full run's answer, on both heavy hitters and quantiles. *)
+     the full run's answer, on both heavy hitters and quantiles. The
+     sample uploads about a phi share of the full run's bytes, spends less
+     budget (subsampling amplification), and replays byte for byte at
+     another worker count. *)
   let n = 20_000 in
   let goal = P.Constraints.Min_part_exp_time in
   let sharded =
@@ -710,6 +713,24 @@ let test_sampled_vs_full_within_est_error () =
       (p_samp.P.Plan.device_sample <> None);
     let full = released (R.Exec.run_source sharded ~query:q ~plan:p_full ~src) in
     let samp = released (R.Exec.run_source sharded ~query:q ~plan:p_samp ~src) in
+    let phi = Option.get p_samp.P.Plan.device_sample in
+    let upload r = r.R.Exec.trace.R.Trace.device_upload_bytes in
+    checkb (name ^ ": sampled upload within 2 phi of the full run's") true
+      (upload samp <= 2.0 *. phi *. upload full);
+    let spent r =
+      big_budget.Arb_dp.Budget.epsilon
+      -. r.R.Exec.certificate.R.Setup.budget_left.Arb_dp.Budget.epsilon
+    in
+    checkb (name ^ ": sampled run spends less epsilon") true (spent samp < spent full);
+    let samp2 =
+      released
+        (R.Exec.run_source { sharded with R.Exec.workers = 2 } ~query:q ~plan:p_samp ~src)
+    in
+    checkb (name ^ ": sampled outputs identical at 2 workers") true
+      (samp2.R.Exec.outputs = samp.R.Exec.outputs);
+    Alcotest.check Alcotest.string (name ^ ": sampled trace identical at 2 workers")
+      (Arb_util.Json.to_string (R.Trace.to_json samp.R.Exec.trace))
+      (Arb_util.Json.to_string (R.Trace.to_json samp2.R.Exec.trace));
     let sums = Array.make q.Q.categories 0 in
     for i = 0 to n - 1 do
       Array.iteri (fun j v -> sums.(j) <- sums.(j) + v) (src.R.Exec.row i)

@@ -574,9 +574,11 @@ let test_set_calibration_reprice () =
   checki "cache intact" cached (S.Cache.size (S.Service.cache t));
   checkb "fingerprint moved" true
     (S.Service.calibration_fingerprint t <> before);
-  checkb "repriced counter" true
-    (S.Service.calibration_fingerprint t
-     = mild.P.Calibration.fingerprint);
+  checks "installed fingerprint" mild.P.Calibration.fingerprint
+    (S.Service.calibration_fingerprint t);
+  checkb "repriced counter moved" true
+    (Arb_obs.Metrics.value_at reg "arb_service_cache_repriced_total"
+    = Some (float_of_int cached));
   (* An aggressive drift evicts; the next submission re-plans cold. *)
   let planned_before = (S.Service.counters t).S.Lifecycle.planned in
   let r2 = S.Service.set_calibration t (aggressive_calibration ()) in
@@ -610,12 +612,15 @@ let test_fixed_calibration_worker_identity () =
 
 (* With the drain's tracer also in the exec config (as both serve modes
    set it up), each execute span holds its execution's stage spans, and a
-   Deterministic clock keeps the bytes independent of the worker count. *)
+   Deterministic clock keeps the trace and metrics bytes independent of the
+   worker count. The pool-size gauge reports configuration, so it is the
+   one series left out of the comparison. *)
 let test_traced_drain_shows_exec_stages () =
   let run workers =
     let tr = Arb_obs.Tracer.create ~clock:Arb_obs.Clock.Deterministic () in
+    let reg = Arb_obs.Metrics.create () in
     let t =
-      S.Service.create
+      S.Service.create ~metrics:reg
         ~exec_config:{ Arb_runtime.Exec.default_config with tracer = Some tr; workers }
         ~budget:(B.create ~epsilon:100.0 ~delta:0.01)
         ~devices:32 ~seed:5 ()
@@ -624,11 +629,17 @@ let test_traced_drain_shows_exec_stages () =
       (fun q -> ignore (S.Service.submit t (sub ~epsilon:0.5 q)))
       [ "top1"; "median"; "top1" ];
     ignore (S.Service.drain ~tracer:tr ~workers t);
-    (tr, (S.Service.counters t).S.Lifecycle.executed)
+    let metrics =
+      String.split_on_char '\n' (Arb_obs.Metrics.to_prometheus reg)
+      |> List.filter (fun l -> not (String.starts_with ~prefix:"arb_service_pool_workers" l))
+      |> String.concat "\n"
+    in
+    (Arb_obs.Tracer.to_string tr, metrics, (S.Service.counters t).S.Lifecycle.executed, tr)
   in
-  let tr, executed = run 1 in
-  checks "trace bytes identical at 1 and 2 workers" (Arb_obs.Tracer.to_string tr)
-    (Arb_obs.Tracer.to_string (fst (run 2)));
+  let trace, metrics, executed, tr = run 1 in
+  let trace2, metrics2, _, _ = run 2 in
+  checks "trace bytes identical at 1 and 2 workers" trace trace2;
+  checks "metrics bytes identical at 1 and 2 workers" metrics metrics2;
   checki "every submission executed" 3 executed;
   let module J = Arb_util.Json in
   let spans name =
