@@ -158,11 +158,19 @@ let multiply_reference t a b =
    Forward: Cooley–Tukey decimation-in-time with merged psi twisting.
    Coefficients live in [0, 4p) between stages; each butterfly does one
    Barrett product against a precomputed float twiddle ratio (quotient
-   estimate off by at most one, a single conditional correction keeps the
-   product in [0, 2p)) and defers the rest of the reduction. A final pass
-   normalizes to the canonical [0, p), so results are bit-identical to the
-   reference kernels. Overflow-safe because plan enforces p <= 2^30:
-   v*w < 4p*p <= 2^62. *)
+   estimate off by at most one, a single correction keeps the product in
+   [0, 2p)) and defers the rest of the reduction. A final pass normalizes
+   to the canonical [0, p), so results are bit-identical to the reference
+   kernels. Overflow-safe because plan enforces p <= 2^30:
+   v*w < 4p*p <= 2^62.
+
+   Every correction is mask arithmetic, not a branch: whether a value
+   needs one depends on the data, so a branch would be mispredicted about
+   half the time. On a 63-bit int, [x asr 62] is all ones when x is
+   negative and zero otherwise, so [x + (m land (x asr 62))] adds m
+   exactly when x < 0; a test x >= m is made on x - m. *)
+let[@inline] add_if_neg m x = x + (m land (x asr 62))
+
 let forward t a =
   if Array.length a <> t.n then invalid_arg "Ntt.forward: wrong length";
   let p = t.p and p2 = t.p2 in
@@ -175,12 +183,10 @@ let forward t a =
       let wq = Array.unsafe_get psi_q (m' + i) in
       let j0 = 2 * i * l in
       for j = j0 to j0 + l - 1 do
-        let u = Array.unsafe_get a j in
-        let u = if u >= p2 then u - p2 else u in
+        let u = add_if_neg p2 (Array.unsafe_get a j - p2) in
         let v = Array.unsafe_get a (j + l) in
         let q = int_of_float (float_of_int v *. wq) in
-        let x = (v * w) - (q * p) in
-        let x = if x < 0 then x + p else x in
+        let x = add_if_neg p ((v * w) - (q * p)) in
         Array.unsafe_set a j (u + x);
         Array.unsafe_set a (j + l) (u - x + p2)
       done
@@ -189,9 +195,8 @@ let forward t a =
     len := l / 2
   done;
   for j = 0 to t.n - 1 do
-    let x = Array.unsafe_get a j in
-    let x = if x >= p2 then x - p2 else x in
-    Array.unsafe_set a j (if x >= p then x - p else x)
+    let x = add_if_neg p2 (Array.unsafe_get a j - p2) in
+    Array.unsafe_set a j (add_if_neg p (x - p))
   done;
   count_transform t 0
 
@@ -212,12 +217,10 @@ let inverse t a =
       for j = j0 to j0 + l - 1 do
         let u = Array.unsafe_get a j in
         let v = Array.unsafe_get a (j + l) in
-        let s = u + v in
-        Array.unsafe_set a j (if s >= p2 then s - p2 else s);
+        Array.unsafe_set a j (add_if_neg p2 (u + v - p2));
         let d = u - v + p2 in
         let q = int_of_float (float_of_int d *. wq) in
-        let x = (d * w) - (q * p) in
-        Array.unsafe_set a (j + l) (if x < 0 then x + p else x)
+        Array.unsafe_set a (j + l) (add_if_neg p ((d * w) - (q * p)))
       done
     done;
     m := m' / 2;
@@ -227,9 +230,8 @@ let inverse t a =
   for j = 0 to t.n - 1 do
     let x = Array.unsafe_get a j in
     let q = int_of_float (float_of_int x *. ninv_q) in
-    let r = (x * ninv) - (q * p) in
-    let r = if r < 0 then r + p else r in
-    Array.unsafe_set a j (if r >= p then r - p else r)
+    let r = add_if_neg p ((x * ninv) - (q * p)) in
+    Array.unsafe_set a j (add_if_neg p (r - p))
   done;
   count_transform t t.n
 

@@ -5,13 +5,16 @@ let check_len a b =
    BGV kernels' steady state allocates nothing; the allocating wrappers
    below stay for callers that want fresh arrays. *)
 
+(* The corrections are mask arithmetic, as in the NTT butterflies:
+   [d asr 62] is all ones exactly when d < 0, so adding [p land (d asr 62)]
+   reduces without a data-dependent branch. *)
 let add_into fld ~dst a b =
   check_len a b;
   check_len dst a;
   let p = fld.Field.p in
   for i = 0 to Array.length a - 1 do
-    let s = Array.unsafe_get a i + Array.unsafe_get b i in
-    Array.unsafe_set dst i (if s >= p then s - p else s)
+    let d = Array.unsafe_get a i + Array.unsafe_get b i - p in
+    Array.unsafe_set dst i (d + (p land (d asr 62)))
   done
 
 let sub_into fld ~dst a b =
@@ -20,7 +23,7 @@ let sub_into fld ~dst a b =
   let p = fld.Field.p in
   for i = 0 to Array.length a - 1 do
     let d = Array.unsafe_get a i - Array.unsafe_get b i in
-    Array.unsafe_set dst i (if d < 0 then d + p else d)
+    Array.unsafe_set dst i (d + (p land (d asr 62)))
   done
 
 let neg_into fld ~dst a =

@@ -121,9 +121,10 @@ let feed_bytes ctx data off len =
     ctx.buf_len <- !remaining
   end
 
-let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
+let feed_sub ctx s off len = feed_bytes ctx (Bytes.unsafe_of_string s) off len
+let feed ctx s = feed_sub ctx s 0 (String.length s)
 
-let finalize ctx =
+let finalize_into ctx out off =
   (* Padding, written into the block buffer: 0x80, zeros, then the message
      length in bits as a 64-bit big-endian integer in the last 8 bytes —
      in a block of its own when fewer than 9 bytes are left. *)
@@ -137,10 +138,13 @@ let finalize ctx =
   else Bytes.fill buf (n + 1) (55 - n) '\x00';
   Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total lsl 3));
   compress ctx buf 0;
-  let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
-  done;
+    Bytes.set_int32_be out (off + (4 * i)) (Int32.of_int ctx.h.(i))
+  done
+
+let finalize ctx =
+  let out = Bytes.create 32 in
+  finalize_into ctx out 0;
   Bytes.unsafe_to_string out
 
 let digest s =
@@ -150,24 +154,45 @@ let digest s =
 
 let digest_bytes b = digest (Bytes.to_string b)
 
-(* The padded key and the message stream through one context, so neither
-   the inner nor the outer input is ever built as a string. The pad is
-   flipped from ipad to opad in place: 0x36 lxor 0x5c = 0x6a. *)
-let hmac ~key msg =
+(* HMAC's first block is the padded key, so a key fixes the chaining state
+   after it on each side: [inner] after the ipad block, [outer] after the
+   opad block. A keyed MAC resumes from them, 64 bytes in, and never
+   compresses a pad again. *)
+type hmac_key = { inner : int array; outer : int array }
+
+let hmac_key key =
   let key = if String.length key > 64 then digest key else key in
   let pad = Bytes.make 64 '\x36' in
   String.iteri (fun i c -> Bytes.set pad i (Char.chr (Char.code c lxor 0x36))) key;
   let ctx = init () in
-  feed_bytes ctx pad 0 64;
-  feed ctx msg;
-  let inner = finalize ctx in
+  compress ctx pad 0;
+  let inner = Array.copy ctx.h in
+  (* Flip the pad from ipad to opad in place: 0x36 lxor 0x5c = 0x6a. *)
   for i = 0 to 63 do
     Bytes.set pad i (Char.chr (Char.code (Bytes.get pad i) lxor 0x6a))
   done;
-  reset ctx;
-  feed_bytes ctx pad 0 64;
-  feed ctx inner;
-  finalize ctx
+  Array.blit iv 0 ctx.h 0 8;
+  compress ctx pad 0;
+  { inner; outer = ctx.h }
+
+let resume ctx state =
+  Array.blit state 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 64
+
+(* The inner digest is written into [out] and fed back from there; the
+   outer digest then overwrites it. *)
+let hmac_keyed k msg =
+  let ctx = init () and out = Bytes.create 32 in
+  resume ctx k.inner;
+  feed ctx msg;
+  finalize_into ctx out 0;
+  resume ctx k.outer;
+  feed_bytes ctx out 0 32;
+  finalize_into ctx out 0;
+  Bytes.unsafe_to_string out
+
+let hmac ~key msg = hmac_keyed (hmac_key key) msg
 
 let to_hex d =
   let buf = Buffer.create 64 in

@@ -7,10 +7,11 @@
    the public digest and check revealed preimages against commitments.
 
    keygen derives all of that once and the secret keeps it, so signing
-   hashes only the message. *)
+   hashes only the message. Both 16 KiB blocks are written in place by one
+   SHA-256 context, reset between hashes. *)
 
 type secret = {
-  preimages : string array; (* s[b][i] at index b * 256 + i *)
+  preimages : Bytes.t; (* s[0][0] || ... || s[1][255]: s[b][i] at (b * 256 + i) * 32 *)
   commitments : string; (* c[0][0] || ... || c[1][255], 512 x 32 bytes *)
 }
 
@@ -22,22 +23,17 @@ let signature_bytes = 256
 (* "lamport|b|i|", the PRF input's prefix for s[b][i]. *)
 let prefixes = Array.init 512 (fun j -> Printf.sprintf "lamport|%d|%d|" (j / 256) (j mod 256))
 
-let preimage seed j =
-  let ctx = Sha256.init () in
-  Sha256.feed ctx prefixes.(j);
-  Sha256.feed ctx seed;
-  Sha256.finalize ctx
-
-(* The preimage array starts from a constant and is filled in place:
-   [Array.init] of fresh strings past 256 elements makes the runtime empty
-   the minor heap first (DESIGN.md §10). *)
 let keygen ~seed =
-  let preimages = Array.make 512 "" in
-  let commitments = Bytes.create (512 * 32) in
+  let preimages = Bytes.create (512 * 32) and commitments = Bytes.create (512 * 32) in
+  let ctx = Sha256.init () in
   for j = 0 to 511 do
-    let s = preimage seed j in
-    preimages.(j) <- s;
-    Bytes.blit_string (Sha256.digest s) 0 commitments (j * 32) 32
+    Sha256.reset ctx;
+    Sha256.feed ctx prefixes.(j);
+    Sha256.feed ctx seed;
+    Sha256.finalize_into ctx preimages (j * 32);
+    Sha256.reset ctx;
+    Sha256.feed_bytes ctx preimages (j * 32) 32;
+    Sha256.finalize_into ctx commitments (j * 32)
   done;
   let commitments = Bytes.unsafe_to_string commitments in
   { secret = { preimages; commitments }; public = Sha256.digest commitments }
@@ -48,22 +44,38 @@ let sign ~secret msg =
   let h = Sha256.digest msg in
   let buf = Buffer.create ((256 + 512) * 32) in
   for i = 0 to 255 do
-    Buffer.add_string buf secret.preimages.((msg_bit h i * 256) + i)
+    Buffer.add_subbytes buf secret.preimages (((msg_bit h i * 256) + i) * 32) 32
   done;
   Buffer.add_string buf secret.commitments;
   Buffer.contents buf
 
+(* [d] holds a digest; does it equal the 32 bytes of [s] from [off]? *)
+let digest_at d s off =
+  let rec go i = i = 32 || (Bytes.get d i = s.[off + i] && go (i + 1)) in
+  go 0
+
+(* One context and one 32-byte digest buffer serve every hash: the
+   commitment block and each revealed preimage are read at their offsets
+   in the signature. *)
 let verify ~public ~msg ~signature =
-  if String.length signature <> (256 + 512) * 32 then false
-  else
-    let commits = String.sub signature (256 * 32) (512 * 32) in
-    if not (String.equal (Sha256.digest commits) public) then false
-    else
-      let h = Sha256.digest msg in
-      let ok = ref true in
-      for i = 0 to 255 do
-        let revealed = String.sub signature (i * 32) 32 in
-        let expected = String.sub commits (((msg_bit h i * 256) + i) * 32) 32 in
-        if not (String.equal (Sha256.digest revealed) expected) then ok := false
-      done;
-      !ok
+  String.length signature = (256 + 512) * 32
+  && String.length public = 32
+  &&
+  let commits = 256 * 32 in
+  let ctx = Sha256.init () and d = Bytes.create 32 in
+  Sha256.feed_sub ctx signature commits (512 * 32);
+  Sha256.finalize_into ctx d 0;
+  digest_at d public 0
+  &&
+  let h = Sha256.digest msg in
+  let rec check i =
+    i = 256
+    || begin
+         Sha256.reset ctx;
+         Sha256.feed_sub ctx signature (i * 32) 32;
+         Sha256.finalize_into ctx d 0;
+         digest_at d signature (commits + (((msg_bit h i * 256) + i) * 32))
+       end
+       && check (i + 1)
+  in
+  check 0

@@ -11,10 +11,11 @@
     derives a fresh per-query key from a device's long-term seed. *)
 
 type secret
-(** Everything {!keygen} derived: the 512 per-bit preimages and the 16 KiB
-    commitment string (~32 KiB per one-time key), so {!sign} need not
-    derive them again. Still one-time: signing two messages with one key
-    reveals both preimages of every bit where their digests differ. *)
+(** Everything {!keygen} derived: the 512 per-bit preimages, kept as one
+    16 KiB buffer, and the 16 KiB commitment string (32 KiB per one-time
+    key), so {!sign} need not derive them again. Still one-time: signing
+    two messages with one key reveals both preimages of every bit where
+    their digests differ. *)
 
 type public = string
 (** Compact public key: SHA-256 digest of the 512 per-bit commitments. *)
@@ -25,7 +26,9 @@ val keygen : seed:string -> keypair
 (** Deterministic keypair from a seed; the runtime uses
     [seed = device_secret ^ query_tag] to get per-query one-time keys.
     Costs 1,281 SHA-256 compressions when the seed is at most 41 bytes:
-    512 preimages, 512 commitments and the 257-block public digest. *)
+    512 preimages, 512 commitments and the 257-block public digest. One
+    context, reset between hashes, writes the preimages and commitments
+    straight into their two buffers. *)
 
 val sign : secret:secret -> string -> string
 (** Deterministic signature (8 KiB + commitment material). Hashes only
@@ -33,6 +36,9 @@ val sign : secret:secret -> string -> string
     from the secret. *)
 
 val verify : public:public -> msg:string -> signature:string -> bool
+(** Hashes the signature's commitment block and each revealed preimage
+    where they lie in [signature], through one reused context: no
+    substring is built. *)
 
 val signature_bytes : int
 (** Wire size charged by the cost model (256, matching RSA-2048 as deployed

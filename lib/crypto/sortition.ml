@@ -7,13 +7,14 @@ type assignment = {
 
 let message ~block ~query_id = Printf.sprintf "%s|%d|0" block query_id
 
-let ticket device ~block ~query_id =
-  (* Deterministic signature, then hash. A keyed MAC stands in for the full
-     Lamport signature (same determinism, same unpredictability before the
-     block is revealed) so ranking a billion simulated devices stays cheap;
-     the runtime still produces and checks real Lamport signatures where
-     integrity matters (the query authorization certificate). *)
-  Sha256.digest (Sha256.hmac ~key:device.seed (message ~block ~query_id))
+(* Deterministic signature, then hash. A keyed MAC stands in for the full
+   Lamport signature (same determinism, same unpredictability before the
+   block is revealed) so ranking a billion simulated devices stays cheap;
+   the runtime still produces and checks real Lamport signatures where
+   integrity matters (the query authorization certificate). *)
+let seed_ticket seed msg = Sha256.digest (Sha256.hmac ~key:seed msg)
+
+let ticket device ~block ~query_id = seed_ticket device.seed (message ~block ~query_id)
 
 (* (ticket, id) pairs sorted by ticket, ties by id. The array starts from
    a constant and is filled in place: mapping straight to fresh tuples
@@ -89,14 +90,14 @@ module Registry = struct
   let create ~seed ~n =
     if n <= 0 then invalid_arg "Sortition.Registry.create: n <= 0";
     let n_blocks = (n + block_size - 1) / block_size in
-    let master = Printf.sprintf "reg|%Ld|%d" seed n in
+    let master = Sha256.hmac_key (Printf.sprintf "reg|%Ld|%d" seed n) in
     let block_seeds = Array.make n_blocks "" in
     (* Leaf = (block index, population, commitment to the block seed):
        enough for any third party holding the block seeds to recompute the
        root, without the tree ever being O(N). *)
     let leaves = Array.make n_blocks "" in
     for b = 0 to n_blocks - 1 do
-      block_seeds.(b) <- Sha256.hmac ~key:master (Printf.sprintf "blk|%d" b);
+      block_seeds.(b) <- Sha256.hmac_keyed master (Printf.sprintf "blk|%d" b);
       let size = min block_size (n - (b * block_size)) in
       leaves.(b) <-
         Printf.sprintf "%d|%d|%s" b size
@@ -124,13 +125,15 @@ module Registry = struct
   let ranked_blocks t ~block ~query_id =
     sort_tickets (n_blocks t) (fun b -> (block_ticket t b ~block ~query_id, b))
 
-  (* Members of block [b] in their within-block ticket order. *)
+  (* Members of block [b] in their within-block ticket order. Every member
+     seed is an HMAC under the block seed, so the block's key is prepared
+     once; each seed is then the same bytes {!device_seed} derives. *)
   let ranked_in_block t b ~block ~query_id =
     let lo = b * block_size in
+    let key = Sha256.hmac_key t.block_seeds.(b) and msg = message ~block ~query_id in
     Array.map snd
       (sort_tickets (block_population t b) (fun j ->
-           let id = lo + j in
-           (ticket (device t id) ~block ~query_id, id)))
+           (seed_ticket (Sha256.hmac_keyed key (string_of_int j)) msg, lo + j)))
 
   let select t ~block ~query_id ~committees ~size =
     if committees <= 0 || size <= 0 then invalid_arg "Sortition.select: bad shape";
@@ -186,6 +189,42 @@ module Registry = struct
           | _ -> None)
       | _ -> None
     end
+
+  (* [verify_member] for many ids at once: the block list is ranked once,
+     and each distinct block among the ids once. [start.(b)] is the global
+     rank of block [b]'s first member, for the blocks select reaches before
+     the seats are filled; every other block starts at [max_int]. *)
+  let verify_members t ~block ~query_id ~committees ~size ids =
+    let seats = committees * size in
+    let start = Array.make (n_blocks t) max_int in
+    let rb = ranked_blocks t ~block ~query_id in
+    let consumed = ref 0 and bi = ref 0 in
+    while !consumed < seats && !bi < Array.length rb do
+      let _, b = rb.(!bi) in
+      start.(b) <- !consumed;
+      consumed := !consumed + block_population t b;
+      incr bi
+    done;
+    (* Within-block rank of each member, per block ranked so far. *)
+    let ranks = Hashtbl.create 1 in
+    let rank_in b =
+      match Hashtbl.find_opt ranks b with
+      | Some r -> r
+      | None ->
+          let r = Array.make (block_population t b) 0 in
+          Array.iteri (fun j id -> r.(id - (b * block_size)) <- j)
+            (ranked_in_block t b ~block ~query_id);
+          Hashtbl.add ranks b r;
+          r
+    in
+    Array.map
+      (fun id ->
+        if id < 0 || id >= t.n || start.(id / block_size) >= seats then None
+        else
+          let b = id / block_size in
+          let r = start.(b) + (rank_in b).(id - (b * block_size)) in
+          if r < seats then Some (r / size) else None)
+      ids
 end
 
 let reassign_failed asg ~failed =

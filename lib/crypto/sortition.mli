@@ -92,4 +92,14 @@ module Registry : sig
   (** Third-party recomputation of a device's committee, touching only the
       ranked block list plus the device's own block. Agrees with
       {!Registry.select}. *)
+
+  val verify_members :
+    t -> block:string -> query_id:int -> committees:int -> size:int ->
+    int array -> int option array
+  (** [verify_members t ... ids] is [verify_member] of each id in turn —
+      its committee, or [None] for an unselected or out-of-range id — but
+      ranks the block list once and each distinct block among [ids] once,
+      where [verify_member] ranks both again for every id. It recomputes
+      from [t] and the block alone and shares nothing with
+      {!Registry.select}, so it stays an independent check. *)
 end

@@ -1097,17 +1097,17 @@ let sum_tree ctx sh audit intake =
   cts
 
 (* Devices spot-check the sortition: recompute a few members' committee
-   assignments from the public block and registry (§5.1). Each
-   recomputation is pure, so they fan out; the counter and the first
-   failure are read back in member order. *)
+   assignments from the public block and registry (§5.1), with one ranking
+   of their shared blocks. The check does not reuse the ranking behind
+   [committee]; the counter and the first failure are read in member
+   order. *)
 let check_sortition ctx sh committee =
   let cfg = ctx.cfg in
   let checks = min 8 (Array.length committee) in
   spn cfg "sortition-check" (fun () ->
       let verdicts =
-        Arb_util.Pool.map ~workers:cfg.workers checks (fun c ->
-            Setup.verify_member sh.pop ~block:cfg.block ~query_id:cfg.query_id
-              ~committees:n_committees ~size:cfg.committee_size ~id:committee.(c))
+        Setup.verify_members sh.pop ~block:cfg.block ~query_id:cfg.query_id
+          ~committees:n_committees ~size:cfg.committee_size (Array.sub committee 0 checks)
       in
       Array.iteri
         (fun c -> function

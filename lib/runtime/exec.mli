@@ -89,8 +89,7 @@ type config = {
   workers : int;
       (** Domains of the shared {!Arb_util.Pool} for the per-member and
           per-device stages: keygen (each member's one-time key and
-          signature), certificate-check (each signature),
-          sortition-check (each member's recomputation), inputs (each
+          signature), certificate-check (each signature), inputs (each
           device's draws from its own stream, row, proof and encryption)
           and the sum-tree group folds. Every session and fault-stream
           draw, verification, aggregation and trace counter stays on the

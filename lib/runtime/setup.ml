@@ -67,6 +67,10 @@ let verify_member pop ~block ~query_id ~committees ~size ~id =
   C.Sortition.Registry.verify_member pop.registry ~block ~query_id ~committees
     ~size ~id
 
+let verify_members pop ~block ~query_id ~committees ~size ids =
+  C.Sortition.Registry.verify_members pop.registry ~block ~query_id ~committees
+    ~size ids
+
 let certificate_payload cert =
   Printf.sprintf "cert|%d|%s|%s|%f|%f|%s|%s" cert.query_id
     (C.Sha256.to_hex cert.pk_digest)

@@ -84,6 +84,17 @@ val verify_member :
 (** Device-side spot-check of a committee assignment (two-level
     recomputation; agrees with {!run_sortition}). *)
 
+val verify_members :
+  population ->
+  block:string ->
+  query_id:int ->
+  committees:int ->
+  size:int ->
+  int array ->
+  int option array
+(** {!verify_member} of each id, from one ranking of the block list and
+    one of each distinct block among the ids. *)
+
 val certificate_payload : certificate -> string
 (** The signed byte string (everything except the signatures). *)
 

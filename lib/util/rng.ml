@@ -1,18 +1,30 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in an 8-byte buffer, read and written as a
+   raw int64. A mutable [int64] record field would hold a boxed Int64: every
+   draw would allocate a fresh box and store it through [caml_modify]. The
+   buffer's loads and stores stay unboxed, and with [mix] and [next_int64]
+   inlined a draw allocates nothing. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t 0 seed;
+  t
 
-let mix z =
+let[@inline] mix z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix s
 
 let split t =
   let s = next_int64 t in
@@ -26,42 +38,42 @@ let derive seed i =
   let z = mix (Int64.add seed (Int64.mul (Int64.of_int (i + 1)) golden_gamma)) in
   create (mix (Int64.logxor z golden_gamma))
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* Top 53 bits -> float in [0,1). *)
-let float01 t =
+let[@inline] float01 t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let uniform01 t =
+let[@inline] uniform01 t =
   let u = float01 t in
   if u <= 0.0 then 1.0 /. 9007199254740992.0 else u
 
 let float t bound = float01 t *. bound
 
+(* 62 uniform bits: shifting by 2 keeps the value within OCaml's 63-bit
+   native int without wrapping negative. *)
+let[@inline] draw62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* 62 uniform bits: shifting by 2 keeps the value within OCaml's 63-bit
-     native int without wrapping negative. *)
-  let draw () = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
-  if bound land (bound - 1) = 0 then draw () land (bound - 1)
-  else
-    let top = 1 lsl 62 in
-    let rec go () =
-      let r = draw () in
-      let v = r mod bound in
-      (* Reject the tail of the range to keep uniformity. *)
-      if r - v > top - bound then go () else v
-    in
-    go ()
+  if bound land (bound - 1) = 0 then draw62 t land (bound - 1)
+  else begin
+    (* Reject the tail of the range to keep uniformity: [limit] is
+       2^62 - bound, and the draws are uniform in [0, 2^62). *)
+    let limit = max_int - bound + 1 in
+    let r = ref (draw62 t) in
+    while !r - (!r mod bound) > limit do
+      r := draw62 t
+    done;
+    !r mod bound
+  end
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
   lo + int t (hi - lo + 1)
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let bits32 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
 
 let laplace t ~scale =
   let u = uniform01 t -. 0.5 in
@@ -90,10 +102,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
 
 let sample_without_replacement t k n =
   if k > n then invalid_arg "Rng.sample_without_replacement: k > n";

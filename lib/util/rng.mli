@@ -7,7 +7,11 @@
     each simulated device an independent stream. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit splitmix state, held unboxed in
+    an 8-byte buffer. A draw stores no pointer, so it never takes a write
+    barrier, and the integer draws allocate nothing. {!next_int64} and
+    {!uniform01} are marked for inlining, so a caller compiled against
+    this module's implementation gets its raw or float draw unboxed too. *)
 
 val create : int64 -> t
 (** [create seed] makes a fresh generator. Equal seeds give equal streams. *)
@@ -42,9 +46,6 @@ val uniform01 : t -> float
 
 val bool : t -> bool
 
-val bits32 : t -> int
-(** 30 uniform random bits as a non-negative int. *)
-
 val laplace : t -> scale:float -> float
 (** Sample from Laplace(0, scale). *)
 
@@ -62,9 +63,6 @@ val geometric : t -> p:float -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
 
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct indices from

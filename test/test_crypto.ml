@@ -103,6 +103,43 @@ let test_hmac_vectors () =
         "9e9e883a6d3f8f5cd739b8121380be13ef22893b7cc9c208d44dae4e957c3261" );
     ]
 
+let test_sha_context_reuse () =
+  (* One context, reset between messages, fed from an offset into a longer
+     string or buffer and finalized into a buffer at an offset, gives the
+     one-shot digest at every padding boundary. *)
+  let ctx = C.Sha256.init () and out = Bytes.make 40 '\xee' in
+  List.iter
+    (fun n ->
+      let msg = String.init n (fun i -> Char.chr ((i * 13) mod 256)) in
+      let padded = "xyz" ^ msg ^ "tail" in
+      C.Sha256.reset ctx;
+      C.Sha256.feed_sub ctx padded 3 n;
+      C.Sha256.finalize_into ctx out 5;
+      checks (Printf.sprintf "feed_sub length %d" n) (C.Sha256.to_hex (C.Sha256.digest msg))
+        (C.Sha256.to_hex (Bytes.sub_string out 5 32));
+      C.Sha256.reset ctx;
+      C.Sha256.feed_bytes ctx (Bytes.of_string padded) 3 n;
+      checks (Printf.sprintf "feed_bytes length %d" n) (C.Sha256.to_hex (C.Sha256.digest msg))
+        (C.Sha256.to_hex (C.Sha256.finalize ctx)))
+    [ 0; 1; 32; 55; 56; 63; 64; 65; 119; 120; 128; 1000 ];
+  checks "bytes around the digest untouched" "\xee\xee\xee\xee\xee\xee\xee\xee"
+    (Bytes.sub_string out 0 5 ^ Bytes.sub_string out 37 3)
+
+let test_hmac_keyed () =
+  (* A prepared key serves many messages, each equal to the one-shot
+     HMAC, for keys below, at and above the block size. *)
+  List.iter
+    (fun key ->
+      let k = C.Sha256.hmac_key key in
+      List.iter
+        (fun msg ->
+          checks
+            (Printf.sprintf "key %d bytes, msg %d bytes" (String.length key) (String.length msg))
+            (C.Sha256.to_hex (C.Sha256.hmac ~key msg))
+            (C.Sha256.to_hex (C.Sha256.hmac_keyed k msg)))
+        [ ""; "0"; "4095"; String.make 55 'm'; String.make 56 'm'; String.make 200 'm' ])
+    [ ""; "block-seed"; String.make 64 '\x5a'; String.make 131 '\xaa' ]
+
 let prop_sha_deterministic_and_sensitive =
   QCheck.Test.make ~name:"sha256 deterministic + bit-sensitive" ~count:100
     QCheck.(string_of_size (Gen.int_range 1 200))
@@ -397,6 +434,102 @@ let prop_poly_into_matches_allocating =
       C.Poly.scale_into fld ~dst 7 a;
       let ok_scale = C.Poly.equal dst (C.Poly.scale fld 7 a) in
       ok_add && ok_sub && ok_neg && ok_scale)
+
+(* ---- Oracles at the lazy-range edges. The properties above draw uniform
+   inputs, which rarely land where a correction switches on or off, and
+   the allocating Poly ops call the in-place ones. These check each kernel
+   against plain [mod] arithmetic on the boundary values themselves, for
+   every RNS prime and for 12289. ---- *)
+
+let edge_primes = 12289 :: bgv_rns_primes
+
+let boundary_residues p = [| 0; 1; 2; (p / 2) - 1; p / 2; (p / 2) + 1; p - 2; p - 1 |]
+
+(* Every ordered pair of boundary residues, then uniform filler: vectors of
+   length [n] with a.(i), b.(i) the i-th pair. *)
+let edge_pairs p n =
+  let vals = boundary_residues p in
+  let k = Array.length vals in
+  let rng = Rng.create (Int64.of_int p) in
+  let pick i = if i < k * k then (vals.(i / k), vals.(i mod k)) else (Rng.int rng p, Rng.int rng p) in
+  let pairs = Array.init n pick in
+  (Array.map fst pairs, Array.map snd pairs)
+
+let test_edge_poly_ops () =
+  List.iter
+    (fun p ->
+      let f = C.Field.create p in
+      let a, b = edge_pairs p 80 in
+      let expect op = Array.map2 (fun x y -> ((op x y mod p) + p) mod p) a b in
+      let dst = Array.make 80 0 in
+      C.Poly.add_into f ~dst a b;
+      checkb (Printf.sprintf "add_into p=%d" p) true (C.Poly.equal dst (expect ( + )));
+      C.Poly.sub_into f ~dst a b;
+      checkb (Printf.sprintf "sub_into p=%d" p) true (C.Poly.equal dst (expect ( - )));
+      let alias = Array.copy a in
+      C.Poly.add_into f ~dst:alias alias b;
+      checkb (Printf.sprintf "add_into aliased p=%d" p) true (C.Poly.equal alias (expect ( + ))))
+    edge_primes
+
+let test_edge_pointwise () =
+  List.iter
+    (fun p ->
+      let n = 64 in
+      let plan = C.Ntt.plan ~n ~p in
+      let a, b = edge_pairs p n in
+      let acc = Array.init n (fun i -> b.(n - 1 - i)) in
+      let dst = Array.make n 0 in
+      C.Ntt.pointwise_into plan ~dst a b;
+      checkb (Printf.sprintf "pointwise_into p=%d" p) true
+        (C.Poly.equal dst (Array.map2 (fun x y -> x * y mod p) a b));
+      let dst = Array.copy acc in
+      C.Ntt.pointwise_add_into plan ~dst a b;
+      checkb (Printf.sprintf "pointwise_add_into p=%d" p) true
+        (C.Poly.equal dst (Array.init n (fun i -> (acc.(i) + (a.(i) * b.(i) mod p)) mod p))))
+    edge_primes
+
+let test_edge_ntt () =
+  List.iter
+    (fun p ->
+      List.iter
+        (fun n ->
+          let plan = C.Ntt.plan ~n ~p in
+          let unit v i = Array.init n (fun j -> if j = i then v else 0) in
+          (* Coefficients drawn from the boundary residues alone: their lazy
+             partial sums land on the correction thresholds (2p - 1 against
+             2p) far more often than uniform draws do. *)
+          let vals = boundary_residues p and rng = Rng.create (Int64.of_int (p + n)) in
+          let vectors =
+            List.init 16 (fun k ->
+                (Printf.sprintf "boundary-valued #%d" k, Array.init n (fun _ -> vals.(Rng.int rng 8))))
+            @
+            [
+              ("all 0", Array.make n 0);
+              ("all p-1", Array.make n (p - 1));
+              ("alternating 0/p-1", Array.init n (fun i -> if i land 1 = 0 then 0 else p - 1));
+              ("alternating p-1/0", Array.init n (fun i -> if i land 1 = 0 then p - 1 else 0));
+            ]
+            @ List.concat
+                (List.init n (fun i ->
+                     [
+                       (Printf.sprintf "e%d" i, unit 1 i);
+                       (Printf.sprintf "(p-1)e%d" i, unit (p - 1) i);
+                     ]))
+          in
+          List.iter
+            (fun (name, v) ->
+              let check dir lazy_k ref_k =
+                let x = Array.copy v and y = Array.copy v in
+                lazy_k plan x;
+                ref_k plan y;
+                if not (C.Poly.equal x y) then
+                  Alcotest.failf "%s of %s differs from the reference, p=%d n=%d" dir name p n
+              in
+              check "forward" C.Ntt.forward C.Ntt.forward_reference;
+              check "inverse" C.Ntt.inverse C.Ntt.inverse_reference)
+            vectors)
+        [ 8; 64 ])
+    edge_primes
 
 (* ---------------- BGV ---------------- *)
 
@@ -1037,6 +1170,40 @@ let test_sortition_roughly_uniform () =
       checkb (Printf.sprintf "device %d frequency %d" i c) true (c > 40 && c < 115))
     counts
 
+(* [Registry.verify_members] against its oracle, [verify_member] per id.
+   The ids mix select's members, unselected ids (from the members' blocks
+   and others), repeats and out-of-range ids. *)
+let prop_verify_members_oracle =
+  QCheck.Test.make ~name:"Registry.verify_members = verify_member per id" ~count:10
+    QCheck.(
+      quad (int_bound 1_000_000) (int_bound 2) (pair (int_range 1 4) (int_range 1 5))
+        (pair small_nat (int_bound 1_000_000)))
+    (fun (seed, ni, (committees, size), (query_id, salt)) ->
+      let n = [| 64; 4097; 20_000 |].(ni) in
+      let reg = C.Sortition.Registry.create ~seed:(Int64.of_int seed) ~n in
+      let block = Printf.sprintf "B%d" salt in
+      let a = C.Sortition.Registry.select reg ~block ~query_id ~committees ~size in
+      let members = Array.concat (Array.to_list a.C.Sortition.committees) in
+      let last = members.(Array.length members - 1) in
+      (* The first id of the last member's block that select left out. *)
+      let unselected =
+        let rec go id = if Array.mem id members then go (id + 1) else id in
+        go (last / C.Sortition.Registry.block_size * C.Sortition.Registry.block_size)
+      in
+      let rng = Rng.create (Int64.of_int (seed + salt)) in
+      let ids =
+        [|
+          members.(0); last; unselected; Rng.int rng n; Rng.int rng n;
+          members.(Array.length members / 2); members.(0); -1; n; n + 4096;
+        |]
+      in
+      let oracle =
+        Array.map
+          (fun id -> C.Sortition.Registry.verify_member reg ~block ~query_id ~committees ~size ~id)
+          ids
+      in
+      C.Sortition.Registry.verify_members reg ~block ~query_id ~committees ~size ids = oracle)
+
 let () =
   Alcotest.run "arb_crypto"
     [
@@ -1047,6 +1214,8 @@ let () =
           Alcotest.test_case "incremental" `Quick test_sha_incremental;
           Alcotest.test_case "padding boundaries" `Quick test_sha_padding_boundaries;
           Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
+          Alcotest.test_case "context reuse at offsets" `Quick test_sha_context_reuse;
+          Alcotest.test_case "keyed hmac = hmac" `Quick test_hmac_keyed;
           qtest prop_sha_deterministic_and_sensitive;
         ] );
       ( "merkle",
@@ -1085,6 +1254,9 @@ let () =
           qtest prop_ntt_lazy_vs_reference;
           qtest prop_ntt_multiply_vs_naive_all_rns;
           qtest prop_poly_into_matches_allocating;
+          Alcotest.test_case "edges: add_into/sub_into vs mod" `Quick test_edge_poly_ops;
+          Alcotest.test_case "edges: pointwise vs mod" `Quick test_edge_pointwise;
+          Alcotest.test_case "edges: forward/inverse vs reference" `Quick test_edge_ntt;
         ] );
       ( "bgv",
         [
@@ -1144,6 +1316,7 @@ let () =
             test_sortition_block_changes_selection;
           Alcotest.test_case "disjoint committees" `Quick test_sortition_disjoint;
           Alcotest.test_case "verify_member" `Quick test_sortition_verify_member;
+          qtest prop_verify_members_oracle;
           Alcotest.test_case "churn reassignment" `Quick test_sortition_reassign;
           Alcotest.test_case "rejects" `Quick test_sortition_rejects;
           Alcotest.test_case "roughly uniform" `Slow test_sortition_roughly_uniform;

@@ -74,7 +74,11 @@ let sortition_4097 =
         with
         | Some 0 -> ()
         | _ -> Alcotest.failf "member %d failed verification" id)
-      a.C.Sortition.committees.(0)
+      a.C.Sortition.committees.(0);
+    Array.iter
+      (function Some 0 -> () | _ -> Alcotest.fail "verify_members rejected a member")
+      (R.Setup.verify_members pop ~block:"gate" ~query_id:1 ~committees:4 ~size:5
+         a.C.Sortition.committees.(0))
 
 let top1 ~devices ~workers =
   let q = Q.test_instance "top1" in

@@ -81,6 +81,54 @@ let sig_expected =
     ("sig s3 sign m2", "381132920675b1ace830a04be3adf8250c4fd00c0a78eab91b2369811d4f179e");
   ]
 
+(* ---------------- RNG streams and ciphertexts ---------------- *)
+
+(* No other literal covers a raw RNG stream or a ciphertext: the top1 run's
+   audit root hashes step labels, its output is one integer, and device
+   encryption draws come from per-device streams. These pin the first
+   draws of each way to make a stream, through every sampler the protocol
+   uses, and the serialized bytes of one AHE and one FHE encryption. Floats
+   print in hex, so a changed last bit shows. *)
+
+let render_draws g =
+  let ints = List.init 3 (fun _ -> Int64.to_string (Rng.next_int64 g)) in
+  let int3 = List.init 8 (fun _ -> string_of_int (Rng.int g 3)) in
+  let int_in = List.init 3 (fun _ -> string_of_int (Rng.int_in g (-7) 1_000_003)) in
+  let u = List.init 3 (fun _ -> Printf.sprintf "%h" (Rng.uniform01 g)) in
+  let gauss = List.init 3 (fun _ -> Printf.sprintf "%h" (Rng.gaussian g ~sigma:3.2)) in
+  String.concat "|" (List.map (String.concat ",") [ ints; int3; int_in; u; gauss ])
+
+let rng_cases =
+  [
+    ("rng create 42", fun () -> render_draws (Rng.create 42L));
+    ( "rng split of create 42",
+      fun () ->
+        let parent = Rng.create 42L in
+        let child = Rng.split parent in
+        render_draws child ^ "#" ^ Int64.to_string (Rng.next_int64 parent) );
+    ("rng derive 42 7", fun () -> render_draws (Rng.derive 42L 7));
+  ]
+
+let ciphertext_digest params =
+  let _, pk = C.Bgv.keygen params (Rng.create 21L) in
+  let slots = Array.init 256 (fun i -> i * 7 mod params.C.Bgv.t) in
+  hash (C.Bgv.serialize_ciphertext (C.Bgv.encrypt pk (Rng.create 22L) slots))
+
+let ciphertext_cases =
+  [
+    ("ahe n=256 encryption", fun () -> ciphertext_digest (C.Bgv.ahe_params ~n:256 ()));
+    ("fhe n=256 encryption", fun () -> ciphertext_digest (C.Bgv.fhe_params ~n:256 ()));
+  ]
+
+let rng_ciphertext_expected =
+  [
+    ("rng create 42", "-4767286540954276203,2949826092126892291,5139283748462763858|0,2,1,0,2,0,0,2|687739,649787,31938|0x1.548fc63805cf1p-1,0x1.a0a2962a6be18p-3,0x1.a83d752f35eb8p-4|0x1.9424a9557a3e1p+1,0x1.54f2da0bdccaep+1,-0x1.7b57b6a77ed87p+2");
+    ("rng split of create 42", "7138415436909018950,-1451441013313770160,1533225871787718299|1,2,2,2,2,2,2,1|677635,836545,542898|0x1.14ad4257ecc42p-1,0x1.2467711ac6d32p-1,0x1.4716e5712e90cp-1|-0x1.13f37b0bcccb7p+3,0x1.193718b3f48d3p+1,-0x1.099cc87b5c05ep+0#2949826092126892291");
+    ("rng derive 42 7", "8574653948649052744,6259343752724232284,2476981718838673966|0,1,2,1,1,2,0,2|877825,20513,729767|0x1.58e0d46f0125dp-1,0x1.efdbd8297486ep-2,0x1.c390315c8d3a5p-1|-0x1.6835a94802b63p+1,-0x1.b7cdce67e18fep+2,0x1.e207802834689p-2");
+    ("ahe n=256 encryption", "7d26edb5263bab09260acb8005fcb8ac8f567b448e6507f7e7643f4af1f2bf23");
+    ("fhe n=256 encryption", "a98657e064acc5e4447f462862de1836228b4cc125ca3fb5ef0cdd8a92624f6f");
+  ]
+
 (* ---------------- key-generation ceremony ---------------- *)
 
 (* The ceremony and the execution run at 1 and at 2 workers against the
@@ -224,5 +272,7 @@ let () =
             (check_cases ~expected:ceremony_expected (ceremony_cases ~workers:2));
           Alcotest.test_case "top1 execution at 64 devices, 2 workers" `Quick
             (check_cases ~expected:exec_expected (exec_cases ~workers:2));
+          Alcotest.test_case "rng streams and ciphertexts" `Quick
+            (check_cases ~expected:rng_ciphertext_expected (rng_cases @ ciphertext_cases));
         ] );
     ]
