@@ -492,7 +492,8 @@ let print_sessions_text engine =
       | None -> ())
     (Arb_continual.Engine.sessions engine)
 
-let serve_summary ?engine service records ~json reg =
+let serve_summary ?engine service ~json reg =
+  let records = Arb_service.Service.history service in
   let counters = Arb_service.Service.counters service in
   if json then
     print_endline
@@ -506,17 +507,8 @@ let serve_summary ?engine service records ~json reg =
                      records) );
               ("counters", Arb_service.Lifecycle.counters_to_json counters);
               ( "budgetLeft",
-                Arb_util.Json.Obj
-                  [
-                    ( "epsilon",
-                      Arb_util.Json.Float
-                        (Arb_service.Service.budget_left service)
-                          .Arb_dp.Budget.epsilon );
-                    ( "delta",
-                      Arb_util.Json.Float
-                        (Arb_service.Service.budget_left service)
-                          .Arb_dp.Budget.delta );
-                  ] );
+                Arb_dp.Budget.to_json (Arb_service.Service.budget_left service)
+              );
               ( "chainVerifies",
                 Arb_util.Json.Bool
                   (Arb_service.Service.chain_verifies service) );
@@ -546,13 +538,45 @@ let serve_summary ?engine service records ~json reg =
     Format.printf "budget left %a; certificate chain verifies: %b@."
       Arb_dp.Budget.pp
       (Arb_service.Service.budget_left service)
-      (Arb_service.Service.chain_verifies service)
+      (Arb_service.Service.chain_verifies service);
+    Option.iter print_sessions_text engine
   end
 
-(* Executions use the same --workers domains as planning, and record their
-   stage spans (keygen, inputs, ...) inside each drain's execute span. *)
-let serve_exec_config ~workers ~tracer =
-  { Arb_runtime.Exec.default_config with workers; tracer }
+(* The service both serve modes run: budget, devices and seed come from the
+   flags, else the workload file, else the defaults. Executions use the
+   same --workers domains as planning, and record their stage spans
+   (keygen, inputs, ...) inside each drain's execute span. *)
+let serve_service ~workload ~devices ~seed ~workers ~cache_dir ~calib
+    ~snapshots ~tracer reg =
+  let from_file field ~default =
+    Option.value (Option.bind workload field) ~default
+  in
+  Arb_service.Service.create
+    ~cache:(Arb_service.Cache.create ?dir:cache_dir ())
+    ~metrics:reg ~calibration:calib
+    ?snapshots:(Option.map (fun d -> (d, "serve")) snapshots)
+    ~exec_config:{ Arb_runtime.Exec.default_config with workers; tracer }
+    ~budget:
+      (from_file
+         (fun w -> w.Arb_service.Workload.budget)
+         ~default:(Arb_dp.Budget.create ~epsilon:10.0 ~delta:1e-6))
+    ~devices:
+      (Option.value devices
+         ~default:
+           (from_file (fun w -> w.Arb_service.Workload.devices) ~default:64))
+    ~seed:
+      (Option.value seed
+         ~default:(from_file (fun w -> w.Arb_service.Workload.seed) ~default:7))
+    ()
+
+(* Recurring workload entries become continual sessions carrying state. *)
+let register_sessions engine workload =
+  List.iter
+    (fun sub ->
+      match Arb_continual.Engine.register engine ~carry_state:true sub with
+      | Ok name -> Printf.eprintf "session %s registered\n%!" name
+      | Error m -> Printf.eprintf "cannot register session: %s\n%!" m)
+    (Arb_service.Workload.recurring workload)
 
 (* The network front door: service + API executor + HTTP server, running
    until SIGINT or POST /v1/stop, then a graceful drain of both the
@@ -560,49 +584,15 @@ let serve_exec_config ~workers ~tracer =
 let serve_listen ~host ~port ~max_queue ~http_workers ~workers ~timeout
     ~epoch_interval ~workload ~devices ~seed ~cache_dir ~calib ~snapshots
     ~live_fp ~json ~tracer reg =
-  let budget =
-    match Option.bind workload (fun w -> w.Arb_service.Workload.budget) with
-    | Some b -> b
-    | None -> Arb_dp.Budget.create ~epsilon:10.0 ~delta:1e-6
-  in
-  let devices =
-    match devices with
-    | Some d -> d
-    | None ->
-        Option.value ~default:64
-          (Option.bind workload (fun w -> w.Arb_service.Workload.devices))
-  in
-  let seed =
-    match seed with
-    | Some s -> s
-    | None ->
-        Option.value ~default:7
-          (Option.bind workload (fun w -> w.Arb_service.Workload.seed))
-  in
-  let cache = Arb_service.Cache.create ?dir:cache_dir () in
   let service =
-    Arb_service.Service.create ~cache ~metrics:reg ~calibration:calib
-      ?snapshots:(Option.map (fun d -> (d, "serve")) snapshots)
-      ~exec_config:(serve_exec_config ~workers ~tracer)
-      ~budget ~devices ~seed ()
+    serve_service ~workload ~devices ~seed ~workers ~cache_dir ~calib
+      ~snapshots ~tracer reg
   in
   (* Recurring workload entries become continual sessions rather than
      preloaded one-shots; the engine's routes mount on the API's [extra]
      hook, so /v1/sessions and /v1/epoch share the same front door. *)
   let engine = Arb_continual.Engine.create ~service () in
-  (* Seed the engine's fingerprint with the calibration actually pricing
-     plans, so a later PUT of the same file is a no-op, not a re-plan. *)
-  Arb_continual.Engine.set_calibration engine
-    calib.Arb_planner.Calibration.fingerprint;
-  (match workload with
-  | Some w ->
-      List.iter
-        (fun sub ->
-          match Arb_continual.Engine.register engine ~carry_state:true sub with
-          | Ok name -> Printf.eprintf "session %s registered\n%!" name
-          | Error m -> Printf.eprintf "cannot register session: %s\n%!" m)
-        (Arb_service.Workload.recurring w)
-  | None -> ());
+  Option.iter (register_sessions engine) workload;
   let api =
     Arb_service.Api.create
       ~config:
@@ -695,10 +685,7 @@ let serve_listen ~host ~port ~max_queue ~http_workers ~workers ~timeout
         st.Arb_service.Server.timeouts
         st.Arb_service.Server.client_disconnects;
       live_fp := Arb_service.Service.calibration_fingerprint service;
-      serve_summary ~engine service (Arb_service.Service.history service) ~json
-        reg;
-      if (not json) && Arb_continual.Engine.sessions engine <> [] then
-        print_sessions_text engine;
+      serve_summary ~engine service ~json reg;
       0
 
 let serve_cmd =
@@ -757,60 +744,32 @@ let serve_cmd =
              ~epoch_interval ~workload ~devices ~seed ~cache_dir ~calib
              ~snapshots ~live_fp ~json ~tracer reg)
     | Ok (Some workload), None ->
-        let budget =
-          match workload.Arb_service.Workload.budget with
-          | Some b -> b
-          | None -> Arb_dp.Budget.create ~epsilon:10.0 ~delta:1e-6
-        in
-        let devices =
-          match devices with
-          | Some d -> d
-          | None -> Option.value workload.Arb_service.Workload.devices ~default:64
-        in
-        let seed =
-          match seed with
-          | Some s -> s
-          | None -> Option.value workload.Arb_service.Workload.seed ~default:7
-        in
-        let cache = Arb_service.Cache.create ?dir:cache_dir () in
         let service =
-          Arb_service.Service.create ~cache ~metrics:reg ~calibration:calib
-            ?snapshots:(Option.map (fun d -> (d, "serve")) snapshots)
-            ~exec_config:(serve_exec_config ~workers ~tracer)
-            ~budget ~devices ~seed ()
+          serve_service ~workload:(Some workload) ~devices ~seed ~workers
+            ~cache_dir ~calib ~snapshots ~tracer reg
         in
-        let records =
-          Arb_service.Service.run_workload ?tracer ~workers service workload
+        ignore
+          (Arb_service.Service.run_workload ?tracer ~workers service workload);
+        (* One-shots ran above; recurring entries become sessions and the
+           engine drives the requested number of epochs. *)
+        let engine =
+          match Arb_service.Workload.recurring workload with
+          | [] -> None
+          | _ ->
+              let engine = Arb_continual.Engine.create ~service () in
+              register_sessions engine workload;
+              let n_epochs =
+                match epochs with
+                | Some n -> n
+                | None ->
+                    Option.value workload.Arb_service.Workload.epochs ~default:5
+              in
+              ignore
+                (Arb_continual.Engine.run_epochs ?tracer ~workers engine
+                   n_epochs);
+              Some engine
         in
-        (match Arb_service.Workload.recurring workload with
-        | [] -> serve_summary service records ~json reg
-        | recurring ->
-            (* One-shots ran above; recurring entries become sessions and
-               the engine drives the requested number of epochs. *)
-            let engine = Arb_continual.Engine.create ~service () in
-            Arb_continual.Engine.set_calibration engine
-              calib.Arb_planner.Calibration.fingerprint;
-            List.iter
-              (fun sub ->
-                match
-                  Arb_continual.Engine.register engine ~carry_state:true sub
-                with
-                | Ok _ -> ()
-                | Error m -> Printf.eprintf "cannot register session: %s\n" m)
-              recurring;
-            let n_epochs =
-              match epochs with
-              | Some n -> n
-              | None ->
-                  Option.value workload.Arb_service.Workload.epochs ~default:5
-            in
-            ignore
-              (Arb_continual.Engine.run_epochs ?tracer ~workers engine
-                 n_epochs);
-            serve_summary ~engine service
-              (Arb_service.Service.history service)
-              ~json reg;
-            if not json then print_sessions_text engine);
+        serve_summary ?engine service ~json reg;
         finish 0
   in
   let workload_arg =

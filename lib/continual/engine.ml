@@ -10,9 +10,9 @@
    *re-validation* — the cached plan is still valid, submit and let the
    service hit the cache — and a forced *re-plan* — evict the cache entry
    so the service cold-plans — based on drift since the plan's
-   fingerprint: population estimate, cost-calibration tag, or budget
-   balance moving past a relative threshold. Undrifted epochs cost one
-   cache probe instead of a planner search.
+   fingerprint: population estimate, the service's calibration
+   fingerprint, or budget balance moving past a relative threshold.
+   Undrifted epochs cost one cache probe instead of a planner search.
 
    Determinism: sessions are processed in registration order, all decision
    inputs (windows, fingerprints, cache state) are updated sequentially,
@@ -22,7 +22,6 @@
 module B = Arb_dp.Budget
 module W = B.Window
 module J = Arb_util.Json
-module Q = Arb_queries.Registry
 module S = Arb_service
 
 let src = Logs.Src.create "arb.continual" ~doc:"Continual analytics engine"
@@ -55,14 +54,10 @@ type epoch_record = {
   er_estimate : string list;
 }
 
-type config = {
-  n_drift : float;
-  balance_drift : float;
-  poll_timeout_s : float;
-}
-
-let default_config =
-  { n_drift = 0.2; balance_drift = 0.5; poll_timeout_s = 60.0 }
+(* Relative drift since a plan's fingerprint past which a due session
+   re-plans: population estimate, and the relevant budget balance. *)
+let n_drift = 0.2
+let balance_drift = 0.5
 
 type fingerprint = {
   fp_n : int;
@@ -93,36 +88,28 @@ type session = {
 
 type t = {
   service : S.Service.t;
-  config : config;
   tick_lock : Mutex.t;  (* serializes whole ticks *)
-  lock : Mutex.t;  (* guards epoch / sessions / population / calibration *)
+  lock : Mutex.t;  (* guards epoch / sessions / population *)
   mutable epoch : int;
   mutable sessions : session list;  (* newest first *)
   mutable population : int;
-  mutable calibration : string;
 }
 
-let create ?(config = default_config) ~service () =
+let create ~service () =
   {
     service;
-    config;
     tick_lock = Mutex.create ();
     lock = Mutex.create ();
     epoch = 0;
     sessions = [];
     population = S.Service.devices service;
-    calibration = "calib-v0";
   }
 
-let service t = t.service
 let epoch t = Mutex.protect t.lock (fun () -> t.epoch)
 
 let observe_population t n =
   if n < 1 then invalid_arg "Engine.observe_population: n < 1";
   Mutex.protect t.lock (fun () -> t.population <- n)
-
-let set_calibration t tag =
-  Mutex.protect t.lock (fun () -> t.calibration <- tag)
 
 let set_tolerance t name tol =
   (match tol with
@@ -134,19 +121,6 @@ let set_tolerance t name tol =
       | None -> invalid_arg ("Engine.set_tolerance: no session " ^ name)
       | Some s ->
           s.sub <- { s.sub with S.Workload.tolerance = tol })
-
-let resolve (sub : S.Workload.submission) =
-  match
-    match sub.S.Workload.categories with
-    | Some c ->
-        Q.make ~epsilon:sub.S.Workload.epsilon ~name:sub.S.Workload.query ~c ()
-    | None ->
-        Q.test_instance ~epsilon:sub.S.Workload.epsilon sub.S.Workload.query
-  with
-  (* Mirror the service's admission: the tolerance is part of the query, so
-     the engine's cache-key computation matches the one the drain uses. *)
-  | q -> Some { q with Q.error_tolerance = sub.S.Workload.tolerance }
-  | exception Not_found -> None
 
 let in_order t = List.rev t.sessions
 
@@ -174,7 +148,7 @@ let register t ?name ~carry_state (sub : S.Workload.submission) =
             in
             let sname = uniq base 2 in
             let kind =
-              match resolve sub with
+              match S.Service.resolve sub with
               | Some q -> Mstate.kind_for q
               | None -> Mstate.Winners
             in
@@ -243,8 +217,7 @@ let drift_reason t ~population ~calibration s =
   match s.fingerprint with
   | None -> None
   | Some fp ->
-      if rel_drift (float_of_int population) (float_of_int fp.fp_n)
-         > t.config.n_drift
+      if rel_drift (float_of_int population) (float_of_int fp.fp_n) > n_drift
       then
         Some (Printf.sprintf "population drift: %d -> %d" fp.fp_n population)
       else if calibration <> fp.fp_calibration then
@@ -257,7 +230,7 @@ let drift_reason t ~population ~calibration s =
           (Printf.sprintf "tolerance drift: %s -> %s" (show fp.fp_tolerance)
              (show s.sub.S.Workload.tolerance))
       else if
-        rel_drift (relevant_balance t s) fp.fp_balance > t.config.balance_drift
+        rel_drift (relevant_balance t s) fp.fp_balance > balance_drift
       then
         Some
           (Printf.sprintf "budget-balance drift: %.6g -> %.6g" fp.fp_balance
@@ -307,21 +280,6 @@ type pending = {
 let window_view s = Option.map (fun w -> (W.spent w, W.balance w)) s.window
 
 let push_record s r = s.history <- r :: s.history
-
-let wait_record t ~deadline index =
-  let rec loop () =
-    match S.Service.record t.service index with
-    | Some r -> Some r
-    | None ->
-        if Unix.gettimeofday () > deadline then None
-        else begin
-          (* Another executor (the HTTP front door's) owns the drain; its
-             records land momentarily. Never taken in standalone mode. *)
-          Unix.sleepf 0.002;
-          loop ()
-        end
-  in
-  loop ()
 
 (* Settle one due session from its lifecycle record: reconcile the planned
    label, bump counters, refresh the fingerprint after a (re)plan, charge
@@ -415,10 +373,11 @@ let settle t ~population ~calibration pd record =
 
 let tick ?tracer ?(workers = 1) t =
   Mutex.protect t.tick_lock @@ fun () ->
-  let epoch, all_sessions, population, calibration =
+  let calibration = S.Service.calibration_fingerprint t.service in
+  let epoch, all_sessions, population =
     Mutex.protect t.lock (fun () ->
         t.epoch <- t.epoch + 1;
-        (t.epoch, in_order t, t.population, t.calibration))
+        (t.epoch, in_order t, t.population))
   in
   (* Phase 1, in registration order: advance windows (collect refunds),
      decide skip / window-refuse / submit, evict cache entries for forced
@@ -444,18 +403,7 @@ let tick ?tracer ?(workers = 1) t =
         if epoch < s.start_epoch || (epoch - s.start_epoch) mod s.every <> 0
         then record_now Skipped
         else
-          let query = resolve s.sub in
-          let cost =
-            Option.bind query (fun q ->
-                let cert =
-                  Arb_lang.Certify.certify q.Q.program
-                    ~n:(S.Service.devices t.service)
-                in
-                if cert.Arb_lang.Certify.certified then
-                  Some cert.Arb_lang.Certify.cost
-                else None)
-          in
-          match (s.window, cost) with
+          match (s.window, S.Service.certified_cost t.service s.sub) with
           | Some w, Some c when not (W.can_afford w ~cost:c) ->
               (* Refused before anything reaches the service: session and
                  window budgets stay byte-identical. *)
@@ -473,7 +421,7 @@ let tick ?tracer ?(workers = 1) t =
               record_now (Window_refused reason)
           | _ ->
               let planned =
-                match query with
+                match S.Service.resolve s.sub with
                 | None -> Cold (* unknown query: the service refuses it *)
                 | Some q -> (
                     let key =
@@ -500,14 +448,15 @@ let tick ?tracer ?(workers = 1) t =
                 })
       all_sessions
   in
-  (* Phase 2: one drain for the whole epoch. When an API executor owns
-     draining this returns [] and settle polls the history instead. *)
+  (* Phase 2: one drain for the whole epoch. An API executor may have
+     taken some of this epoch's submissions into its own drain; drains
+     serialize and append their records before releasing the drain lock,
+     so once this call returns every submission above has its record. *)
   if pendings <> [] then ignore (S.Service.drain ?tracer ~workers t.service);
   (* Phase 3, in registration order: settle and record. *)
-  let deadline = Unix.gettimeofday () +. t.config.poll_timeout_s in
   List.iter
     (fun pd ->
-      let record = wait_record t ~deadline pd.pd_index in
+      let record = S.Service.record t.service pd.pd_index in
       let er = settle t ~population ~calibration pd record in
       push_record pd.pd_session { er with er_epoch = epoch })
     pendings;
@@ -675,23 +624,4 @@ let to_json t =
     [
       ("epoch", J.Int (epoch t));
       ("sessions", J.List (List.map session_summary_json (sessions t)));
-    ]
-
-let budget_json t =
-  let left = S.Service.budget_left t.service in
-  let windows =
-    List.filter_map
-      (fun v ->
-        Option.map
-          (fun w ->
-            J.Obj [ ("session", J.String v.v_name); ("window", W.to_json w) ])
-          v.v_window)
-      (sessions t)
-  in
-  J.Obj
-    [
-      ("epsilon", J.Float left.B.epsilon);
-      ("delta", J.Float left.B.delta);
-      ("epoch", J.Int (epoch t));
-      ("windows", J.List windows);
     ]

@@ -9,16 +9,21 @@
     + advance every session's sliding budget window to the new epoch,
       collecting exact expiry refunds;
     + for due sessions ([every] divides the epochs since registration):
-      certify for cost, prescreen against the window (refusal leaves both
-      the window and the service budget byte-identical), then decide
-      {e re-validation} (submit; the plan cache hits) versus a forced
-      {e re-plan} (evict the cache entry first) when the population
-      estimate, cost-calibration tag, or budget balance drifted past the
-      configured relative thresholds since the plan's fingerprint;
-    + drain the service once and settle: charge windows for executed
+      certify for cost ({!Arb_service.Service.certified_cost}), prescreen
+      against the window (refusal leaves both the window and the service
+      budget byte-identical), then decide {e re-validation} (submit; the
+      plan cache hits) versus a forced {e re-plan} (evict the cache entry
+      first) when, since the plan's fingerprint, the population estimate
+      moved by more than 20%, the service's calibration fingerprint
+      ({!Arb_service.Service.calibration_fingerprint}, read once at the
+      start of the tick) changed, or the relevant budget balance moved by
+      more than 50%;
+    + drain the service once and settle from the service's lifecycle
+      records ({!Arb_service.Service.record}): charge windows for executed
       queries, fold outputs into carried mechanism state ({!Mstate},
       round-tripped through its serialized form every epoch), refresh
-      fingerprints, and append per-session epoch records.
+      fingerprints, and append per-session epoch records. A submission
+      whose drain raised settles as ["missing"].
 
     Emits [arb_continual_*] counters (cold plans / replans by reason /
     revalidations / window refusals / epochs) and per-session
@@ -55,23 +60,12 @@ type epoch_record = {
           raw outputs *)
 }
 
-type config = {
-  n_drift : float;
-      (** relative population drift beyond which a due session re-plans *)
-  balance_drift : float;  (** same, for the relevant budget balance *)
-  poll_timeout_s : float;
-      (** how long settle waits for a lifecycle record when another
-          executor owns the drain *)
-}
-
-val default_config : config
-(** 20% population drift, 50% balance drift, 60 s poll timeout. *)
-
 type t
 
-val create : ?config:config -> service:Arb_service.Service.t -> unit -> t
+val create : service:Arb_service.Service.t -> unit -> t
+(** An engine over [service]. The service owns the calibration, the global
+    budget and every lifecycle record; the engine owns only its sessions. *)
 
-val service : t -> Arb_service.Service.t
 val epoch : t -> int
 (** Epochs start at 1; 0 before the first {!tick}. *)
 
@@ -89,10 +83,6 @@ val register :
 
 val observe_population : t -> int -> unit
 (** Feed a fresh population estimate (drift input for re-validation). *)
-
-val set_calibration : t -> string -> unit
-(** Install a new cost-calibration fingerprint; due sessions re-plan once
-    on their next epoch. *)
 
 val set_tolerance : t -> string -> float option -> unit
 (** Change session [name]'s analyst error tolerance ([None] = exact). A
@@ -144,10 +134,5 @@ val session_json : session_view -> Arb_util.Json.t
 (** Summary plus full epoch history. *)
 
 val to_json : t -> Arb_util.Json.t
-(** The [GET /v1/sessions] payload: epoch + session summaries. *)
-
-val budget_json : t -> Arb_util.Json.t
-(** The enriched [GET /v1/budget] payload: the service's global balance
-    (same [epsilon]/[delta] keys as the base route) plus the current epoch
-    and every session's live window (per-epoch charges, refund schedule,
-    projected balance). *)
+(** The [GET /v1/sessions] payload: epoch + session summaries, each with
+    its live window, composed loss and projected loss. *)

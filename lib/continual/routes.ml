@@ -4,12 +4,6 @@
 module S = Arb_service
 module J = Arb_util.Json
 
-let strip_prefix ~prefix s =
-  let n = String.length prefix in
-  if String.length s > n && String.sub s 0 n = prefix then
-    Some (String.sub s n (String.length s - n))
-  else None
-
 let sessions_index engine =
   S.Http.json_response ~status:200 (Engine.to_json engine)
 
@@ -18,33 +12,6 @@ let session_detail engine name =
   | Some v -> S.Http.json_response ~status:200 (Engine.session_json v)
   | None ->
       S.Http.error_response 404 (Printf.sprintf "no session named %S" name)
-
-(* Shadow the base PUT /v1/calibration: the service install re-prices the
-   plan cache as usual, and the fingerprint is additionally fed into the
-   epoch loop so due sessions re-plan exactly once (DESIGN.md §14). *)
-let put_calibration engine (req : S.Http.request) =
-  match
-    match J.of_string req.S.Http.body with
-    | j -> Arb_planner.Calibration.of_json ~path:"<body>" j
-    | exception J.Parse_error m ->
-        Error
-          (Arb_planner.Calibration.Malformed { path = "<body>"; reason = m })
-  with
-  | Error e ->
-      S.Http.error_response 400 (Arb_planner.Calibration.error_message e)
-  | Ok calib ->
-      let r = S.Service.set_calibration (Engine.service engine) calib in
-      Engine.set_calibration engine
-        calib.Arb_planner.Calibration.fingerprint;
-      S.Http.json_response ~status:200
-        (J.Obj
-           [
-             ("installed", J.String calib.Arb_planner.Calibration.fingerprint);
-             ("changed", J.Bool r.S.Service.changed);
-             ("repriced", J.Int r.S.Service.repriced);
-             ("invalidated", J.Int r.S.Service.invalidated);
-             ("continual", J.Bool true);
-           ])
 
 let tick ?tracer ?workers engine =
   let records = Engine.tick ?tracer ?workers engine in
@@ -58,14 +25,9 @@ let tick ?tracer ?workers engine =
 let handler ?tracer ?(workers = 1) engine (req : S.Http.request) =
   match (req.S.Http.meth, req.S.Http.path) with
   | "GET", "/v1/sessions" -> Some (sessions_index engine)
-  | "GET", "/v1/budget" ->
-      (* Shadow the base route: same global epsilon/delta keys, plus the
-         epoch and every session's live window. *)
-      Some (S.Http.json_response ~status:200 (Engine.budget_json engine))
   | "POST", "/v1/epoch" -> Some (tick ?tracer ~workers engine)
-  | "PUT", "/v1/calibration" -> Some (put_calibration engine req)
   | meth, path -> (
-      match strip_prefix ~prefix:"/v1/sessions/" path with
+      match S.Http.strip_prefix ~prefix:"/v1/sessions/" path with
       | None -> None
       | Some name ->
           if meth = "GET" then Some (session_detail engine name)

@@ -2,22 +2,17 @@
     {!Arb_service.Api.create}'s [?extra] handler:
 
     - [GET /v1/sessions] — epoch + one summary per session (counters,
-      carried-state estimate, live window).
+      carried-state estimate, live window, composed and projected loss).
     - [GET /v1/sessions/<name>] — the summary plus the session's full
       epoch history; 404 for unknown names.
-    - [GET /v1/budget] — shadows the base route with
-      {!Engine.budget_json}: the same global [epsilon]/[delta] plus the
-      per-session window detail.
     - [POST /v1/epoch] — drive one epoch by hand (the curl-facing
       alternative to [--epoch-interval]); responds with the epoch's
       records. Ticks serialize on the engine's internal lock.
-    - [PUT /v1/calibration] — shadows the base route: installs on the
-      service ({!Arb_service.Service.set_calibration}, re-pricing the
-      plan cache) {e and} feeds the fingerprint to
-      {!Engine.set_calibration} so due sessions re-plan exactly once at
-      their next epoch.
 
-    Any other request falls through ([None]) to the base API routes. *)
+    Any other request is declined ([None]). The service API answers its
+    own routes before consulting this handler: [GET /v1/budget] is the
+    global balance, and [PUT /v1/calibration] installs on the service,
+    whose new fingerprint the engine reads at its next tick. *)
 
 val handler :
   ?tracer:Arb_obs.Tracer.t ->

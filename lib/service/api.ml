@@ -34,9 +34,9 @@ type t = {
   config : config;
   tracer : Arb_obs.Tracer.t option;
   extra : Http.request -> Http.response option;
-      (* consulted before the built-in routes: subsystems layered on top of
-         the service (the continual engine) add endpoints — and may shadow
-         built-ins like /v1/budget — without Api depending on them *)
+      (* consulted for paths no built-in route owns: subsystems layered on
+         top of the service (the continual engine) add endpoints without
+         Api depending on them *)
   lock : Mutex.t;
   wake : Condition.t;
   mutable stop_requested : bool;
@@ -101,13 +101,6 @@ let request_stop t =
 
 let stop_requested t = Mutex.protect t.lock (fun () -> t.stop_requested)
 
-let wait_stop t =
-  Mutex.lock t.lock;
-  while not t.stop_requested do
-    Condition.wait t.wake t.lock
-  done;
-  Mutex.unlock t.lock
-
 let join t =
   request_stop t;
   match t.executor with
@@ -119,13 +112,6 @@ let join t =
 let drains t = Mutex.protect t.lock (fun () -> t.drains)
 
 (* ---------------- routes ---------------- *)
-
-let budget_json (b : Arb_dp.Budget.t) =
-  J.Obj
-    [
-      ("epsilon", J.Float b.Arb_dp.Budget.epsilon);
-      ("delta", J.Float b.Arb_dp.Budget.delta);
-    ]
 
 let health t =
   Http.json_response ~status:200
@@ -143,9 +129,9 @@ let get_calibration t =
   Http.json_response ~status:200
     (Arb_planner.Calibration.to_json (Service.calibration t.service))
 
-(* PUT a full calibration file body. This base route re-prices the plan
-   cache; when a continual engine is mounted, its [extra] hook shadows the
-   route to also feed the fingerprint into the epoch loop. *)
+(* PUT a full calibration file body: the install re-prices the plan cache,
+   and a mounted continual engine reads the new fingerprint at its next
+   tick. *)
 let put_calibration t (req : Http.request) =
   match
     match J.of_string req.Http.body with
@@ -242,16 +228,7 @@ let stop_route t =
   request_stop t;
   Http.json_response ~status:200 (J.Obj [ ("stopping", J.Bool true) ])
 
-let strip_prefix ~prefix s =
-  let n = String.length prefix in
-  if String.length s > n && String.sub s 0 n = prefix then
-    Some (String.sub s n (String.length s - n))
-  else None
-
 let handler t (req : Http.request) =
-  match t.extra req with
-  | Some resp -> resp
-  | None ->
   let meth = req.Http.meth and path = req.Http.path in
   match (meth, path) with
   | "GET", "/healthz" -> health t
@@ -260,17 +237,21 @@ let handler t (req : Http.request) =
   | "GET", "/v1/counters" -> counters t
   | "GET", "/v1/budget" ->
       Http.json_response ~status:200
-        (budget_json (Service.budget_left t.service))
+        (Arb_dp.Budget.to_json (Service.budget_left t.service))
   | "GET", "/v1/metrics" -> metrics t
   | "GET", "/v1/calibration" -> get_calibration t
   | "PUT", "/v1/calibration" -> put_calibration t req
   | "POST", "/v1/stop" -> stop_route t
-  | "GET", _ when strip_prefix ~prefix:"/v1/queries/" path <> None -> (
-      match strip_prefix ~prefix:"/v1/queries/" path with
-      | Some rest -> poll t rest
-      | None -> assert false)
   | _, ("/healthz" | "/v1/queries" | "/v1/records" | "/v1/counters"
        | "/v1/budget" | "/v1/metrics" | "/v1/calibration" | "/v1/stop") ->
       Http.error_response 405
         (Printf.sprintf "%s does not support %s" path meth)
-  | _ -> Http.error_response 404 (Printf.sprintf "no such endpoint %s" path)
+  | _ -> (
+      match (meth, Http.strip_prefix ~prefix:"/v1/queries/" path) with
+      | "GET", Some index -> poll t index
+      | _ -> (
+          match t.extra req with
+          | Some resp -> resp
+          | None ->
+              Http.error_response 404
+                (Printf.sprintf "no such endpoint %s" path)))

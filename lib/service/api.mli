@@ -17,11 +17,19 @@
     - [GET /v1/records] — all lifecycle records in canonical form (no
       timings): byte-identical to {!Lifecycle.records_to_string} over the
       same submissions on the in-process path.
-    - [GET /v1/counters], [GET /v1/budget] — aggregates.
+    - [GET /v1/counters] — aggregate lifecycle counters.
+    - [GET /v1/budget] — the service's global balance, exactly the keys
+      [epsilon] and [delta] ({!Arb_dp.Budget.to_json}).
     - [GET /v1/metrics] — Prometheus text (404 when the service has no
       registry).
+    - [GET /v1/calibration] — the calibration pricing cold plans;
+      [PUT /v1/calibration] installs one ({!Service.set_calibration}),
+      400 on a malformed or future-version body.
     - [POST /v1/stop] — request shutdown; the server's graceful drain
       then finishes in-flight requests.
+
+    A known path with the wrong method is a 405; any other request goes
+    to the [extra] handler of {!create}, and is a 404 when that declines.
 
     Handlers run on server worker domains concurrently; the service core
     is mutex-protected, and execution stays serialized on the certificate
@@ -48,12 +56,11 @@ val create :
 (** Spawns the executor domain immediately; it sleeps until a submission
     arrives (or {!request_stop}).
 
-    [extra] is consulted before the built-in routes on every request
-    ([None] falls through): subsystems layered above the service — the
-    continual engine's [/v1/sessions] family — mount endpoints, and may
-    shadow built-ins such as [GET /v1/budget], without this module
-    depending on them. It runs on server worker domains concurrently, so
-    it must be thread-safe. *)
+    [extra] answers the requests no built-in route takes ([None] makes
+    them a 404): subsystems layered above the service — the continual
+    engine's [/v1/sessions] family — mount endpoints without this module
+    depending on them, and cannot replace a built-in route. It runs on
+    server worker domains concurrently, so it must be thread-safe. *)
 
 val handler : t -> Http.request -> Http.response
 (** The route table — pass to {!Server.start}. *)
@@ -67,10 +74,6 @@ val request_stop : t -> unit
     Idempotent; also woken by [POST /v1/stop]. *)
 
 val stop_requested : t -> bool
-
-val wait_stop : t -> unit
-(** Block until {!request_stop} (e.g. via [POST /v1/stop] or a signal
-    handler) has been called. *)
 
 val join : t -> unit
 (** {!request_stop} then join the executor domain: on return every

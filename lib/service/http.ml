@@ -230,6 +230,12 @@ let keep_alive (r : request) =
   | Some v when String.equal v "keep-alive" -> true
   | _ -> String.equal r.version "HTTP/1.1"
 
+let strip_prefix ~prefix s =
+  let n = String.length prefix in
+  if String.length s > n && String.sub s 0 n = prefix then
+    Some (String.sub s n (String.length s - n))
+  else None
+
 (* ---------------- responses ---------------- *)
 
 type response = {

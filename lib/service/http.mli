@@ -43,6 +43,10 @@ val keep_alive : request -> bool
 (** Connection persistence: HTTP/1.1 defaults to keep-alive, HTTP/1.0 to
     close; an explicit [connection: close] / [keep-alive] header wins. *)
 
+val strip_prefix : prefix:string -> string -> string option
+(** The rest of a path after [prefix], when it is non-empty: routing for
+    [/v1/queries/<index>] and [/v1/sessions/<name>]. *)
+
 type response = {
   status : int;
   reason : string;

@@ -35,14 +35,14 @@ type t = {
          budget prescreen; advisory (drain re-checks authoritatively) *)
 }
 
-let create ?exec_config ?max_rounds ?cache ?metrics ?calibration ?snapshots
-    ~budget ~devices ~seed () =
+let create ?exec_config ?cache ?metrics ?calibration ?snapshots ~budget
+    ~devices ~seed () =
   (* The session's creation-time database is a placeholder: every query
      brings its own synthesized inputs (same population, different
      question) through [run_with_plan]'s [?db]. *)
   let db = Array.make devices [||] in
   {
-    session = R.Session.create ?config:exec_config ?max_rounds ~budget ~db ();
+    session = R.Session.create ?config:exec_config ~budget ~db ();
     cache = (match cache with Some c -> c | None -> Cache.create ());
     devices;
     seed;
@@ -104,7 +104,10 @@ let metrics_drift (a : P.Cost_model.metrics) (b : P.Cost_model.metrics) =
 
 type reprice = { repriced : int; invalidated : int; changed : bool }
 
-let set_calibration ?(drift_threshold = 0.5) t calib =
+(* Relative metric drift past which an install evicts a cached plan. *)
+let invalidate_drift = 0.5
+
+let set_calibration t calib =
   let changed =
     Mutex.protect t.lock (fun () ->
         let changed =
@@ -123,7 +126,7 @@ let set_calibration ?(drift_threshold = 0.5) t calib =
         let fresh =
           price_entry cm ~devices:t.devices ~cols:e.Cache.cols e.Cache.plan
         in
-        if metrics_drift e.Cache.metrics fresh > drift_threshold then begin
+        if metrics_drift e.Cache.metrics fresh > invalidate_drift then begin
           (* The plan may no longer be the winner under the new prices:
              evict so the next submission re-plans cold. *)
           Cache.remove t.cache key;
@@ -159,26 +162,26 @@ type refusal =
   | Queue_full of int  (** the bound it hit *)
   | Over_budget of string
 
-(* The certified cost of one copy of a submission, when it resolves and
-   certifies — the same arithmetic drain's admission stage applies.
-   Submissions that fail to resolve or certify cost nothing here: they
-   are enqueued anyway so the drain can refuse them with a canonical
-   lifecycle record (identical to the workload-file path). *)
-let prescreen_cost t (s : Workload.submission) =
+let resolve (s : Workload.submission) =
   match
     match s.Workload.categories with
     | Some c -> Q.make ~epsilon:s.Workload.epsilon ~name:s.Workload.query ~c ()
     | None -> Q.test_instance ~epsilon:s.Workload.epsilon s.Workload.query
   with
   | exception Not_found -> None
-  | query ->
+  | q -> Some { q with Q.error_tolerance = s.Workload.tolerance }
+
+let certified_cost t s =
+  Option.bind (resolve s) (fun query ->
       let cert = Arb_lang.Certify.certify query.Q.program ~n:t.devices in
       if cert.Arb_lang.Certify.certified then Some cert.Arb_lang.Certify.cost
-      else None
+      else None)
 
 let try_submit ?max_queue ?(check_budget = true) t (s : Workload.submission) =
-  (* Certification is pure; run it outside the lock. *)
-  let cost = if check_budget then prescreen_cost t s else None in
+  (* Certification is pure; run it outside the lock. Submissions that do
+     not resolve or certify cost nothing here: they are enqueued anyway so
+     the drain refuses them with a canonical lifecycle record. *)
+  let cost = if check_budget then certified_cost t s else None in
   Mutex.protect t.lock (fun () ->
       let depth = List.length t.queue in
       match max_queue with
@@ -314,22 +317,12 @@ let drain ?tracer ?(workers = 1) t =
             ~admit_s:(now () -. t0) reason
           :: !refused
       in
-      match
-        let q =
-          match sub.Workload.categories with
-          | Some c ->
-              Q.make ~epsilon:sub.Workload.epsilon ~name:sub.Workload.query ~c
-                ()
-          | None ->
-              Q.test_instance ~epsilon:sub.Workload.epsilon sub.Workload.query
-        in
-        { q with Q.error_tolerance = sub.Workload.tolerance }
-      with
-      | exception Not_found ->
+      match resolve sub with
+      | None ->
           refuse
             (Printf.sprintf "unknown query %S (see `arb list`)"
                sub.Workload.query)
-      | query when
+      | Some query when
           (match sub.Workload.tolerance with
           | Some tol -> not (tol > 0.0 && tol <= 1.0)
           | None -> false) ->
@@ -338,7 +331,7 @@ let drain ?tracer ?(workers = 1) t =
           refuse ~categories:query.Q.categories
             (Printf.sprintf "tolerance must be in (0, 1], got %g"
                (Option.get sub.Workload.tolerance))
-      | query -> (
+      | Some query -> (
           let categories = query.Q.categories in
           let cert = Arb_lang.Certify.certify query.Q.program ~n in
           if not cert.Arb_lang.Certify.certified then
@@ -600,4 +593,3 @@ let queries_executed t = R.Session.queries_run t.session
 let chain_verifies t = R.Session.chain_verifies t.session
 let cache t = t.cache
 let devices t = t.devices
-let seed t = t.seed

@@ -6,11 +6,11 @@
     ({!drain}) through a fixed pipeline:
 
     + {b admit} — sequential, in submission order: resolve the registry
-      query, certify it, and check its certified cost against the
-      *projected* remaining budget (the session balance minus the certified
-      costs of everything admitted earlier in the batch). Queries that
-      cannot fit are refused before any planning happens, with the session
-      budget and certificate chain untouched — the same
+      query ({!resolve}), certify it, and check its certified cost against
+      the *projected* remaining budget (the session balance minus the
+      certified costs of everything admitted earlier in the batch). Queries
+      that cannot fit are refused before any planning happens, with the
+      session budget and certificate chain untouched — the same
       refuse-with-budget-intact semantics as {!Arb_runtime.Session.run}.
     + {b plan / cache} — admitted submissions are labeled against the plan
       cache in submission order (an earlier identical submission makes a
@@ -35,7 +35,6 @@ type t
 
 val create :
   ?exec_config:Arb_runtime.Exec.config ->
-  ?max_rounds:int ->
   ?cache:Cache.t ->
   ?metrics:Arb_obs.Metrics.t ->
   ?calibration:Arb_planner.Calibration.t ->
@@ -85,6 +84,17 @@ val submit : t -> Workload.submission -> int
 
 val pending : t -> int
 
+val resolve : Workload.submission -> Arb_queries.Registry.query option
+(** The registry query a submission names, carrying the submission's
+    tolerance; [None] for an unknown name. The one mapping from a
+    submission to its query: drain's admission, {!try_submit}'s prescreen
+    and the continual engine all go through it, so they compute the same
+    cache key and the same certified cost. *)
+
+val certified_cost : t -> Workload.submission -> Arb_dp.Budget.t option
+(** The certified cost of one copy of a submission over this service's
+    population; [None] when it does not resolve or certify. *)
+
 type refusal =
   | Queue_full of int  (** the bound it hit *)
   | Over_budget of string
@@ -101,13 +111,13 @@ val try_submit :
     budget untouched — when the queue would exceed [max_queue] or (with
     [check_budget], the default) when the submission's certified cost
     cannot fit the projected balance (session balance minus the certified
-    costs of everything already queued). The prescreen mirrors the
-    arithmetic of drain's admission stage but is advisory: drain re-checks
-    authoritatively, so a submission admitted here can still be refused
-    there (e.g. when an earlier batch's execution failed and returned its
-    reservation). Submissions that do not resolve or certify are enqueued
-    anyway, so drain refuses them with the same canonical lifecycle record
-    the workload-file path produces. *)
+    costs of everything already queued). The prescreen applies
+    {!certified_cost} with drain's admission arithmetic but is advisory:
+    drain re-checks authoritatively, so a submission admitted here can
+    still be refused there (e.g. when an earlier batch's execution failed
+    and returned its reservation). Submissions that do not resolve or
+    certify are enqueued anyway, so drain refuses them with the same
+    canonical lifecycle record the workload-file path produces. *)
 
 val submitted : t -> int
 (** Total submissions ever enqueued (the next index to be assigned). *)
@@ -117,7 +127,11 @@ val record : t -> int -> Lifecycle.record option
 
 val drain : ?tracer:Arb_obs.Tracer.t -> ?workers:int -> t -> Lifecycle.record list
 (** Process the whole queue; returns this batch's records in submission
-    order. [workers] (default 1) is how many domains plan the distinct
+    order. A drain takes its batch and appends the batch's records to
+    {!history} while it holds the drain lock, so when a [drain] call
+    returns, every submission enqueued before the call has a {!record}
+    (unless the drain that took it raised), whichever caller drained
+    it. [workers] (default 1) is how many domains plan the distinct
     cache misses (execution takes its workers from the exec config); every
     value yields byte-identical canonical records
     ({!Lifecycle.records_to_string}).
@@ -147,9 +161,6 @@ val devices : t -> int
 (** The device population the service was created over — the [n] that
     plan-cache keys and certificates are computed against. *)
 
-val seed : t -> int
-(** The database-synthesis seed passed at {!create} time. *)
-
 val metrics : t -> Arb_obs.Metrics.t option
 (** The registry passed at {!create} time, if any. *)
 
@@ -158,25 +169,23 @@ val calibration : t -> Arb_planner.Calibration.t
 
 val calibration_fingerprint : t -> string
 (** Shorthand for [(calibration t).fingerprint] — surfaced in
-    [GET /v1/health] and the serve exit summary so operators can tell
-    which calibration priced a session. *)
+    [GET /healthz] and the serve exit summary so operators can tell
+    which calibration priced a session. The continual engine reads it at
+    the start of every tick as its calibration drift input. *)
 
 type reprice = { repriced : int; invalidated : int; changed : bool }
 (** What a calibration install did to the plan cache. [changed] is false
     when the installed fingerprint equals the current one (the cache is
     left untouched). *)
 
-val set_calibration :
-  ?drift_threshold:float -> t -> Arb_planner.Calibration.t -> reprice
+val set_calibration : t -> Arb_planner.Calibration.t -> reprice
 (** Install a calibration. When the fingerprint changes, every cached plan
     is re-priced under the new constants in canonical key order: entries
-    whose worst metric component moved by more than [drift_threshold]
-    (relative, default 0.5) are evicted — the old winner may no longer
-    win, so the next submission re-plans cold — and the rest keep their
-    plan with refreshed metrics. Emits
-    [arb_service_calibration_installs_total] /
+    whose worst metric component moved by more than 0.5 (relative) are
+    evicted — the old winner may no longer win, so the next submission
+    re-plans cold — and the rest keep their plan with refreshed metrics.
+    Emits [arb_service_calibration_installs_total] /
     [arb_service_cache_repriced_total] /
     [arb_service_cache_invalidated_total]. Drains already in flight finish
-    under the model they started with; continual sessions additionally
-    need the fingerprint fed to {!Arb_continual.Engine.set_calibration}
-    (the HTTP route does both). *)
+    under the model they started with; continual sessions see the new
+    fingerprint at their engine's next tick and re-plan once. *)

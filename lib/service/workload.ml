@@ -145,15 +145,7 @@ let to_json t =
        [
          (match t.budget with
          | None -> []
-         | Some b ->
-             [
-               ( "budget",
-                 J.Obj
-                   [
-                     ("epsilon", J.Float b.Arb_dp.Budget.epsilon);
-                     ("delta", J.Float b.Arb_dp.Budget.delta);
-                   ] );
-             ]);
+         | Some b -> [ ("budget", Arb_dp.Budget.to_json b) ]);
          (match t.devices with None -> [] | Some d -> [ ("devices", J.Int d) ]);
          (match t.seed with None -> [] | Some s -> [ ("seed", J.Int s) ]);
          (match t.epochs with None -> [] | Some e -> [ ("epochs", J.Int e) ]);
@@ -236,14 +228,7 @@ let submission_of_json j =
 
 let of_json json =
   match
-    let budget =
-      Option.map
-        (fun b ->
-          Arb_dp.Budget.create
-            ~epsilon:(J.to_float (J.member "epsilon" b))
-            ~delta:(J.to_float (J.member "delta" b)))
-        (opt_member "budget" json)
-    in
+    let budget = Option.map Arb_dp.Budget.of_json (opt_member "budget" json) in
     let devices = Option.map J.to_int (opt_member "devices" json) in
     let seed = Option.map J.to_int (opt_member "seed" json) in
     let epochs = Option.map J.to_int (opt_member "epochs" json) in

@@ -1,0 +1,88 @@
+#!/bin/sh
+# Listen-mode smoke: drive a real `arb serve --listen` with curl and jq.
+#
+#   serve_listen_smoke.sh ARB_EXE
+#
+# Fits a calibration from one snapshot, serves a workload of two recurring
+# sessions, ticks two epochs over POST /v1/epoch, checks that /v1/budget is
+# the global balance alone and that /v1/sessions lists both sessions, PUTs
+# the fitted calibration, ticks once more (both sessions must re-plan for
+# calibration drift), stops the server, and checks that its exit line
+# names the installed fingerprint. Needs sh, curl and jq. Run it through
+# the dune alias:
+#
+#   dune build @serve-smoke
+set -eu
+arb=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+dir=$(mktemp -d)
+pid=
+cleanup() {
+  if [ -n "$pid" ]; then kill "$pid" 2>/dev/null || true; fi
+  rm -rf "$dir"
+}
+trap cleanup EXIT
+
+fail() {
+  echo "serve-smoke: $*"
+  if [ -f "$dir/serve.err" ]; then sed 's/^/  serve: /' "$dir/serve.err"; fi
+  exit 1
+}
+
+# 1. A calibration fitted from one observed run.
+"$arb" run -q top1 -d 48 --snapshots "$dir/obs" > /dev/null
+"$arb" calibrate --from "$dir/obs" --out "$dir/calib.json" > /dev/null
+fp=$(jq -r .fingerprint "$dir/calib.json")
+
+# 2. Two recurring sessions behind a listening server on a free port.
+cat > "$dir/workload.json" <<'WL'
+{ "formatVersion": 2,
+  "budget":  { "epsilon": 50.0, "delta": 1e-4 },
+  "devices": 48,
+  "queries": [
+    { "query": "top1", "epsilon": 0.5, "every": 1,
+      "window": { "epochs": 3, "epsilon": 2.0, "delta": 1e-5 } },
+    { "query": "median", "epsilon": 0.8, "every": 1 } ] }
+WL
+"$arb" serve --listen 0 -w "$dir/workload.json" > "$dir/serve.out" 2> "$dir/serve.err" &
+pid=$!
+port=
+tries=0
+while [ -z "$port" ]; do
+  port=$(sed -n 's/^listening on [^ ]*:\([0-9][0-9]*\) .*/\1/p' "$dir/serve.err")
+  tries=$((tries + 1))
+  [ "$tries" -le 100 ] || fail "no 'listening on' line after 10 s"
+  [ -n "$port" ] || sleep 0.1
+done
+url="http://127.0.0.1:$port"
+
+epoch() { curl -sf -X POST -d '' "$url/v1/epoch"; }
+
+# 3. Two epochs by hand.
+epoch > /dev/null || fail "POST /v1/epoch failed"
+epoch > /dev/null || fail "POST /v1/epoch failed"
+
+# 4. The global balance alone, and both sessions.
+keys=$(curl -sf "$url/v1/budget" | jq -c keys)
+[ "$keys" = '["delta","epsilon"]' ] || fail "/v1/budget keys are $keys"
+names=$(curl -sf "$url/v1/sessions" | jq -c '[.sessions[].name] | sort')
+[ "$names" = '["median","top1"]' ] || fail "/v1/sessions lists $names"
+
+# 5. Install the fitted calibration: the next epoch re-plans both sessions.
+reply=$(curl -sf -X PUT --data-binary "@$dir/calib.json" "$url/v1/calibration") ||
+  fail "PUT /v1/calibration failed"
+[ "$(echo "$reply" | jq -r .installed)" = "$fp" ] || fail "PUT replied $reply"
+[ "$(echo "$reply" | jq -r .changed)" = true ] || fail "PUT replied $reply"
+[ "$(echo "$reply" | jq -c keys)" = '["changed","installed","invalidated","repriced"]' ] ||
+  fail "PUT replied $reply"
+replans=$(epoch | jq '[.records[]
+  | select(.planned == "replanned"
+           and (.replanReason | startswith("calibration drift")))] | length')
+[ "$replans" = 2 ] || fail "$replans of 2 sessions re-planned for calibration drift"
+
+# 6. Stop; the exit line names the installed fingerprint.
+curl -sf -X POST -d '' "$url/v1/stop" > /dev/null || fail "POST /v1/stop failed"
+wait "$pid" || fail "arb serve exited with status $?"
+pid=
+grep -q "^metrics: .*; calibration $fp\$" "$dir/serve.err" ||
+  fail "exit line does not name calibration $fp"
+echo "serve-smoke: ok (port $port, calibration $fp)"

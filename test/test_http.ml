@@ -409,22 +409,35 @@ let test_api_graceful_stop_drains () =
         (List.length (S.Service.history svc));
       checkb "chain verifies" true (S.Service.chain_verifies svc))
 
+(* PUT a body to /v1/calibration on its own connection. *)
+let put_calibration ~port body =
+  match S.Client.connect ~host ~port () with
+  | Error m -> Alcotest.fail m
+  | Ok conn ->
+      Fun.protect
+        ~finally:(fun () -> S.Client.close conn)
+        (fun () ->
+          match
+            S.Client.request conn ~meth:"PUT" ~body ~target:"/v1/calibration"
+              ()
+          with
+          | Ok r -> r
+          | Error m -> Alcotest.fail m)
+
+(* The default cost model with key generation 20% slower: every cached plan
+   drifts well under the invalidation threshold, so it is re-priced. *)
+let mild_calibration () =
+  let d = Arb_planner.Cost_model.default in
+  Arb_planner.Calibration.make
+    {
+      d with
+      Arb_planner.Cost_model.kg_coeff_time =
+        d.Arb_planner.Cost_model.kg_coeff_time *. 1.2;
+    }
+
 let test_api_calibration_routes () =
   with_api (fun svc _api port ->
-      let put body =
-        match S.Client.connect ~host ~port () with
-        | Error m -> Alcotest.fail m
-        | Ok conn ->
-            Fun.protect
-              ~finally:(fun () -> S.Client.close conn)
-              (fun () ->
-                match
-                  S.Client.request conn ~meth:"PUT" ~body
-                    ~target:"/v1/calibration" ()
-                with
-                | Ok r -> r
-                | Error m -> Alcotest.fail m)
-      in
+      let put = put_calibration ~port in
       let fp = S.Service.calibration_fingerprint svc in
       (* The health endpoint carries the active fingerprint. *)
       (match S.Client.get ~host ~port "/healthz" with
@@ -442,14 +455,7 @@ let test_api_calibration_routes () =
       | Error m -> Alcotest.fail m);
       (* PUT a recalibration: the response reports the install. *)
       let d = Arb_planner.Cost_model.default in
-      let mild =
-        Arb_planner.Calibration.make
-          {
-            d with
-            Arb_planner.Cost_model.kg_coeff_time =
-              d.Arb_planner.Cost_model.kg_coeff_time *. 1.2;
-          }
-      in
+      let mild = mild_calibration () in
       let r =
         put (J.to_string (Arb_planner.Calibration.to_json mild))
       in
@@ -547,13 +553,68 @@ let test_api_continual_routes () =
       (match S.Client.post ~host ~port ~body:"" "/v1/sessions/top1" with
       | Ok r -> checki "wrong method on session" 405 r.H.status
       | Error m -> Alcotest.fail m);
-      (* The continual engine shadows /v1/budget with the window detail. *)
+      (* The live window is served with the session views; /v1/budget is
+         the service's global balance alone. *)
+      (match S.Client.get ~host ~port "/v1/sessions" with
+      | Ok r ->
+          checkb "live window exposed" true
+            (contains r.H.resp_body "\"window\"")
+      | Error m -> Alcotest.fail m);
       match S.Client.get ~host ~port "/v1/budget" with
       | Ok r ->
           checki "budget still served" 200 r.H.status;
-          checkb "live window exposed" true
-            (contains r.H.resp_body "\"windows\"")
+          let j = J.of_string r.H.resp_body in
+          checkb "exactly epsilon and delta" true
+            (match j with
+            | J.Obj fields ->
+                List.sort compare (List.map fst fields) = [ "delta"; "epsilon" ]
+            | _ -> false);
+          checkb "the global balance" true
+            (B.equal (B.of_json j) (S.Service.budget_left svc))
       | Error m -> Alcotest.fail m)
+
+(* PUT /v1/calibration on a server with the continual engine mounted: the
+   service's install is the one the sessions see, so the next due epoch
+   re-plans once and the one after revalidates. *)
+let test_api_calibration_reaches_sessions () =
+  let svc = service () in
+  let engine = Arb_continual.Engine.create ~service:svc () in
+  (match
+     Arb_continual.Engine.register engine ~carry_state:true
+       { (sub ~epsilon:0.5 "top1") with every = Some 1 }
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  with_api ~svc ~extra:(Arb_continual.Routes.handler engine)
+    (fun _svc _api port ->
+      (* The session's (planned, replanReason) in one POST /v1/epoch. *)
+      let tick () =
+        match S.Client.post ~host ~port ~body:"" "/v1/epoch" with
+        | Error m -> Alcotest.fail m
+        | Ok r -> (
+            checki "epoch tick" 200 r.H.status;
+            let records = J.member "records" (J.of_string r.H.resp_body) in
+            match J.to_list records with
+            | [ record ] ->
+                ( J.to_str (J.member "planned" record),
+                  match J.member "replanReason" record with
+                  | reason -> J.to_str reason
+                  | exception J.Parse_error _ -> "" )
+            | _ -> Alcotest.fail "one record per epoch expected")
+      in
+      checks "epoch 1 plans cold" "cold" (fst (tick ()));
+      checks "epoch 2 revalidates" "revalidated" (fst (tick ()));
+      let r =
+        put_calibration ~port
+          (J.to_string (Arb_planner.Calibration.to_json (mild_calibration ())))
+      in
+      checki "install accepted" 200 r.H.status;
+      checkb "install changed" true (contains r.H.resp_body "\"changed\":true");
+      let planned, reason = tick () in
+      checks "epoch 3 re-plans" "replanned" planned;
+      checkb "reason names calibration drift" true
+        (String.starts_with ~prefix:"calibration drift" reason);
+      checks "epoch 4 revalidates" "revalidated" (fst (tick ())))
 
 (* Recurring sessions ticked over POST /v1/epoch must leave the continual
    records, the timing-free lifecycle records and the budget of the same
@@ -733,5 +794,7 @@ let () =
           Alcotest.test_case "520-connection fan-in" `Quick test_api_fan_in;
           Alcotest.test_case "concurrent backpressure" `Quick
             test_api_concurrent_backpressure;
+          Alcotest.test_case "calibration install reaches sessions" `Quick
+            test_api_calibration_reaches_sessions;
         ] );
     ]
