@@ -79,4 +79,6 @@ let () =
   match run_query "third query" q1 budget with
   | Error { Arb_runtime.Exec.stage = "budget"; _ } ->
       print_endline "third query        -> refused: privacy budget exhausted (as intended)"
-  | _ -> print_endline "BUG: third query should have been refused"
+  | _ ->
+      prerr_endline "BUG: third query should have been refused";
+      exit 1

@@ -52,7 +52,8 @@ let () =
       ~db ()
   in
   let show name q =
-    match Arb_runtime.Session.run session q with
+    let result = Arb_runtime.Session.run session q in
+    (match result with
     | Ok r ->
         Printf.printf "%-8s (round %d, block %s...) -> %s   [budget left: %s]\n" name
           r.Arb_runtime.Session.query_index
@@ -63,12 +64,21 @@ let () =
                 r.Arb_runtime.Session.report.Arb_runtime.Exec.outputs))
           (Format.asprintf "%a" Arb_dp.Budget.pp
              (Arb_runtime.Session.budget_left session))
-    | Error m -> Printf.printf "%-8s -> refused: %s\n" name m
+    | Error m -> Printf.printf "%-8s -> refused: %s\n" name m);
+    Result.is_ok result
   in
-  show "mode" top1;
-  show "top3" top3;
-  show "median" median;
+  let ran =
+    List.map
+      (fun (name, q) -> show name q)
+      [ ("mode", top1); ("top3", top3); ("median", median) ]
+  in
   (* The budget is now at 0.1 — another 1.0-epsilon query must be refused. *)
-  show "mode" top1;
-  Printf.printf "certificate chain verifies: %b\n"
-    (Arb_runtime.Session.chain_verifies session)
+  let refused = not (show "mode" top1) in
+  let verifies = Arb_runtime.Session.chain_verifies session in
+  Printf.printf "certificate chain verifies: %b\n" verifies;
+  if not (List.for_all Fun.id ran && refused && verifies) then begin
+    prerr_endline
+      "BUG: the first three queries must run, the fourth must be refused, \
+       and the chain must verify";
+    exit 1
+  end

@@ -35,10 +35,6 @@ let amplify t ~phi =
      for phi < 1 and eps > 0. *)
   { epsilon = amplified_epsilon ~epsilon:t.epsilon ~phi; delta = t.delta *. phi }
 
-let sqrt_k_epsilon ~epsilon ~k =
-  if k <= 0 then invalid_arg "Budget.sqrt_k_epsilon";
-  sqrt (float_of_int k) *. epsilon
-
 let equal a b = a.epsilon = b.epsilon && a.delta = b.delta
 
 let pp fmt t = Format.fprintf fmt "(eps=%.4f, delta=%.2e)" t.epsilon t.delta
@@ -77,7 +73,7 @@ module Window = struct
     mutable current : int;
     (* epoch -> individual charges recorded at that epoch, newest first.
        Totals are always computed over the canonically sorted list, so any
-       insertion/removal order within an epoch sums to the same bytes. *)
+       insertion order within an epoch sums to the same bytes. *)
     charges : (int, budget list) Hashtbl.t;
   }
 
@@ -130,24 +126,6 @@ module Window = struct
       Some (balance t)
     end
     else None
-
-  let refund t ~cost =
-    match Hashtbl.find_opt t.charges t.current with
-    | None -> false
-    | Some cs ->
-        let rec remove = function
-          | [] -> None
-          | c :: rest when equal c cost -> Some rest
-          | c :: rest -> Option.map (fun r -> c :: r) (remove rest)
-        in
-        (match remove cs with
-        | None -> false
-        | Some [] ->
-            Hashtbl.remove t.charges t.current;
-            true
-        | Some rest ->
-            Hashtbl.replace t.charges t.current rest;
-            true)
 
   let advance t e =
     if e < t.current then invalid_arg "Budget.Window.advance: epoch moved backwards";

@@ -35,10 +35,6 @@ val amplify : t -> phi:float -> t
     full cost for [phi < 1] and [epsilon > 0]. Raises [Invalid_argument]
     when [phi] is outside (0,1]. *)
 
-val sqrt_k_epsilon : epsilon:float -> k:int -> float
-(** Durfee–Rogers pay-what-you-get top-k: noise once, release k, pay
-    sqrt(k) * eps. *)
-
 val equal : t -> t -> bool
 (** Exact (epsilon, delta) equality — used by tests asserting a failed
     query left the remaining budget untouched. *)
@@ -61,8 +57,8 @@ val advanced_composition :
     "ε = L per H epochs". Charges are recorded against the current epoch;
     advancing the window past [horizon] epochs expires old charges and
     refunds them exactly. Per-epoch totals are computed over a canonically
-    sorted charge list, so charge/refund order within an epoch never
-    changes the serialized state. Not thread-safe: callers (the continual
+    sorted charge list, so charge order within an epoch never changes
+    the serialized state. Not thread-safe: callers (the continual
     engine) serialize access under their own lock. *)
 module Window : sig
   type budget = t
@@ -82,16 +78,11 @@ module Window : sig
       returns the exact total refunded by expiring epochs [<= e - horizon]. *)
 
   val can_afford : t -> cost:budget -> bool
-  (** Prescreen against the live-window balance — the window analogue of
-      [Service.try_submit]'s projected-budget check. *)
+  (** Prescreen against the live-window balance. *)
 
   val charge : t -> cost:budget -> budget option
   (** Record [cost] against the current epoch; [Some balance] on success,
       [None] (state untouched) when the live window cannot afford it. *)
-
-  val refund : t -> cost:budget -> bool
-  (** Remove one charge equal to [cost] from the current epoch (a query
-      admitted then refused downstream). False if no such charge exists. *)
 
   val spent : t -> budget
   (** Canonical sum of all live charges (ascending epoch, each epoch's

@@ -57,6 +57,11 @@ let committee_count vs =
       match v.location with Committees k -> acc + k | _ -> acc)
     0 vs
 
+let charged t cost =
+  match t.device_sample with
+  | None -> cost
+  | Some phi -> Arb_dp.Budget.amplify cost ~phi
+
 let crypto_name = function Ahe -> "AHE" | Fhe -> "FHE"
 
 let describe_work = function

@@ -78,7 +78,7 @@ type t = {
   device_sample : float option;
       (** Bernoulli device-sampling rate phi in (0,1); [None] = every
           device participates (exact). Sampling amplifies privacy: the
-          charged epsilon shrinks (see {!Arb_dp.Budget.amplify}). *)
+          charged epsilon shrinks (see {!charged}). *)
   committee_count : int;  (** total committees across all vignettes *)
   committee_size : int;  (** minimum m for this plan's committee count *)
   em_variant : [ `Gumbel | `Exponentiate | `Sketch | `None ];
@@ -87,6 +87,13 @@ type t = {
 val committee_count : vignette list -> int
 (** Total parallel committee instances across the vignettes (the [c] that
     drives committee sizing, §5.1). *)
+
+val charged : t -> Arb_dp.Budget.t -> Arb_dp.Budget.t
+(** [charged plan cost] is what executing [plan] deducts from the budget
+    for a query of certified cost [cost]: [cost] itself, or its
+    amplification by subsampling ({!Arb_dp.Budget.amplify}) when the plan
+    samples devices. The key-generation committee charges this amount,
+    and {!Arb_runtime.Verify} re-derives it. *)
 
 val crypto_name : crypto -> string
 val describe_work : work -> string

@@ -767,11 +767,7 @@ let keygen ctx sh ~committee ~registry_root =
   let cfg = ctx.cfg in
   let eng = E.create ~parties:cfg.committee_size ctx.rng () in
   let plan_digest = C.Sha256.digest (Format.asprintf "%a" Plan.pp sh.plan) in
-  let cost =
-    match sh.plan.Plan.device_sample with
-    | None -> sh.cert.L.Certify.cost
-    | Some phi -> Arb_dp.Budget.amplify sh.cert.L.Certify.cost ~phi
-  in
+  let cost = Plan.charged sh.plan sh.cert.L.Certify.cost in
   spn cfg "keygen" (fun () ->
       let r =
         Setup.keygen_ceremony ~workers:cfg.workers ctx.rng

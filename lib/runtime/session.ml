@@ -41,53 +41,41 @@ let run_with_plan t ?db ~plan query =
          "database override has %d rows but the session's device population is %d"
          (Array.length db) (Array.length t.db))
   else
-    let n = Array.length t.db in
-    let cert = Arb_lang.Certify.certify query.Arb_queries.Registry.program ~n in
-    if not cert.Arb_lang.Certify.certified then
-      Error
-        ("certification failed: "
-        ^ Option.value cert.Arb_lang.Certify.reason ~default:"?")
-    else if not (Arb_dp.Budget.can_afford t.budget ~cost:cert.Arb_lang.Certify.cost)
-    then
-      Error
-        (Format.asprintf "privacy budget exhausted: need %a, have %a"
-           Arb_dp.Budget.pp cert.Arb_lang.Certify.cost Arb_dp.Budget.pp t.budget)
-    else begin
-      let block_used = t.block in
-      (* Each query gets a fresh seed derived from the chained block so the
-         whole session is reproducible yet unpredictable before B_i. *)
-      let seed =
-        let h = Arb_crypto.Sha256.digest (block_used ^ string_of_int (t.index + 1)) in
-        String.fold_left (fun acc c -> Int64.add (Int64.mul acc 131L) (Int64.of_int (Char.code c)))
-          7L (String.sub h 0 8)
-      in
-      let config =
-        { t.config with Exec.seed; budget = t.budget; block = block_used;
-          query_id = t.index + 1 }
-      in
-      (* Exec.run_source fails closed: any fault the runtime could not
-         absorb (and any certificate/audit failure) comes back as a typed
-         error. The session commits the budget and advances the chain
-         only on Ok, so a failed query leaves everything intact. *)
-      match Exec.run_source config ~query ~plan ~src:(Exec.source_of_db db) with
-      | Ok report ->
-          t.budget <- report.Exec.certificate.Setup.budget_left;
-          t.block <- report.Exec.certificate.Setup.next_block;
-          t.index <- t.index + 1;
-          let qr = { report; query_index = t.index; block_used } in
-          t.chain <- qr :: t.chain;
-          Ok qr
-      | Error f ->
-          Error
-            (Format.asprintf "%a (session unchanged, budget intact)"
-               Exec.pp_failure f)
-    end
+    let block_used = t.block in
+    (* Each query gets a fresh seed derived from the chained block so the
+       whole session is reproducible yet unpredictable before B_i. *)
+    let seed =
+      let h = Arb_crypto.Sha256.digest (block_used ^ string_of_int (t.index + 1)) in
+      String.fold_left (fun acc c -> Int64.add (Int64.mul acc 131L) (Int64.of_int (Char.code c)))
+        7L (String.sub h 0 8)
+    in
+    let config =
+      { t.config with Exec.seed; budget = t.budget; block = block_used;
+        query_id = t.index + 1 }
+    in
+    (* Exec.run_source fails closed: certification, the keygen
+       committee's budget check, any fault the runtime could not absorb
+       and any certificate/audit failure come back as a typed error.
+       The session commits the budget and advances the chain only on
+       Ok, so a failed query leaves everything intact. *)
+    match Exec.run_source config ~query ~plan ~src:(Exec.source_of_db db) with
+    | Ok report ->
+        t.budget <- report.Exec.certificate.Setup.budget_left;
+        t.block <- report.Exec.certificate.Setup.next_block;
+        t.index <- t.index + 1;
+        let qr = { report; query_index = t.index; block_used } in
+        t.chain <- qr :: t.chain;
+        Ok qr
+    | Error f ->
+        Error
+          (Format.asprintf "%a (session unchanged, budget intact)"
+             Exec.pp_failure f)
 
 let run t query =
   let n = Array.length t.db in
-  (* Certification is re-checked by [run_with_plan]; planning is skipped
-     entirely when the caller (e.g. the service's plan cache) already holds
-     a plan for this query at this deployment size. *)
+  (* Callers that already hold a plan for this query at this deployment
+     size (e.g. the service's plan cache) skip planning through
+     [run_with_plan]. *)
   let planned =
     Arb_planner.Search.plan ~limits:Arb_planner.Constraints.no_limits ~query ~n
       ()

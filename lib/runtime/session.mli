@@ -34,12 +34,14 @@ val budget_left : t -> Arb_dp.Budget.t
 val queries_run : t -> int
 
 val run : t -> Arb_queries.Registry.query -> (query_result, string) result
-(** Execute the next query in the chain. [Error] (leaving the session
-    unchanged — budget, block and index intact) when the budget cannot
-    cover the query's certified cost, when certification fails, when the
-    round limit R is exhausted, or when execution fails closed
-    ({!Exec.run_source}: unabsorbed faults, detected cheating, failed audit or
-    certificate). *)
+(** Plan and execute the next query in the chain. [Error] (leaving the
+    session unchanged — budget, block and index intact) when the round
+    limit R is exhausted or when execution fails closed. The session does
+    not certify or check the budget itself: {!Exec.run_source} certifies
+    the query and its key-generation committee refuses a cost the balance
+    cannot cover, so those refusals read like every other {!Exec}
+    failure, e.g. ["[budget] privacy budget exhausted (session unchanged,
+    budget intact)"]. *)
 
 val run_with_plan :
   t ->
@@ -48,9 +50,8 @@ val run_with_plan :
   Arb_queries.Registry.query ->
   (query_result, string) result
 (** {!run} with the planning step skipped: execute a plan the caller
-    already holds (e.g. from the service's plan cache). Certification, the
-    budget check, the round limit and the fail-closed semantics are
-    identical to {!run}. [db] substitutes this query's device inputs — the
+    already holds (e.g. from the service's plan cache). The round limit
+    and the fail-closed semantics are identical to {!run}. [db] substitutes this query's device inputs — the
     same population answering a different question — and must have exactly
     the session's row count; the plan must have been chosen for this query
     at the session's deployment size. *)

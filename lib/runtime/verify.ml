@@ -18,9 +18,11 @@ let verify_report ~query ~plan ~budget_before ~n_devices (report : Exec.report) 
     (String.equal plan_digest cert.Setup.plan_digest)
     "certificate.plan_digest = H(plan)";
 
-  (* 3. Budget arithmetic: before - certified cost = left. *)
+  (* 3. Budget arithmetic: before - charged cost = left, where a sampled
+     plan is charged its amplified cost. *)
   let cert_report = Arb_lang.Certify.certify query.Arb_queries.Registry.program ~n:n_devices in
-  (match Arb_dp.Budget.charge budget_before ~cost:cert_report.Arb_lang.Certify.cost with
+  let cost = Arb_planner.Plan.charged plan cert_report.Arb_lang.Certify.cost in
+  (match Arb_dp.Budget.charge budget_before ~cost with
   | Some expected ->
       let close a b = Float.abs (a -. b) < 1e-9 in
       let left = cert.Setup.budget_left in

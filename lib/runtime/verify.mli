@@ -4,8 +4,9 @@
     standing budget, and the execution report with its signed certificate —
     can re-check what the protocol promised without trusting the
     aggregator: the certificate's signatures, that the certificate commits
-    to exactly this plan, that the budget arithmetic matches the query's
-    certified privacy cost, and that the aggregator's audit held. *)
+    to exactly this plan, that the budget arithmetic matches what the plan
+    charges for the query's certified privacy cost
+    ({!Arb_planner.Plan.charged}), and that the aggregator's audit held. *)
 
 type finding = { check : string; ok : bool; detail : string }
 

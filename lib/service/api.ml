@@ -8,7 +8,8 @@
    edge, and here {!Service.try_submit} refuses over-capacity or
    over-budget *submissions* with a 429 before anything is enqueued — the
    DP budget is untouched by construction (nothing was admitted, planned
-   or executed).
+   or executed). A 202 means every copy holds its certified cost, so the
+   drain never refuses it for budget.
 
    Execution stays serialized: one executor domain wakes on submission,
    drains the whole queue through the deterministic service core, and
@@ -24,7 +25,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type config = {
   max_queue : int;  (* Service.try_submit queue bound *)
   drain_workers : int;  (* planner pool per drain *)
-  check_budget : bool;  (* budget prescreen at submit time *)
+  check_budget : bool;  (* 429 for what the available balance cannot hold *)
 }
 
 let default_config = { max_queue = 1024; drain_workers = 1; check_budget = true }

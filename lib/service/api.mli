@@ -7,8 +7,9 @@
       drain count.
     - [POST /v1/queries] — body is one workload query entry
       ({!Workload.submission_of_json}); 202 with the assigned submission
-      index, or 429 (reason [queueFull] or [budget]) via
-      {!Service.try_submit} with the budget untouched, 400 on malformed
+      index (each accepted copy already holds its certified cost), or
+      429 (reason [queueFull] or [budget]) via {!Service.try_submit}
+      with the budget untouched, 400 on malformed
       bodies or recurring entries ([every]/[window] — those are
       session-scoped, registered from workload files), 503 once stopping.
     - [GET /v1/queries/<index>] — poll one submission: its lifecycle
@@ -38,11 +39,13 @@
 type config = {
   max_queue : int;  (** {!Service.try_submit} queue bound *)
   drain_workers : int;  (** planner pool size per drain *)
-  check_budget : bool;  (** budget prescreen at submit time *)
+  check_budget : bool;
+      (** answer 429 for a submission the available balance cannot hold;
+          when false it is enqueued and the drain emits its refusal *)
 }
 
 val default_config : config
-(** 1024-deep queue, single-worker drains, prescreen on. *)
+(** 1024-deep queue, single-worker drains, budget 429s on. *)
 
 type t
 

@@ -41,9 +41,6 @@ let status_name = function
   | Exec_failed _ -> "execFailed"
   | Executed _ -> "executed"
 
-let budget_to_json (b : B.t) =
-  J.Obj [ ("epsilon", J.Float b.B.epsilon); ("delta", J.Float b.B.delta) ]
-
 let to_json ?(timings = false) r =
   let status_fields =
     match r.status with
@@ -74,9 +71,9 @@ let to_json ?(timings = false) r =
        ("epsilon", J.Float r.epsilon);
        ("cacheKey", J.String r.cache_key);
        ("cacheHit", J.Bool r.cache_hit);
-       ("cost", budget_to_json r.cost);
-       ("budgetBefore", budget_to_json r.budget_before);
-       ("budgetAfter", budget_to_json r.budget_after);
+       ("cost", B.to_json r.cost);
+       ("budgetBefore", B.to_json r.budget_before);
+       ("budgetAfter", B.to_json r.budget_after);
        ("status", J.String (status_name r.status));
      ]
     @ status_fields @ timing_fields)
@@ -131,7 +128,7 @@ let counters_to_json c =
       ("failed", J.Int c.failed);
       ("planSeconds", J.Float c.plan_seconds);
       ("execSeconds", J.Float c.exec_seconds);
-      ("spent", budget_to_json c.spent);
+      ("spent", B.to_json c.spent);
     ]
 
 let pp ppf r =

@@ -20,7 +20,7 @@ type status =
   | Executed of { outputs : string list }
 
 type timings = {
-  admit_s : float;  (** certification + admission decision *)
+  admit_s : float;  (** certification + admission decision, at enqueue *)
   plan_s : float;  (** planner wall clock (0 on a cache hit) *)
   exec_s : float;  (** end-to-end execution *)
 }
@@ -34,8 +34,12 @@ type record = {
   cache_hit : bool;
       (** the plan came from the cache (an earlier submission or a
           persisted entry) rather than a fresh search *)
-  cost : Arb_dp.Budget.t;  (** certified privacy cost (zero when refused
-      before certification succeeded) *)
+  cost : Arb_dp.Budget.t;
+      (** for an executed submission, what its certificate deducted
+          ({!Arb_planner.Plan.charged}: the certified cost, amplified when
+          the plan samples devices), so [cost] equals [budget_before]
+          less [budget_after]; otherwise the certified cost (zero when
+          refused before certification succeeded) *)
   budget_before : Arb_dp.Budget.t;
   budget_after : Arb_dp.Budget.t;
   status : status;
@@ -51,7 +55,7 @@ type counters = {
   failed : int;  (** plan or execution failures *)
   plan_seconds : float;
   exec_seconds : float;
-  spent : Arb_dp.Budget.t;  (** total budget committed by executed queries *)
+  spent : Arb_dp.Budget.t;  (** sum of the executed records' [cost] *)
 }
 
 val status_name : status -> string

@@ -21,18 +21,36 @@ type t = {
   mutable calibration : P.Calibration.t;
       (* the cost model pricing cold plans; guarded by [lock] *)
   lock : Mutex.t;
-      (* guards queue / next_index / history / reserved: HTTP handlers
-         submit and poll from worker domains concurrently with drains *)
+      (* guards queue / next_index / history / committed / holds: HTTP
+         handlers submit and poll from worker domains concurrently with
+         drains *)
   drain_lock : Mutex.t;
       (* serializes whole drains — execution is inherently ordered on the
          certificate chain, so two concurrent drains would be a bug *)
-  mutable queue : (int * float * Workload.submission) list;
+  mutable queue : (int * float * queued) list;
       (* newest first; the float is the enqueue time (queue-wait metric) *)
   mutable next_index : int;
   mutable history : Lifecycle.record list;  (* newest first *)
-  mutable reserved : B.t;
-      (* certified costs of queued submissions that passed the submit-time
-         budget prescreen; advisory (drain re-checks authoritatively) *)
+  mutable committed : B.t;
+      (* the session balance as of the last settle *)
+  mutable holds : (int * B.t) list;
+      (* (index, certified cost) of every admitted submission not yet
+         settled, newest first *)
+}
+
+(* What admission decided for one queued copy. *)
+and queued = Refusal of Lifecycle.record | Admitted of pending_query
+
+(* An admitted submission's progress through the pipeline. *)
+and pending_query = {
+  p_index : int;
+  p_sub : Workload.submission;
+  p_query : Q.query;
+  p_key : Cache.key;
+  p_cost : B.t;  (* the certified cost its hold reserves *)
+  p_admit_s : float;
+  mutable p_hit : bool;
+  mutable p_plan_s : float;
 }
 
 let create ?exec_config ?cache ?metrics ?calibration ?snapshots ~budget
@@ -59,19 +77,9 @@ let create ?exec_config ?cache ?metrics ?calibration ?snapshots ~budget
     queue = [];
     next_index = 0;
     history = [];
-    reserved = B.zero;
+    committed = budget;
+    holds = [];
   }
-
-let enqueue_locked t (s : Workload.submission) =
-  let first = t.next_index in
-  let enq = Unix.gettimeofday () in
-  for _ = 1 to s.Workload.repeat do
-    t.queue <- (t.next_index, enq, { s with Workload.repeat = 1 }) :: t.queue;
-    t.next_index <- t.next_index + 1
-  done;
-  first
-
-let submit t s = Mutex.protect t.lock (fun () -> enqueue_locked t s)
 
 let pending t = Mutex.protect t.lock (fun () -> List.length t.queue)
 
@@ -171,44 +179,13 @@ let resolve (s : Workload.submission) =
   | exception Not_found -> None
   | q -> Some { q with Q.error_tolerance = s.Workload.tolerance }
 
+let certify t query = Arb_lang.Certify.certify query.Q.program ~n:t.devices
+
 let certified_cost t s =
   Option.bind (resolve s) (fun query ->
-      let cert = Arb_lang.Certify.certify query.Q.program ~n:t.devices in
+      let cert = certify t query in
       if cert.Arb_lang.Certify.certified then Some cert.Arb_lang.Certify.cost
       else None)
-
-let try_submit ?max_queue ?(check_budget = true) t (s : Workload.submission) =
-  (* Certification is pure; run it outside the lock. Submissions that do
-     not resolve or certify cost nothing here: they are enqueued anyway so
-     the drain refuses them with a canonical lifecycle record. *)
-  let cost = if check_budget then certified_cost t s else None in
-  Mutex.protect t.lock (fun () ->
-      let depth = List.length t.queue in
-      match max_queue with
-      | Some bound when depth + s.Workload.repeat > bound ->
-          Error (Queue_full bound)
-      | _ -> (
-          match cost with
-          | None -> Ok (enqueue_locked t s)
-          | Some cost -> (
-              let total = B.scale cost (float_of_int s.Workload.repeat) in
-              let balance = R.Session.budget_left t.session in
-              let projected =
-                match B.charge balance ~cost:t.reserved with
-                | Some p -> p
-                | None -> B.zero (* over-reserved window; fail the check *)
-              in
-              match B.charge projected ~cost:total with
-              | None ->
-                  Error
-                    (Over_budget
-                       (Format.asprintf
-                          "admission: privacy budget exhausted (need %a, \
-                           have %a)"
-                          B.pp total B.pp projected))
-              | Some _ ->
-                  t.reserved <- B.spend_all t.reserved total;
-                  Ok (enqueue_locked t s))))
 
 let refusal_message = function
   | Queue_full bound ->
@@ -228,18 +205,6 @@ let db_seed ~seed ~index =
 
 let now () = Unix.gettimeofday ()
 
-(* One submission's progress through the pipeline. *)
-type pending_query = {
-  p_index : int;
-  p_sub : Workload.submission;
-  p_query : Q.query;
-  p_key : Cache.key;
-  p_cost : B.t;
-  p_hit : bool;
-  p_admit_s : float;
-  mutable p_plan_s : float;
-}
-
 let refusal_record ~index ~(sub : Workload.submission) ~categories ~key ~cost
     ~balance ~admit_s reason =
   {
@@ -256,17 +221,123 @@ let refusal_record ~index ~(sub : Workload.submission) ~categories ~key ~cost
     timings = { Lifecycle.admit_s; plan_s = 0.0; exec_s = 0.0 };
   }
 
+let exhausted ~need ~have =
+  Format.asprintf "admission: privacy budget exhausted (need %a, have %a)"
+    B.pp need B.pp have
+
+(* The committed balance less every unsettled hold, charged oldest first:
+   the same sequential arithmetic the session applies as the holds
+   settle. Holds were admitted against exactly this arithmetic, so the
+   fallback is unreachable. *)
+let available_locked t =
+  List.fold_right
+    (fun (_, hold) balance ->
+      Option.value (B.charge balance ~cost:hold) ~default:B.zero)
+    t.holds t.committed
+
+let try_submit ?max_queue ?(check_budget = true) t (s : Workload.submission) =
+  (* The lock-free half: resolve, check the tolerance, certify and key.
+     Submissions that fail here are still enqueued, as refusal records,
+     so every path produces the same canonical lifecycle record. *)
+  let t0 = now () in
+  let verdict =
+    match resolve s with
+    | None ->
+        Error (0, Printf.sprintf "unknown query %S (see `arb list`)" s.Workload.query)
+    | Some query -> (
+        let categories = query.Q.categories in
+        match s.Workload.tolerance with
+        | Some tol when not (tol > 0.0 && tol <= 1.0) ->
+            Error (categories, Printf.sprintf "tolerance must be in (0, 1], got %g" tol)
+        | _ ->
+            let cert = certify t query in
+            if not cert.Arb_lang.Certify.certified then
+              Error
+                ( categories,
+                  "certification failed: "
+                  ^ Option.value cert.Arb_lang.Certify.reason ~default:"?" )
+            else
+              Ok
+                ( query,
+                  Cache.key ~goal:s.Workload.goal ~query ~n:t.devices (),
+                  cert.Arb_lang.Certify.cost ))
+  in
+  (* Under the lock, each copy either becomes a refusal record or holds
+     its certified cost against the available balance. *)
+  Mutex.protect t.lock (fun () ->
+      let first = t.next_index and enq = now () in
+      let sub = { s with Workload.repeat = 1 } in
+      let have = available_locked t in
+      let available = ref have and holds = ref t.holds and short = ref None in
+      let admit index =
+        let refuse ?(key = "") ?(cost = B.zero) categories reason =
+          Refusal
+            (refusal_record ~index ~sub ~categories ~key ~cost
+               ~balance:!available ~admit_s:(now () -. t0) reason)
+        in
+        match verdict with
+        | Error (categories, reason) -> refuse categories reason
+        | Ok (query, key, cost) -> (
+            match B.charge !available ~cost with
+            | None ->
+                short := Some cost;
+                refuse ~key ~cost query.Q.categories
+                  (exhausted ~need:cost ~have:!available)
+            | Some rest ->
+                available := rest;
+                holds := (index, cost) :: !holds;
+                Admitted
+                  {
+                    p_index = index;
+                    p_sub = sub;
+                    p_query = query;
+                    p_key = key;
+                    p_cost = cost;
+                    p_admit_s = now () -. t0;
+                    p_hit = false;
+                    p_plan_s = 0.0;
+                  })
+      in
+      let entries = List.init s.Workload.repeat (fun k -> admit (first + k)) in
+      match (max_queue, !short) with
+      | Some bound, _ when List.length t.queue + s.Workload.repeat > bound ->
+          Error (Queue_full bound)
+      | _, Some cost when check_budget ->
+          Error
+            (Over_budget
+               (exhausted
+                  ~need:(B.scale cost (float_of_int s.Workload.repeat))
+                  ~have))
+      | _ ->
+          t.holds <- !holds;
+          List.iteri (fun k e -> t.queue <- (first + k, enq, e) :: t.queue) entries;
+          t.next_index <- first + s.Workload.repeat;
+          Ok first)
+
+let submit t s = Result.get_ok (try_submit ~check_budget:false t s)
+
+(* Settle the holds of every index [settled] accepts: the session balance
+   already carries what their executions charged (nothing, for a failed
+   one), so dropping the holds returns whatever they reserved beyond
+   that to the available balance. *)
+let settle t settled =
+  Mutex.protect t.lock (fun () ->
+      t.committed <- R.Session.budget_left t.session;
+      t.holds <- List.filter (fun (i, _) -> not (settled i)) t.holds)
+
 let drain ?tracer ?(workers = 1) t =
   Mutex.protect t.drain_lock @@ fun () ->
   let batch =
     Mutex.protect t.lock (fun () ->
         let b = List.rev t.queue in
         t.queue <- [];
-        (* Queued reservations ride along with the batch; the admission
-           stage below re-checks them against the real session balance. *)
-        t.reserved <- B.zero;
         b)
   in
+  (* Earlier drains settled all of their holds, so every hold up to this
+     batch's last index is this batch's. A drain that raises releases
+     the ones it had not settled. *)
+  let last = List.fold_left (fun m (i, _, _) -> max m i) (-1) batch in
+  Fun.protect ~finally:(fun () -> settle t (fun i -> i <= last)) @@ fun () ->
   (* Wall-clock metrics (queue wait, latency histograms) are suppressed
      when tracing deterministically, so the metrics bytes reproduce too. *)
   let timed =
@@ -300,82 +371,26 @@ let drain ?tracer ?(workers = 1) t =
      in this batch all see the same calibration even if an install lands
      mid-drain. *)
   let cm = (calibration t).P.Calibration.constants in
-  (* ---- stage 1+2: admission and cache labeling, in submission order ---- *)
-  let projected = ref (R.Session.budget_left t.session) in
-  let cold = ref [] (* (key, query, goal) newest first *)
-  and cold_count = ref 0 in
+  (* ---- stage 1: cache labeling, in submission order ---- *)
+  let cold = ref [] (* (key, query, goal) newest first *) in
   let cold_keys : (Cache.key, unit) Hashtbl.t = Hashtbl.create 16 in
-  let refused = ref [] (* Lifecycle.record, newest first *)
-  and admitted = ref [] (* pending_query, newest first *) in
-  spn "admit" (fun () ->
-  List.iter
-    (fun (index, _enq, (sub : Workload.submission)) ->
-      let t0 = now () in
-      let refuse ?(categories = 0) ?(key = "") ?(cost = B.zero) reason =
-        refused :=
-          refusal_record ~index ~sub ~categories ~key ~cost ~balance:!projected
-            ~admit_s:(now () -. t0) reason
-          :: !refused
-      in
-      match resolve sub with
-      | None ->
-          refuse
-            (Printf.sprintf "unknown query %S (see `arb list`)"
-               sub.Workload.query)
-      | Some query when
-          (match sub.Workload.tolerance with
-          | Some tol -> not (tol > 0.0 && tol <= 1.0)
-          | None -> false) ->
-          (* Refused before any budget projection: an invalid tolerance
-             leaves both the global and window balances byte-identical. *)
-          refuse ~categories:query.Q.categories
-            (Printf.sprintf "tolerance must be in (0, 1], got %g"
-               (Option.get sub.Workload.tolerance))
-      | Some query -> (
-          let categories = query.Q.categories in
-          let cert = Arb_lang.Certify.certify query.Q.program ~n in
-          if not cert.Arb_lang.Certify.certified then
-            refuse ~categories
-              ("certification failed: "
-              ^ Option.value cert.Arb_lang.Certify.reason ~default:"?")
-          else
-            let cost = cert.Arb_lang.Certify.cost in
-            let key = Cache.key ~goal:sub.Workload.goal ~query ~n () in
-            match B.charge !projected ~cost with
-            | None ->
-                refuse ~categories ~key ~cost
-                  (Format.asprintf
-                     "admission: privacy budget exhausted (need %a, have %a)"
-                     B.pp cost B.pp !projected)
-            | Some balance ->
-                projected := balance;
-                let hit =
-                  match Cache.find t.cache key with
-                  | Some _ -> true
-                  | None ->
-                      if Hashtbl.mem cold_keys key then true
-                      else begin
-                        Hashtbl.add cold_keys key ();
-                        cold := (key, query, sub.Workload.goal) :: !cold;
-                        incr cold_count;
-                        false
-                      end
-                in
-                admitted :=
-                  {
-                    p_index = index;
-                    p_sub = sub;
-                    p_query = query;
-                    p_key = key;
-                    p_cost = cost;
-                    p_hit = hit;
-                    p_admit_s = now () -. t0;
-                    p_plan_s = 0.0;
-                  }
-                  :: !admitted))
-    batch);
-  let admitted = List.rev !admitted and refused = List.rev !refused in
-  (* ---- stage 3: plan the distinct misses across the worker pool ---- *)
+  let refused, admitted =
+    spn "admit" (fun () ->
+        List.partition_map
+          (fun (_, _, entry) ->
+            match entry with
+            | Refusal r -> Left r
+            | Admitted p ->
+                p.p_hit <-
+                  Cache.mem t.cache p.p_key || Hashtbl.mem cold_keys p.p_key;
+                if not p.p_hit then begin
+                  Hashtbl.add cold_keys p.p_key ();
+                  cold := (p.p_key, p.p_query, p.p_sub.Workload.goal) :: !cold
+                end;
+                Right p)
+          batch)
+  in
+  (* ---- stage 2: plan the distinct misses across the worker pool ---- *)
   let tasks = Array.of_list (List.rev !cold) in
   let slots = Array.make (Array.length tasks) None in
   (* Each cold plan searches under its own child tracer, grafted back in
@@ -434,7 +449,7 @@ let drain ?tracer ?(workers = 1) t =
               Hashtbl.replace plan_failed key
                 "planner found no plan for this query"))
     tasks;
-  (* ---- stage 4: execute serially, in submission order ---- *)
+  (* ---- stage 3: execute serially, in submission order ---- *)
   let executed =
     List.map
       (fun p ->
@@ -453,7 +468,8 @@ let drain ?tracer ?(workers = 1) t =
           (if p.p_hit then 0.0
            else Option.value ~default:0.0 (Hashtbl.find_opt plan_elapsed p.p_key));
         let balance = R.Session.budget_left t.session in
-        let finish ?(cache_hit = p.p_hit) ?(exec_s = 0.0) ~budget_after status =
+        let finish ?(cache_hit = p.p_hit) ?(exec_s = 0.0) ?(cost = p.p_cost)
+            ~budget_after status =
           {
             Lifecycle.index = p.p_index;
             query = sub.Workload.query;
@@ -461,7 +477,7 @@ let drain ?tracer ?(workers = 1) t =
             epsilon = sub.Workload.epsilon;
             cache_key = p.p_key;
             cache_hit;
-            cost = p.p_cost;
+            cost;
             budget_before = balance;
             budget_after;
             status;
@@ -473,6 +489,10 @@ let drain ?tracer ?(workers = 1) t =
               };
           }
         in
+        (* Whatever happens below, the session balance ends up carrying
+           this submission's charge or nothing, so its hold settles. *)
+        Fun.protect ~finally:(fun () -> settle t (( = ) p.p_index))
+        @@ fun () ->
         match Hashtbl.find_opt plan_failed p.p_key with
         | Some reason ->
             finish ~cache_hit:false ~budget_after:balance
@@ -504,6 +524,7 @@ let drain ?tracer ?(workers = 1) t =
                 | None -> ());
                 finish
                   ~exec_s:(now () -. t0)
+                  ~cost:(P.Plan.charged entry.Cache.plan p.p_cost)
                   ~budget_after:(R.Session.budget_left t.session)
                   (Lifecycle.Executed
                      {

@@ -2,24 +2,32 @@
     stream of analyst submissions against one device population and one
     shared privacy budget.
 
-    Submissions queue up ({!submit}) and are processed in batches
-    ({!drain}) through a fixed pipeline:
+    Each submission is admitted once, when it is enqueued ({!submit},
+    {!try_submit}): the registry query is resolved ({!resolve}), its
+    tolerance checked and its program certified, and then, under the
+    service lock, each copy either becomes a refusal record or places a
+    {e hold}: its certified cost, reserved against the {e available}
+    balance, which is the committed balance less every unsettled hold,
+    charged in submission order. A refused copy leaves the budget and the
+    certificate chain untouched. Every hold settles exactly once: when
+    the submission executes, its hold is replaced by what its
+    certificate deducted ({!Arb_planner.Plan.charged}), and whatever the
+    charge did not use returns to the available balance; a submission
+    whose plan or execution fails releases its hold, and so does a drain
+    that raises, for every hold it had not settled.
 
-    + {b admit} — sequential, in submission order: resolve the registry
-      query ({!resolve}), certify it, and check its certified cost against
-      the *projected* remaining budget (the session balance minus the
-      certified costs of everything admitted earlier in the batch). Queries
-      that cannot fit are refused before any planning happens, with the
-      session budget and certificate chain untouched — the same
-      refuse-with-budget-intact semantics as {!Arb_runtime.Session.run}.
-    + {b plan / cache} — admitted submissions are labeled against the plan
-      cache in submission order (an earlier identical submission makes a
-      later one a hit, deterministically), and the distinct cache misses
-      are planned concurrently by a pool of OCaml domains. Each worker
-      runs a private single-domain search; results land in per-task slots
-      and are committed to the cache in canonical task order, so the cache
-      contents and every lifecycle record are independent of the worker
-      count and of domain scheduling.
+    Queued submissions are processed in batches ({!drain}) through a
+    fixed pipeline:
+
+    + {b admit} — refusal records pass through; admitted submissions
+      are labeled against the plan cache in submission order (an earlier
+      identical submission makes a later one a hit, deterministically).
+    + {b plan} — the distinct cache misses are planned concurrently by a
+      pool of OCaml domains. Each worker runs a private single-domain
+      search; results land in per-task slots and are committed to the
+      cache in canonical task order, so the cache contents and every
+      lifecycle record are independent of the worker count and of domain
+      scheduling.
     + {b execute} — sequential, in submission order, against the shared
       {!Arb_runtime.Session}: execution must stay serialized because each
       query's sortition consumes the randomness block minted by the
@@ -73,8 +81,11 @@ val create :
     passes its [--workers] and its [--trace-out] tracer here. *)
 
 val submit : t -> Workload.submission -> int
-(** Enqueue ([repeat] is honored); returns the submission index of the
-    first copy. Indices are global to the service, 0-based.
+(** Admit and enqueue ([repeat] is honored); returns the submission index
+    of the first copy. Indices are global to the service, 0-based. A copy
+    that does not resolve, has a tolerance outside (0, 1], fails
+    certification or does not fit the available balance is enqueued as
+    its refusal record, which the next {!drain} emits.
 
     [submit], [pending], [history], [record] and [drain] are safe to call
     concurrently from any domain (the HTTP front door's handlers do): the
@@ -87,9 +98,9 @@ val pending : t -> int
 val resolve : Workload.submission -> Arb_queries.Registry.query option
 (** The registry query a submission names, carrying the submission's
     tolerance; [None] for an unknown name. The one mapping from a
-    submission to its query: drain's admission, {!try_submit}'s prescreen
-    and the continual engine all go through it, so they compute the same
-    cache key and the same certified cost. *)
+    submission to its query: admission and the continual engine both go
+    through it, so they compute the same cache key and the same certified
+    cost. *)
 
 val certified_cost : t -> Workload.submission -> Arb_dp.Budget.t option
 (** The certified cost of one copy of a submission over this service's
@@ -107,17 +118,15 @@ val try_submit :
   t ->
   Workload.submission ->
   (int, refusal) result
-(** Backpressure-aware {!submit}: refuse — before enqueueing, with the
-    budget untouched — when the queue would exceed [max_queue] or (with
-    [check_budget], the default) when the submission's certified cost
-    cannot fit the projected balance (session balance minus the certified
-    costs of everything already queued). The prescreen applies
-    {!certified_cost} with drain's admission arithmetic but is advisory:
-    drain re-checks authoritatively, so a submission admitted here can
-    still be refused there (e.g. when an earlier batch's execution failed
-    and returned its reservation). Submissions that do not resolve or
-    certify are enqueued anyway, so drain refuses them with the same
-    canonical lifecycle record the workload-file path produces. *)
+(** Backpressure-aware {!submit}, through the same admission: refuse —
+    enqueueing nothing, with the budget untouched — when the queue would
+    exceed [max_queue] or (with [check_budget], the default) when the
+    available balance cannot hold every copy's certified cost. Each copy
+    it accepts holds its cost, so the drain never refuses it for budget.
+    Submissions that do not resolve, have a bad tolerance or fail
+    certification are enqueued anyway, so the drain emits the same
+    canonical refusal record the workload-file path produces. With
+    [check_budget:false] it is {!submit} with a queue bound. *)
 
 val submitted : t -> int
 (** Total submissions ever enqueued (the next index to be assigned). *)
@@ -136,8 +145,8 @@ val drain : ?tracer:Arb_obs.Tracer.t -> ?workers:int -> t -> Lifecycle.record li
     value yields byte-identical canonical records
     ({!Lifecycle.records_to_string}).
 
-    [tracer] records drain → admit / per-cold-plan search / per-submission
-    execute spans. Cold plans search under per-task child tracers grafted
+    [tracer] records drain → admit (cache labeling) / per-cold-plan
+    search / per-submission execute spans. Cold plans search under per-task child tracers grafted
     back in canonical task order, so — with a [Deterministic] clock, which
     also suppresses the registry's wall-clock instruments — trace bytes are
     identical across runs and across [workers] values. *)

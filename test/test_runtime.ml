@@ -722,6 +722,24 @@ let test_sampled_vs_full_within_est_error () =
       -. r.R.Exec.certificate.R.Setup.budget_left.Arb_dp.Budget.epsilon
     in
     checkb (name ^ ": sampled run spends less epsilon") true (spent samp < spent full);
+    (* An independent verifier re-derives each run's charge: the sampled
+       certificate deducts the amplified cost, not the certified one. *)
+    List.iter
+      (fun (label, plan, report) ->
+        let findings =
+          R.Verify.verify_report ~query:q ~plan ~budget_before:big_budget
+            ~n_devices:n report
+        in
+        match
+          List.find_opt (fun f -> f.R.Verify.check = "budget arithmetic") findings
+        with
+        | Some f ->
+            checkb
+              (Printf.sprintf "%s: %s run's budget arithmetic verifies (%s)" name
+                 label f.R.Verify.detail)
+              true f.R.Verify.ok
+        | None -> Alcotest.fail "verify_report has no budget arithmetic finding")
+      [ ("full", p_full, full); ("sampled", p_samp, samp) ];
     let samp2 =
       released
         (R.Exec.run_source { sharded with R.Exec.workers = 2 } ~query:q ~plan:p_samp ~src)

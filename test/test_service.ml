@@ -243,6 +243,55 @@ let test_unknown_query_refused () =
       | _ -> Alcotest.fail "expected a refusal")
   | rs -> Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length rs))
 
+let test_submit_holds_against_try_submit () =
+  (* A plain submit holds its certified cost at enqueue, so try_submit
+     sees it: of two further eps-0.5 submissions under a budget of 1.0,
+     the second gets a 429-style refusal instead of a 202 that the drain
+     would then refuse. *)
+  let budget = B.create ~epsilon:1.0 ~delta:0.01 in
+  let t = S.Service.create ~budget ~devices:32 ~seed:5 () in
+  ignore (S.Service.submit t (sub ~epsilon:0.5 "top1"));
+  (match S.Service.try_submit t (sub ~epsilon:0.5 "top1") with
+  | Ok 1 -> ()
+  | _ -> Alcotest.fail "the second query fits beside the first's hold");
+  (match S.Service.try_submit t (sub ~epsilon:0.5 "top1") with
+  | Error (S.Service.Over_budget m) ->
+      checkb "message names the budget" true (contains m "budget")
+  | Ok _ -> Alcotest.fail "the submitted query's hold must count"
+  | Error _ -> Alcotest.fail "wrong refusal kind");
+  checkb "refusal left the balance untouched" true
+    (B.equal budget (S.Service.budget_left t));
+  let statuses =
+    List.map
+      (fun r -> S.Lifecycle.status_name r.S.Lifecycle.status)
+      (S.Service.drain t)
+  in
+  Alcotest.(check (list string))
+    "both held submissions executed" [ "executed"; "executed" ] statuses;
+  checkb "epsilon fully spent" true
+    (Float.abs (S.Service.budget_left t).B.epsilon < 1e-9)
+
+let test_raising_drain_releases_holds () =
+  (* A registry whose queue-wait series is already a counter makes the
+     drain raise before it executes anything. Its finally must release
+     both holds: the budget is then whole again for a new submission. *)
+  let reg = Arb_obs.Metrics.create () in
+  Arb_obs.Metrics.add reg ~help:"wrong kind" "arb_service_queue_wait_seconds"
+    1.0;
+  let budget = B.create ~epsilon:1.0 ~delta:0.01 in
+  let t = S.Service.create ~metrics:reg ~budget ~devices:32 ~seed:5 () in
+  ignore (S.Service.submit t (sub ~epsilon:0.5 ~repeat:2 "top1"));
+  (match S.Service.try_submit t (sub ~epsilon:0.5 "top1") with
+  | Error (S.Service.Over_budget _) -> ()
+  | _ -> Alcotest.fail "two holds must exhaust the budget");
+  (match S.Service.drain t with
+  | _ -> Alcotest.fail "the drain should have raised"
+  | exception Invalid_argument _ -> ());
+  checkb "nothing was spent" true (B.equal budget (S.Service.budget_left t));
+  match S.Service.try_submit t (sub ~epsilon:0.5 ~repeat:2 "top1") with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "the raised drain must release its holds"
+
 let test_empty_drain () =
   let t = service () in
   checki "no records" 0 (List.length (S.Service.drain t));
@@ -366,9 +415,9 @@ let test_try_submit_queue_full () =
   | _ -> Alcotest.fail "repeat must count toward the queue bound"
 
 let test_try_submit_over_budget () =
-  (* Budget affords two eps-0.5 queries. The prescreen must account for
-     what is already queued (reservations), not just the session balance,
-     and a refusal must leave both untouched. *)
+  (* Budget affords two eps-0.5 queries. Admission must count the holds
+     of what is already queued, not just the session balance, and a
+     refusal must leave both untouched. *)
   let budget = B.create ~epsilon:1.0 ~delta:0.01 in
   let t = S.Service.create ~budget ~devices:32 ~seed:5 () in
   (match S.Service.try_submit t (sub ~epsilon:0.5 "top1") with
@@ -379,7 +428,7 @@ let test_try_submit_over_budget () =
   | Error _ -> Alcotest.fail "second affordable submission refused");
   (match S.Service.try_submit t (sub ~epsilon:0.5 "top1") with
   | Error (S.Service.Over_budget _) -> ()
-  | Ok _ -> Alcotest.fail "queued reservations must count against the budget"
+  | Ok _ -> Alcotest.fail "queued holds must count against the budget"
   | Error _ -> Alcotest.fail "wrong refusal kind");
   checkb "refusals left the balance untouched" true
     (B.equal budget (S.Service.budget_left t));
@@ -392,8 +441,8 @@ let test_try_submit_over_budget () =
             S.Lifecycle.status_name r.S.Lifecycle.status = "executed")
           records));
   checkb "chain verifies" true (S.Service.chain_verifies t);
-  (* After the drain reset the reservations, the balance is authoritative
-     again: a third query is now refused on the real balance. *)
+  (* The drain settled both holds; a third query is now refused on the
+     spent balance. *)
   match S.Service.try_submit t (sub ~epsilon:0.5 "top1") with
   | Error (S.Service.Over_budget _) -> ()
   | _ -> Alcotest.fail "spent balance must refuse the next submission"
@@ -687,6 +736,10 @@ let () =
             test_admission_refuses_before_any_execution;
           Alcotest.test_case "unknown query refused" `Quick
             test_unknown_query_refused;
+          Alcotest.test_case "submit holds its cost against try_submit" `Quick
+            test_submit_holds_against_try_submit;
+          Alcotest.test_case "a raising drain releases its holds" `Quick
+            test_raising_drain_releases_holds;
         ] );
       ( "lifecycle",
         [
