@@ -5,7 +5,7 @@
      arb run    --query top1 --devices 256         plan + execute at sim scale
      arb certify --query median                    certification report
      arb serve  --workload file.json --workers 4   multi-query service
-     arb calibrate --from snaps/ --out calib.json  fit the cost model
+     arb calibrate --from obs/ --out calib.json    fit the cost model
      arb list                                      the built-in queries
 
    `arb plan --json`, `arb list --json` and `arb serve --json` emit
@@ -38,16 +38,7 @@ let seed_arg =
   Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let goal_arg =
-  let goals =
-    [
-      ("part-exp-time", Arb_planner.Constraints.Min_part_exp_time);
-      ("part-max-time", Arb_planner.Constraints.Min_part_max_time);
-      ("part-exp-bytes", Arb_planner.Constraints.Min_part_exp_bytes);
-      ("part-max-bytes", Arb_planner.Constraints.Min_part_max_bytes);
-      ("agg-time", Arb_planner.Constraints.Min_agg_time);
-      ("agg-bytes", Arb_planner.Constraints.Min_agg_bytes);
-    ]
-  in
+  let goals = Arb_service.Workload.goal_names in
   let doc = "Optimization goal: " ^ String.concat ", " (List.map fst goals) ^ "." in
   Arg.(
     value
@@ -148,9 +139,10 @@ let calibration_arg =
 
 let snapshots_arg =
   let doc =
-    "Append a tagged metrics-registry snapshot to this directory's store \
-     (snapshots.jsonl) — the ground truth `arb calibrate --from` fits. \
-     `serve` also appends after every drain."
+    "Append one line per executed query to this directory's residual log \
+     (residuals.jsonl): its predicted-vs-measured cost samples and the \
+     fingerprint of the model that priced it, the ground truth `arb \
+     calibrate --from` fits."
   in
   Arg.(value & opt (some string) None & info [ "snapshots" ] ~docv:"DIR" ~doc)
 
@@ -166,13 +158,6 @@ let load_calibration = function
             (Arb_planner.Calibration.error_message e)
       | None -> ());
       calib
-
-let snapshot_append ~dir ~tag reg =
-  try Arb_obs.Snapshot.append ~dir ~tag reg
-  with
-  | Sys_error m -> Printf.eprintf "snapshot append failed: %s\n%!" m
-  | Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "snapshot append failed: %s\n%!" (Unix.error_message e)
 
 let metrics_series reg =
   List.length
@@ -275,11 +260,7 @@ let run_cmd =
         ~trace_out ~deterministic:det
     in
     let metrics =
-      (* --snapshots needs a registry even without --metrics-out: the
-         residual samples it persists live there. *)
-      if metrics_out <> None || snapshots <> None then
-        Some (Arb_obs.Metrics.create ())
-      else None
+      if metrics_out <> None then Some (Arb_obs.Metrics.create ()) else None
     in
     let calib = load_calibration calibration in
     let cm = calib.Arb_planner.Calibration.constants in
@@ -331,26 +312,37 @@ let run_cmd =
             report.Arb_runtime.Exec.rejected_inputs
             report.Arb_runtime.Exec.certificate_ok report.Arb_runtime.Exec.audit_ok;
           Format.printf "trace: %a@." Arb_runtime.Trace.pp report.Arb_runtime.Exec.trace;
-          (match metrics with
-          | Some reg ->
+          let samples =
+            lazy
+              (Arb_runtime.Exec.cost_samples ~cm ~plan:planned.Arboretum.plan
+                 ~cols:q.Arb_queries.Registry.categories
+                 ~m:
+                   Arb_runtime.Exec.default_config
+                     .Arb_runtime.Exec.committee_size report)
+          in
+          Option.iter
+            (fun reg ->
               Arb_runtime.Trace.export report.Arb_runtime.Exec.trace reg;
-              Arb_planner.Calibration.record reg
-                (Arb_runtime.Exec.cost_samples ~cm
-                   ~plan:planned.Arboretum.plan
-                   ~cols:q.Arb_queries.Registry.categories
-                   ~m:
-                     Arb_runtime.Exec.default_config
-                       .Arb_runtime.Exec.committee_size report)
-          | None -> ());
+              Arb_planner.Calibration.record reg (Lazy.force samples))
+            metrics;
+          (* A failed append is reported but changes neither stdout nor
+             the exit code. *)
+          Option.iter
+            (fun dir ->
+              match
+                Arb_planner.Calibration.append ~dir
+                  ~model:calib.Arb_planner.Calibration.fingerprint
+                  (Lazy.force samples)
+              with
+              | Ok () -> ()
+              | Error m -> Printf.eprintf "residual append failed: %s\n%!" m)
+            snapshots;
           0
       | exception Arboretum.Rejected m ->
           Printf.eprintf "rejected: %s\n" m;
           1
     in
     obs_save ~trace_out ~metrics_out tracer metrics;
-    (match (snapshots, metrics) with
-    | Some dir, Some reg -> snapshot_append ~dir ~tag:"run" reg
-    | _ -> ());
     code
   in
   let workers_arg =
@@ -554,7 +546,7 @@ let serve_service ~workload ~devices ~seed ~workers ~cache_dir ~calib
   Arb_service.Service.create
     ~cache:(Arb_service.Cache.create ?dir:cache_dir ())
     ~metrics:reg ~calibration:calib
-    ?snapshots:(Option.map (fun d -> (d, "serve")) snapshots)
+    ?snapshots
     ~exec_config:{ Arb_runtime.Exec.default_config with workers; tracer }
     ~budget:
       (from_file
@@ -705,9 +697,6 @@ let serve_cmd =
     let live_fp = ref calib.Arb_planner.Calibration.fingerprint in
     let finish code =
       obs_save ~trace_out ~metrics_out tracer (Some reg);
-      (match snapshots with
-      | Some dir -> snapshot_append ~dir ~tag:"serve" reg
-      | None -> ());
       (* The final metrics summary line (also emitted on workload-file
          errors above); stderr, so --json stdout stays parseable. *)
       Printf.eprintf "metrics: %d series%s; calibration %s\n%!"
@@ -886,7 +875,8 @@ let calibrate_cmd =
         Printf.printf "  %d run(s)%s; mean relative error %.4f -> %.4f\n"
           p.C.p_runs
           (if p.C.p_skipped > 0 then
-             Printf.sprintf " (%d malformed snapshot line(s) skipped)"
+             Printf.sprintf
+               " (%d line(s) skipped: malformed or priced under another model)"
                p.C.p_skipped
            else "")
           p.C.p_err_before p.C.p_err_after;
@@ -900,8 +890,9 @@ let calibrate_cmd =
   in
   let from_arg =
     let doc =
-      "Snapshot-store directory to fit from (accumulated by `arb run \
-       --snapshots` / `arb serve --snapshots`)."
+      "Directory whose residual log to fit from (accumulated by `arb run \
+       --snapshots` / `arb serve --snapshots`). Only the lines priced under \
+       the built-in constants are fitted."
     in
     Arg.(required & opt (some string) None & info [ "from" ] ~docv:"DIR" ~doc)
   in
@@ -912,9 +903,10 @@ let calibrate_cmd =
   Cmd.v
     (Cmd.info "calibrate"
        ~doc:
-         "Fit cost-model constants from a snapshot store of observed \
-          predicted-vs-measured residuals, writing a versioned calibration \
-          file for --calibration / PUT /v1/calibration.")
+         "Fit cost-model constants from a residual log of observed \
+          predicted-vs-measured costs, one run per executed query, writing \
+          a versioned calibration file for --calibration / PUT \
+          /v1/calibration.")
     Term.(const run $ verbose_arg $ from_arg $ out_arg)
 
 let sessions_cmd =

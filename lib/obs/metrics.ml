@@ -254,109 +254,6 @@ let save t path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_prometheus t))
 
-let save_json t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string (to_json t));
-      output_char oc '\n')
-
-(* --- JSON round-trip --- *)
-
-(* Rebuild a registry from its [to_json] form. Help strings are not part of
-   the JSON exposition, so they come back empty — values, labels, and
-   bucket layouts round-trip exactly, which is all the snapshot store and
-   the calibration fit consume. *)
-let of_json json =
-  match json with
-  | J.List items -> (
-      let t = create () in
-      try
-        List.iter
-          (fun item ->
-            let name = J.to_str (J.member "name" item) in
-            let labels =
-              match J.member "labels" item with
-              | J.Obj kvs -> List.map (fun (k, v) -> (k, J.to_str v)) kvs
-              | _ -> failwith "labels must be an object"
-            in
-            let key = (name, canon_labels labels) in
-            let inst =
-              match J.to_str (J.member "type" item) with
-              | "counter" -> I_counter (ref (J.to_float (J.member "value" item)))
-              | "gauge" -> I_gauge (ref (J.to_float (J.member "value" item)))
-              | "histogram" ->
-                  let buckets =
-                    match J.member "buckets" item with
-                    | J.List bs -> bs
-                    | _ -> failwith "buckets must be a list"
-                  in
-                  let bounds =
-                    List.filter_map
-                      (fun b ->
-                        match J.to_str (J.member "le" b) with
-                        | "+Inf" -> None
-                        | le -> Some (float_of_string le))
-                      buckets
-                  in
-                  let cumulative =
-                    List.map (fun b -> J.to_int (J.member "count" b)) buckets
-                  in
-                  if List.length cumulative <> List.length bounds + 1 then
-                    failwith "histogram needs exactly one +Inf bucket";
-                  let counts = Array.of_list cumulative in
-                  (* De-cumulate: exposition stores running totals. *)
-                  for i = Array.length counts - 1 downto 1 do
-                    counts.(i) <- counts.(i) - counts.(i - 1)
-                  done;
-                  if Array.exists (fun c -> c < 0) counts then
-                    failwith "histogram buckets must be cumulative";
-                  I_hist
-                    {
-                      h_bounds = Array.of_list bounds;
-                      h_counts = counts;
-                      h_sum = J.to_float (J.member "sum" item);
-                      h_count = J.to_int (J.member "count" item);
-                    }
-              | k -> failwith ("unknown instrument type " ^ k)
-            in
-            if Hashtbl.mem t.tbl key then failwith ("duplicate series " ^ name);
-            Hashtbl.replace t.tbl key { e_help = ""; e_inst = inst })
-          items;
-        Ok t
-      with
-      | Failure m -> Error m
-      | J.Parse_error m -> Error m)
-  | _ -> Error "metrics JSON must be a list of instruments"
-
-(* Mirrors Plan_io's malformed-demotes contract: a missing, unreadable, or
-   malformed file is not fatal — it demotes to an empty registry that
-   carries a diagnostic counter so the loss is visible downstream. *)
-let malformed_load_counter = "arb_metrics_malformed_loads_total"
-
-let demoted reason =
-  let t = create () in
-  add t
-    ~help:"Metrics files that failed to parse and were demoted to empty"
-    ~labels:[ ("reason", reason) ]
-    malformed_load_counter 1.0;
-  t
-
-let load_json path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> demoted "unreadable"
-  | raw -> (
-      match J.of_string raw with
-      | exception J.Parse_error _ -> demoted "malformed"
-      | json -> (
-          match of_json json with Ok t -> t | Error _ -> demoted "malformed"))
-
 (* --- quantiles --- *)
 
 (* Prometheus-style bucket interpolation. The q-quantile's target rank is
@@ -404,7 +301,7 @@ let histogram_quantile t ?(labels = []) name q =
   | None -> None
   | Some h -> quantile_of_hist h q
 
-(* --- point reads (calibration fits walk snapshot registries) --- *)
+(* --- point reads --- *)
 
 let value_at t ?(labels = []) name =
   let key = (name, canon_labels labels) in

@@ -71,22 +71,6 @@ val to_json : t -> Arb_util.Json.t
 val save : t -> string -> unit
 (** Write [to_prometheus] to a file. *)
 
-val save_json : t -> string -> unit
-(** Write [to_json] (compact, newline-terminated) to a file — the format
-    {!load_json} parses and the snapshot store embeds per line. *)
-
-val of_json : Arb_util.Json.t -> (t, string) result
-(** Rebuild a registry from its {!to_json} form. Values, labels, and bucket
-    layouts round-trip exactly; help strings are not part of the JSON
-    exposition and come back empty. *)
-
-val load_json : string -> t
-(** Parse a {!save_json} file back into a registry. A missing, unreadable,
-    or malformed file demotes to an empty registry carrying an
-    [arb_metrics_malformed_loads_total] counter (the same
-    malformed-demotes contract as the plan cache's {!Arb_planner.Plan_io}
-    loader): callers keep working, and the loss stays visible. *)
-
 val histogram_quantile :
   t -> ?labels:(string * string) list -> string -> float -> float option
 (** [histogram_quantile t name q] estimates the [q]-quantile (e.g. [0.95])
@@ -100,5 +84,4 @@ val value_at : t -> ?labels:(string * string) list -> string -> float option
 (** Current value of a counter or gauge series, if registered. *)
 
 val label_values : t -> string -> label:string -> string list
-(** Sorted distinct values a label takes across a name's series — how the
-    calibration fit discovers which sections a snapshot recorded. *)
+(** Sorted distinct values a label takes across a name's series. *)

@@ -207,18 +207,6 @@ let record reg samples =
           (rel_err ~predicted ~measured))
     samples
 
-let samples_of_registry reg =
-  List.filter_map
-    (fun section ->
-      let labels = [ ("section", section) ] in
-      match
-        ( M.value_at reg ~labels predicted_name,
-          M.value_at reg ~labels measured_name )
-      with
-      | Some p, Some m when m > 0.0 && p > 0.0 -> Some (section, p, m)
-      | _ -> None)
-    (M.label_values reg predicted_name ~label:"section")
-
 (* ---------------- fitting ---------------- *)
 
 (* Which constants each section's scale multiplies. Groups are (nearly)
@@ -321,17 +309,101 @@ let fit ?(base = Cost_model.default) ~runs () =
     Ok (make ~provenance constants)
   end
 
-let fit_snapshots ?base ~dir () =
-  let snapshots, skipped = Arb_obs.Snapshot.load ~dir in
-  let runs =
-    List.map
-      (fun s -> samples_of_registry (Arb_obs.Snapshot.registry s))
-      snapshots
+(* ---------------- the residual log ---------------- *)
+
+let log_schema = "arb-residuals/1"
+let log_file ~dir = Filename.concat dir "residuals.jsonl"
+
+(* EEXIST-tolerant recursive mkdir: two writers sharing a store may race
+   to create it, and losing that race is success. *)
+let rec mkdir_p dir =
+  if not (dir = "" || dir = "." || dir = "/" || Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    match Sys.mkdir dir 0o755 with
+    | () -> ()
+    | exception Sys_error _
+      when try Sys.is_directory dir with Sys_error _ -> false ->
+        ()
+  end
+
+let append ~dir ~model samples =
+  let line =
+    J.to_string
+      (J.Obj
+         [
+           ("schema", J.String log_schema);
+           ("model", J.String model);
+           ( "samples",
+             J.List
+               (List.map
+                  (fun (s, p, m) -> J.List [ J.String s; J.Float p; J.Float m ])
+                  samples) );
+         ])
+    ^ "\n"
   in
-  match fit ?base ~runs () with
-  | Error _ when snapshots = [] ->
+  let path = log_file ~dir in
+  match
+    mkdir_p dir;
+    let fd =
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
+    in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        (* One write call per line: O_APPEND makes concurrent writers
+           interleave whole lines, never bytes. *)
+        ignore (Unix.write_substring fd line 0 (String.length line)))
+  with
+  | () -> Ok ()
+  | exception Sys_error m -> Error m
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (path ^ ": " ^ Unix.error_message e)
+
+(* A line's model fingerprint and samples; [None] when torn or malformed. *)
+let parse_line line =
+  try
+    let json = J.of_string line in
+    if J.to_str (J.member "schema" json) <> log_schema then None
+    else
+      Some
+        ( J.to_str (J.member "model" json),
+          List.map
+            (fun sample ->
+              match J.to_list sample with
+              | [ s; p; m ] -> (J.to_str s, J.to_float p, J.to_float m)
+              | _ -> raise (J.Parse_error "a sample is not a triple"))
+            (J.to_list (J.member "samples" json)) )
+  with J.Parse_error _ -> None
+
+(* The runs priced under [model], in file order, and how many lines were
+   skipped. A missing log holds no runs. *)
+let read_log ~dir ~model =
+  match open_in_bin (log_file ~dir) with
+  | exception Sys_error _ -> ([], 0)
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec go runs skipped =
+            match input_line ic with
+            | exception End_of_file -> (List.rev runs, skipped)
+            | "" -> go runs skipped
+            | line -> (
+                match parse_line line with
+                | Some (m, samples) when m = model -> go (samples :: runs) skipped
+                | _ -> go runs (skipped + 1))
+          in
+          go [] 0)
+
+let fit_snapshots ?(base = Cost_model.default) ~dir () =
+  let runs, skipped = read_log ~dir ~model:(Cost_model.fingerprint base) in
+  match fit ~base ~runs () with
+  | Error _ when runs = [] ->
       Error
-        (Printf.sprintf "no snapshots in %s (write some with --snapshots)" dir)
+        (Printf.sprintf
+           "no residuals priced under the base model in %s (write some with \
+            --snapshots)"
+           (log_file ~dir))
   | Error m -> Error m
   | Ok t ->
       Ok { t with provenance = { t.provenance with p_skipped = skipped } }

@@ -5,12 +5,12 @@
     wall-clock per kind, per-member MPC bytes, device upload bytes — that
     {!Arb_runtime.Exec.cost_samples} pairs with the cost model's
     per-section predictions. The service records those pairs into its
-    metrics registry ({!record}); the snapshot store persists them across
-    runs; {!fit_snapshots} folds a store back into a per-section
-    multiplicative correction and applies it to a base model, producing a
-    {e versioned} calibration: constants, a content fingerprint, and
-    provenance (runs used, residual error before/after, per-section
-    scales).
+    metrics registry ({!record}) and, with a store directory, appends them
+    to the residual log ({!append}), one line per execution;
+    {!fit_snapshots} folds the log back into a per-section multiplicative
+    correction and applies it to a base model, producing a {e versioned}
+    calibration: constants, a content fingerprint, and provenance (runs
+    used, residual error before/after, per-section scales).
 
     The model orders candidate plans rather than predicting wall-clock
     (§4.6), so a per-section ratio fit is exactly the right strength: it
@@ -26,8 +26,10 @@ type section_fit = {
 }
 
 type provenance = {
-  p_runs : int;  (** snapshots contributing at least one sample *)
-  p_skipped : int;  (** malformed snapshot lines skipped during load *)
+  p_runs : int;  (** executions contributing at least one sample *)
+  p_skipped : int;
+      (** residual-log lines skipped: torn, malformed, or priced under a
+          model other than the base *)
   p_base : string;  (** fingerprint of the base model the fit scaled *)
   p_err_before : float;  (** mean relative error across all samples *)
   p_err_after : float;
@@ -84,11 +86,6 @@ val record : Arb_obs.Metrics.t -> (string * float * float) list -> unit
     counters per section plus an [arb_cal_residual_rel] histogram of
     relative errors. Deterministic given the same executions. *)
 
-val samples_of_registry :
-  Arb_obs.Metrics.t -> (string * float * float) list
-(** The accumulated (section, predicted, measured) totals recorded by
-    {!record}, skipping sections with no measured signal. *)
-
 val fit :
   ?base:Cost_model.t ->
   runs:(string * float * float) list list ->
@@ -99,6 +96,18 @@ val fit :
     and wrap the result with provenance. [Error] when no run carries a
     usable sample. *)
 
+val append :
+  dir:string -> model:string -> (string * float * float) list ->
+  (unit, string) result
+(** Append one execution's samples, with the fingerprint of the model that
+    priced them, as one line of [dir/residuals.jsonl], creating [dir] as
+    needed. The line goes out in one [write] on an [O_APPEND] descriptor,
+    so concurrent writers interleave whole lines. [Error] carries the
+    reason the line could not be written. *)
+
 val fit_snapshots :
   ?base:Cost_model.t -> dir:string -> unit -> (t, string) result
-(** {!fit} over every snapshot in [dir]'s store ({!Arb_obs.Snapshot}). *)
+(** {!fit} over [dir]'s residual log, one run per line, using only the
+    lines priced under [base] (by fingerprint). Torn or malformed lines
+    and lines priced under another model are skipped and counted in
+    [p_skipped]. *)

@@ -17,31 +17,29 @@ type result = {
   stats : stats;
 }
 
-let default_f = 0.03
-let default_g = 0.15
-let default_p1 () = Arb_dp.Committee.p1_of_round ~p:1e-8 ~rounds:1000
-
 (* Memoized committee sizing, shared by every searcher. The table is
    consulted from worker domains, so all access goes through a mutex (the
    solve itself runs outside the lock; racing duplicates are idempotent). *)
-let size_cache : (float * float * float * int, int) Hashtbl.t = Hashtbl.create 64
+let size_cache : (int, int) Hashtbl.t = Hashtbl.create 64
 let size_cache_lock = Mutex.create ()
 
-let rec committee_size_for ?(f = default_f) ?(g = default_g) ?p1 c =
-  let p1 = match p1 with Some p -> p | None -> default_p1 () in
-  let key = (f, g, p1, c) in
+let rec committee_size_for c =
   match
-    Mutex.protect size_cache_lock (fun () -> Hashtbl.find_opt size_cache key)
+    Mutex.protect size_cache_lock (fun () -> Hashtbl.find_opt size_cache c)
   with
   | Some m -> m
   | None ->
       (* Safety at fixed m is antitone in the committee count, so the c = 1
          solution is a sound scan start for every larger c. *)
-      let start = if c <= 1 then 1 else committee_size_for ~f ~g ~p1 1 in
+      let start = if c <= 1 then 1 else committee_size_for 1 in
+      (* The §7 setting: f = 3% Byzantine devices, g = 0.15, and p1 from a
+         1e-8 failure bound over 1000 rounds. *)
       let m =
-        Arb_dp.Committee.min_size_from ~start ~f ~g ~committees:(max 1 c) ~p1
+        Arb_dp.Committee.min_size_from ~start ~f:0.03 ~g:0.15
+          ~committees:(max 1 c)
+          ~p1:(Arb_dp.Committee.p1_of_round ~p:1e-8 ~rounds:1000)
       in
-      Mutex.protect size_cache_lock (fun () -> Hashtbl.replace size_cache key m);
+      Mutex.protect size_cache_lock (fun () -> Hashtbl.replace size_cache c m);
       m
 
 let is_mpc_vignette (v : Plan.vignette) =
@@ -75,9 +73,6 @@ type searcher = {
   heuristics : bool;
   incremental : bool;
   max_prefixes : int;
-  f : float;
-  g : float;
-  p1 : float;
   n : int;
   cols : int;
   m_lb : int;
@@ -136,7 +131,7 @@ let size_of s c =
   match Hashtbl.find_opt s.sizes c with
   | Some m -> m
   | None ->
-      let m = committee_size_for ~f:s.f ~g:s.g ~p1:s.p1 (max 1 c) in
+      let m = committee_size_for (max 1 c) in
       Hashtbl.add s.sizes c m;
       m
 
@@ -489,9 +484,7 @@ let parallel_map ~workers ?on_worker work =
 let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
     ?(goal = Constraints.Min_part_exp_time) ?(heuristics = true)
     ?(max_prefixes = 5_000_000) ?(domains = 1) ?(incremental = true)
-    ?(f = default_f) ?(g = default_g) ?p1 ?tracer ?metrics
-    ~(query : Arb_queries.Registry.query) ~n () =
-  let p1 = match p1 with Some p -> p | None -> default_p1 () in
+    ?tracer ?metrics ~(query : Arb_queries.Registry.query) ~n () =
   let deterministic =
     match tracer with Some tr -> Arb_obs.Tracer.deterministic tr | None -> false
   in
@@ -502,7 +495,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
   let t0 = Unix.gettimeofday () in
   let ops = Extract.ops query.Arb_queries.Registry.program ~n in
   let cols = query.Arb_queries.Registry.categories in
-  let m_lb = committee_size_for ~f ~g ~p1 1 in
+  let m_lb = committee_size_for 1 in
   let shared_best = Atomic.make infinity in
   (* Canonical task order: crypto profile major, sampled-bins middle,
      device-sampling rate minor (exact first). The merge below folds
@@ -544,9 +537,6 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
         heuristics;
         incremental;
         max_prefixes;
-        f;
-        g;
-        p1;
         n;
         cols;
         m_lb;

@@ -61,9 +61,6 @@ val plan :
   ?max_prefixes:int ->
   ?domains:int ->
   ?incremental:bool ->
-  ?f:float ->
-  ?g:float ->
-  ?p1:float ->
   ?tracer:Arb_obs.Tracer.t ->
   ?metrics:Arb_obs.Metrics.t ->
   query:Arb_queries.Registry.query ->
@@ -71,9 +68,9 @@ val plan :
   unit ->
   result
 (** Defaults: the §7 setting — [limits] = {!Constraints.evaluation_limits},
-    [goal] = minimize expected participant time, f = 3%, g = 0.15,
-    p1 from 1e-8 over 1000 queries, heuristics on, 5M-prefix cap (per
-    task). [domains] (default 1) is the number of OCaml domains searching
+    [goal] = minimize expected participant time, heuristics on, 5M-prefix
+    cap (per task); committees are sized by {!committee_size_for}.
+    [domains] (default 1) is the number of OCaml domains searching
     (crypto × sampled-bins) tasks concurrently; the winning plan and
     metrics are identical for every value. [incremental] (default true)
     selects delta pricing and the exact cut-offs; [false] re-prices the
@@ -96,6 +93,8 @@ val plan :
     arrival order affects pruning); they are exactly reproducible at
     [domains:1]. *)
 
-val committee_size_for : ?f:float -> ?g:float -> ?p1:float -> int -> int
-(** Memoized {!Arb_dp.Committee.min_size} keyed by committee count.
-    Domain-safe: the cache is mutex-protected. *)
+val committee_size_for : int -> int
+(** The smallest safe committee size for this many committees in the §7
+    setting: f = 3% Byzantine devices, g = 0.15, and p1 from 1e-8 over
+    1000 rounds ({!Arb_dp.Committee.min_size}). Memoized by committee
+    count; domain-safe, the cache is mutex-protected. *)

@@ -13,8 +13,8 @@ type t = {
   devices : int;
   seed : int;
   metrics : Arb_obs.Metrics.t option;
-  snapshots : (string * string) option;
-      (* (dir, tag): append a metrics snapshot per drain (DESIGN.md §14) *)
+  snapshots : string option;
+      (* the residual log's directory: one line per execution (DESIGN.md §14) *)
   sim_m : int;
       (* executed committee size (exec config), the m calibration samples
          are priced at *)
@@ -370,7 +370,8 @@ let drain ?tracer ?(workers = 1) t =
   (* One cost model per drain: cold plans, re-pricing and residual samples
      in this batch all see the same calibration even if an install lands
      mid-drain. *)
-  let cm = (calibration t).P.Calibration.constants in
+  let calib = calibration t in
+  let cm = calib.P.Calibration.constants in
   (* ---- stage 1: cache labeling, in submission order ---- *)
   let cold = ref [] (* (key, query, goal) newest first *) in
   let cold_keys : (Cache.key, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -511,17 +512,32 @@ let drain ?tracer ?(workers = 1) t =
                 p.p_query
             with
             | Ok qr ->
-                (match t.metrics with
-                | Some reg ->
-                    R.Trace.export qr.R.Session.report.R.Exec.trace reg;
-                    (* Calibration ground truth: predicted-vs-measured per
-                       section. Deterministic given the run, so recording
-                       never perturbs byte-identity contracts. *)
-                    P.Calibration.record reg
-                      (R.Exec.cost_samples ~cm ~plan:entry.Cache.plan
-                         ~cols:p.p_query.Q.categories ~m:t.sim_m
-                         qr.R.Session.report)
-                | None -> ());
+                let report = qr.R.Session.report in
+                (* Calibration ground truth: predicted-vs-measured per
+                   section. Deterministic given the run, so recording
+                   never perturbs byte-identity contracts. *)
+                let samples =
+                  lazy
+                    (R.Exec.cost_samples ~cm ~plan:entry.Cache.plan
+                       ~cols:p.p_query.Q.categories ~m:t.sim_m report)
+                in
+                Option.iter
+                  (fun reg ->
+                    R.Trace.export report.R.Exec.trace reg;
+                    P.Calibration.record reg (Lazy.force samples))
+                  t.metrics;
+                Option.iter
+                  (fun dir ->
+                    (* A failed append must not fail the drain. *)
+                    match
+                      P.Calibration.append ~dir
+                        ~model:calib.P.Calibration.fingerprint
+                        (Lazy.force samples)
+                    with
+                    | Ok () -> ()
+                    | Error m ->
+                        Log.warn (fun f -> f "could not append residuals: %s" m))
+                  t.snapshots;
                 finish
                   ~exec_s:(now () -. t0)
                   ~cost:(P.Plan.charged entry.Cache.plan p.p_cost)
@@ -530,7 +546,7 @@ let drain ?tracer ?(workers = 1) t =
                      {
                        outputs =
                          List.map Arb_lang.Interp.value_to_string
-                           qr.R.Session.report.R.Exec.outputs;
+                           report.R.Exec.outputs;
                      })
             | Error reason ->
                 finish ~exec_s:(now () -. t0) ~budget_after:balance
@@ -584,14 +600,6 @@ let drain ?tracer ?(workers = 1) t =
       Arb_obs.Metrics.set_gauge reg ~help:"Plan-cache entries"
         "arb_service_cache_entries"
         (float_of_int (Cache.size t.cache)));
-  (match (t.snapshots, t.metrics) with
-  | Some (dir, tag), Some reg -> (
-      (* Ground truth accumulates across drains and processes; a failed
-         append must not fail the drain. *)
-      try Arb_obs.Snapshot.append ~dir ~tag reg
-      with Sys_error m | Unix.Unix_error (_, _, m) ->
-        Log.warn (fun f -> f "could not append metrics snapshot: %s" m))
-  | _ -> ());
   records
 
 let run_workload ?tracer ?workers t workload =

@@ -46,7 +46,7 @@ val create :
   ?cache:Cache.t ->
   ?metrics:Arb_obs.Metrics.t ->
   ?calibration:Arb_planner.Calibration.t ->
-  ?snapshots:string * string ->
+  ?snapshots:string ->
   budget:Arb_dp.Budget.t ->
   devices:int ->
   seed:int ->
@@ -66,11 +66,12 @@ val create :
 
     [calibration] selects the cost model pricing cold plans (default
     {!Arb_planner.Calibration.default}, i.e. the hand-anchored
-    {!Arb_planner.Cost_model.default}). [snapshots] is a [(dir, tag)]
-    pair: when set (and [metrics] is attached), every drain appends a
-    tagged registry snapshot to [dir]'s store
-    ({!Arb_obs.Snapshot.append}) so ground truth accumulates for
-    [arb calibrate].
+    {!Arb_planner.Cost_model.default}). [snapshots] is a directory: every
+    executed submission appends its calibration samples, with the
+    fingerprint of the calibration its drain started under, to the
+    residual log there ({!Arb_planner.Calibration.append}), so ground
+    truth accumulates for [arb calibrate]. A failed append is logged as a
+    warning and never fails the drain.
 
     [exec_config] (default {!Arb_runtime.Exec.default_config}) configures
     every execution: its [workers] are the domains each execution's

@@ -3,13 +3,15 @@
 #
 #   serve_listen_smoke.sh ARB_EXE
 #
-# Fits a calibration from one snapshot, serves a workload of two recurring
-# sessions, ticks two epochs over POST /v1/epoch, checks that /v1/budget is
-# the global balance alone and that /v1/sessions lists both sessions, PUTs
-# the fitted calibration, ticks once more (both sessions must re-plan for
-# calibration drift), stops the server, and checks that its exit line
-# names the installed fingerprint. Needs sh, curl and jq. Run it through
-# the dune alias:
+# Fits a calibration from one observed run, serves a workload of two
+# recurring sessions into the same residual log, ticks two epochs over
+# POST /v1/epoch, checks that /v1/budget is the global balance alone and
+# that /v1/sessions lists both sessions, PUTs the fitted calibration,
+# ticks once more (both sessions must re-plan for calibration drift),
+# stops the server, and checks that its exit line names the installed
+# fingerprint, that the log holds one line per execution, and that a
+# refit skips the lines priced under the installed calibration. Needs sh,
+# curl and jq. Run it through the dune alias:
 #
 #   dune build @serve-smoke
 set -eu
@@ -43,7 +45,8 @@ cat > "$dir/workload.json" <<'WL'
       "window": { "epochs": 3, "epsilon": 2.0, "delta": 1e-5 } },
     { "query": "median", "epsilon": 0.8, "every": 1 } ] }
 WL
-"$arb" serve --listen 0 -w "$dir/workload.json" > "$dir/serve.out" 2> "$dir/serve.err" &
+"$arb" serve --listen 0 -w "$dir/workload.json" --snapshots "$dir/obs" \
+  > "$dir/serve.out" 2> "$dir/serve.err" &
 pid=$!
 port=
 tries=0
@@ -80,9 +83,22 @@ replans=$(epoch | jq '[.records[]
 [ "$replans" = 2 ] || fail "$replans of 2 sessions re-planned for calibration drift"
 
 # 6. Stop; the exit line names the installed fingerprint.
+executed=$(curl -sf "$url/v1/records" |
+  jq '[.[] | select(.status == "executed")] | length') ||
+  fail "GET /v1/records failed"
 curl -sf -X POST -d '' "$url/v1/stop" > /dev/null || fail "POST /v1/stop failed"
 wait "$pid" || fail "arb serve exited with status $?"
 pid=
 grep -q "^metrics: .*; calibration $fp\$" "$dir/serve.err" ||
   fail "exit line does not name calibration $fp"
+
+# 7. One residual line per execution: step 1's run and the server's. The
+#    refit uses the lines priced under the built-in constants and skips the
+#    two executions priced under the installed calibration.
+lines=$(wc -l < "$dir/obs/residuals.jsonl" | tr -d ' ')
+[ "$lines" = $((1 + executed)) ] ||
+  fail "$lines residual lines for 1 + $executed executions"
+"$arb" calibrate --from "$dir/obs" --out "$dir/refit.json" > "$dir/refit.out"
+grep -q "^  $((executed - 1)) run(s) (2 line(s) skipped: " "$dir/refit.out" ||
+  fail "refit over 1 + $executed executions: $(sed -n 2p "$dir/refit.out")"
 echo "serve-smoke: ok (port $port, calibration $fp)"

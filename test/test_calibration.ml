@@ -1,7 +1,7 @@
 (* Tests for the self-calibrating cost model (lib/planner/calibration):
    versioned JSON round-trips, typed load failures with fall-back to the
-   default model, residual recording, and fit recovery of planted
-   per-section scales. *)
+   default model, residual recording, fit recovery of planted per-section
+   scales, and fits over the residual log real executions write. *)
 
 module P = Arb_planner
 module C = P.Calibration
@@ -173,12 +173,26 @@ let test_future_version () =
 
 (* ---------------- recording and fitting ---------------- *)
 
+(* The (section, predicted, measured) totals [C.record] accumulated in a
+   registry. *)
+let samples_of_registry reg =
+  List.filter_map
+    (fun section ->
+      let labels = [ ("section", section) ] in
+      match
+        ( M.value_at reg ~labels "arb_cal_predicted_total",
+          M.value_at reg ~labels "arb_cal_measured_total" )
+      with
+      | Some p, Some m -> Some (section, p, m)
+      | _ -> None)
+    C.sections
+
 let test_record_and_read_back () =
   let reg = M.create () in
   C.record reg
     [ ("decrypt_time", 10.0, 5.0); ("ops_bytes", 4.0, 8.0) ];
   C.record reg [ ("decrypt_time", 6.0, 3.0) ];
-  let samples = List.sort compare (C.samples_of_registry reg) in
+  let samples = List.sort compare (samples_of_registry reg) in
   checkb "cumulative totals read back" true
     (samples = [ ("decrypt_time", 16.0, 8.0); ("ops_bytes", 4.0, 8.0) ]);
   (* Residuals landed in the labeled histogram. *)
@@ -240,39 +254,65 @@ let test_fit_no_samples () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "zero-predicted samples must not fit"
 
-(* The loop end to end on real executions: one drain per query writes a
-   snapshot, the fit over that store at least halves the error it measures,
-   and re-running the same drains under the fitted model at least halves
-   the mean relative residual they record. *)
-let test_observe_fit_rerun () =
-  let module S = Arb_service in
+(* A residual-log directory of this process, emptied. *)
+let store name =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "arb-test-cal-loop-%d" (Unix.getpid ()))
+      (Printf.sprintf "arb-test-cal-%s-%d" name (Unix.getpid ()))
   in
-  if Sys.file_exists (Arb_obs.Snapshot.file ~dir) then
-    Sys.remove (Arb_obs.Snapshot.file ~dir);
+  let log = Filename.concat dir "residuals.jsonl" in
+  if Sys.file_exists log then Sys.remove log;
+  dir
+
+let submission query =
+  {
+    Arb_service.Workload.query;
+    epsilon = 0.5;
+    categories = None;
+    goal = P.Constraints.Min_part_exp_time;
+    repeat = 1;
+    every = None;
+    window = None;
+    tolerance = None;
+  }
+
+(* One service at 24 devices that drains each batch of queries in turn. *)
+let drain_batches ?metrics ?calibration ~snapshots batches =
+  let module S = Arb_service in
+  let svc =
+    S.Service.create ?metrics ?calibration ~snapshots
+      ~budget:(Arb_dp.Budget.create ~epsilon:1.0e6 ~delta:0.5)
+      ~devices:24 ~seed:11 ()
+  in
+  List.iter
+    (fun batch ->
+      List.iter (fun q -> ignore (S.Service.submit svc (submission q))) batch;
+      ignore (S.Service.drain svc))
+    batches
+
+(* The loop end to end on real executions: one drain per query appends
+   one residual line, the fit over that log at least halves the error it
+   measures, and re-running the same drains under the fitted model at
+   least halves the mean relative residual they record. *)
+let test_observe_fit_rerun () =
+  let module S = Arb_service in
+  let dir = store "loop" in
   let drains ?calibration ?snapshots () =
     let reg = M.create () in
     List.iter
       (fun query ->
         let svc =
-          S.Service.create ~metrics:reg ?calibration
-            ?snapshots:(Option.map (fun d -> (d, query)) snapshots)
+          S.Service.create ~metrics:reg ?calibration ?snapshots
             ~budget:(Arb_dp.Budget.create ~epsilon:1.0e6 ~delta:0.5)
             ~devices:24 ~seed:11 ()
         in
-        ignore
-          (S.Service.submit svc
-             { S.Workload.query; epsilon = 0.5; categories = None;
-               goal = P.Constraints.Min_part_exp_time; repeat = 1;
-               every = None; window = None; tolerance = None });
+        ignore (S.Service.submit svc (submission query));
         ignore (S.Service.drain svc))
       [ "top1"; "median" ];
     reg
   in
   let mean_residual reg =
-    match C.samples_of_registry reg with
+    match samples_of_registry reg with
     | [] -> Alcotest.fail "no residual samples"
     | samples ->
         List.fold_left
@@ -291,6 +331,74 @@ let test_observe_fit_rerun () =
         (prov.C.p_err_after <= 0.5 *. prov.C.p_err_before);
       checkb "re-run under the fit halves the residual" true
         (mean_residual (drains ~calibration:fitted ()) <= 0.5 *. observed)
+
+(* The mean of the relative residuals [C.record] observed for a section,
+   one per execution. *)
+let registry_mean_residual reg section =
+  let h =
+    List.find
+      (fun i ->
+        J.member "name" i = J.String "arb_cal_residual_rel"
+        && J.member "labels" i = J.Obj [ ("section", J.String section) ])
+      (J.to_list (M.to_json reg))
+  in
+  J.to_float (J.member "sum" h) /. float_of_int (J.to_int (J.member "count" h))
+
+(* Each execution is one run of the fit: the fit's scales are the ratios
+   of the totals the same executions recorded in the registry, and its
+   errors before the fit are the means of their per-execution residuals.
+   A missing log fits nothing; a torn line is skipped and counted. *)
+let test_one_run_per_execution () =
+  let dir = store "runs" in
+  (match C.fit_snapshots ~dir () with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a missing log must not fit");
+  let reg = M.create () in
+  drain_batches ~metrics:reg ~snapshots:dir [ [ "top1"; "median" ]; [ "top1" ] ];
+  let oc =
+    open_out_gen [ Open_append ] 0o644 (Filename.concat dir "residuals.jsonl")
+  in
+  output_string oc "{\"schema\":\"arb-resid\n";
+  close_out oc;
+  match C.fit_snapshots ~dir () with
+  | Error m -> Alcotest.fail m
+  | Ok fitted ->
+      let prov = fitted.C.provenance in
+      checki "one run per execution" 3 prov.C.p_runs;
+      checki "torn line skipped" 1 prov.C.p_skipped;
+      checki "every section fitted" (List.length C.sections)
+        (List.length prov.C.p_sections);
+      List.iter
+        (fun f ->
+          let total name =
+            Option.get (M.value_at reg ~labels:[ ("section", f.C.s_section) ] name)
+          in
+          checki ("samples " ^ f.C.s_section) 3 f.C.s_samples;
+          checkb ("scale " ^ f.C.s_section) true
+            (f.C.s_scale
+            = total "arb_cal_measured_total" /. total "arb_cal_predicted_total");
+          checkb ("error before " ^ f.C.s_section) true
+            (f.C.s_err_before = registry_mean_residual reg f.C.s_section))
+        prov.C.p_sections
+
+(* A refit over a log that also holds executions priced under the fit
+   itself uses only the lines its base priced, and so reproduces the fit. *)
+let test_fit_skips_other_models () =
+  let dir = store "models" in
+  let batch = [ [ "top1"; "median" ] ] in
+  drain_batches ~snapshots:dir batch;
+  match C.fit_snapshots ~dir () with
+  | Error m -> Alcotest.fail m
+  | Ok fitted -> (
+      drain_batches ~calibration:fitted ~snapshots:dir batch;
+      match C.fit_snapshots ~dir () with
+      | Error m -> Alcotest.fail m
+      | Ok refit ->
+          checks "refit reproduces the fit" fitted.C.fingerprint
+            refit.C.fingerprint;
+          checki "runs under the base" 2 refit.C.provenance.C.p_runs;
+          checki "lines priced under the fit skipped" 2
+            refit.C.provenance.C.p_skipped)
 
 let test_fingerprint_sensitivity () =
   let d0 = CM.default in
@@ -332,5 +440,9 @@ let () =
             test_fingerprint_sensitivity;
           Alcotest.test_case "observe -> fit_snapshots -> re-run" `Quick
             test_observe_fit_rerun;
+          Alcotest.test_case "one run per execution" `Quick
+            test_one_run_per_execution;
+          Alcotest.test_case "fit skips lines priced under other models"
+            `Quick test_fit_skips_other_models;
         ] );
     ]

@@ -318,78 +318,9 @@ let prop_histogram_buckets_partition =
       contains text (Printf.sprintf "p_bucket{le=\"+Inf\"} %d\n" n)
       && contains text (Printf.sprintf "p_count %d\n" n))
 
-(* --- metrics: JSON round-trip, quantiles, snapshot store --- *)
+(* --- metrics: quantiles --- *)
 
 let checkf = Alcotest.check (Alcotest.float 1e-9)
-
-let tmp_dir name =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "arb-test-obs-%s-%d" name (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  dir
-
-let sample_registry () =
-  let t = M.create () in
-  M.add t ~help:"requests" "req_total" 3.0;
-  M.add t ~labels:[ ("code", "500") ] "req_total" 1.0;
-  M.set_gauge t "depth" 4.5;
-  List.iter
-    (fun v -> M.observe_in t ~buckets:[ 0.1; 1.0; 10.0 ] "lat_seconds" v)
-    [ 0.05; 0.5; 0.7; 5.0; 50.0 ];
-  t
-
-let test_json_round_trip () =
-  let t = sample_registry () in
-  match M.of_json (M.to_json t) with
-  | Error m -> Alcotest.fail ("of_json: " ^ m)
-  | Ok t' ->
-      (* Canonical exposition must survive the trip (help strings are not
-         part of the JSON form, so compare the series lines only). *)
-      let series reg =
-        List.filter
-          (fun l -> l <> "" && l.[0] <> '#')
-          (String.split_on_char '\n' (M.to_prometheus reg))
-      in
-      Alcotest.(check (list string))
-        "series survive the JSON round-trip" (series t) (series t')
-
-let test_save_load_json () =
-  let dir = tmp_dir "json" in
-  let path = Filename.concat dir "metrics.json" in
-  let t = sample_registry () in
-  M.save_json t path;
-  let t' = M.load_json path in
-  checkf "counter survives"
-    (Option.get (M.value_at t ~labels:[ ("code", "500") ] "req_total"))
-    (Option.get (M.value_at t' ~labels:[ ("code", "500") ] "req_total"));
-  checkf "histogram quantile survives"
-    (Option.get (M.histogram_quantile t "lat_seconds" 0.5))
-    (Option.get (M.histogram_quantile t' "lat_seconds" 0.5))
-
-let test_malformed_load_demotes () =
-  let dir = tmp_dir "demote" in
-  let path = Filename.concat dir "bad.json" in
-  let oc = open_out path in
-  output_string oc "{not json";
-  close_out oc;
-  let t = M.load_json path in
-  (* Demoted to an empty registry carrying only the demotion counter. *)
-  checkf "malformed counter"
-    (Option.get
-       (M.value_at t
-          ~labels:[ ("reason", "malformed") ]
-          "arb_metrics_malformed_loads_total"))
-    1.0;
-  let t2 = M.load_json (Filename.concat dir "missing.json") in
-  checkf "unreadable counter"
-    (Option.get
-       (M.value_at t2
-          ~labels:[ ("reason", "unreadable") ]
-          "arb_metrics_malformed_loads_total"))
-    1.0
 
 let test_histogram_quantile_edges () =
   let t = M.create () in
@@ -416,40 +347,6 @@ let test_histogram_quantile_edges () =
   ignore (M.histogram t3 ~buckets:[ 1.0 ] "h");
   checkb "empty histogram" true (M.histogram_quantile t3 "h" 0.5 = None)
 
-let test_snapshot_round_trip () =
-  let dir = tmp_dir "snap" in
-  let t = sample_registry () in
-  Obs.Snapshot.append ~dir ~tag:"a" t;
-  M.add t "req_total" 1.0;
-  Obs.Snapshot.append ~dir ~tag:"b" t;
-  let snaps, malformed = Obs.Snapshot.load ~dir in
-  checki "two snapshots" 2 (List.length snaps);
-  checki "no malformed lines" 0 malformed;
-  (match snaps with
-  | [ a; b ] ->
-      checks "first tag" "a" a.Obs.Snapshot.tag;
-      checks "second tag" "b" b.Obs.Snapshot.tag;
-      checkb "sequence increases" true (a.Obs.Snapshot.seq < b.Obs.Snapshot.seq);
-      let ra = Obs.Snapshot.registry a and rb = Obs.Snapshot.registry b in
-      checkf "first snapshot value" 3.0 (Option.get (M.value_at ra "req_total"));
-      checkf "second snapshot value" 4.0 (Option.get (M.value_at rb "req_total"))
-  | _ -> Alcotest.fail "wrong snapshot count");
-  (* A malformed line is skipped and counted, never fatal. *)
-  let oc =
-    open_out_gen [ Open_append ] 0o644 (Obs.Snapshot.file ~dir)
-  in
-  output_string oc "{torn write\n";
-  close_out oc;
-  let snaps', malformed' = Obs.Snapshot.load ~dir in
-  checki "snapshots survive" 2 (List.length snaps');
-  checki "malformed line counted" 1 malformed'
-
-let test_snapshot_missing_store () =
-  let dir = tmp_dir "snap-empty" in
-  let snaps, malformed = Obs.Snapshot.load ~dir in
-  checki "no snapshots" 0 (List.length snaps);
-  checki "no malformed" 0 malformed
-
 let () =
   Alcotest.run "obs"
     [
@@ -467,19 +364,8 @@ let () =
           Alcotest.test_case "histogram guards" `Quick test_histogram_guards;
           Alcotest.test_case "JSON mirrors canonical text order" `Quick
             test_metrics_json_matches_text_order;
-          Alcotest.test_case "JSON round-trip" `Quick test_json_round_trip;
-          Alcotest.test_case "save_json/load_json" `Quick test_save_load_json;
-          Alcotest.test_case "malformed load demotes + counter" `Quick
-            test_malformed_load_demotes;
           Alcotest.test_case "histogram quantile edges" `Quick
             test_histogram_quantile_edges;
-        ] );
-      ( "snapshots",
-        [
-          Alcotest.test_case "append/load round-trip + malformed skip" `Quick
-            test_snapshot_round_trip;
-          Alcotest.test_case "missing store loads empty" `Quick
-            test_snapshot_missing_store;
         ] );
       ( "tracer",
         [
