@@ -125,9 +125,6 @@ let default =
     audit_time = 2.0e-2;
   }
 
-let mpc_round_latency t = t.round_latency
-let device_factor t = t.device_factor
-
 let next_pow2 x =
   let rec go p = if p >= x then p else go (2 * p) in
   go 1
@@ -176,14 +173,7 @@ let base_contribution =
 
 let m_scale ~m = float_of_int m /. 42.0
 
-(* Process-wide pricing-call odometer. Monotone and racy-read-safe (atomic),
-   so observability snapshots can meter planner work without threading a
-   registry through the pure pricing path. *)
-let pricing_odometer = Atomic.make 0
-let pricing_calls () = Atomic.get pricing_odometer
-
 let price t ~n_devices ~m ~cols (v : Plan.vignette) : contribution =
-  Atomic.incr pricing_odometer;
   let crypto_of = function
     | Plan.W_keygen c | W_encrypt_input { crypto = c; _ }
     | W_he_sum { crypto = c; _ } | W_he_affine { crypto = c; _ }
@@ -725,54 +715,3 @@ let section_costs t ~n_devices ~m ~cols vignettes =
     ("ops_bytes", !ob);
     ("upload_bytes", !ub);
   ]
-
-(* Re-derive the relative HE/MPC constants by microbenchmarking this
-   machine's substrate at simulation scale (n = 2048), then scaling to the
-   n = 2^15 reference ring. Paper-anchored committee constants (keygen,
-   Gumbel) are kept: they calibrate the *deployment* platform, which this
-   machine does not represent. *)
-let calibrate () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let iters = ref 0 in
-    while Unix.gettimeofday () -. t0 < 0.05 do
-      f ();
-      incr iters
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int (max 1 !iters)
-  in
-  let rng = Arb_util.Rng.create 7L in
-  let p = Arb_crypto.Bgv.fhe_params ~n:2048 () in
-  let _sk, pk = Arb_crypto.Bgv.keygen p rng in
-  let slots = Array.init 2048 (fun i -> i mod 97) in
-  let ct = Arb_crypto.Bgv.encrypt pk rng slots in
-  let t_add = time (fun () -> ignore (Arb_crypto.Bgv.add ct ct)) in
-  let t_mulp = time (fun () -> ignore (Arb_crypto.Bgv.mul_plain ct slots)) in
-  let t_enc = time (fun () -> ignore (Arb_crypto.Bgv.encrypt pk rng slots)) in
-  (* MPC: time our engine's comparison and Gumbel sampling at a small
-     committee size and scale the per-operation constants by the measured
-     ratio (CostCO-style automated re-calibration, §4.6). *)
-  let eng = Arb_mpc.Engine.create ~parties:5 rng () in
-  let a = Arb_mpc.Engine.input eng ~party:0 5 in
-  let b = Arb_mpc.Engine.input eng ~party:1 9 in
-  let t_cmp = time (fun () -> ignore (Arb_mpc.Engine.less_than eng a b)) in
-  let t_gumbel =
-    time (fun () ->
-        ignore (Arb_mpc.Fixpoint_mpc.gumbel eng ~scale:Arb_util.Fixed.one))
-  in
-  (* A Gumbel sample is ~2 log-gadgets of work; keep the reference platform's
-     absolute anchors but preserve this machine's measured cmp:gumbel ratio,
-     which is what ordering plans actually consumes. *)
-  let ratio = t_cmp /. Float.max 1e-9 t_gumbel in
-  (* Scale: additions linearly in n, NTT-bound ops as n log n; our container
-     core stands in for the reference server core. *)
-  let lin = 32768.0 /. 2048.0 in
-  let nlogn = 32768.0 *. 15.0 /. (2048.0 *. 11.0) in
-  {
-    default with
-    he_add_ref = t_add *. lin;
-    he_mul_plain_ref = t_mulp *. nlogn;
-    he_encrypt_ref = t_enc *. nlogn;
-    he_rotate_ref = t_mulp *. nlogn *. 3.0 (* rotate ~ key-switch ~ 3 NTT muls *);
-    cmp_time_ref = default.gumbel_unit_time *. ratio;
-  }

@@ -6,9 +6,9 @@
     the building-block numbers the paper reports for its reference cluster
     (PowerEdge R430) — e.g. a 42-member Gumbel-noise MPC at 73.8 s, a
     key-generation committee at ~700 MB and ~14 min, G16 verification at a
-    few ms — and to our own substrate's relative op costs; [calibrate]
-    re-derives the relative constants by microbenchmarking this machine's
-    BGV/NTT/MPC substrate (DESIGN.md §1).
+    few ms — and to our own substrate's relative op costs. They are fixed
+    in {!default}; {!Calibration} fits scaled copies to the residuals of
+    executed plans (DESIGN.md §1, §14).
 
     The model does not predict exact costs; it orders candidates (§4.6). *)
 
@@ -55,8 +55,8 @@ type ring = {
 (** The calibration constants. The record is exposed so the calibration
     fitter ({!Calibration}) can scale groups of constants from observed
     residuals and tests can plant known values; almost every caller should
-    still treat a [t] as opaque and obtain one from {!default},
-    {!calibrate}, or a fitted {!Calibration.t}. *)
+    still treat a [t] as opaque and obtain one from {!default} or a fitted
+    {!Calibration.t}. *)
 type t = {
   felt_bytes : float;  (** serialized field element (135-bit modulus) *)
   he_add_ref : float;  (** s per ciphertext addition at n = 2^15 *)
@@ -118,19 +118,11 @@ val section_costs :
     [upload_bytes] (per device). Sections are emitted in that fixed order,
     zeros included. *)
 
-val calibrate : unit -> t
-(** Microbenchmark this machine's substrate to refresh the relative
-    constants (used by the bench harness; takes a few seconds). *)
-
 val ring_for : t -> Plan.crypto -> cols:int -> ring
 (** Deployment-scale BGV parameters for a query with [cols] categories:
     ring degree 2^12..2^15 (enough slots, 2^15 cap with multiple
     ciphertexts beyond that), ciphertext sizes matching the paper's
     reported parameters (135-bit modulus at degree 2^15). *)
-
-val mpc_round_latency : t -> float
-val device_factor : t -> float
-(** How much slower a participant device is than a reference server core. *)
 
 val price :
   t ->
@@ -141,10 +133,6 @@ val price :
   contribution
 (** Price one vignette for a deployment of [n_devices], committee size [m]
     and a query over [cols] categories. *)
-
-val pricing_calls : unit -> int
-(** Process-wide count of {!price} invocations (atomic, monotone). The
-    observability layer meters planner work as deltas of this odometer. *)
 
 type partial
 (** Running aggregate of {!contribution}s — a commutative monoid (sums for

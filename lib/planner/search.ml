@@ -17,8 +17,8 @@ type result = {
   stats : stats;
 }
 
-(* Memoized committee sizing, shared by every searcher. The table is
-   consulted from worker domains, so all access goes through a mutex (the
+(* Memoized committee sizing, shared by every search. The service plans
+   on several domains at once, so all access goes through a mutex (the
    solve itself runs outside the lock; racing duplicates are idempotent). *)
 let size_cache : (int, int) Hashtbl.t = Hashtbl.create 64
 let size_cache_lock = Mutex.create ()
@@ -61,8 +61,14 @@ let mpc_committee_count vs =
       | _ -> acc)
     0 vs
 
-(* One searcher per (crypto, sampled-bins) task; only [shared_best] is
-   shared across tasks (and domains). *)
+(* The best feasible plan found so far, carried from task to task. *)
+type incumbent = {
+  mutable best_value : float;
+  mutable best : (Plan.t * Cost_model.metrics) option;
+}
+
+(* One searcher per (crypto, sampled-bins, sampling-rate) task; only the
+   incumbent is shared, by the tasks that follow. *)
 type searcher = {
   cm : Cost_model.t;
   crypto : Plan.crypto;
@@ -81,15 +87,13 @@ type searcher = {
   sizes : (int, int) Hashtbl.t;
       (* committee count -> size: this task's own memo in front of the
          shared, mutex-guarded [committee_size_for] *)
-  shared_best : float Atomic.t;  (* cross-task/-domain incumbent *)
-  mutable best_value : float;
-  mutable best : (Plan.t * Cost_model.metrics) option;
+  inc : incumbent;
   mutable top : (float * Plan.t * Cost_model.metrics) list; (* ranked, capped *)
   mutable prefixes : int;
   mutable full_plans : int;
   mutable pruned : int;
   mutable aborted : bool;
-  (* --- observability (all per-task, merged in canonical order) --- *)
+  (* --- observability (all per-task, summed over the tasks) --- *)
   tr : Arb_obs.Tracer.t option;  (* per-task child tracer *)
   obs_on : bool;  (* any tracer or registry attached: count depth/memo work *)
   timed : bool;  (* wall-clock readings allowed (false in deterministic mode) *)
@@ -178,12 +182,6 @@ let rec fold_at node m =
       in
       List.fold_left Cost_model.add_contribution base (node.own m))
 
-(* Monotone-min publication of the incumbent for cross-domain pruning. *)
-let rec publish_best shared v =
-  let cur = Atomic.get shared in
-  if v < cur && not (Atomic.compare_and_set shared cur v) then
-    publish_best shared v
-
 let top_cap = 5
 
 (* Bounded ranked insert; equal goal values keep their insertion order, so
@@ -196,6 +194,12 @@ let rec insert_top cap ((v, _, _) as entry) tops =
     | ((v', _, _) as e) :: rest ->
         if v < v' then entry :: insert_top (cap - 1) e rest
         else e :: insert_top (cap - 1) entry rest
+
+(* Rank a plan that is not in the list yet. Deduplicating on plan identity
+   keeps a distinct plan that ties an existing goal value. *)
+let add_top ((_, p, _) as entry) tops =
+  if List.exists (fun (_, p', _) -> p' = p) tops then tops
+  else insert_top top_cap entry tops
 
 (* Score a complete plan holding [c] committees. [partial m] is its fold
    priced at the true committee size m, only known now that c is. *)
@@ -221,14 +225,11 @@ let score_full s ~em_variant ~committees:c ~partial acc query_name =
       }
     in
     (* Keep a small ranked sample of the feasible design space: the best
-       plan plus runners-up, deduplicated on plan identity so a distinct
-       plan that ties an existing goal value is still reported. *)
-    if not (List.exists (fun (_, p', _) -> p' = plan) s.top) then
-      s.top <- insert_top top_cap (v, plan, metrics) s.top;
-    if v < s.best_value then begin
-      s.best_value <- v;
-      s.best <- Some (plan, metrics);
-      publish_best s.shared_best v
+       plan plus runners-up. *)
+    s.top <- add_top (v, plan, metrics) s.top;
+    if v < s.inc.best_value then begin
+      s.inc.best_value <- v;
+      s.inc.best <- Some (plan, metrics)
     end
   end
 
@@ -392,12 +393,10 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
                  pricing), so both prunes are admissible. The incumbent
                  comparison is strict: a branch whose bound ties the
                  incumbent may still hold a plan tying the optimum, and
-                 exploring it keeps the winner independent of domain
-                 scheduling. *)
+                 exploring it keeps the first such plan the winner. *)
               s.heuristics
               && (Constraints.lower_bound_infeasible s.limits bound
-                 || Constraints.goal_value s.goal bound
-                    > Float.min s.best_value (Atomic.get s.shared_best))
+                 || Constraints.goal_value s.goal bound > s.inc.best_value)
             then s.pruned <- s.pruned + 1
             else
               let node =
@@ -445,45 +444,9 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
   (try go Expand.D_enc 0 root prefix_vs (partial_lb prefix_vs) `None ops
    with Abort -> ())
 
-type task_result = {
-  t_best : (Plan.t * Cost_model.metrics) option;
-  t_best_value : float;
-  t_top : (float * Plan.t * Cost_model.metrics) list;
-  t_prefixes : int;
-  t_full_plans : int;
-  t_pruned : int;
-  t_aborted : bool;
-  t_tracer : Arb_obs.Tracer.t option;  (* grafted in canonical task order *)
-  t_memo_hits : int;
-  t_memo_misses : int;
-  t_price_calls : int;
-  t_score_seconds : float;
-  t_depth_nodes : int array;
-  t_depth_seconds : float array;
-}
-
-(* Run [work.(i)] for every i on [workers] domains of the shared pool (the
-   calling domain included). [on_worker], when given, receives each pool
-   slot's (slot, tasks run, busy seconds) once the pool drains —
-   per-domain utilization for the metrics registry. *)
-let parallel_map ~workers ?on_worker work =
-  let n_tasks = Array.length work in
-  let out = Array.make n_tasks None in
-  let busy = Array.make workers 0.0 and ran = Array.make workers 0 in
-  Arb_util.Pool.run ~workers n_tasks (fun ~slot i ->
-      match on_worker with
-      | None -> out.(i) <- Some (work.(i) ())
-      | Some _ ->
-          let t0 = Unix.gettimeofday () in
-          out.(i) <- Some (work.(i) ());
-          busy.(slot) <- busy.(slot) +. (Unix.gettimeofday () -. t0);
-          ran.(slot) <- ran.(slot) + 1);
-  Option.iter (fun f -> Array.iteri (fun w r -> f w r busy.(w)) ran) on_worker;
-  Array.map (function Some r -> r | None -> assert false) out
-
 let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
     ?(goal = Constraints.Min_part_exp_time) ?(heuristics = true)
-    ?(max_prefixes = 5_000_000) ?(domains = 1) ?(incremental = true)
+    ?(max_prefixes = 5_000_000) ?(incremental = true)
     ?tracer ?metrics ~(query : Arb_queries.Registry.query) ~n () =
   let deterministic =
     match tracer with Some tr -> Arb_obs.Tracer.deterministic tr | None -> false
@@ -496,13 +459,13 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
   let ops = Extract.ops query.Arb_queries.Registry.program ~n in
   let cols = query.Arb_queries.Registry.categories in
   let m_lb = committee_size_for 1 in
-  let shared_best = Atomic.make infinity in
+  let inc = { best_value = infinity; best = None } in
   (* Canonical task order: crypto profile major, sampled-bins middle,
-     device-sampling rate minor (exact first). The merge below folds
-     results in this order, so ties resolve identically however the tasks
-     were scheduled. Without a tolerance only the exact rate is enumerated,
-     so the task list — and therefore the winner — is byte-identical to the
-     exact-only planner. *)
+     device-sampling rate minor (exact first). The tasks run in this order
+     and the incumbent only moves on a strictly better plan, so an earlier
+     task keeps ties. Without a tolerance only the exact rate is
+     enumerated, so the task list — and therefore the winner — is
+     byte-identical to the exact-only planner. *)
   let phis =
     match limits.Constraints.max_est_error with
     | None -> [ None ]
@@ -516,10 +479,8 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
           (Expand.sampled_bins_options ops))
       [ Plan.Ahe; Plan.Fhe ]
   in
-  let run_task idx (crypto, bins, phi) () =
-    (* Each task writes to its own child tracer (its own tid); the parent
-       grafts them back in canonical task order below, so the merged trace
-       does not depend on worker scheduling. *)
+  let run_task idx (crypto, bins, phi) =
+    (* Each task writes to its own child tracer (its own tid). *)
     let tr =
       Option.map
         (fun t ->
@@ -541,9 +502,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
         cols;
         m_lb;
         sizes = Hashtbl.create 16;
-        shared_best;
-        best_value = infinity;
-        best = None;
+        inc;
         top = [];
         prefixes = 0;
         full_plans = 0;
@@ -613,57 +572,19 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
                 ("price_calls", Arb_util.Json.Int s.price_calls);
                 ("aborted", Arb_util.Json.Bool s.aborted);
               ]));
-    {
-      t_best = s.best;
-      t_best_value = s.best_value;
-      t_top = s.top;
-      t_prefixes = s.prefixes;
-      t_full_plans = s.full_plans;
-      t_pruned = s.pruned;
-      t_aborted = s.aborted;
-      t_tracer = tr;
-      t_memo_hits = s.memo_hits;
-      t_memo_misses = s.memo_misses;
-      t_price_calls = s.price_calls;
-      t_score_seconds = s.score_seconds;
-      t_depth_nodes = s.depth_nodes;
-      t_depth_seconds = s.depth_seconds;
-    }
+    s
   in
   let run_all () =
-    let work = Array.of_list (List.mapi run_task tasks) in
-    let workers = max 1 (min domains (Array.length work)) in
-    let results =
-      if workers <= 1 then Array.map (fun f -> f ()) work
-      else
-        let on_worker =
-          match metrics with
-          | Some reg when timed ->
-              Some
-                (fun w ran busy ->
-                  let labels = [ ("worker", string_of_int w) ] in
-                  Arb_obs.Metrics.add reg ~labels
-                    ~help:"Search tasks run per worker domain"
-                    "arb_planner_domain_tasks_total" (float_of_int ran);
-                  Arb_obs.Metrics.add reg ~labels
-                    ~help:"Seconds each worker domain spent searching"
-                    "arb_planner_domain_busy_seconds_total" busy)
-          | _ -> None
-        in
-        parallel_map ~workers ?on_worker work
-    in
-    (match tracer with
-    | Some tr ->
-        Array.iter
-          (fun r ->
-            match r.t_tracer with
-            | Some c -> Arb_obs.Tracer.graft tr c
-            | None -> ())
-          results
-    | None -> ());
-    results
+    (* List.mapi runs the tasks in canonical order; their child tracers are
+       grafted in the same order. *)
+    let searchers = List.mapi run_task tasks in
+    Option.iter
+      (fun tr ->
+        List.iter (fun s -> Option.iter (Arb_obs.Tracer.graft tr) s.tr) searchers)
+      tracer;
+    searchers
   in
-  let results =
+  let searchers =
     match tracer with
     | None -> run_all ()
     | Some tr ->
@@ -673,61 +594,44 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
               ("query", Arb_util.Json.String query.Arb_queries.Registry.name);
               ("n", Arb_util.Json.Int n);
               ("tasks", Arb_util.Json.Int (List.length tasks));
-              ("domains", Arb_util.Json.Int domains);
             ]
           "plan" run_all
   in
-  (* Deterministic merge: fold per-task results in canonical order with a
-     strict comparison, so an earlier task keeps ties — byte-identical to
-     threading one searcher through the tasks sequentially. *)
-  let _best_value, best, top, prefixes, full_plans, pruned, aborted =
-    Array.fold_left
-      (fun (bv, best, top, pf, fl, pr, ab) r ->
-        let bv, best =
-          if r.t_best_value < bv then (r.t_best_value, r.t_best) else (bv, best)
-        in
-        let top =
-          List.fold_left
-            (fun top ((_, p, _) as entry) ->
-              if List.exists (fun (_, p', _) -> p' = p) top then top
-              else insert_top top_cap entry top)
-            top r.t_top
-        in
-        ( bv,
-          best,
-          top,
-          pf + r.t_prefixes,
-          fl + r.t_full_plans,
-          pr + r.t_pruned,
-          ab || r.t_aborted ))
-      (infinity, None, [], 0, 0, 0, false)
-      results
+  (* Each task's ranked list, folded in task order: an earlier task keeps
+     ties. *)
+  let top =
+    List.fold_left
+      (fun top s -> List.fold_left (Fun.flip add_top) top s.top)
+      [] searchers
   in
+  let sum_i f = List.fold_left (fun acc s -> acc + f s) 0 searchers in
+  let prefixes = sum_i (fun s -> s.prefixes) in
+  let full_plans = sum_i (fun s -> s.full_plans) in
+  let pruned = sum_i (fun s -> s.pruned) in
+  let aborted = List.exists (fun s -> s.aborted) searchers in
   let elapsed = Unix.gettimeofday () -. t0 in
   (match metrics with
   | None -> ()
   | Some reg ->
-      let sum_i f = Array.fold_left (fun acc r -> acc + f r) 0 results in
-      let sum_f f = Array.fold_left (fun acc r -> acc +. f r) 0.0 results in
       let merge_depth zero add proj =
-        Array.fold_left
-          (fun acc r ->
-            let a = proj r in
+        List.fold_left
+          (fun acc s ->
+            let a = proj s in
             let acc = grow_to acc (Array.length a) zero in
             Array.iteri (fun i v -> acc.(i) <- add acc.(i) v) a;
             acc)
-          [||] results
+          [||] searchers
       in
       let c name help v = Arb_obs.Metrics.add reg ~help name (float_of_int v) in
       c "arb_planner_nodes_total" "Search nodes (prefixes) expanded" prefixes;
       c "arb_planner_pruned_total" "Branch-and-bound prunes" pruned;
       c "arb_planner_plans_total" "Complete plans scored" full_plans;
       c "arb_planner_memo_hits_total" "Choice-memo hits"
-        (sum_i (fun r -> r.t_memo_hits));
+        (sum_i (fun s -> s.memo_hits));
       c "arb_planner_memo_misses_total" "Choice-memo misses"
-        (sum_i (fun r -> r.t_memo_misses));
+        (sum_i (fun s -> s.memo_misses));
       c "arb_planner_price_calls_total" "Cost-model pricing calls"
-        (sum_i (fun r -> r.t_price_calls));
+        (sum_i (fun s -> s.price_calls));
       c "arb_planner_searches_total" "Planner invocations" 1;
       c "arb_planner_aborted_total" "Searches aborted at the prefix cap"
         (if aborted then 1 else 0);
@@ -738,7 +642,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
               ~labels:[ ("depth", string_of_int d) ]
               ~help:"Nodes expanded per search depth"
               "arb_planner_depth_nodes_total" (float_of_int v))
-        (merge_depth 0 ( + ) (fun r -> r.t_depth_nodes));
+        (merge_depth 0 ( + ) (fun s -> s.depth_nodes));
       if timed then begin
         Array.iteri
           (fun d sec ->
@@ -747,10 +651,10 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
                 ~labels:[ ("depth", string_of_int d) ]
                 ~help:"Expand+price seconds per depth (choice-memo misses)"
                 "arb_planner_depth_seconds_total" sec)
-          (merge_depth 0.0 ( +. ) (fun r -> r.t_depth_seconds));
+          (merge_depth 0.0 ( +. ) (fun s -> s.depth_seconds));
         Arb_obs.Metrics.add reg ~help:"Full-plan scoring seconds"
           "arb_planner_score_seconds_total"
-          (sum_f (fun r -> r.t_score_seconds));
+          (List.fold_left (fun acc s -> acc +. s.score_seconds) 0.0 searchers);
         Arb_obs.Metrics.observe_in reg
           ~help:"End-to-end planning latency (seconds)"
           ~buckets:Arb_obs.Metrics.latency_buckets "arb_planner_plan_seconds"
@@ -760,7 +664,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
       m "planned %s (N=%d): %d prefixes, %d candidates, %d pruned in %.3fs%s"
         query.Arb_queries.Registry.name n prefixes full_plans pruned elapsed
         (if aborted then " [aborted at cap]" else ""));
-  (match best with
+  (match inc.best with
   | Some (p, _) ->
       Log.debug (fun m ->
           m "winner: %s, %d committees of %d, em=%s"
@@ -773,8 +677,8 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
             | `None -> "-"))
   | None -> Log.debug (fun m -> m "no feasible plan"));
   {
-    plan = Option.map fst best;
-    metrics = Option.map snd best;
+    plan = Option.map fst inc.best;
+    metrics = Option.map snd inc.best;
     alternatives = List.map (fun (_, p, m) -> (p, m)) top;
     stats = { prefixes; full_plans; pruned; elapsed; aborted };
   }

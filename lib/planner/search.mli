@@ -24,12 +24,15 @@
     re-segmentations, reproducing the §7.3 ablation blowup; because the
     bounds are admissible, both settings find the same optimum.
 
-    The outer (crypto × sampled-bins) tasks are independent and can be
-    fanned out across OCaml domains with [~domains]. Tasks share only a
-    monotone atomic incumbent (cross-domain pruning); results are merged in
-    canonical task order with strict comparisons, so the winning plan and
-    its metrics are byte-identical to the sequential search regardless of
-    domain scheduling (DESIGN.md §7). *)
+    The outer (crypto × sampled-bins × sampling-rate) tasks run one after
+    another in a canonical order, each with its own searcher. Only the
+    incumbent passes from task to task, and it moves only on a strictly
+    better plan, so an earlier task keeps ties. Every output but
+    [stats.elapsed] is a pure function of the query, [n] and the
+    arguments: the winner, the ranked alternatives, the counters and,
+    under a deterministic tracer, the trace and metrics bytes (DESIGN.md
+    §7.3). The service gets its parallelism by running several searches at
+    once, one per domain. *)
 
 type stats = {
   prefixes : int;  (** plan prefixes considered (§7.3), summed over tasks *)
@@ -45,11 +48,9 @@ type result = {
   alternatives : (Plan.t * Cost_model.metrics) list;
       (** a ranked sample of the feasible design space: the winner plus up
           to four runners-up, deduplicated on plan identity. Under pruning
-          the runners-up are best-effort — which non-winning candidates get
-          fully scored depends on when the shared incumbent arrives, so
-          with [domains > 1] they may vary between runs; they are exact and
-          deterministic with [heuristics:false] (no pruning) or
-          [domains:1]. The winner itself is always deterministic. *)
+          the runners-up are best-effort: a runner-up whose subtree the
+          incumbent prunes is never scored. They are exact with
+          [heuristics:false] (no pruning). *)
   stats : stats;
 }
 
@@ -59,7 +60,6 @@ val plan :
   ?goal:Constraints.goal ->
   ?heuristics:bool ->
   ?max_prefixes:int ->
-  ?domains:int ->
   ?incremental:bool ->
   ?tracer:Arb_obs.Tracer.t ->
   ?metrics:Arb_obs.Metrics.t ->
@@ -70,9 +70,7 @@ val plan :
 (** Defaults: the §7 setting — [limits] = {!Constraints.evaluation_limits},
     [goal] = minimize expected participant time, heuristics on, 5M-prefix
     cap (per task); committees are sized by {!committee_size_for}.
-    [domains] (default 1) is the number of OCaml domains searching
-    (crypto × sampled-bins) tasks concurrently; the winning plan and
-    metrics are identical for every value. [incremental] (default true)
+    [incremental] (default true)
     selects delta pricing and the exact cut-offs; [false] re-prices the
     whole prefix at every node and every complete plan — the
     pre-optimization behavior, kept only as the reference the
@@ -82,19 +80,15 @@ val plan :
     "search" span per (crypto × bins) task carrying its node/prune/memo
     counters as args, one "expand"/"price" span pair per choice-memo miss
     (so span count is bounded by the memo, not the node count). Each task
-    writes to a {!Arb_obs.Tracer.child} grafted back in canonical task
-    order, so the trace does not depend on worker scheduling. [metrics]
-    receives [arb_planner_*] counters (nodes, pruned, plans, memo hit/miss,
-    pricing calls, per-depth nodes) plus — unless the tracer is
+    writes to its own {!Arb_obs.Tracer.child}, grafted back in task order.
+    [metrics] receives [arb_planner_*] counters (nodes, pruned, plans, memo
+    hit/miss, pricing calls, per-depth nodes) plus — unless the tracer is
     deterministic, which suppresses all wall-clock readings — per-depth and
-    scoring seconds, per-worker utilization, and a planning-latency
-    histogram. Note that with [domains > 1] the node/prune/memo counts
-    themselves can vary slightly between runs (the shared incumbent's
-    arrival order affects pruning); they are exactly reproducible at
-    [domains:1]. *)
+    scoring seconds and a planning-latency histogram. *)
 
 val committee_size_for : int -> int
 (** The smallest safe committee size for this many committees in the §7
     setting: f = 3% Byzantine devices, g = 0.15, and p1 from 1e-8 over
     1000 rounds ({!Arb_dp.Committee.min_size}). Memoized by committee
-    count; domain-safe, the cache is mutex-protected. *)
+    count; domain-safe, the cache is mutex-protected, because the service
+    runs several searches at once. *)

@@ -1,5 +1,16 @@
 type finding = { check : string; ok : bool; detail : string }
 
+(* Whether [k] is a plausible size for a sample that takes each of [n]
+   devices with probability [phi], a Binomial(n, phi) draw X. The Chernoff
+   bound on the tail beyond k, P(X <= k) or P(X >= k) <= exp (-n KL(k/n ||
+   phi)), must be at least 1e-9, so an honest sample fails with probability
+   below 2e-9. The bound is O(1) where an exact tail sum is O(n), and n
+   reaches 10^9. *)
+let plausible_sample_size ~n ~phi k =
+  let q = float_of_int k /. float_of_int n in
+  let term a b = if a = 0.0 then 0.0 else a *. Float.log (a /. b) in
+  float_of_int n *. (term q phi +. term (1.0 -. q) (1.0 -. phi)) <= Float.log 1e9
+
 let verify_report ~query ~plan ~budget_before ~n_devices (report : Exec.report) =
   let cert = report.Exec.certificate in
   let findings = ref [] in
@@ -43,11 +54,23 @@ let verify_report ~query ~plan ~budget_before ~n_devices (report : Exec.report) 
        report.Exec.trace.Trace.audits_performed
        report.Exec.trace.Trace.audits_failed);
 
-  (* 6. Accounting sanity: every device's input was adjudicated. *)
-  add "input accounting"
-    (report.Exec.accepted_inputs + report.Exec.rejected_inputs = n_devices)
-    (Printf.sprintf "%d accepted + %d rejected = %d devices"
-       report.Exec.accepted_inputs report.Exec.rejected_inputs n_devices);
+  (* 6. Accounting sanity: every device's input was adjudicated. A sampled
+     plan adjudicates only its sample, which is secret, so the count must
+     be one the sampling rate plausibly draws. *)
+  let accepted = report.Exec.accepted_inputs
+  and rejected = report.Exec.rejected_inputs in
+  let adjudicated = accepted + rejected in
+  (match plan.Arb_planner.Plan.device_sample with
+  | None ->
+      add "input accounting" (adjudicated = n_devices)
+        (Printf.sprintf "%d accepted + %d rejected = %d devices" accepted rejected
+           n_devices)
+  | Some phi ->
+      add "input accounting"
+        (adjudicated <= n_devices
+        && plausible_sample_size ~n:n_devices ~phi adjudicated)
+        (Printf.sprintf "%d accepted + %d rejected of %d devices sampled at %g"
+           accepted rejected n_devices phi));
   List.rev !findings
 
 let all_ok findings = List.for_all (fun f -> f.ok) findings

@@ -6,7 +6,11 @@
     aggregator: the certificate's signatures, that the certificate commits
     to exactly this plan, that the budget arithmetic matches what the plan
     charges for the query's certified privacy cost
-    ({!Arb_planner.Plan.charged}), and that the aggregator's audit held. *)
+    ({!Arb_planner.Plan.charged}), that the aggregator's audit held, and
+    that every device's input was adjudicated. For a sampled plan the
+    sample is secret, so the last check asks only that the adjudicated
+    count be at most [n_devices] and a plausible Binomial([n_devices], phi)
+    draw: an honest sample fails it with probability below 2e-9. *)
 
 type finding = { check : string; ok : bool; detail : string }
 

@@ -23,9 +23,9 @@
       are labeled against the plan cache in submission order (an earlier
       identical submission makes a later one a hit, deterministically).
     + {b plan} — the distinct cache misses are planned concurrently by a
-      pool of OCaml domains. Each worker runs a private single-domain
-      search; results land in per-task slots and are committed to the
-      cache in canonical task order, so the cache contents and every
+      pool of OCaml domains. Each worker runs its own
+      {!Arb_planner.Search.plan}; results land in per-task slots and are
+      committed to the cache in canonical task order, so the cache contents and every
       lifecycle record are independent of the worker count and of domain
       scheduling.
     + {b execute} — sequential, in submission order, against the shared

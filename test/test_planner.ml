@@ -428,39 +428,6 @@ let goals =
       ("agg-bytes", Min_agg_bytes);
     ]
 
-let test_search_parallel_matches_sequential () =
-  (* The multicore fan-out must be invisible in the winner: admissible
-     bounds, strict incumbent pruning and the canonical-order merge make
-     the winning plan and its metrics byte-identical whatever the domain
-     count. (The ranked runner-ups are best-effort under pruning — which
-     non-winning plans get fully scored depends on when the shared
-     incumbent arrives — so they are checked separately, without
-     pruning, below.) *)
-  List.iter
-    (fun name ->
-      let q = Q.test_instance name in
-      let seq = P.Search.plan ~domains:1 ~query:q ~n:1_000_000 () in
-      let par = P.Search.plan ~domains:4 ~query:q ~n:1_000_000 () in
-      Alcotest.check Alcotest.string
-        (name ^ ": 4-domain winner identical to sequential")
-        (render_winner seq) (render_winner par))
-    Q.names
-
-let test_search_parallel_exhaustive_fully_deterministic () =
-  (* Without pruning nothing depends on incumbent timing, so the whole
-     result — winner, metrics AND ranked alternatives — must be
-     byte-identical across domain counts. *)
-  let q = Q.test_instance "cms" in
-  let render r =
-    String.concat "\n"
-      (render_winner r
-      :: List.map (fun (p, _) -> P.Plan_io.plan_to_string p) r.P.Search.alternatives)
-  in
-  let seq = P.Search.plan ~heuristics:false ~domains:1 ~query:q ~n:1_000_000 () in
-  let par = P.Search.plan ~heuristics:false ~domains:4 ~query:q ~n:1_000_000 () in
-  Alcotest.check Alcotest.string "exhaustive result identical incl. alternatives"
-    (render seq) (render par)
-
 let test_search_incremental_matches_full_repricing () =
   (* The partial-metrics monoid prices only delta vignettes per node, and
      the exact cut-offs drop subtrees on canonical bounds; the winner and
@@ -780,17 +747,6 @@ let test_goals_change_plans () =
     (m_agg.Cm.agg_time < m_part.Cm.agg_time
     || m_part.Cm.part_exp_time < m_agg.Cm.part_exp_time)
 
-let test_calibrate_produces_sane_constants () =
-  (* Microbenchmarking this machine must yield positive, ordered op costs:
-     add < mul_plain (NTT-bound). *)
-  let cm = Cm.calibrate () in
-  let v =
-    { P.Plan.location = P.Plan.Aggregator;
-      work = P.Plan.W_he_sum { crypto = P.Plan.Ahe; cts = 1; inputs = 1000 } }
-  in
-  let c = Cm.price cm ~n_devices:paper_n ~m:40 ~cols:1024 v in
-  checkb "calibrated sum cost positive" true (c.Cm.c_agg_time > 0.0)
-
 let test_plan_pretty_prints () =
   let r = plan_for "median" paper_n in
   match r.P.Search.plan with
@@ -1067,10 +1023,6 @@ let () =
             test_search_heuristics_find_same_best_when_both_finish;
           Alcotest.test_case "pruning admissible on every query" `Slow
             test_search_pruning_admissible_all_queries;
-          Alcotest.test_case "parallel matches sequential" `Slow
-            test_search_parallel_matches_sequential;
-          Alcotest.test_case "exhaustive parallel fully deterministic" `Slow
-            test_search_parallel_exhaustive_fully_deterministic;
           Alcotest.test_case "incremental pricing matches full" `Slow
             test_search_incremental_matches_full_repricing;
           Alcotest.test_case "golden byte-identity" `Slow
@@ -1088,7 +1040,6 @@ let () =
           Alcotest.test_case "tolerance: est_error priced and pruned" `Quick
             test_est_error_pricing_and_pruning;
           Alcotest.test_case "goals change plans" `Quick test_goals_change_plans;
-          Alcotest.test_case "calibration sane" `Slow test_calibrate_produces_sane_constants;
           Alcotest.test_case "plan pretty-prints" `Quick test_plan_pretty_prints;
         ] );
       ( "alternatives",

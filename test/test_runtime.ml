@@ -722,24 +722,45 @@ let test_sampled_vs_full_within_est_error () =
       -. r.R.Exec.certificate.R.Setup.budget_left.Arb_dp.Budget.epsilon
     in
     checkb (name ^ ": sampled run spends less epsilon") true (spent samp < spent full);
-    (* An independent verifier re-derives each run's charge: the sampled
-       certificate deducts the amplified cost, not the certified one. *)
+    (* An independent verifier passes both runs: the sampled certificate
+       deducts the amplified cost, not the certified one, and the sampled
+       run adjudicates a plausible sample of the devices, not all of them. *)
+    let findings plan report =
+      R.Verify.verify_report ~query:q ~plan ~budget_before:big_budget
+        ~n_devices:n report
+    in
     List.iter
       (fun (label, plan, report) ->
-        let findings =
-          R.Verify.verify_report ~query:q ~plan ~budget_before:big_budget
-            ~n_devices:n report
-        in
-        match
-          List.find_opt (fun f -> f.R.Verify.check = "budget arithmetic") findings
-        with
-        | Some f ->
+        let fs = findings plan report in
+        checkb
+          (Printf.sprintf "%s: %s run has budget and accounting findings" name label)
+          true
+          (List.for_all
+             (fun c -> List.exists (fun f -> f.R.Verify.check = c) fs)
+             [ "budget arithmetic"; "input accounting" ]);
+        List.iter
+          (fun f ->
             checkb
-              (Printf.sprintf "%s: %s run's budget arithmetic verifies (%s)" name
-                 label f.R.Verify.detail)
-              true f.R.Verify.ok
-        | None -> Alcotest.fail "verify_report has no budget arithmetic finding")
+              (Printf.sprintf "%s: %s run's %s verifies (%s)" name label
+                 f.R.Verify.check f.R.Verify.detail)
+              true f.R.Verify.ok)
+          fs)
       [ ("full", p_full, full); ("sampled", p_samp, samp) ];
+    (* A sampled report that adjudicated no device, or every device, fails
+       the accounting check and nothing else. *)
+    List.iter
+      (fun (label, accepted) ->
+        let forged =
+          { samp with R.Exec.accepted_inputs = accepted; rejected_inputs = 0 }
+        in
+        checkb
+          (Printf.sprintf "%s: a sampled report with %s fails only input accounting"
+             name label)
+          true
+          (List.for_all
+             (fun f -> f.R.Verify.ok = (f.R.Verify.check <> "input accounting"))
+             (findings p_samp forged)))
+      [ ("no device adjudicated", 0); ("every device adjudicated", n) ];
     let samp2 =
       released
         (R.Exec.run_source { sharded with R.Exec.workers = 2 } ~query:q ~plan:p_samp ~src)
