@@ -565,7 +565,7 @@ let serve_service ~workload ~devices ~seed ~workers ~cache_dir ~calib
 let register_sessions engine workload =
   List.iter
     (fun sub ->
-      match Arb_continual.Engine.register engine ~carry_state:true sub with
+      match Arb_continual.Engine.register engine sub with
       | Ok name -> Printf.eprintf "session %s registered\n%!" name
       | Error m -> Printf.eprintf "cannot register session: %s\n%!" m)
     (Arb_service.Workload.recurring workload)

@@ -6,18 +6,16 @@
    service once, and settles: window charges for executed queries,
    mechanism-state carryover, per-epoch records.
 
-   Plan reuse is the point. A due session first decides between
-   *re-validation* — the cached plan is still valid, submit and let the
-   service hit the cache — and a forced *re-plan* — evict the cache entry
-   so the service cold-plans — based on drift since the plan's
-   fingerprint: population estimate, the service's calibration
-   fingerprint, or budget balance moving past a relative threshold.
-   Undrifted epochs cost one cache probe instead of a planner search.
+   Plan reuse is the point, and the service's plan cache decides it: the
+   cache key names every input of the search, the pricing model included,
+   so a due epoch whose key hits reuses the plan (*re-validation*) and one
+   whose key misses searches again (a *re-plan*, or the session's *cold*
+   first plan). Settle reads which it was off the lifecycle record.
 
-   Determinism: sessions are processed in registration order, all decision
-   inputs (windows, fingerprints, cache state) are updated sequentially,
-   and execution runs through the service's canonically-ordered pipeline —
-   so epoch records are byte-identical at any worker count. *)
+   Determinism: sessions are processed in registration order, windows and
+   carried state are updated sequentially, and execution runs through the
+   service's canonically-ordered pipeline — so epoch records are
+   byte-identical at any worker count. *)
 
 module B = Arb_dp.Budget
 module W = B.Window
@@ -28,12 +26,12 @@ let src = Logs.Src.create "arb.continual" ~doc:"Continual analytics engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type planned = Cold | Revalidated | Replanned of string
+type planned = Cold | Revalidated | Replanned
 
 let planned_name = function
   | Cold -> "cold"
   | Revalidated -> "revalidated"
-  | Replanned _ -> "replanned"
+  | Replanned -> "replanned"
 
 type outcome =
   | Skipped
@@ -54,29 +52,15 @@ type epoch_record = {
   er_estimate : string list;
 }
 
-(* Relative drift since a plan's fingerprint past which a due session
-   re-plans: population estimate, and the relevant budget balance. *)
-let n_drift = 0.2
-let balance_drift = 0.5
-
-type fingerprint = {
-  fp_n : int;
-  fp_calibration : string;
-  fp_balance : float;
-  fp_tolerance : float option;
-}
-
 type session = {
   name : string;
-  mutable sub : S.Workload.submission;
+  sub : S.Workload.submission;
   every : int;
   start_epoch : int;
-  carry : bool;
   window : W.t option;
   compose : int option;
   kind : Mstate.kind;
-  mutable state_json : string;
-  mutable fingerprint : fingerprint option;
+  mutable state : Mstate.t;
   mutable last_cost : B.t option;
   mutable cold : int;
   mutable replans : int;
@@ -89,10 +73,9 @@ type session = {
 type t = {
   service : S.Service.t;
   tick_lock : Mutex.t;  (* serializes whole ticks *)
-  lock : Mutex.t;  (* guards epoch / sessions / population *)
+  lock : Mutex.t;  (* guards epoch / sessions *)
   mutable epoch : int;
   mutable sessions : session list;  (* newest first *)
-  mutable population : int;
 }
 
 let create ~service () =
@@ -102,29 +85,13 @@ let create ~service () =
     lock = Mutex.create ();
     epoch = 0;
     sessions = [];
-    population = S.Service.devices service;
   }
 
 let epoch t = Mutex.protect t.lock (fun () -> t.epoch)
 
-let observe_population t n =
-  if n < 1 then invalid_arg "Engine.observe_population: n < 1";
-  Mutex.protect t.lock (fun () -> t.population <- n)
-
-let set_tolerance t name tol =
-  (match tol with
-  | Some v when not (v > 0.0 && v <= 1.0) ->
-      invalid_arg "Engine.set_tolerance: tolerance must be in (0, 1]"
-  | _ -> ());
-  Mutex.protect t.lock (fun () ->
-      match List.find_opt (fun s -> s.name = name) t.sessions with
-      | None -> invalid_arg ("Engine.set_tolerance: no session " ^ name)
-      | Some s ->
-          s.sub <- { s.sub with S.Workload.tolerance = tol })
-
 let in_order t = List.rev t.sessions
 
-let register t ?name ~carry_state (sub : S.Workload.submission) =
+let register t ?name (sub : S.Workload.submission) =
   match S.Workload.validate_recurring sub with
   | Error e -> Error (S.Workload.recurring_error_message e)
   | Ok () -> (
@@ -165,14 +132,12 @@ let register t ?name ~carry_state (sub : S.Workload.submission) =
                 sub;
                 every;
                 start_epoch = t.epoch + 1;
-                carry = carry_state;
                 window;
                 compose =
                   Option.bind sub.S.Workload.window (fun w ->
                       w.S.Workload.w_compose);
                 kind;
-                state_json = J.to_string (Mstate.to_json (Mstate.create kind));
-                fingerprint = None;
+                state = Mstate.create kind;
                 last_cost = None;
                 cold = 0;
                 replans = 0;
@@ -186,56 +151,7 @@ let register t ?name ~carry_state (sub : S.Workload.submission) =
             Ok sname
           end)
 
-(* ---------------- state carryover ---------------- *)
-
-let state_of s =
-  match Mstate.of_json (J.of_string s.state_json) with
-  | Ok st -> st
-  | Error _ | (exception J.Parse_error _) ->
-      (* Corrupt carried state resets rather than wedging the session. *)
-      Mstate.create s.kind
-
-let current_estimate s = Option.value (Mstate.estimate (state_of s)) ~default:[]
-
-let fold_outputs s outputs =
-  (* The carried artifact is the serialized form: decode, fold, re-encode —
-     every epoch exercises the restart path. *)
-  s.state_json <-
-    J.to_string (Mstate.to_json (Mstate.update (state_of s) ~outputs))
-
-(* ---------------- drift / re-validation ---------------- *)
-
-let relevant_balance t s =
-  match s.window with
-  | Some w -> (W.balance w).B.epsilon
-  | None -> (S.Service.budget_left t.service).B.epsilon
-
-let rel_drift now was =
-  Float.abs (now -. was) /. Float.max (Float.abs was) 1e-9
-
-let drift_reason t ~population ~calibration s =
-  match s.fingerprint with
-  | None -> None
-  | Some fp ->
-      if rel_drift (float_of_int population) (float_of_int fp.fp_n) > n_drift
-      then
-        Some (Printf.sprintf "population drift: %d -> %d" fp.fp_n population)
-      else if calibration <> fp.fp_calibration then
-        Some
-          (Printf.sprintf "calibration drift: %s -> %s" fp.fp_calibration
-             calibration)
-      else if s.sub.S.Workload.tolerance <> fp.fp_tolerance then
-        let show = function None -> "exact" | Some tol -> Printf.sprintf "%g" tol in
-        Some
-          (Printf.sprintf "tolerance drift: %s -> %s" (show fp.fp_tolerance)
-             (show s.sub.S.Workload.tolerance))
-      else if
-        rel_drift (relevant_balance t s) fp.fp_balance > balance_drift
-      then
-        Some
-          (Printf.sprintf "budget-balance drift: %.6g -> %.6g" fp.fp_balance
-             (relevant_balance t s))
-      else None
+let current_estimate s = Option.value (Mstate.estimate s.state) ~default:[]
 
 (* ---------------- metrics ---------------- *)
 
@@ -270,33 +186,26 @@ let emit_window_gauges t s =
 
 (* ---------------- tick ---------------- *)
 
-type pending = {
-  pd_session : session;
-  pd_refunded : B.t;
-  pd_index : int;
-  mutable pd_planned : planned;
-}
+type pending = { pd_session : session; pd_refunded : B.t; pd_index : int }
 
 let window_view s = Option.map (fun w -> (W.spent w, W.balance w)) s.window
 
 let push_record s r = s.history <- r :: s.history
 
-(* Settle one due session from its lifecycle record: reconcile the planned
-   label, bump counters, refresh the fingerprint after a (re)plan, charge
-   the window for executed work, and fold outputs into carried state. *)
-let settle t ~population ~calibration pd record =
+(* Settle one due session from its lifecycle record: label the plan (a
+   hit revalidated; a miss is the session's cold first plan, or a re-plan
+   once an earlier epoch planned), bump counters, charge the window for
+   executed work, and fold outputs into carried state. *)
+let settle t pd record =
   let s = pd.pd_session in
+  let planned =
+    match record with
+    | Some r when r.S.Lifecycle.cache_hit -> Revalidated
+    | _ -> if s.cold + s.replans + s.revalidations = 0 then Cold else Replanned
+  in
   (match record with
   | None -> ()
   | Some (r : S.Lifecycle.record) -> (
-      (* A decision of Revalidated that still cold-planned means the entry
-         was evicted underneath us (another session's re-plan of a shared
-         key): account it as a re-plan, not a reuse. *)
-      (match (pd.pd_planned, r.S.Lifecycle.status) with
-      | Revalidated, (S.Lifecycle.Executed _ | S.Lifecycle.Exec_failed _)
-        when not r.S.Lifecycle.cache_hit ->
-          pd.pd_planned <- Replanned "cache evicted"
-      | _ -> ());
       match r.S.Lifecycle.status with
       | S.Lifecycle.Refused _ ->
           (* The service's own admission refused it: nothing was planned or
@@ -304,42 +213,23 @@ let settle t ~population ~calibration pd record =
           ()
       | status ->
           s.last_cost <- Some r.S.Lifecycle.cost;
-          (match pd.pd_planned with
+          (match planned with
           | Cold ->
               s.cold <- s.cold + 1;
               emit_counter t "arb_continual_cold_plans_total"
                 "First-epoch cold plans by continual sessions"
-          | Replanned reason ->
+          | Replanned ->
               s.replans <- s.replans + 1;
-              let label =
-                match String.index_opt reason ':' with
-                | Some i -> String.sub reason 0 i
-                | None -> reason
-              in
-              emit_counter t
-                ~labels:[ ("reason", label) ]
-                "arb_continual_replans_total"
-                "Forced re-plans after drift past a threshold"
+              emit_counter t "arb_continual_replans_total"
+                "Due epochs whose plan-cache key missed after an earlier plan"
           | Revalidated ->
               s.revalidations <- s.revalidations + 1;
               emit_counter t "arb_continual_revalidations_total"
                 "Epochs that reused the cached plan via re-validation");
-          (* Fingerprint the world the plan was (re)priced under. *)
-          (match pd.pd_planned with
-          | Cold | Replanned _ ->
-              s.fingerprint <-
-                Some
-                  {
-                    fp_n = population;
-                    fp_calibration = calibration;
-                    fp_balance = relevant_balance t s;
-                    fp_tolerance = s.sub.S.Workload.tolerance;
-                  }
-          | Revalidated -> ());
           (match status with
           | S.Lifecycle.Executed { outputs } -> (
               s.runs <- s.runs + 1;
-              if s.carry then fold_outputs s outputs;
+              s.state <- Mstate.update s.state ~outputs;
               match s.window with
               | None -> ()
               | Some w -> (
@@ -364,24 +254,21 @@ let settle t ~population ~calibration pd record =
   {
     er_epoch = 0 (* patched by the caller *);
     er_session = s.name;
-    er_outcome =
-      Ran { index = pd.pd_index; planned = pd.pd_planned; status; outputs };
+    er_outcome = Ran { index = pd.pd_index; planned; status; outputs };
     er_refunded = pd.pd_refunded;
     er_window = window_view s;
-    er_estimate = (if s.carry then current_estimate s else outputs);
+    er_estimate = current_estimate s;
   }
 
 let tick ?tracer ?(workers = 1) t =
   Mutex.protect t.tick_lock @@ fun () ->
-  let calibration = S.Service.calibration_fingerprint t.service in
-  let epoch, all_sessions, population =
+  let epoch, all_sessions =
     Mutex.protect t.lock (fun () ->
         t.epoch <- t.epoch + 1;
-        (t.epoch, in_order t, t.population))
+        (t.epoch, in_order t))
   in
   (* Phase 1, in registration order: advance windows (collect refunds),
-     decide skip / window-refuse / submit, evict cache entries for forced
-     re-plans, and enqueue due work. *)
+     decide skip / window-refuse / submit, and enqueue due work. *)
   let pendings =
     List.filter_map
       (fun s ->
@@ -396,7 +283,7 @@ let tick ?tracer ?(workers = 1) t =
               er_outcome = outcome;
               er_refunded = refunded;
               er_window = window_view s;
-              er_estimate = (if s.carry then current_estimate s else []);
+              er_estimate = current_estimate s;
             };
           None
         in
@@ -420,31 +307,11 @@ let tick ?tracer ?(workers = 1) t =
                 "Epochs refused by the sliding-window budget prescreen";
               record_now (Window_refused reason)
           | _ ->
-              let planned =
-                match S.Service.resolve s.sub with
-                | None -> Cold (* unknown query: the service refuses it *)
-                | Some q -> (
-                    let key =
-                      S.Cache.key ~goal:s.sub.S.Workload.goal ~query:q
-                        ~n:(S.Service.devices t.service) ()
-                    in
-                    match drift_reason t ~population ~calibration s with
-                    | Some reason ->
-                        S.Cache.remove (S.Service.cache t.service) key;
-                        Replanned reason
-                    | None ->
-                        if s.fingerprint <> None then Revalidated
-                        else if S.Cache.mem (S.Service.cache t.service) key
-                        then Revalidated
-                        else Cold)
-              in
-              let index = S.Service.submit t.service s.sub in
               Some
                 {
                   pd_session = s;
                   pd_refunded = refunded;
-                  pd_index = index;
-                  pd_planned = planned;
+                  pd_index = S.Service.submit t.service s.sub;
                 })
       all_sessions
   in
@@ -456,8 +323,7 @@ let tick ?tracer ?(workers = 1) t =
   (* Phase 3, in registration order: settle and record. *)
   List.iter
     (fun pd ->
-      let record = S.Service.record t.service pd.pd_index in
-      let er = settle t ~population ~calibration pd record in
+      let er = settle t pd (S.Service.record t.service pd.pd_index) in
       push_record pd.pd_session { er with er_epoch = epoch })
     pendings;
   emit_counter t "arb_continual_epochs_total" "Epoch ticks processed";
@@ -488,7 +354,6 @@ type session_view = {
   v_name : string;
   v_query : string;
   v_every : int;
-  v_carry : bool;
   v_kind : Mstate.kind;
   v_runs : int;
   v_cold : int;
@@ -508,15 +373,14 @@ let view_of s =
     v_name = s.name;
     v_query = s.sub.S.Workload.query;
     v_every = s.every;
-    v_carry = s.carry;
     v_kind = s.kind;
     v_runs = s.runs;
     v_cold = s.cold;
     v_replans = s.replans;
     v_revalidations = s.revalidations;
     v_window_refusals = s.window_refusals;
-    v_estimate = (if s.carry then current_estimate s else []);
-    v_state = J.of_string s.state_json;
+    v_estimate = current_estimate s;
+    v_state = Mstate.to_json s.state;
     v_window = s.window;
     v_compose = s.compose;
     v_last_cost = s.last_cost;
@@ -538,18 +402,13 @@ let record_json r =
     | Window_refused reason ->
         [ ("outcome", J.String "windowRefused"); ("reason", J.String reason) ]
     | Ran { index; planned; status; outputs } ->
-        List.concat
-          [
-            [
-              ("outcome", J.String "ran");
-              ("index", J.Int index);
-              ("planned", J.String (planned_name planned));
-            ];
-            (match planned with
-            | Replanned reason -> [ ("replanReason", J.String reason) ]
-            | _ -> []);
-            [ ("status", J.String status); ("outputs", strings outputs) ];
-          ]
+        [
+          ("outcome", J.String "ran");
+          ("index", J.Int index);
+          ("planned", J.String (planned_name planned));
+          ("status", J.String status);
+          ("outputs", strings outputs);
+        ]
   in
   J.Obj
     (List.concat
@@ -578,7 +437,6 @@ let session_summary_json v =
            ("name", J.String v.v_name);
            ("query", J.String v.v_query);
            ("every", J.Int v.v_every);
-           ("carryState", J.Bool v.v_carry);
            ("state", J.String (Mstate.kind_name v.v_kind));
            ("runs", J.Int v.v_runs);
            ("coldPlans", J.Int v.v_cold);

@@ -11,21 +11,18 @@
     + for due sessions ([every] divides the epochs since registration):
       certify for cost ({!Arb_service.Service.certified_cost}), prescreen
       against the window (refusal leaves both the window and the service
-      budget byte-identical), then decide {e re-validation} (submit; the
-      plan cache hits) versus a forced {e re-plan} (evict the cache entry
-      first) when, since the plan's fingerprint, the population estimate
-      moved by more than 20%, the service's calibration fingerprint
-      ({!Arb_service.Service.calibration_fingerprint}, read once at the
-      start of the tick) changed, or the relevant budget balance moved by
-      more than 50%;
+      budget byte-identical), then submit;
     + drain the service once and settle from the service's lifecycle
-      records ({!Arb_service.Service.record}): charge windows for executed
-      queries, fold outputs into carried mechanism state ({!Mstate},
-      round-tripped through its serialized form every epoch), refresh
-      fingerprints, and append per-session epoch records. A submission
-      whose drain raised settles as ["missing"].
+      records ({!Arb_service.Service.record}): label each due epoch
+      {e revalidated} when its plan-cache key hit, and otherwise {e cold}
+      (the session's first plan) or {e replanned} — the key names every
+      search input, the service's calibration included, so an install
+      re-plans each due session once; charge windows for executed
+      queries, fold outputs into the session's carried mechanism state
+      ({!Mstate}, held in memory), and append per-session epoch records.
+      A submission whose drain raised settles as ["missing"].
 
-    Emits [arb_continual_*] counters (cold plans / replans by reason /
+    Emits [arb_continual_*] counters (cold plans / replans /
     revalidations / window refusals / epochs) and per-session
     [arb_budget_window_*] gauges into the service's metrics registry.
 
@@ -34,7 +31,7 @@
     [workers] count — the engine inherits the service pipeline's
     canonical ordering and adds none of its own nondeterminism. *)
 
-type planned = Cold | Revalidated | Replanned of string
+type planned = Cold | Revalidated | Replanned
 
 val planned_name : planned -> string
 
@@ -55,9 +52,7 @@ type epoch_record = {
   er_refunded : Arb_dp.Budget.t;  (** expired from the window this epoch *)
   er_window : (Arb_dp.Budget.t * Arb_dp.Budget.t) option;
       (** (spent, balance) after settling, for windowed sessions *)
-  er_estimate : string list;
-      (** carried-state estimate (state-carrying sessions) or this epoch's
-          raw outputs *)
+  er_estimate : string list;  (** the carried state's estimate *)
 }
 
 type t
@@ -70,26 +65,12 @@ val epoch : t -> int
 (** Epochs start at 1; 0 before the first {!tick}. *)
 
 val register :
-  t ->
-  ?name:string ->
-  carry_state:bool ->
-  Arb_service.Workload.submission ->
-  (string, string) result
+  t -> ?name:string -> Arb_service.Workload.submission -> (string, string) result
 (** Register a recurring submission as a session; returns its name
     ([name], defaulting to the query name, suffixed [#2], [#3], … when
     taken — an explicit duplicate [name] is an error). The submission must
     pass {!Arb_service.Workload.validate_recurring} and carry [every].
-    [carry_state] enables mechanism-state carryover across epochs. *)
-
-val observe_population : t -> int -> unit
-(** Feed a fresh population estimate (drift input for re-validation). *)
-
-val set_tolerance : t -> string -> float option -> unit
-(** Change session [name]'s analyst error tolerance ([None] = exact). A
-    changed tolerance forces exactly one re-plan ("tolerance drift") on
-    the session's next due epoch; subsequent epochs revalidate as usual.
-    Raises [Invalid_argument] on unknown sessions or tolerances outside
-    (0, 1]. *)
+    Every session carries mechanism state across its epochs. *)
 
 val tick :
   ?tracer:Arb_obs.Tracer.t -> ?workers:int -> t -> epoch_record list
@@ -104,7 +85,6 @@ type session_view = {
   v_name : string;
   v_query : string;
   v_every : int;
-  v_carry : bool;
   v_kind : Mstate.kind;
   v_runs : int;
   v_cold : int;
@@ -112,7 +92,7 @@ type session_view = {
   v_revalidations : int;
   v_window_refusals : int;
   v_estimate : string list;
-  v_state : Arb_util.Json.t;  (** the serialized carried state *)
+  v_state : Arb_util.Json.t;  (** the carried state ({!Mstate.to_json}) *)
   v_window : Arb_dp.Budget.Window.t option;
   v_compose : int option;
   v_last_cost : Arb_dp.Budget.t option;

@@ -23,12 +23,6 @@ let kind_for (query : Arb_queries.Registry.query) =
   if query.Arb_queries.Registry.uses_em then Winners else Sketch
 
 let kind_name = function Winners -> "winners" | Sketch -> "sketch"
-let kind_of_name = function
-  | "winners" -> Some Winners
-  | "sketch" -> Some Sketch
-  | _ -> None
-
-let epochs t = t.epochs
 
 (* The heavy-hitter key is the JSON encoding of the epoch's output list —
    reversible and unambiguous even when outputs contain separators. *)
@@ -98,27 +92,3 @@ let to_json t =
              t.counts) );
       ("samples", J.List (List.map (fun s -> J.Float s) t.samples));
     ]
-
-let of_json j =
-  match
-    let kind =
-      match kind_of_name (J.to_str (J.member "kind" j)) with
-      | Some k -> k
-      | None -> raise (J.Parse_error "unknown mechanism-state kind")
-    in
-    let epochs = J.to_int (J.member "epochs" j) in
-    let capacity = J.to_int (J.member "capacity" j) in
-    let counts =
-      List.map
-        (fun e -> (J.to_str (J.member "key" e), J.to_int (J.member "n" e)))
-        (J.to_list (J.member "counts" j))
-    in
-    let samples = List.map J.to_float (J.to_list (J.member "samples" j)) in
-    if capacity < 2 || epochs < 0 then
-      raise (J.Parse_error "mechanism state out of range");
-    { kind; epochs; counts; samples; capacity }
-  with
-  | t -> Ok t
-  | exception J.Parse_error m -> Error m
-
-let equal (a : t) b = a = b

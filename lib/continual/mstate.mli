@@ -5,9 +5,8 @@
     exponential-mechanism queries (top-1/top-k winners) accumulate a
     heavy-hitter multiset of per-epoch winner sets; numeric aggregates
     (median, counts) feed a bounded quantile sketch. Both are pure values
-    the engine round-trips through their JSON form every epoch — what is
-    carried {e is} the serialized state, so restart fidelity is tested in
-    flight, not just in a unit test.
+    the engine holds in memory, one per session; {!to_json} is how the
+    session views serve them.
 
     Estimates are deterministic: the winners estimate breaks ties
     lexicographically and the sketch's compaction is deterministic
@@ -37,9 +36,4 @@ val estimate : t -> string list option
 (** The state's smoothed answer: the modal output list (winners) or the
     median sample (sketch). [None] before any informative update. *)
 
-val epochs : t -> int
-(** Updates folded in so far. *)
-
 val to_json : t -> Arb_util.Json.t
-val of_json : Arb_util.Json.t -> (t, string) result
-val equal : t -> t -> bool

@@ -1,5 +1,3 @@
-type device = { id : int; seed : string }
-
 type assignment = {
   committees : int array array;
   registry_root : Sha256.digest;
@@ -13,8 +11,6 @@ let message ~block ~query_id = Printf.sprintf "%s|%d|0" block query_id
    the runtime still produces and checks real Lamport signatures where
    integrity matters (the query authorization certificate). *)
 let seed_ticket seed msg = Sha256.digest (Sha256.hmac ~key:seed msg)
-
-let ticket device ~block ~query_id = seed_ticket device.seed (message ~block ~query_id)
 
 (* (ticket, id) pairs sorted by ticket, ties by id. The array starts from
    a constant and is filled in place: mapping straight to fresh tuples
@@ -31,45 +27,13 @@ let sort_tickets n ticket_of =
     tickets;
   tickets
 
-let ranked ~devices ~block ~query_id =
-  sort_tickets (Array.length devices) (fun i ->
-      let d = devices.(i) in
-      (ticket d ~block ~query_id, d.id))
-
-let registry_root devices =
-  Merkle.root
-    (Merkle.build
-       (Array.map
-          (fun d -> Printf.sprintf "%d|%s" d.id (Sha256.to_hex (Sha256.digest d.seed)))
-          devices))
-
-let select ~devices ~block ~query_id ~committees ~size =
-  if committees * size > Array.length devices then
-    invalid_arg "Sortition.select: not enough devices";
-  if committees <= 0 || size <= 0 then invalid_arg "Sortition.select: bad shape";
-  let tickets = ranked ~devices ~block ~query_id in
-  let cs =
-    Array.init committees (fun c ->
-        Array.init size (fun j -> snd tickets.((c * size) + j)))
-  in
-  { committees = cs; registry_root = registry_root devices }
-
-let verify_member ~devices ~block ~query_id ~committees ~size ~device =
-  let tickets = ranked ~devices ~block ~query_id in
-  let rank = ref None in
-  Array.iteri (fun i (_, id) -> if id = device.id then rank := Some i) tickets;
-  match !rank with
-  | Some r when r < committees * size -> Some (r / size)
-  | _ -> None
-
 (* --- hierarchical registry (billion-device sortition) ---
 
-   The flat [select]/[verify_member] above rank every registered device,
-   which is O(N) hashing — fine for the simulation sizes the tests use,
-   hopeless at the paper's 10^8-10^9 devices. [Registry] derives the whole
-   population from a seed and runs sortition in two levels: registry
-   blocks of a fixed canonical size are ranked first (one PRF evaluation
-   per block), then only the winning blocks expand their members. The
+   Ranking every registered device is O(N) hashing, hopeless at the
+   paper's 10^8-10^9 devices. [Registry] derives the whole population
+   from a seed and runs sortition in two levels: registry blocks of a
+   fixed canonical size are ranked first (one PRF evaluation per block),
+   then only the winning blocks expand their members. The
    committee assignment and the Merkle root are functions of (seed, N,
    block, query) alone — independent of how the runtime chooses to shard
    cohorts — so a sharded execution produces byte-identical certificates
@@ -113,8 +77,6 @@ module Registry = struct
     if id < 0 || id >= t.n then invalid_arg "Sortition.Registry.device_seed";
     Sha256.hmac ~key:t.block_seeds.(id / block_size)
       (string_of_int (id mod block_size))
-
-  let device t id = { id; seed = device_seed t id }
 
   let block_population t b = min block_size (t.n - (b * block_size))
 

@@ -2,38 +2,19 @@
 
     Generalizes Honeycrisp's mechanism: for query [i] with public random
     block [B_i], every registered device deterministically signs
-    [(B_i, i, 0)] and hashes the signature; the [c*m] devices with the
-    lowest hashes form the committees, the device with the x-th lowest hash
-    joining committee [x / m]. Determinism prevents grinding; the secret
-    block prevents precomputation; each device serves on at most one
-    committee. The registered-device set is committed in a Merkle tree that
-    travels inside the query authorization certificate, blocking the
+    [(B_i, i, 0)] and hashes the signature; devices are ranked by these
+    hashes (in two levels, see {!Registry}) and the first [c*m] form the
+    committees, the x-th ranked device joining committee [x / m].
+    Determinism prevents grinding; the secret block prevents
+    precomputation; each device serves on at most one committee. The
+    registered-device set is committed in a Merkle tree that travels
+    inside the query authorization certificate, blocking the
     "computational grinding" attack described in §5.2. *)
-
-type device = { id : int; seed : string }
-(** A registered device; [seed] is its long-term signing secret. *)
 
 type assignment = {
   committees : int array array;  (** committee -> member device ids *)
   registry_root : Sha256.digest;  (** Merkle root over the device set *)
 }
-
-val ticket : device -> block:string -> query_id:int -> Sha256.digest
-(** The device's sortition hash for this query (hash of its deterministic
-    signature on (block, query id, 0)). *)
-
-val select :
-  devices:device array -> block:string -> query_id:int -> committees:int ->
-  size:int -> assignment
-(** Pick [committees] committees of [size] members each. Raises
-    [Invalid_argument] if there are fewer than [committees * size]
-    devices. *)
-
-val verify_member :
-  devices:device array -> block:string -> query_id:int -> committees:int ->
-  size:int -> device:device -> int option
-(** Recompute (as any third party can) which committee a given device
-    belongs to; [None] if it was not selected. Agrees with [select]. *)
 
 val reassign_failed : assignment -> failed:int -> assignment
 (** Committee [failed] lost too many members: move its tasks to committee
@@ -41,8 +22,8 @@ val reassign_failed : assignment -> failed:int -> assignment
 
 (** Hierarchical, seed-derived registry for billion-device sortition.
 
-    The flat {!select} ranks every device — O(N) hashing, hopeless at the
-    paper's 10^8–10^9 scale. A [Registry.t] derives the whole population
+    Ranking every device is O(N) hashing, hopeless at the paper's
+    10^8–10^9 scale. A [Registry.t] derives the whole population
     from a seed: devices live in blocks of the fixed canonical size
     {!Registry.block_size}, each block holding a PRF seed from which its
     members' signing secrets are derived on demand. Sortition runs in two
@@ -76,15 +57,15 @@ module Registry : sig
   (** The long-term signing secret of device [id], derived from its
       block's PRF seed. O(1); raises [Invalid_argument] out of range. *)
 
-  val device : t -> int -> device
-
   val select :
     t -> block:string -> query_id:int -> committees:int -> size:int ->
     assignment
   (** Two-level sortition: rank blocks by ticket, expand winning blocks in
-      order, rank their members, take the first [committees * size]. Same
-      grinding-resistance argument as the flat {!select}; committees are a
-      function of (seed, n, block, query_id) only. *)
+      order, rank their members, take the first [committees * size].
+      Committees are a function of (seed, n, block, query_id) only, so the
+      grinding-resistance argument above holds. Raises [Invalid_argument]
+      if [committees] or [size] is not positive or the registry has fewer
+      than [committees * size] devices. *)
 
   val verify_member :
     t -> block:string -> query_id:int -> committees:int -> size:int ->

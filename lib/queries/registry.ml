@@ -284,6 +284,3 @@ let device_source ~seed ?(skew = 1.1) query =
         fun i ->
           let rng = Arb_util.Rng.derive seed i in
           Array.init width (fun _ -> Arb_util.Rng.int_in rng lo hi)
-
-let indexed_database ~seed ?skew query ~n =
-  Array.init n (device_source ~seed ?skew query)

@@ -51,9 +51,3 @@ val device_source : seed:int64 -> ?skew:float -> query -> int -> int array
     per-row distributions as {!random_database}, different draw sequence.
     Feed it to {!Arb_runtime.Exec.run_source} to run sharded queries
     over populations too large to hold in memory. *)
-
-val indexed_database :
-  seed:int64 -> ?skew:float -> query -> n:int -> int array array
-(** [Array.init n (device_source ~seed query)] — the materialized prefix of
-    the indexed population, for tests comparing sharded and full runs over
-    the same rows. *)

@@ -130,9 +130,8 @@ let get_calibration t =
   Http.json_response ~status:200
     (Arb_planner.Calibration.to_json (Service.calibration t.service))
 
-(* PUT a full calibration file body: the install re-prices the plan cache,
-   and a mounted continual engine reads the new fingerprint at its next
-   tick. *)
+(* PUT a full calibration file body: the install swaps the model, so the
+   next drain keys (and plans) its submissions under it. *)
 let put_calibration t (req : Http.request) =
   match
     match J.of_string req.Http.body with
@@ -144,14 +143,12 @@ let put_calibration t (req : Http.request) =
   | Error e ->
       Http.error_response 400 (Arb_planner.Calibration.error_message e)
   | Ok calib ->
-      let r = Service.set_calibration t.service calib in
+      let changed = Service.set_calibration t.service calib in
       Http.json_response ~status:200
         (J.Obj
            [
              ("installed", J.String calib.Arb_planner.Calibration.fingerprint);
-             ("changed", J.Bool r.Service.changed);
-             ("repriced", J.Int r.Service.repriced);
-             ("invalidated", J.Int r.Service.invalidated);
+             ("changed", J.Bool changed);
            ])
 
 let submit t (req : Http.request) =

@@ -24,8 +24,9 @@
     - [GET /v1/metrics] — Prometheus text (404 when the service has no
       registry).
     - [GET /v1/calibration] — the calibration pricing cold plans;
-      [PUT /v1/calibration] installs one ({!Service.set_calibration}),
-      400 on a malformed or future-version body.
+      [PUT /v1/calibration] installs one ({!Service.set_calibration}) and
+      replies with exactly the keys [installed] (its fingerprint) and
+      [changed]; 400 on a malformed or future-version body.
     - [POST /v1/stop] — request shutdown; the server's graceful drain
       then finishes in-flight requests.
 

@@ -9,13 +9,8 @@ type key = string
 
 type entry = { plan : P.Plan.t; metrics : P.Cost_model.metrics; cols : int }
 
-(* The table keeps the query name alongside the entry so a later
-   [update_metrics] can rewrite the entry's disk file without the caller
-   re-supplying it. *)
-type slot = { s_entry : entry; s_query : string }
-
 type t = {
-  table : (key, slot) Hashtbl.t;
+  table : (key, entry) Hashtbl.t;
   lock : Mutex.t;
   dir : string option;
   mutable revived : int;
@@ -76,17 +71,18 @@ let limits_repr (l : P.Constraints.limits) =
       opt l.max_est_error;
     ]
 
-let key ?(limits = P.Constraints.no_limits) ~goal
+let key ?(limits = P.Constraints.no_limits) ~model ~goal
     ~(query : Arb_queries.Registry.query) ~n () =
   (* The program's canonical pretty-printed form — not the registry name —
      identifies the query, together with every other search input. The
-     leading tag versions the canonicalization itself (v2: the error
-     tolerance joined the key, so pre-approximation entries demote to
-     misses instead of serving a plan computed under other constraints). *)
+     leading tag versions the canonicalization itself (v3: the pricing
+     model's fingerprint joined the key, so entries filed before it demote
+     to misses instead of serving a plan another model chose). *)
   let canonical =
     String.concat "\n"
       [
-        "arb-plan-cache-key-v2";
+        "arb-plan-cache-key-v3";
+        model;
         Arb_lang.Pretty.stmt query.Arb_queries.Registry.program.Arb_lang.Ast.body;
         row_repr query.Arb_queries.Registry.program.Arb_lang.Ast.row;
         float_repr query.Arb_queries.Registry.program.Arb_lang.Ast.epsilon;
@@ -113,14 +109,12 @@ let load_from_disk dir k =
       Result.bind (P.Plan_io.load_versioned path) (fun json ->
           match
             ( J.to_str (J.member "key" json),
-              J.to_str (J.member "query" json),
               P.Plan_io.plan_of_json (J.member "plan" json),
               P.Plan_io.metrics_of_json (J.member "metrics" json),
               J.to_int (J.member "cols" json) )
           with
-          | k', query, plan, metrics, cols ->
-              if String.equal k' k then
-                Ok { s_entry = { plan; metrics; cols }; s_query = query }
+          | k', plan, metrics, cols ->
+              if String.equal k' k then Ok { plan; metrics; cols }
               else Error (path ^ ": key field does not match file name")
           | exception J.Parse_error m -> Error (path ^ ": " ^ m))
     with
@@ -160,21 +154,21 @@ let write_to_disk dir k ~query_name entry =
 let find t k =
   Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.table k with
-      | Some slot -> Some slot.s_entry
+      | Some _ as hit -> hit
       | None -> (
           match t.dir with
           | None -> None
           | Some dir -> (
               match load_from_disk dir k with
-              | Some slot ->
-                  Hashtbl.replace t.table k slot;
+              | Some entry ->
+                  Hashtbl.replace t.table k entry;
                   t.revived <- t.revived + 1;
-                  Some slot.s_entry
+                  Some entry
               | None -> None)))
 
 let add t k ~query_name entry =
   Mutex.protect t.lock (fun () ->
-      Hashtbl.replace t.table k { s_entry = entry; s_query = query_name };
+      Hashtbl.replace t.table k entry;
       match t.dir with
       | None -> ()
       | Some dir -> (
@@ -182,36 +176,6 @@ let add t k ~query_name entry =
           with Sys_error m ->
             Log.warn (fun f -> f "could not persist cache entry %s: %s" k m)))
 
-let remove t k =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.remove t.table k;
-      match t.dir with
-      | None -> ()
-      | Some dir -> (
-          try Sys.remove (path_of dir k) with Sys_error _ -> ()))
-
 let mem t k = find t k <> None
 let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
 let revived t = Mutex.protect t.lock (fun () -> t.revived)
-
-let entries t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun k slot acc -> (k, slot.s_entry) :: acc) t.table [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let update_metrics t k metrics =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.table k with
-      | None -> ()
-      | Some slot ->
-          let slot =
-            { slot with s_entry = { slot.s_entry with metrics } }
-          in
-          Hashtbl.replace t.table k slot;
-          (match t.dir with
-          | None -> ()
-          | Some dir -> (
-              try write_to_disk dir k ~query_name:slot.s_query slot.s_entry
-              with Sys_error m ->
-                Log.warn (fun f ->
-                    f "could not persist re-priced cache entry %s: %s" k m))))

@@ -2,12 +2,16 @@
     canonical hash of everything the search's outcome depends on.
 
     The planner is deterministic: the winning plan and its metrics are a
-    pure function of (query AST, deployment size N, category count,
-    analyst limits, optimization goal). The cache key is the SHA-256 of a
-    canonical rendering of exactly that tuple — the query's *program text*
-    (pretty-printed canonical form), not its registry name, so two
-    differently-named submissions of the same program share an entry while
-    any change to the AST, epsilon, row shape, N, C, limits or goal misses.
+    pure function of (pricing model, query AST, deployment size N,
+    category count, error tolerance, analyst limits, optimization goal).
+    The cache key is the SHA-256 of a canonical rendering of exactly that
+    tuple — the model's {!Arb_planner.Calibration.fingerprint} and the
+    query's {e program text} (pretty-printed canonical form), not its
+    registry name, so two differently-named submissions of the same program
+    share an entry while any change to the model, AST, epsilon, row shape,
+    N, C, tolerance, limits or goal misses. Entries filed under one model
+    stay in memory and on disk when another is installed; they are reached
+    again only once their model is.
 
     Entries optionally persist to a directory as versioned
     {!Arb_planner.Plan_io} JSON files ([<key>.json]) so the cache survives
@@ -21,11 +25,7 @@ type key = string
 type entry = {
   plan : Arb_planner.Plan.t;
   metrics : Arb_planner.Cost_model.metrics;
-  cols : int;
-      (** category count the plan was priced against — what calibration
-          installs need to re-price the entry without re-resolving the
-          query. Cache files written before this field exist demote to
-          misses (the standard malformed-demotes path) and re-plan once. *)
+  cols : int;  (** category count the plan was priced against *)
 }
 
 type t
@@ -38,14 +38,16 @@ val create : ?dir:string -> unit -> t
 
 val key :
   ?limits:Arb_planner.Constraints.limits ->
+  model:string ->
   goal:Arb_planner.Constraints.goal ->
   query:Arb_queries.Registry.query ->
   n:int ->
   unit ->
   key
-(** Canonical cache key ([limits] defaults to
-    {!Arb_planner.Constraints.no_limits}, the setting execution planning
-    uses). *)
+(** Canonical cache key. [model] is the fingerprint of the cost model the
+    search prices with ({!Arb_planner.Calibration.fingerprint}); [limits]
+    defaults to {!Arb_planner.Constraints.no_limits}, the setting
+    execution planning uses. *)
 
 val find : t -> key -> entry option
 (** Memory first, then (when persisting) the entry's file on disk —
@@ -55,13 +57,8 @@ val add : t -> key -> query_name:string -> entry -> unit
 (** Insert and, when persisting, write the entry's file atomically via a
     per-writer temp file (pid + sequence number, so concurrent writers of
     the same key never clobber each other mid-write) + rename.
-    [query_name] is stored as informational metadata only; it is not part
-    of the key. *)
-
-val remove : t -> key -> unit
-(** Evict from memory and (when persisting) delete the entry's file — the
-    continual engine's forced re-plan: the next [find] cold-misses even
-    across a restart. Removing an absent key is a no-op. *)
+    [query_name] is written to the file as informational metadata only; it
+    is not part of the key. *)
 
 val mem : t -> key -> bool
 
@@ -70,12 +67,3 @@ val size : t -> int
 
 val revived : t -> int
 (** How many entries were promoted from disk over this cache's lifetime. *)
-
-val entries : t -> (key * entry) list
-(** Snapshot of the in-memory entries, sorted by key — the canonical order
-    calibration installs walk so re-price decisions are deterministic. *)
-
-val update_metrics : t -> key -> Arb_planner.Cost_model.metrics -> unit
-(** Replace an entry's priced metrics in memory and (when persisting)
-    rewrite its file — how a calibration install re-prices a kept entry.
-    Updating an absent key is a no-op. *)

@@ -31,6 +31,8 @@ type record = {
   categories : int;
   epsilon : float;
   cache_key : Cache.key;
+      (** the key the drain filed the plan under; [""] when refused at
+          admission, before any key was computed *)
   cache_hit : bool;
       (** the plan came from the cache (an earlier submission or a
           persisted entry) rather than a fresh search *)

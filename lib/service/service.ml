@@ -46,9 +46,9 @@ and pending_query = {
   p_index : int;
   p_sub : Workload.submission;
   p_query : Q.query;
-  p_key : Cache.key;
   p_cost : B.t;  (* the certified cost its hold reserves *)
   p_admit_s : float;
+  mutable p_key : Cache.key;  (* keyed by the drain, under its model *)
   mutable p_hit : bool;
   mutable p_plan_s : float;
 }
@@ -86,35 +86,6 @@ let pending t = Mutex.protect t.lock (fun () -> List.length t.queue)
 let calibration t = Mutex.protect t.lock (fun () -> t.calibration)
 let calibration_fingerprint t = (calibration t).P.Calibration.fingerprint
 
-(* Price a cached plan's metrics under a (possibly new) cost model — the
-   same [combine]-over-[price] arithmetic the search's winner carries. *)
-let price_entry cm ~devices ~cols (plan : P.Plan.t) =
-  P.Cost_model.combine ?sample_phi:plan.P.Plan.device_sample ~n_devices:devices
-    (List.map
-       (P.Cost_model.price cm ~n_devices:devices
-          ~m:plan.P.Plan.committee_size ~cols)
-       plan.P.Plan.vignettes)
-
-(* Worst relative change across the six metric components — goal-agnostic,
-   so the invalidation decision does not depend on which goal each cached
-   plan was searched under. *)
-let metrics_drift (a : P.Cost_model.metrics) (b : P.Cost_model.metrics) =
-  let rel x y = Float.abs (y -. x) /. Float.max (Float.abs x) 1e-12 in
-  List.fold_left Float.max 0.0
-    [
-      rel a.P.Cost_model.agg_time b.P.Cost_model.agg_time;
-      rel a.P.Cost_model.agg_bytes b.P.Cost_model.agg_bytes;
-      rel a.P.Cost_model.part_exp_time b.P.Cost_model.part_exp_time;
-      rel a.P.Cost_model.part_max_time b.P.Cost_model.part_max_time;
-      rel a.P.Cost_model.part_exp_bytes b.P.Cost_model.part_exp_bytes;
-      rel a.P.Cost_model.part_max_bytes b.P.Cost_model.part_max_bytes;
-    ]
-
-type reprice = { repriced : int; invalidated : int; changed : bool }
-
-(* Relative metric drift past which an install evicts a cached plan. *)
-let invalidate_drift = 0.5
-
 let set_calibration t calib =
   let changed =
     Mutex.protect t.lock (fun () ->
@@ -125,46 +96,18 @@ let set_calibration t calib =
         t.calibration <- calib;
         changed)
   in
-  if not changed then { repriced = 0; invalidated = 0; changed = false }
-  else begin
-    let cm = calib.P.Calibration.constants in
-    let repriced = ref 0 and invalidated = ref 0 in
-    List.iter
-      (fun (key, (e : Cache.entry)) ->
-        let fresh =
-          price_entry cm ~devices:t.devices ~cols:e.Cache.cols e.Cache.plan
-        in
-        if metrics_drift e.Cache.metrics fresh > invalidate_drift then begin
-          (* The plan may no longer be the winner under the new prices:
-             evict so the next submission re-plans cold. *)
-          Cache.remove t.cache key;
-          incr invalidated
-        end
-        else begin
-          Cache.update_metrics t.cache key fresh;
-          incr repriced
-        end)
-      (Cache.entries t.cache);
+  if changed then begin
     Log.info (fun f ->
-        f "calibration %s installed: %d cache entr%s re-priced, %d invalidated"
-          (String.sub calib.P.Calibration.fingerprint 0 12)
-          !repriced
-          (if !repriced = 1 then "y" else "ies")
-          !invalidated);
-    (match t.metrics with
-    | Some reg ->
-        let add name help v = Arb_obs.Metrics.add reg ~help name v in
-        add "arb_service_calibration_installs_total"
-          "Calibration installs that changed the fingerprint" 1.0;
-        add "arb_service_cache_repriced_total"
-          "Cache entries re-priced by calibration installs"
-          (float_of_int !repriced);
-        add "arb_service_cache_invalidated_total"
-          "Cache entries whose price drifted past the invalidation threshold"
-          (float_of_int !invalidated)
-    | None -> ());
-    { repriced = !repriced; invalidated = !invalidated; changed = true }
-  end
+        f "calibration %s installed"
+          (String.sub calib.P.Calibration.fingerprint 0 12));
+    Option.iter
+      (fun reg ->
+        Arb_obs.Metrics.add reg
+          ~help:"Calibration installs that changed the fingerprint"
+          "arb_service_calibration_installs_total" 1.0)
+      t.metrics
+  end;
+  changed
 
 type refusal =
   | Queue_full of int  (** the bound it hit *)
@@ -205,14 +148,14 @@ let db_seed ~seed ~index =
 
 let now () = Unix.gettimeofday ()
 
-let refusal_record ~index ~(sub : Workload.submission) ~categories ~key ~cost
+let refusal_record ~index ~(sub : Workload.submission) ~categories ~cost
     ~balance ~admit_s reason =
   {
     Lifecycle.index;
     query = sub.Workload.query;
     categories;
     epsilon = sub.Workload.epsilon;
-    cache_key = key;
+    cache_key = "";
     cache_hit = false;
     cost;
     budget_before = balance;
@@ -236,7 +179,7 @@ let available_locked t =
     t.holds t.committed
 
 let try_submit ?max_queue ?(check_budget = true) t (s : Workload.submission) =
-  (* The lock-free half: resolve, check the tolerance, certify and key.
+  (* The lock-free half: resolve, check the tolerance and certify.
      Submissions that fail here are still enqueued, as refusal records,
      so every path produces the same canonical lifecycle record. *)
   let t0 = now () in
@@ -256,11 +199,7 @@ let try_submit ?max_queue ?(check_budget = true) t (s : Workload.submission) =
                 ( categories,
                   "certification failed: "
                   ^ Option.value cert.Arb_lang.Certify.reason ~default:"?" )
-            else
-              Ok
-                ( query,
-                  Cache.key ~goal:s.Workload.goal ~query ~n:t.devices (),
-                  cert.Arb_lang.Certify.cost ))
+            else Ok (query, cert.Arb_lang.Certify.cost))
   in
   (* Under the lock, each copy either becomes a refusal record or holds
      its certified cost against the available balance. *)
@@ -270,18 +209,18 @@ let try_submit ?max_queue ?(check_budget = true) t (s : Workload.submission) =
       let have = available_locked t in
       let available = ref have and holds = ref t.holds and short = ref None in
       let admit index =
-        let refuse ?(key = "") ?(cost = B.zero) categories reason =
+        let refuse ?(cost = B.zero) categories reason =
           Refusal
-            (refusal_record ~index ~sub ~categories ~key ~cost
-               ~balance:!available ~admit_s:(now () -. t0) reason)
+            (refusal_record ~index ~sub ~categories ~cost ~balance:!available
+               ~admit_s:(now () -. t0) reason)
         in
         match verdict with
         | Error (categories, reason) -> refuse categories reason
-        | Ok (query, key, cost) -> (
+        | Ok (query, cost) -> (
             match B.charge !available ~cost with
             | None ->
                 short := Some cost;
-                refuse ~key ~cost query.Q.categories
+                refuse ~cost query.Q.categories
                   (exhausted ~need:cost ~have:!available)
             | Some rest ->
                 available := rest;
@@ -291,9 +230,9 @@ let try_submit ?max_queue ?(check_budget = true) t (s : Workload.submission) =
                     p_index = index;
                     p_sub = sub;
                     p_query = query;
-                    p_key = key;
                     p_cost = cost;
                     p_admit_s = now () -. t0;
+                    p_key = "";
                     p_hit = false;
                     p_plan_s = 0.0;
                   })
@@ -367,12 +306,12 @@ let drain ?tracer ?(workers = 1) t =
         batch
   | _ -> ());
   let n = t.devices in
-  (* One cost model per drain: cold plans, re-pricing and residual samples
-     in this batch all see the same calibration even if an install lands
+  (* One cost model per drain: keys, cold plans and residual samples in
+     this batch all see the same calibration even if an install lands
      mid-drain. *)
   let calib = calibration t in
   let cm = calib.P.Calibration.constants in
-  (* ---- stage 1: cache labeling, in submission order ---- *)
+  (* ---- stage 1: keying and cache labeling, in submission order ---- *)
   let cold = ref [] (* (key, query, goal) newest first *) in
   let cold_keys : (Cache.key, unit) Hashtbl.t = Hashtbl.create 16 in
   let refused, admitted =
@@ -382,6 +321,9 @@ let drain ?tracer ?(workers = 1) t =
             match entry with
             | Refusal r -> Left r
             | Admitted p ->
+                p.p_key <-
+                  Cache.key ~model:calib.P.Calibration.fingerprint
+                    ~goal:p.p_sub.Workload.goal ~query:p.p_query ~n ();
                 p.p_hit <-
                   Cache.mem t.cache p.p_key || Hashtbl.mem cold_keys p.p_key;
                 if not p.p_hit then begin

@@ -20,8 +20,10 @@
     fixed pipeline:
 
     + {b admit} — refusal records pass through; admitted submissions
-      are labeled against the plan cache in submission order (an earlier
-      identical submission makes a later one a hit, deterministically).
+      are keyed ({!Cache.key}) under the calibration the drain plans
+      with and labeled against the plan cache in submission order (an
+      earlier identical submission makes a later one a hit,
+      deterministically).
     + {b plan} — the distinct cache misses are planned concurrently by a
       pool of OCaml domains. Each worker runs its own
       {!Arb_planner.Search.plan}; results land in per-task slots and are
@@ -100,8 +102,7 @@ val resolve : Workload.submission -> Arb_queries.Registry.query option
 (** The registry query a submission names, carrying the submission's
     tolerance; [None] for an unknown name. The one mapping from a
     submission to its query: admission and the continual engine both go
-    through it, so they compute the same cache key and the same certified
-    cost. *)
+    through it, so they compute the same certified cost. *)
 
 val certified_cost : t -> Workload.submission -> Arb_dp.Budget.t option
 (** The certified cost of one copy of a submission over this service's
@@ -180,22 +181,13 @@ val calibration : t -> Arb_planner.Calibration.t
 val calibration_fingerprint : t -> string
 (** Shorthand for [(calibration t).fingerprint] — surfaced in
     [GET /healthz] and the serve exit summary so operators can tell
-    which calibration priced a session. The continual engine reads it at
-    the start of every tick as its calibration drift input. *)
+    which calibration priced a session. *)
 
-type reprice = { repriced : int; invalidated : int; changed : bool }
-(** What a calibration install did to the plan cache. [changed] is false
-    when the installed fingerprint equals the current one (the cache is
-    left untouched). *)
-
-val set_calibration : t -> Arb_planner.Calibration.t -> reprice
-(** Install a calibration. When the fingerprint changes, every cached plan
-    is re-priced under the new constants in canonical key order: entries
-    whose worst metric component moved by more than 0.5 (relative) are
-    evicted — the old winner may no longer win, so the next submission
-    re-plans cold — and the rest keep their plan with refreshed metrics.
-    Emits [arb_service_calibration_installs_total] /
-    [arb_service_cache_repriced_total] /
-    [arb_service_cache_invalidated_total]. Drains already in flight finish
-    under the model they started with; continual sessions see the new
-    fingerprint at their engine's next tick and re-plan once. *)
+val set_calibration : t -> Arb_planner.Calibration.t -> bool
+(** Install a calibration; [true] when its fingerprint differs from the
+    current one (and then emits
+    [arb_service_calibration_installs_total]). The fingerprint is part of
+    every {!Cache.key}, so the next drain keys its submissions under the
+    new model: each plans cold once, and entries of the old model stay
+    cached for when it is installed again. A drain already in flight
+    finishes under the model it started with. *)

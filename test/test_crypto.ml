@@ -1097,41 +1097,41 @@ let test_zkp_prove_rejects_bad_witness () =
 
 (* ---------------- Sortition ---------------- *)
 
-let make_devices n =
-  Array.init n (fun i -> { C.Sortition.id = i; seed = Printf.sprintf "seed%d" i })
+let registry n = C.Sortition.Registry.create ~seed:7L ~n
+
+let select = C.Sortition.Registry.select
 
 let test_sortition_deterministic () =
-  let devices = make_devices 100 in
-  let a1 = C.Sortition.select ~devices ~block:"B" ~query_id:1 ~committees:3 ~size:5 in
-  let a2 = C.Sortition.select ~devices ~block:"B" ~query_id:1 ~committees:3 ~size:5 in
+  let reg = registry 100 in
+  let a1 = select reg ~block:"B" ~query_id:1 ~committees:3 ~size:5 in
+  let a2 = select reg ~block:"B" ~query_id:1 ~committees:3 ~size:5 in
   Alcotest.check
     Alcotest.(array (array int))
     "same committees" a1.C.Sortition.committees a2.C.Sortition.committees
 
 let test_sortition_block_changes_selection () =
-  let devices = make_devices 100 in
-  let a1 = C.Sortition.select ~devices ~block:"B1" ~query_id:1 ~committees:3 ~size:5 in
-  let a2 = C.Sortition.select ~devices ~block:"B2" ~query_id:1 ~committees:3 ~size:5 in
+  let reg = registry 100 in
+  let a1 = select reg ~block:"B1" ~query_id:1 ~committees:3 ~size:5 in
+  let a2 = select reg ~block:"B2" ~query_id:1 ~committees:3 ~size:5 in
   checkb "different blocks give different committees" true
     (a1.C.Sortition.committees <> a2.C.Sortition.committees)
 
 let test_sortition_disjoint () =
-  let devices = make_devices 200 in
-  let a = C.Sortition.select ~devices ~block:"B" ~query_id:2 ~committees:5 ~size:7 in
+  let a = select (registry 200) ~block:"B" ~query_id:2 ~committees:5 ~size:7 in
   let all = Array.concat (Array.to_list a.C.Sortition.committees) in
   checki "everyone on at most one committee" (Array.length all)
     (List.length (List.sort_uniq compare (Array.to_list all)))
 
 let test_sortition_verify_member () =
-  let devices = make_devices 60 in
-  let a = C.Sortition.select ~devices ~block:"B" ~query_id:3 ~committees:4 ~size:5 in
+  let reg = registry 60 in
+  let a = select reg ~block:"B" ~query_id:3 ~committees:4 ~size:5 in
   Array.iteri
     (fun c members ->
       Array.iter
         (fun id ->
           match
-            C.Sortition.verify_member ~devices ~block:"B" ~query_id:3 ~committees:4
-              ~size:5 ~device:devices.(id)
+            C.Sortition.Registry.verify_member reg ~block:"B" ~query_id:3
+              ~committees:4 ~size:5 ~id
           with
           | Some c' -> checki "membership verifiable" c c'
           | None -> Alcotest.fail "selected member not verifiable")
@@ -1139,26 +1139,25 @@ let test_sortition_verify_member () =
     a.C.Sortition.committees
 
 let test_sortition_reassign () =
-  let devices = make_devices 60 in
-  let a = C.Sortition.select ~devices ~block:"B" ~query_id:4 ~committees:3 ~size:5 in
+  let a = select (registry 60) ~block:"B" ~query_id:4 ~committees:3 ~size:5 in
   let a' = C.Sortition.reassign_failed a ~failed:1 in
   checki "failed committee emptied" 0 (Array.length a'.C.Sortition.committees.(1));
   checki "successor absorbed members" 10 (Array.length a'.C.Sortition.committees.(2))
 
 let test_sortition_rejects () =
-  let devices = make_devices 10 in
+  let reg = registry 10 in
   Alcotest.check_raises "not enough devices"
     (Invalid_argument "Sortition.select: not enough devices") (fun () ->
-      ignore (C.Sortition.select ~devices ~block:"B" ~query_id:1 ~committees:3 ~size:5))
+      ignore (select reg ~block:"B" ~query_id:1 ~committees:3 ~size:5))
 
 let test_sortition_roughly_uniform () =
   (* Across many queries, each device should serve with similar frequency. *)
-  let devices = make_devices 40 in
+  let reg = registry 40 in
   let counts = Array.make 40 0 in
   for q = 1 to 300 do
     let a =
-      C.Sortition.select ~devices ~block:(Printf.sprintf "B%d" q) ~query_id:q
-        ~committees:2 ~size:5
+      select reg ~block:(Printf.sprintf "B%d" q) ~query_id:q ~committees:2
+        ~size:5
     in
     Array.iter
       (Array.iter (fun id -> counts.(id) <- counts.(id) + 1))

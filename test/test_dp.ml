@@ -273,7 +273,7 @@ let test_refused_tolerance_budget_intact () =
       tolerance = Some 1.5;
     }
   in
-  (match E.register eng ~carry_state:false sub with
+  (match E.register eng sub with
   | Ok _ -> ()
   | Error m -> Alcotest.fail ("register: " ^ m));
   let before = Sv.budget_left svc in

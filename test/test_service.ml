@@ -1,6 +1,7 @@
 (* Tests for the multi-tenant analytics service: plan-cache keying and
    persistence, admission control against the shared budget, worker-pool
-   determinism, and Plan_io's versioned file persistence. *)
+   determinism, calibration installs, and Plan_io's versioned file
+   persistence. *)
 
 module S = Arb_service
 module B = Arb_dp.Budget
@@ -36,11 +37,21 @@ let sub ?categories ?(repeat = 1) ?(goal = P.Constraints.Min_part_exp_time)
   { S.Workload.query; epsilon; categories; goal; repeat; every = None;
     window = None; tolerance = None }
 
-let service ?cache ?(epsilon = 100.0) ?(delta = 0.01) ?(devices = 32) ?(seed = 5)
-    () =
-  S.Service.create ?cache
+let service ?cache ?calibration ?(epsilon = 100.0) ?(delta = 0.01)
+    ?(devices = 32) ?(seed = 5) () =
+  S.Service.create ?cache ?calibration
     ~budget:(B.create ~epsilon ~delta)
     ~devices ~seed ()
+
+(* The default cost model's fingerprint, the [model] of its cache keys. *)
+let model = P.Calibration.default.P.Calibration.fingerprint
+
+(* Key generation 20% slower than the default: enough to change kmedians'
+   winning plan at 24 devices. *)
+let mild_calibration () =
+  let d = P.Cost_model.default in
+  P.Calibration.make
+    { d with P.Cost_model.kg_coeff_time = d.P.Cost_model.kg_coeff_time *. 1.2 }
 
 (* ---------------- Plan_io file persistence ---------------- *)
 
@@ -94,23 +105,30 @@ let test_plan_io_rejects_malformed () =
 let test_cache_key_canonicalization () =
   let goal = P.Constraints.Min_part_exp_time in
   let q = Q.test_instance "top1" in
-  let key1 = S.Cache.key ~goal ~query:q ~n:1000 () in
-  let key2 = S.Cache.key ~goal ~query:(Q.test_instance "top1") ~n:1000 () in
+  let key1 = S.Cache.key ~model ~goal ~query:q ~n:1000 () in
+  let key2 = S.Cache.key ~model ~goal ~query:(Q.test_instance "top1") ~n:1000 () in
   checks "same inputs, same key" key1 key2;
   (* The registry name is metadata, not part of the key: a renamed query
      with the same program shares the entry. *)
   let renamed = { q with Q.name = "renamed"; action = "other action" } in
   checks "name is not part of the key" key1
-    (S.Cache.key ~goal ~query:renamed ~n:1000 ());
+    (S.Cache.key ~model ~goal ~query:renamed ~n:1000 ());
   let different =
     [
-      S.Cache.key ~goal ~query:q ~n:1001 ();
-      S.Cache.key ~goal:P.Constraints.Min_agg_bytes ~query:q ~n:1000 ();
-      S.Cache.key ~goal ~query:(Q.test_instance ~epsilon:0.7 "top1") ~n:1000 ();
-      S.Cache.key ~goal ~query:(Q.make ~name:"top1" ~c:8 ()) ~n:1000 ();
-      S.Cache.key ~goal ~query:(Q.test_instance "median") ~n:1000 ();
-      S.Cache.key ~limits:P.Constraints.evaluation_limits ~goal ~query:q
+      S.Cache.key ~model ~goal ~query:q ~n:1001 ();
+      S.Cache.key ~model ~goal:P.Constraints.Min_agg_bytes ~query:q ~n:1000 ();
+      S.Cache.key ~model ~goal ~query:(Q.test_instance ~epsilon:0.7 "top1")
         ~n:1000 ();
+      S.Cache.key ~model ~goal ~query:(Q.make ~name:"top1" ~c:8 ()) ~n:1000 ();
+      S.Cache.key ~model ~goal ~query:(Q.test_instance "median") ~n:1000 ();
+      S.Cache.key ~model ~limits:P.Constraints.evaluation_limits ~goal ~query:q
+        ~n:1000 ();
+      S.Cache.key ~model ~goal
+        ~query:{ q with Q.error_tolerance = Some 0.1 }
+        ~n:1000 ();
+      S.Cache.key
+        ~model:(mild_calibration ()).P.Calibration.fingerprint
+        ~goal ~query:q ~n:1000 ();
     ]
   in
   List.iteri
@@ -129,7 +147,7 @@ let test_cache_disk_persistence () =
     (Sys.readdir dir);
   let q = Q.test_instance "top1" in
   let goal = P.Constraints.Min_part_exp_time in
-  let key = S.Cache.key ~goal ~query:q ~n:100_000 () in
+  let key = S.Cache.key ~model ~goal ~query:q ~n:100_000 () in
   let r = P.Search.plan ~query:q ~n:100_000 () in
   let entry =
     match (r.P.Search.plan, r.P.Search.metrics) with
@@ -467,7 +485,7 @@ let test_cache_concurrent_writers () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   let q = Q.test_instance "top1" in
   let goal = P.Constraints.Min_part_exp_time in
-  let key = S.Cache.key ~goal ~query:q ~n:100_000 () in
+  let key = S.Cache.key ~model ~goal ~query:q ~n:100_000 () in
   let r = P.Search.plan ~query:q ~n:100_000 () in
   let entry =
     match (r.P.Search.plan, r.P.Search.metrics) with
@@ -569,27 +587,6 @@ let test_workload_file_rejects () =
 
 (* ---------------- calibration installs ---------------- *)
 
-let mild_calibration () =
-  (* One field group nudged 20%: every cached entry drifts well under the
-     0.5 threshold, so installs re-price in place. *)
-  let d = P.Cost_model.default in
-  P.Calibration.make
-    { d with P.Cost_model.kg_coeff_time = d.P.Cost_model.kg_coeff_time *. 1.2 }
-
-let aggressive_calibration () =
-  (* Everything 100x cheaper: far past the threshold, so installs evict. *)
-  let d = P.Cost_model.default in
-  P.Calibration.make
-    {
-      d with
-      P.Cost_model.felt_bytes = d.P.Cost_model.felt_bytes /. 100.0;
-      kg_coeff_time = d.P.Cost_model.kg_coeff_time /. 100.0;
-      kg_coeff_bytes = d.P.Cost_model.kg_coeff_bytes /. 100.0;
-      dec_coeff_time = d.P.Cost_model.dec_coeff_time /. 100.0;
-      round_latency = d.P.Cost_model.round_latency /. 100.0;
-      proof_bytes = d.P.Cost_model.proof_bytes /. 100.0;
-    }
-
 let cal_workload queries =
   {
     S.Workload.budget = None;
@@ -599,7 +596,7 @@ let cal_workload queries =
     submissions = List.map (fun q -> sub ~epsilon:0.5 q) queries;
   }
 
-let test_set_calibration_reprice () =
+let test_set_calibration_rekeys () =
   let reg = Arb_obs.Metrics.create () in
   let t =
     S.Service.create ~metrics:reg
@@ -607,35 +604,102 @@ let test_set_calibration_reprice () =
       ~devices:32 ~seed:5 ()
   in
   ignore (S.Service.run_workload t (cal_workload [ "top1"; "median" ]));
-  let cached = S.Cache.size (S.Service.cache t) in
-  checki "two cached plans" 2 cached;
-  let before = S.Service.calibration_fingerprint t in
+  let planned () = (S.Service.counters t).S.Lifecycle.planned in
+  checki "two cold plans" 2 (planned ());
+  let default = S.Service.calibration t in
   (* Reinstalling the current calibration is a no-op. *)
-  let r0 = S.Service.set_calibration t (S.Service.calibration t) in
-  checkb "same fingerprint unchanged" false r0.S.Service.changed;
-  checki "no reprices" 0 r0.S.Service.repriced;
-  (* A mild drift re-prices every entry in place. *)
+  checkb "same fingerprint unchanged" false
+    (S.Service.set_calibration t default);
   let mild = mild_calibration () in
-  let r1 = S.Service.set_calibration t mild in
-  checkb "mild install changed" true r1.S.Service.changed;
-  checki "mild repriced all" cached r1.S.Service.repriced;
-  checki "mild invalidated none" 0 r1.S.Service.invalidated;
-  checki "cache intact" cached (S.Cache.size (S.Service.cache t));
-  checkb "fingerprint moved" true
-    (S.Service.calibration_fingerprint t <> before);
+  checkb "mild install changed" true (S.Service.set_calibration t mild);
   checks "installed fingerprint" mild.P.Calibration.fingerprint
     (S.Service.calibration_fingerprint t);
-  checkb "repriced counter moved" true
-    (Arb_obs.Metrics.value_at reg "arb_service_cache_repriced_total"
-    = Some (float_of_int cached));
-  (* An aggressive drift evicts; the next submission re-plans cold. *)
-  let planned_before = (S.Service.counters t).S.Lifecycle.planned in
-  let r2 = S.Service.set_calibration t (aggressive_calibration ()) in
-  checki "aggressive evicted all" cached r2.S.Service.invalidated;
-  checki "cache emptied" 0 (S.Cache.size (S.Service.cache t));
-  ignore (S.Service.run_workload t (cal_workload [ "top1" ]));
-  checki "evicted entry re-planned cold" (planned_before + 1)
-    (S.Service.counters t).S.Lifecycle.planned
+  checkb "install counter moved" true
+    (Arb_obs.Metrics.value_at reg "arb_service_calibration_installs_total"
+    = Some 1.0);
+  checki "the old model's entries stay cached" 2
+    (S.Cache.size (S.Service.cache t));
+  (* The key names the model: under the new one, top1 plans cold once. *)
+  ignore (S.Service.run_workload t (cal_workload [ "top1"; "top1" ]));
+  checki "one cold plan under the new model" 3 (planned ());
+  (* Back under the default model, its entries are reachable again. *)
+  ignore (S.Service.set_calibration t default);
+  ignore (S.Service.run_workload t (cal_workload [ "top1"; "median" ]));
+  checki "the default model's plans hit again" 3 (planned ())
+
+let test_install_executes_new_winner () =
+  (* After an install, a one-shot executes the plan the new model's own
+     search picks, not the old model's plan. *)
+  let t = service ~devices:24 () in
+  let s = sub ~epsilon:0.5 "kmedians" in
+  let executed_plan () =
+    ignore (S.Service.submit t s);
+    match S.Service.drain t with
+    | [ { S.Lifecycle.status = S.Lifecycle.Executed _; cache_key; _ } ] -> (
+        match S.Cache.find (S.Service.cache t) cache_key with
+        | Some e -> e.S.Cache.plan
+        | None -> Alcotest.fail "the executed plan is not cached")
+    | _ -> Alcotest.fail "kmedians did not execute"
+  in
+  let winner calib =
+    match
+      (P.Search.plan ~cm:calib.P.Calibration.constants
+         ~limits:P.Constraints.no_limits ~goal:s.S.Workload.goal
+         ~query:(Option.get (S.Service.resolve s))
+         ~n:24 ())
+        .P.Search.plan
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "no kmedians plan"
+  in
+  let mild = mild_calibration () in
+  checkb "the two models pick different plans" false
+    (winner P.Calibration.default = winner mild);
+  checkb "the default model's winner runs first" true
+    (executed_plan () = winner P.Calibration.default);
+  ignore (S.Service.set_calibration t mild);
+  checkb "after the install, the mild model's winner runs" true
+    (executed_plan () = winner mild)
+
+let test_cache_dir_names_the_model () =
+  (* A cache directory holds the plans of the model that filed them: a
+     service under another model revives none of them, and a service
+     under the filing model revives them again. *)
+  let dir = tmp_dir "cache-models" in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  let run ?calibration () =
+    let t = service ~cache:(S.Cache.create ~dir ()) ?calibration () in
+    ignore (S.Service.run_workload t (cal_workload [ "top1" ]));
+    ( (S.Service.counters t).S.Lifecycle.planned,
+      S.Cache.revived (S.Service.cache t) )
+  in
+  let planned, _ = run () in
+  checki "the default model plans cold" 1 planned;
+  let planned, revived = run ~calibration:(mild_calibration ()) () in
+  checki "the mild model revives nothing" 0 revived;
+  checki "the mild model plans cold" 1 planned;
+  let planned, revived = run () in
+  checki "the default model revives its entry" 1 revived;
+  checki "the default model plans nothing" 0 planned
+
+let test_install_between_submit_and_drain () =
+  (* The drain keys a submission under the model it plans with: a plan
+     searched under an install that landed after [submit] is filed under
+     that install's model, never under the one current at [submit]. *)
+  let t = service () in
+  let default = S.Service.calibration t in
+  ignore (S.Service.submit t (sub ~epsilon:0.5 "top1"));
+  ignore (S.Service.set_calibration t (mild_calibration ()));
+  (match S.Service.drain t with
+  | [ r ] -> checkb "planned cold under the mild model" false r.S.Lifecycle.cache_hit
+  | _ -> Alcotest.fail "expected one record");
+  ignore (S.Service.set_calibration t default);
+  ignore (S.Service.submit t (sub ~epsilon:0.5 "top1"));
+  match S.Service.drain t with
+  | [ r ] ->
+      checkb "the default model has no plan for it yet" false
+        r.S.Lifecycle.cache_hit
+  | _ -> Alcotest.fail "expected one record"
 
 let test_fixed_calibration_worker_identity () =
   (* Under one fixed calibration file, canonical records are byte-identical
@@ -752,10 +816,16 @@ let () =
       ("determinism", [ qtest prop_worker_count_invisible ]);
       ( "calibration",
         [
-          Alcotest.test_case "install re-prices / invalidates the cache"
-            `Quick test_set_calibration_reprice;
+          Alcotest.test_case "install re-keys the cache" `Quick
+            test_set_calibration_rekeys;
           Alcotest.test_case "fixed calibration byte-identical across workers"
             `Quick test_fixed_calibration_worker_identity;
+          Alcotest.test_case "install executes the new model's winner" `Quick
+            test_install_executes_new_winner;
+          Alcotest.test_case "cache directory names the model" `Quick
+            test_cache_dir_names_the_model;
+          Alcotest.test_case "install between submit and drain" `Quick
+            test_install_between_submit_and_drain;
         ] );
       ( "concurrency",
         [
