@@ -152,22 +152,8 @@ let fig6 () =
         let base = [ row name bb bt mb mt ] in
         let baseline =
           match name with
-          | "cms" ->
-              let q = Q.paper_instance "cms" in
-              let p =
-                Arb_baselines.Baselines.orchard_plan ~crypto:P.Plan.Ahe ~n:(paper_n ())
-                  ~cols:q.Q.categories ~noise_count:q.Q.categories ~cm:Cm.default
-              in
-              let cs =
-                List.map
-                  (fun v ->
-                    Cm.price Cm.default ~n_devices:(paper_n ())
-                      ~m:p.P.Plan.committee_size ~cols:q.Q.categories v)
-                  p.P.Plan.vignettes
-              in
-              let bt, bb, mt, mb = participant_split cs in
-              [ row "cms (Honeycrisp)" bb bt mb mt ]
-          | "bayes" | "kmedians" ->
+          | "cms" | "bayes" | "kmedians" ->
+              (* Honeycrisp is the Orchard plan at the cms sketch width. *)
               let q = Q.paper_instance name in
               let p =
                 Arb_baselines.Baselines.orchard_plan ~crypto:P.Plan.Ahe ~n:(paper_n ())
@@ -181,7 +167,8 @@ let fig6 () =
                   p.P.Plan.vignettes
               in
               let bt, bb, mt, mb = participant_split cs in
-              [ row (name ^ " (Orchard)") bb bt mb mt ]
+              let system = if name = "cms" then "Honeycrisp" else "Orchard" in
+              [ row (Printf.sprintf "%s (%s)" name system) bb bt mb mt ]
           | _ -> []
         in
         base @ baseline)

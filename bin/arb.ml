@@ -465,24 +465,21 @@ let list_cmd =
     Term.(const run $ json_arg)
 
 let print_sessions_text engine =
+  let module E = Arb_continual.Engine in
   List.iter
-    (fun v ->
+    (fun (s : E.session) ->
       Format.printf
         "session %s: query %s every %d epoch(s), %d run(s) (%d cold, %d \
          replanned, %d revalidated), %d window refusal(s)%s@."
-        v.Arb_continual.Engine.v_name v.Arb_continual.Engine.v_query
-        v.Arb_continual.Engine.v_every v.Arb_continual.Engine.v_runs
-        v.Arb_continual.Engine.v_cold v.Arb_continual.Engine.v_replans
-        v.Arb_continual.Engine.v_revalidations
-        v.Arb_continual.Engine.v_window_refusals
-        (match v.Arb_continual.Engine.v_estimate with
+        s.E.name s.E.sub.Arb_service.Workload.query s.E.every s.E.runs
+        s.E.cold s.E.replans s.E.revalidations s.E.window_refusals
+        (match E.estimate s with
         | [] -> ""
         | e -> "; estimate " ^ String.concat "; " e);
-      match v.Arb_continual.Engine.v_window with
-      | Some w ->
-          Format.printf "  window %a@." Arb_dp.Budget.Window.pp w
+      match s.E.window with
+      | Some w -> Format.printf "  window %a@." Arb_dp.Budget.Window.pp w
       | None -> ())
-    (Arb_continual.Engine.sessions engine)
+    (E.sessions engine)
 
 let serve_summary ?engine service ~json reg =
   let records = Arb_service.Service.history service in
@@ -574,8 +571,8 @@ let register_sessions engine workload =
    until SIGINT or POST /v1/stop, then a graceful drain of both the
    connection queue and the submission queue before the summary prints. *)
 let serve_listen ~host ~port ~max_queue ~http_workers ~workers ~timeout
-    ~epoch_interval ~workload ~devices ~seed ~cache_dir ~calib ~snapshots
-    ~live_fp ~json ~tracer reg =
+    ~workload ~devices ~seed ~cache_dir ~calib ~snapshots ~live_fp ~json
+    ~tracer reg =
   let service =
     serve_service ~workload ~devices ~seed ~workers ~cache_dir ~calib
       ~snapshots ~tracer reg
@@ -623,29 +620,6 @@ let serve_listen ~host ~port ~max_queue ~http_workers ~workers ~timeout
       Printf.eprintf "listening on %s:%d (POST /v1/stop or Ctrl-C to stop)\n%!"
         host
         (Arb_service.Server.port server);
-      (* The wall-clock ticker drives the continual engine; chunked sleeps
-         keep shutdown latency bounded by 0.1 s, not by the interval. *)
-      let stop_tick = Atomic.make false in
-      let ticker =
-        if epoch_interval > 0.0 then
-          Some
-            (Domain.spawn (fun () ->
-                 let rec loop () =
-                   let slept = ref 0.0 in
-                   while
-                     (not (Atomic.get stop_tick)) && !slept < epoch_interval
-                   do
-                     Unix.sleepf 0.1;
-                     slept := !slept +. 0.1
-                   done;
-                   if not (Atomic.get stop_tick) then begin
-                     ignore (Arb_continual.Engine.tick ?tracer ~workers engine);
-                     loop ()
-                   end
-                 in
-                 loop ()))
-        else None
-      in
       (* The handler only flips an atomic: taking the API mutex inside a
          signal handler could self-deadlock, so the main loop polls. *)
       let sigint = Atomic.make false in
@@ -664,8 +638,6 @@ let serve_listen ~host ~port ~max_queue ~http_workers ~workers ~timeout
       (match previous with
       | Some h -> ( try Sys.set_signal Sys.sigint h with _ -> ())
       | None -> ());
-      Atomic.set stop_tick true;
-      Option.iter Domain.join ticker;
       Arb_service.Server.stop server;
       Arb_service.Api.join api;
       let st = Arb_service.Server.stats server in
@@ -683,7 +655,7 @@ let serve_listen ~host ~port ~max_queue ~http_workers ~workers ~timeout
 let serve_cmd =
   let run verbose workload_path devices seed workers cache_dir json
       calibration snapshots trace_out metrics_out det listen host max_queue
-      http_workers timeout epochs epoch_interval =
+      http_workers timeout epochs =
     setup_logs verbose;
     (* serve always keeps a registry so every exit path can report a
        metrics summary; --metrics-out additionally persists it. *)
@@ -730,8 +702,8 @@ let serve_cmd =
     | Ok workload, Some port ->
         finish
           (serve_listen ~host ~port ~max_queue ~http_workers ~workers ~timeout
-             ~epoch_interval ~workload ~devices ~seed ~cache_dir ~calib
-             ~snapshots ~live_fp ~json ~tracer reg)
+             ~workload ~devices ~seed ~cache_dir ~calib ~snapshots ~live_fp
+             ~json ~tracer reg)
     | Ok (Some workload), None ->
         let service =
           serve_service ~workload:(Some workload) ~devices ~seed ~workers
@@ -835,21 +807,13 @@ let serve_cmd =
     in
     Arg.(value & opt (some int) None & info [ "epochs" ] ~docv:"N" ~doc)
   in
-  let epoch_interval_arg =
-    let doc =
-      "With --listen: advance the continual engine one epoch every $(docv) \
-       seconds. 0 (the default) disables the wall-clock ticker; epochs are \
-       then driven by POST /v1/epoch."
-    in
-    Arg.(value & opt float 0.0 & info [ "epoch-interval" ] ~docv:"S" ~doc)
-  in
   let term =
     Term.(
       const run $ verbose_arg $ workload_arg $ devices_opt $ seed_opt
       $ workers_arg $ cache_dir_arg $ json_arg $ calibration_arg
       $ snapshots_arg $ trace_out_arg $ metrics_out_arg $ trace_det_arg
       $ listen_arg $ host_arg $ max_queue_arg $ http_workers_arg
-      $ timeout_arg $ epochs_arg $ epoch_interval_arg)
+      $ timeout_arg $ epochs_arg)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -47,10 +47,6 @@ let orchard_metrics ~n ~cols ~noise_count ~cm =
   let p = orchard_plan ~crypto:Plan.Ahe ~n ~cols ~noise_count ~cm in
   metrics_of_plan ~n ~cols ~cm p
 
-let honeycrisp_metrics ~n ~sketch_cols ~cm =
-  let p = orchard_plan ~crypto:Plan.Ahe ~n ~cols:sketch_cols ~noise_count:sketch_cols ~cm in
-  metrics_of_plan ~n ~cols:sketch_cols ~cm p
-
 type boehler = {
   committee_bytes : float;
   committee_time : float;

@@ -22,12 +22,9 @@ val orchard_plan :
 val orchard_metrics :
   n:int -> cols:int -> noise_count:int -> cm:Arb_planner.Cost_model.t ->
   Arb_planner.Cost_model.metrics
-
-val honeycrisp_metrics :
-  n:int -> sketch_cols:int -> cm:Arb_planner.Cost_model.t ->
-  Arb_planner.Cost_model.metrics
-(** Honeycrisp = Orchard-style single committee specialized to the
-    count-mean-sketch query. *)
+(** The Orchard plan's metrics. Honeycrisp is the same plan at the
+    count-mean-sketch width: [cols] and [noise_count] both the sketch's
+    column count. *)
 
 type boehler = {
   committee_bytes : float;  (** per committee member *)

@@ -12,10 +12,14 @@
    whose key misses searches again (a *re-plan*, or the session's *cold*
    first plan). Settle reads which it was off the lifecycle record.
 
-   Determinism: sessions are processed in registration order, windows and
-   carried state are updated sequentially, and execution runs through the
-   service's canonically-ordered pipeline — so epoch records are
-   byte-identical at any worker count. *)
+   Sessions, their windows and their carried state are values. A writer
+   (a tick or a registration) holds the engine's one lock, builds the next
+   sessions from the last published ones and publishes them whole, so a
+   reader sees every session as of one completed tick without locking.
+
+   Determinism: sessions are processed in registration order, and
+   execution runs through the service's canonically-ordered pipeline — so
+   epoch records are byte-identical at any worker count. *)
 
 module B = Arb_dp.Budget
 module W = B.Window
@@ -60,38 +64,37 @@ type session = {
   window : W.t option;
   compose : int option;
   kind : Mstate.kind;
-  mutable state : Mstate.t;
-  mutable last_cost : B.t option;
-  mutable cold : int;
-  mutable replans : int;
-  mutable revalidations : int;
-  mutable window_refusals : int;
-  mutable runs : int;
-  mutable history : epoch_record list;  (* newest first *)
+  state : Mstate.t;
+  last_cost : B.t option;
+  cold : int;
+  replans : int;
+  revalidations : int;
+  window_refusals : int;
+  runs : int;
+  history : epoch_record list;  (* newest first *)
 }
+
+(* Every session as of one completed tick, in registration order. *)
+type snapshot = { epoch : int; sessions : session list }
 
 type t = {
   service : S.Service.t;
-  tick_lock : Mutex.t;  (* serializes whole ticks *)
-  lock : Mutex.t;  (* guards epoch / sessions *)
-  mutable epoch : int;
-  mutable sessions : session list;  (* newest first *)
+  lock : Mutex.t;  (* serializes the writers: tick and register *)
+  snapshot : snapshot Atomic.t;
 }
 
 let create ~service () =
   {
     service;
-    tick_lock = Mutex.create ();
     lock = Mutex.create ();
-    epoch = 0;
-    sessions = [];
+    snapshot = Atomic.make { epoch = 0; sessions = [] };
   }
 
-let epoch t = Mutex.protect t.lock (fun () -> t.epoch)
+let epoch t = (Atomic.get t.snapshot).epoch
+let sessions t = (Atomic.get t.snapshot).sessions
+let session t name = List.find_opt (fun s -> s.name = name) (sessions t)
 
-let in_order t = List.rev t.sessions
-
-let register t ?name (sub : S.Workload.submission) =
+let register t (sub : S.Workload.submission) =
   match S.Workload.validate_recurring sub with
   | Error e -> Error (S.Workload.recurring_error_message e)
   | Ok () -> (
@@ -103,55 +106,51 @@ let register t ?name (sub : S.Workload.submission) =
                sub.S.Workload.query)
       | Some every ->
           Mutex.protect t.lock @@ fun () ->
-          let exists n = List.exists (fun s -> s.name = n) t.sessions in
-          let base = Option.value name ~default:sub.S.Workload.query in
-          if name <> None && exists base then
-            Error (Printf.sprintf "session %s already exists" base)
-          else begin
-            let rec uniq candidate k =
-              if exists candidate then
-                uniq (Printf.sprintf "%s#%d" base k) (k + 1)
-              else candidate
-            in
-            let sname = uniq base 2 in
-            let kind =
-              match S.Service.resolve sub with
-              | Some q -> Mstate.kind_for q
-              | None -> Mstate.Winners
-            in
-            let window =
-              Option.map
-                (fun w ->
-                  W.create ~horizon:w.S.Workload.w_epochs
-                    ~limit:w.S.Workload.w_budget)
-                sub.S.Workload.window
-            in
-            let s =
-              {
-                name = sname;
-                sub;
-                every;
-                start_epoch = t.epoch + 1;
-                window;
-                compose =
-                  Option.bind sub.S.Workload.window (fun w ->
-                      w.S.Workload.w_compose);
-                kind;
-                state = Mstate.create kind;
-                last_cost = None;
-                cold = 0;
-                replans = 0;
-                revalidations = 0;
-                window_refusals = 0;
-                runs = 0;
-                history = [];
-              }
-            in
-            t.sessions <- s :: t.sessions;
-            Ok sname
-          end)
+          let snap = Atomic.get t.snapshot in
+          let base = sub.S.Workload.query in
+          let rec uniq candidate k =
+            if List.exists (fun s -> s.name = candidate) snap.sessions then
+              uniq (Printf.sprintf "%s#%d" base k) (k + 1)
+            else candidate
+          in
+          let name = uniq base 2 in
+          let kind =
+            match S.Service.resolve sub with
+            | Some q -> Mstate.kind_for q
+            | None -> Mstate.Winners
+          in
+          let window =
+            Option.map
+              (fun w ->
+                W.create ~horizon:w.S.Workload.w_epochs
+                  ~limit:w.S.Workload.w_budget)
+              sub.S.Workload.window
+          in
+          let s =
+            {
+              name;
+              sub;
+              every;
+              start_epoch = snap.epoch + 1;
+              window;
+              compose =
+                Option.bind sub.S.Workload.window (fun w ->
+                    w.S.Workload.w_compose);
+              kind;
+              state = Mstate.create kind;
+              last_cost = None;
+              cold = 0;
+              replans = 0;
+              revalidations = 0;
+              window_refusals = 0;
+              runs = 0;
+              history = [];
+            }
+          in
+          Atomic.set t.snapshot { snap with sessions = snap.sessions @ [ s ] };
+          Ok name)
 
-let current_estimate s = Option.value (Mstate.estimate s.state) ~default:[]
+let estimate s = Option.value (Mstate.estimate s.state) ~default:[]
 
 (* ---------------- metrics ---------------- *)
 
@@ -186,109 +185,102 @@ let emit_window_gauges t s =
 
 (* ---------------- tick ---------------- *)
 
-type pending = { pd_session : session; pd_refunded : B.t; pd_index : int }
+(* [s] with this epoch's record, taken from its own counters, window and
+   state, on top of its history. *)
+let recorded s ~epoch ~refunded outcome =
+  let r =
+    {
+      er_epoch = epoch;
+      er_session = s.name;
+      er_outcome = outcome;
+      er_refunded = refunded;
+      er_window = Option.map (fun w -> (W.spent w, W.balance w)) s.window;
+      er_estimate = estimate s;
+    }
+  in
+  { s with history = r :: s.history }
 
-let window_view s = Option.map (fun w -> (W.spent w, W.balance w)) s.window
-
-let push_record s r = s.history <- r :: s.history
+(* A session after phase 1: settled already, or submitted and waiting for
+   its lifecycle record. *)
+type step = Settled of session | Due of (session * B.t * int)
 
 (* Settle one due session from its lifecycle record: label the plan (a
    hit revalidated; a miss is the session's cold first plan, or a re-plan
    once an earlier epoch planned), bump counters, charge the window for
    executed work, and fold outputs into carried state. *)
-let settle t pd record =
-  let s = pd.pd_session in
+let settle t ~epoch (s, refunded, index) record =
   let planned =
     match record with
     | Some r when r.S.Lifecycle.cache_hit -> Revalidated
     | _ -> if s.cold + s.replans + s.revalidations = 0 then Cold else Replanned
   in
-  (match record with
-  | None -> ()
-  | Some (r : S.Lifecycle.record) -> (
-      match r.S.Lifecycle.status with
-      | S.Lifecycle.Refused _ ->
-          (* The service's own admission refused it: nothing was planned or
-             executed, so neither counters nor the window move. *)
-          ()
-      | status ->
-          s.last_cost <- Some r.S.Lifecycle.cost;
-          (match planned with
-          | Cold ->
-              s.cold <- s.cold + 1;
-              emit_counter t "arb_continual_cold_plans_total"
-                "First-epoch cold plans by continual sessions"
-          | Replanned ->
-              s.replans <- s.replans + 1;
-              emit_counter t "arb_continual_replans_total"
-                "Due epochs whose plan-cache key missed after an earlier plan"
-          | Revalidated ->
-              s.revalidations <- s.revalidations + 1;
-              emit_counter t "arb_continual_revalidations_total"
-                "Epochs that reused the cached plan via re-validation");
-          (match status with
-          | S.Lifecycle.Executed { outputs } -> (
-              s.runs <- s.runs + 1;
-              s.state <- Mstate.update s.state ~outputs;
-              match s.window with
-              | None -> ()
-              | Some w -> (
-                  match W.charge w ~cost:r.S.Lifecycle.cost with
-                  | Some _ -> ()
-                  | None ->
-                      (* Prescreened before submission; only reachable if the
-                         certified cost changed in between. *)
-                      Log.warn (fun f ->
-                          f "session %s: window charge failed post-execution"
-                            s.name)))
-          | _ -> ())));
-  let status, outputs =
-    match record with
-    | None -> ("missing", [])
-    | Some r -> (
-        ( S.Lifecycle.status_name r.S.Lifecycle.status,
-          match r.S.Lifecycle.status with
-          | S.Lifecycle.Executed { outputs } -> outputs
-          | _ -> [] ))
+  let ran ?(outputs = []) status s =
+    recorded s ~epoch ~refunded (Ran { index; planned; status; outputs })
   in
-  {
-    er_epoch = 0 (* patched by the caller *);
-    er_session = s.name;
-    er_outcome = Ran { index = pd.pd_index; planned; status; outputs };
-    er_refunded = pd.pd_refunded;
-    er_window = window_view s;
-    er_estimate = current_estimate s;
-  }
+  match record with
+  | None -> ran "missing" s
+  | Some ({ S.Lifecycle.status = S.Lifecycle.Refused _; _ } as r) ->
+      (* The service's own admission refused it: nothing was planned or
+         executed, so neither counters nor the window move. *)
+      ran (S.Lifecycle.status_name r.S.Lifecycle.status) s
+  | Some r -> (
+      let s =
+        match planned with
+        | Cold ->
+            emit_counter t "arb_continual_cold_plans_total"
+              "First-epoch cold plans by continual sessions";
+            { s with cold = s.cold + 1 }
+        | Replanned ->
+            emit_counter t "arb_continual_replans_total"
+              "Due epochs whose plan-cache key missed after an earlier plan";
+            { s with replans = s.replans + 1 }
+        | Revalidated ->
+            emit_counter t "arb_continual_revalidations_total"
+              "Epochs that reused the cached plan via re-validation";
+            { s with revalidations = s.revalidations + 1 }
+      in
+      let cost = r.S.Lifecycle.cost in
+      let s = { s with last_cost = Some cost } in
+      let status = S.Lifecycle.status_name r.S.Lifecycle.status in
+      match r.S.Lifecycle.status with
+      | S.Lifecycle.Executed { outputs } ->
+          let charge w =
+            match W.charge w ~cost with
+            | Some w -> w
+            | None ->
+                (* Prescreened before submission; only reachable if the
+                   certified cost changed in between. *)
+                Log.warn (fun f ->
+                    f "session %s: window charge failed post-execution" s.name);
+                w
+          in
+          ran ~outputs status
+            {
+              s with
+              runs = s.runs + 1;
+              state = Mstate.update s.state ~outputs;
+              window = Option.map charge s.window;
+            }
+      | _ -> ran status s)
 
 let tick ?tracer ?(workers = 1) t =
-  Mutex.protect t.tick_lock @@ fun () ->
-  let epoch, all_sessions =
-    Mutex.protect t.lock (fun () ->
-        t.epoch <- t.epoch + 1;
-        (t.epoch, in_order t))
-  in
+  Mutex.protect t.lock @@ fun () ->
+  let prev = Atomic.get t.snapshot in
+  let epoch = prev.epoch + 1 in
   (* Phase 1, in registration order: advance windows (collect refunds),
      decide skip / window-refuse / submit, and enqueue due work. *)
-  let pendings =
-    List.filter_map
+  let steps =
+    List.map
       (fun s ->
-        let refunded =
-          match s.window with None -> B.zero | Some w -> W.advance w epoch
-        in
-        let record_now outcome =
-          push_record s
-            {
-              er_epoch = epoch;
-              er_session = s.name;
-              er_outcome = outcome;
-              er_refunded = refunded;
-              er_window = window_view s;
-              er_estimate = current_estimate s;
-            };
-          None
+        let s, refunded =
+          match s.window with
+          | None -> (s, B.zero)
+          | Some w ->
+              let w, refunded = W.advance w epoch in
+              ({ s with window = Some w }, refunded)
         in
         if epoch < s.start_epoch || (epoch - s.start_epoch) mod s.every <> 0
-        then record_now Skipped
+        then Settled (recorded s ~epoch ~refunded Skipped)
         else
           match (s.window, S.Service.certified_cost t.service s.sub) with
           | Some w, Some c when not (W.can_afford w ~cost:c) ->
@@ -302,30 +294,31 @@ let tick ?tracer ?(workers = 1) t =
                       Format.asprintf "; %a expires at epoch %d" B.pp r e
                   | None -> "")
               in
-              s.window_refusals <- s.window_refusals + 1;
               emit_counter t "arb_continual_window_refusals_total"
                 "Epochs refused by the sliding-window budget prescreen";
-              record_now (Window_refused reason)
-          | _ ->
-              Some
-                {
-                  pd_session = s;
-                  pd_refunded = refunded;
-                  pd_index = S.Service.submit t.service s.sub;
-                })
-      all_sessions
+              Settled
+                (recorded
+                   { s with window_refusals = s.window_refusals + 1 }
+                   ~epoch ~refunded (Window_refused reason))
+          | _ -> Due (s, refunded, S.Service.submit t.service s.sub))
+      prev.sessions
   in
+  let due = List.filter (function Due _ -> true | Settled _ -> false) steps in
   (* Phase 2: one drain for the whole epoch. An API executor may have
      taken some of this epoch's submissions into its own drain; drains
      serialize and append their records before releasing the drain lock,
      so once this call returns every submission above has its record. *)
-  if pendings <> [] then ignore (S.Service.drain ?tracer ~workers t.service);
+  if due <> [] then ignore (S.Service.drain ?tracer ~workers t.service);
   (* Phase 3, in registration order: settle and record. *)
-  List.iter
-    (fun pd ->
-      let er = settle t pd (S.Service.record t.service pd.pd_index) in
-      push_record pd.pd_session { er with er_epoch = epoch })
-    pendings;
+  let sessions =
+    List.map
+      (function
+        | Settled s -> s
+        | Due ((_, _, index) as d) ->
+            settle t ~epoch d (S.Service.record t.service index))
+      steps
+  in
+  Atomic.set t.snapshot { epoch; sessions };
   emit_counter t "arb_continual_epochs_total" "Epoch ticks processed";
   (match S.Service.metrics t.service with
   | None -> ()
@@ -334,64 +327,18 @@ let tick ?tracer ?(workers = 1) t =
         "arb_continual_epoch" (float_of_int epoch);
       Arb_obs.Metrics.set_gauge reg ~help:"Registered continual sessions"
         "arb_continual_sessions"
-        (float_of_int (List.length all_sessions)));
-  List.iter (emit_window_gauges t) all_sessions;
+        (float_of_int (List.length sessions)));
+  List.iter (emit_window_gauges t) sessions;
   Log.info (fun f ->
-      f "epoch %d: %d sessions, %d due" epoch (List.length all_sessions)
-        (List.length pendings));
+      f "epoch %d: %d sessions, %d due" epoch (List.length sessions)
+        (List.length due));
   (* Every session's record for this epoch, in registration order. *)
-  Mutex.protect t.lock (fun () ->
-      List.filter_map
-        (fun s -> List.find_opt (fun r -> r.er_epoch = epoch) s.history)
-        (in_order t))
+  List.map (fun s -> List.hd s.history) sessions
 
 let run_epochs ?tracer ?workers t n =
   List.init n (fun _ -> tick ?tracer ?workers t)
 
-(* ---------------- views / JSON ---------------- *)
-
-type session_view = {
-  v_name : string;
-  v_query : string;
-  v_every : int;
-  v_kind : Mstate.kind;
-  v_runs : int;
-  v_cold : int;
-  v_replans : int;
-  v_revalidations : int;
-  v_window_refusals : int;
-  v_estimate : string list;
-  v_state : J.t;
-  v_window : W.t option;
-  v_compose : int option;
-  v_last_cost : B.t option;
-  v_history : epoch_record list;  (* oldest first *)
-}
-
-let view_of s =
-  {
-    v_name = s.name;
-    v_query = s.sub.S.Workload.query;
-    v_every = s.every;
-    v_kind = s.kind;
-    v_runs = s.runs;
-    v_cold = s.cold;
-    v_replans = s.replans;
-    v_revalidations = s.revalidations;
-    v_window_refusals = s.window_refusals;
-    v_estimate = current_estimate s;
-    v_state = Mstate.to_json s.state;
-    v_window = s.window;
-    v_compose = s.compose;
-    v_last_cost = s.last_cost;
-    v_history = List.rev s.history;
-  }
-
-let sessions t = Mutex.protect t.lock (fun () -> List.map view_of (in_order t))
-
-let session t name =
-  Mutex.protect t.lock (fun () ->
-      Option.map view_of (List.find_opt (fun s -> s.name = name) t.sessions))
+(* ---------------- JSON ---------------- *)
 
 let strings l = J.List (List.map (fun s -> J.String s) l)
 
@@ -429,29 +376,29 @@ let record_json r =
 let records_string records =
   J.to_string (J.List (List.map record_json records))
 
-let session_summary_json v =
+let session_summary_json s =
   J.Obj
     (List.concat
        [
          [
-           ("name", J.String v.v_name);
-           ("query", J.String v.v_query);
-           ("every", J.Int v.v_every);
-           ("state", J.String (Mstate.kind_name v.v_kind));
-           ("runs", J.Int v.v_runs);
-           ("coldPlans", J.Int v.v_cold);
-           ("replans", J.Int v.v_replans);
-           ("revalidations", J.Int v.v_revalidations);
-           ("windowRefusals", J.Int v.v_window_refusals);
-           ("estimate", strings v.v_estimate);
+           ("name", J.String s.name);
+           ("query", J.String s.sub.S.Workload.query);
+           ("every", J.Int s.every);
+           ("state", J.String (Mstate.kind_name s.kind));
+           ("runs", J.Int s.runs);
+           ("coldPlans", J.Int s.cold);
+           ("replans", J.Int s.replans);
+           ("revalidations", J.Int s.revalidations);
+           ("windowRefusals", J.Int s.window_refusals);
+           ("estimate", strings (estimate s));
          ];
-         (match v.v_window with
+         (match s.window with
          | None -> []
          | Some w ->
              ("window", W.to_json w)
              :: ("composed", B.to_json (W.composed w))
              ::
-             (match (v.v_compose, v.v_last_cost) with
+             (match (s.compose, s.last_cost) with
              | Some k, Some cost ->
                  (* Worst case over the declared composition horizon: k
                     charges of the session's certified cost, priced at the
@@ -471,15 +418,18 @@ let session_summary_json v =
              | _ -> []));
        ])
 
-let session_json v =
-  match session_summary_json v with
+let session_json s =
+  match session_summary_json s with
   | J.Obj fields ->
-      J.Obj (fields @ [ ("history", J.List (List.map record_json v.v_history)) ])
+      J.Obj
+        (fields
+        @ [ ("history", J.List (List.rev_map record_json s.history)) ])
   | j -> j
 
 let to_json t =
+  let snap = Atomic.get t.snapshot in
   J.Obj
     [
-      ("epoch", J.Int (epoch t));
-      ("sessions", J.List (List.map session_summary_json (sessions t)));
+      ("epoch", J.Int snap.epoch);
+      ("sessions", J.List (List.map session_summary_json snap.sessions));
     ]

@@ -3,7 +3,7 @@
 
     Register recurring workload entries ([every]/[window]) as named
     sessions, then drive epochs with {!tick} — from a deterministic loop
-    in tests and benches, a wall-clock ticker or [POST /v1/epoch] in
+    in tests, benches and [arb serve -w], or [POST /v1/epoch] in
     [arb serve --listen]. Each tick, in registration order:
 
     + advance every session's sliding budget window to the new epoch,
@@ -20,16 +20,21 @@
       re-plans each due session once; charge windows for executed
       queries, fold outputs into the session's carried mechanism state
       ({!Mstate}, held in memory), and append per-session epoch records.
-      A submission whose drain raised settles as ["missing"].
+      A submission that another domain's drain took and raised on
+      settles as ["missing"].
 
     Emits [arb_continual_*] counters (cold plans / replans /
     revalidations / window refusals / epochs) and per-session
     [arb_budget_window_*] gauges into the service's metrics registry.
 
-    Ticks are serialized on an internal lock; views may be read from other
-    domains (the HTTP routes do). Epoch records are byte-identical at any
-    [workers] count — the engine inherits the service pipeline's
-    canonical ordering and adds none of its own nondeterminism. *)
+    Sessions are immutable values. Ticks and registrations serialize on
+    one internal lock and each publishes every session at once when it
+    finishes; {!epoch}, {!sessions}, {!session} and {!to_json} read the
+    last published sessions without locking, from any domain (the HTTP
+    routes do), so a reader never sees half a tick. Epoch records are
+    byte-identical at any [workers] count — the engine inherits the
+    service pipeline's canonical ordering and adds none of its own
+    nondeterminism. *)
 
 type planned = Cold | Revalidated | Replanned
 
@@ -62,45 +67,53 @@ val create : service:Arb_service.Service.t -> unit -> t
     budget and every lifecycle record; the engine owns only its sessions. *)
 
 val epoch : t -> int
-(** Epochs start at 1; 0 before the first {!tick}. *)
+(** The last completed tick. Epochs start at 1; 0 before the first
+    {!tick}. *)
 
 val register :
-  t -> ?name:string -> Arb_service.Workload.submission -> (string, string) result
-(** Register a recurring submission as a session; returns its name
-    ([name], defaulting to the query name, suffixed [#2], [#3], … when
-    taken — an explicit duplicate [name] is an error). The submission must
+  t -> Arb_service.Workload.submission -> (string, string) result
+(** Register a recurring submission as a session; returns its name: the
+    query name, suffixed [#2], [#3], … when taken. The submission must
     pass {!Arb_service.Workload.validate_recurring} and carry [every].
     Every session carries mechanism state across its epochs. *)
 
 val tick :
   ?tracer:Arb_obs.Tracer.t -> ?workers:int -> t -> epoch_record list
 (** Advance one epoch. Returns this epoch's record for every registered
-    session (including skips and window refusals), in registration order. *)
+    session (including skips and window refusals), in registration order.
+    A tick whose drain raises publishes nothing: {!epoch} and
+    {!sessions} stay at the last completed tick. *)
 
 val run_epochs :
   ?tracer:Arb_obs.Tracer.t -> ?workers:int -> t -> int -> epoch_record list list
 (** [n] consecutive ticks. *)
 
-type session_view = {
-  v_name : string;
-  v_query : string;
-  v_every : int;
-  v_kind : Mstate.kind;
-  v_runs : int;
-  v_cold : int;
-  v_replans : int;
-  v_revalidations : int;
-  v_window_refusals : int;
-  v_estimate : string list;
-  v_state : Arb_util.Json.t;  (** the carried state ({!Mstate.to_json}) *)
-  v_window : Arb_dp.Budget.Window.t option;
-  v_compose : int option;
-  v_last_cost : Arb_dp.Budget.t option;
-  v_history : epoch_record list;  (** oldest first *)
+type session = private {
+  name : string;
+  sub : Arb_service.Workload.submission;
+  every : int;
+  start_epoch : int;  (** its first due epoch *)
+  window : Arb_dp.Budget.Window.t option;
+  compose : int option;
+  kind : Mstate.kind;
+  state : Mstate.t;  (** the carried mechanism state *)
+  last_cost : Arb_dp.Budget.t option;
+  cold : int;
+  replans : int;
+  revalidations : int;
+  window_refusals : int;
+  runs : int;  (** executed epochs *)
+  history : epoch_record list;  (** newest first *)
 }
 
-val sessions : t -> session_view list
-val session : t -> string -> session_view option
+val sessions : t -> session list
+(** Every session as of the last completed tick, in registration order. *)
+
+val session : t -> string -> session option
+
+val estimate : session -> string list
+(** The carried state's estimate ({!Mstate.estimate}); [[]] before any
+    informative update. *)
 
 val record_json : epoch_record -> Arb_util.Json.t
 
@@ -109,9 +122,9 @@ val records_string : epoch_record list -> string
     {!Arb_service.Lifecycle.records_to_string}, used by the worker-count
     byte-identity gates. *)
 
-val session_summary_json : session_view -> Arb_util.Json.t
-val session_json : session_view -> Arb_util.Json.t
-(** Summary plus full epoch history. *)
+val session_summary_json : session -> Arb_util.Json.t
+val session_json : session -> Arb_util.Json.t
+(** Summary plus full epoch history, oldest first. *)
 
 val to_json : t -> Arb_util.Json.t
 (** The [GET /v1/sessions] payload: epoch + session summaries, each with

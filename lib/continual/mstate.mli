@@ -4,9 +4,9 @@
     Two shapes, chosen by the query's mechanism class ({!kind_for}):
     exponential-mechanism queries (top-1/top-k winners) accumulate a
     heavy-hitter multiset of per-epoch winner sets; numeric aggregates
-    (median, counts) feed a bounded quantile sketch. Both are pure values
-    the engine holds in memory, one per session; {!to_json} is how the
-    session views serve them.
+    (median, counts) feed a bounded quantile sketch. Both are pure values,
+    one per session, held in the engine's immutable session records;
+    {!to_json} is how the session routes serve them.
 
     Estimates are deterministic: the winners estimate breaks ties
     lexicographically and the sketch's compaction is deterministic

@@ -5,9 +5,9 @@
       carried-state estimate, live window, composed and projected loss).
     - [GET /v1/sessions/<name>] — the summary plus the session's full
       epoch history; 404 for unknown names.
-    - [POST /v1/epoch] — drive one epoch by hand (the curl-facing
-      alternative to [--epoch-interval]); responds with the epoch's
-      records. Ticks serialize on the engine's internal lock.
+    - [POST /v1/epoch] — drive one epoch (by hand with curl, or from any
+      external scheduler); responds with the epoch's records. Ticks
+      serialize on the engine's internal lock.
 
     Any other request is declined ([None]). The service API answers its
     own routes before consulting this handler: [GET /v1/budget] is the

@@ -70,18 +70,19 @@ module Window = struct
   type w = {
     horizon : int;
     limit : budget;
-    mutable current : int;
-    (* epoch -> individual charges recorded at that epoch, newest first.
-       Totals are always computed over the canonically sorted list, so any
-       insertion order within an epoch sums to the same bytes. *)
-    charges : (int, budget list) Hashtbl.t;
+    current : int;
+    (* Live charges by ascending epoch, each epoch's individual charges
+       newest first. Totals are always computed over the canonically
+       sorted list, so any insertion order within an epoch sums to the
+       same bytes. *)
+    charges : (int * budget list) list;
   }
 
   type t = w
 
   let create ~horizon ~limit =
     if horizon < 1 then invalid_arg "Budget.Window.create: horizon < 1";
-    { horizon; limit; current = 0; charges = Hashtbl.create 16 }
+    { horizon; limit; current = 0; charges = [] }
 
   let horizon t = t.horizon
   let limit t = t.limit
@@ -92,16 +93,7 @@ module Window = struct
 
   let sum cs = List.fold_left spend_all zero (canon cs)
 
-  let epoch_total t e =
-    match Hashtbl.find_opt t.charges e with None -> zero | Some cs -> sum cs
-
-  (* Epoch [e] is live at [current] iff current - horizon < e <= current. *)
-  let live_epochs t =
-    let lo = t.current - t.horizon + 1 in
-    Hashtbl.fold (fun e _ acc -> if e >= lo then e :: acc else acc) t.charges []
-    |> List.sort compare
-
-  let charges t = List.map (fun e -> (e, epoch_total t e)) (live_epochs t)
+  let charges t = List.map (fun (e, cs) -> (e, sum cs)) t.charges
 
   let spent t =
     List.fold_left (fun acc (_, b) -> spend_all acc b) zero (charges t)
@@ -115,48 +107,35 @@ module Window = struct
 
   let window_can_afford t ~cost = can_afford (balance t) ~cost
 
+  (* Charges land on the current epoch, the newest one held. *)
   let charge t ~cost =
     if cost.epsilon < 0.0 || cost.delta < 0.0 then
       invalid_arg "Budget.Window.charge: negative cost";
-    if window_can_afford t ~cost then begin
-      let existing =
-        Option.value (Hashtbl.find_opt t.charges t.current) ~default:[]
+    if window_can_afford t ~cost then
+      let rec add = function
+        | [ (e, cs) ] when e = t.current -> [ (e, cost :: cs) ]
+        | [] -> [ (t.current, [ cost ]) ]
+        | ec :: rest -> ec :: add rest
       in
-      Hashtbl.replace t.charges t.current (cost :: existing);
-      Some (balance t)
-    end
+      Some { t with charges = add t.charges }
     else None
 
+  (* Epoch [e'] stays live at [e] iff e - horizon < e' <= e. *)
   let advance t e =
     if e < t.current then invalid_arg "Budget.Window.advance: epoch moved backwards";
-    t.current <- e;
-    let expired =
-      Hashtbl.fold
-        (fun e' _ acc -> if e' <= e - t.horizon then e' :: acc else acc)
-        t.charges []
-      |> List.sort compare
+    let expired, live =
+      List.partition (fun (e', _) -> e' <= e - t.horizon) t.charges
     in
-    List.fold_left
-      (fun acc e' ->
-        let total = epoch_total t e' in
-        Hashtbl.remove t.charges e';
-        spend_all acc total)
-      zero expired
+    ( { t with current = e; charges = live },
+      List.fold_left (fun acc (_, cs) -> spend_all acc (sum cs)) zero expired )
 
   let next_expiry t =
-    match live_epochs t with
+    match t.charges with
     | [] -> None
-    | oldest :: _ -> Some (oldest + t.horizon, epoch_total t oldest)
-
-  let live_charges t =
-    let lo = t.current - t.horizon + 1 in
-    Hashtbl.fold
-      (fun e cs acc -> if e >= lo then List.rev_append cs acc else acc)
-      t.charges []
-    |> canon
+    | (oldest, cs) :: _ -> Some (oldest + t.horizon, sum cs)
 
   let composed ?(delta_slack = 1e-9) t =
-    let cs = live_charges t in
+    let cs = canon (List.concat_map snd t.charges) in
     let k = List.length cs in
     if k = 0 then zero
     else

@@ -54,12 +54,12 @@ val advanced_composition :
     extension beyond the paper's basic accounting. *)
 
 (** Sliding-window accounting for continual (epoch-indexed) analytics:
-    "ε = L per H epochs". Charges are recorded against the current epoch;
-    advancing the window past [horizon] epochs expires old charges and
-    refunds them exactly. Per-epoch totals are computed over a canonically
-    sorted charge list, so charge order within an epoch never changes
-    the serialized state. Not thread-safe: callers (the continual
-    engine) serialize access under their own lock. *)
+    "ε = L per H epochs". A window is an immutable value: charges are
+    recorded against the current epoch, and advancing the window past
+    [horizon] epochs expires old charges and refunds them exactly, each
+    returning a new window. Per-epoch totals are computed over a
+    canonically sorted charge list, so charge order within an epoch never
+    changes the serialized state. *)
 module Window : sig
   type budget = t
   type t
@@ -72,17 +72,17 @@ module Window : sig
   val limit : t -> budget
   val epoch : t -> int
 
-  val advance : t -> int -> budget
-  (** [advance t e] moves the window to epoch [e] (idempotent at the
+  val advance : t -> int -> t * budget
+  (** [advance t e] is the window moved to epoch [e] (idempotent at the
       current epoch; raises [Invalid_argument] on a backwards move) and
-      returns the exact total refunded by expiring epochs [<= e - horizon]. *)
+      the exact total refunded by expiring epochs [<= e - horizon]. *)
 
   val can_afford : t -> cost:budget -> bool
   (** Prescreen against the live-window balance. *)
 
-  val charge : t -> cost:budget -> budget option
-  (** Record [cost] against the current epoch; [Some balance] on success,
-      [None] (state untouched) when the live window cannot afford it. *)
+  val charge : t -> cost:budget -> t option
+  (** The window with [cost] recorded against the current epoch, or [None]
+      when the live window cannot afford it. *)
 
   val spent : t -> budget
   (** Canonical sum of all live charges (ascending epoch, each epoch's

@@ -139,33 +139,22 @@ let trip ctx lo hi =
   | Some l, Some h -> max 0 (h - l + 1)
   | _ -> fail "loop bounds must be static"
 
-let rec stmt_has_mechanism (s : Arb_lang.Ast.stmt) =
-  let expr_has e =
+(* Whether [s] calls any of the builtins [names] outside a branch
+   condition. *)
+let rec stmt_calls names (s : Arb_lang.Ast.stmt) =
+  let expr_calls e =
     Arb_lang.Ast.fold_exprs
       (fun acc e ->
-        acc || match e with Arb_lang.Ast.Call (("laplace" | "em" | "emGap"), _) -> true | _ -> false)
+        acc
+        || match e with Arb_lang.Ast.Call (f, _) -> List.mem f names | _ -> false)
       false e
   in
   match s with
-  | Seq ss -> List.exists stmt_has_mechanism ss
-  | For (_, _, _, body) -> stmt_has_mechanism body
-  | If (_, s1, s2) -> stmt_has_mechanism s1 || stmt_has_mechanism s2
-  | Assign (_, e) | Output e -> expr_has e
-  | Assign_idx (_, idxs, e) -> List.exists expr_has (idxs @ [ e ])
-
-let rec stmt_has_em (s : Arb_lang.Ast.stmt) =
-  let expr_has e =
-    Arb_lang.Ast.fold_exprs
-      (fun acc e ->
-        acc || match e with Arb_lang.Ast.Call (("em" | "emGap"), _) -> true | _ -> false)
-      false e
-  in
-  match s with
-  | Seq ss -> List.exists stmt_has_em ss
-  | For (_, _, _, body) -> stmt_has_em body
-  | If (_, s1, s2) -> stmt_has_em s1 || stmt_has_em s2
-  | Assign (_, e) | Output e -> expr_has e
-  | Assign_idx (_, idxs, e) -> List.exists expr_has (idxs @ [ e ])
+  | Seq ss -> List.exists (stmt_calls names) ss
+  | For (_, _, _, body) -> stmt_calls names body
+  | If (_, s1, s2) -> stmt_calls names s1 || stmt_calls names s2
+  | Assign (_, e) | Output e -> expr_calls e
+  | Assign_idx (_, idxs, e) -> List.exists expr_calls (idxs @ [ e ])
 
 let cols_of_expr ctx (e : Arb_lang.Ast.expr) =
   match e with
@@ -194,13 +183,13 @@ let rec walk ctx ~mult (s : Arb_lang.Ast.stmt) =
       let k = trip ctx lo hi in
       Hashtbl.replace ctx.kinds v K_clean;
       if k = 0 then ()
-      else if not (stmt_has_mechanism body) then begin
+      else if not (stmt_calls [ "laplace"; "em"; "emGap" ] body) then begin
         (* Pure transform loop: one aggregate operator for the whole loop.
            Kinds must be propagated through the body first so temporaries
            like median's [d] are known confidential when classified. *)
         infer_kinds ctx body;
         let kind = classify_body ctx body in
-        let writes = count_enc_writes ctx body in
+        let writes = count_enc_writes body in
         let outputs = mult * k * count_outputs body in
         match kind with
         | `Clean -> emit ctx (A_post { flops = mult * k * writes; outputs })
@@ -211,7 +200,7 @@ let rec walk ctx ~mult (s : Arb_lang.Ast.stmt) =
             emit ctx (A_nonlinear { cols = mult * k * writes });
             if outputs > 0 then emit ctx (A_post { flops = 0; outputs })
       end
-      else if stmt_has_em body then begin
+      else if stmt_calls [ "em"; "emGap" ] body then begin
         if k > 64 then fail "em loop with more than 64 iterations";
         for _ = 1 to k do
           walk ctx ~mult body
@@ -266,14 +255,15 @@ and classify_body ctx (s : Arb_lang.Ast.stmt) : [ `Clean | `Affine | `Nonlinear 
       max_kind (classify ctx c) (max_kind (classify_body ctx s1) (classify_body ctx s2))
   | For (_, _, _, body) -> classify_body ctx body
 
-and count_enc_writes ctx (s : Arb_lang.Ast.stmt) =
+(* Every write counts, whatever its kind: the caller's [classify_body]
+   has already classified (and vetted) each written expression. *)
+and count_enc_writes (s : Arb_lang.Ast.stmt) =
   match s with
-  | Seq ss -> List.fold_left (fun acc s -> acc + count_enc_writes ctx s) 0 ss
-  | Assign (_, e) | Assign_idx (_, _, e) -> (
-      match classify ctx e with `Clean -> 1 | _ -> 1)
+  | Seq ss -> List.fold_left (fun acc s -> acc + count_enc_writes s) 0 ss
+  | Assign _ | Assign_idx _ -> 1
   | Output _ -> 0
-  | If (_, s1, s2) -> max (count_enc_writes ctx s1) (count_enc_writes ctx s2)
-  | For (_, _, _, body) -> count_enc_writes ctx body
+  | If (_, s1, s2) -> max (count_enc_writes s1) (count_enc_writes s2)
+  | For (_, _, _, body) -> count_enc_writes body
 
 and walk_assign ctx ~mult v (e : Arb_lang.Ast.expr) =
   match e with

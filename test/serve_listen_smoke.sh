@@ -6,11 +6,13 @@
 # Fits a calibration from one observed run, serves a workload of two
 # recurring sessions into the same residual log, ticks two epochs over
 # POST /v1/epoch, checks that /v1/budget is the global balance alone and
-# that /v1/sessions lists both sessions, PUTs the fitted calibration,
-# ticks once more (both sessions must re-plan: the plan-cache key names
-# the model), stops the server, and checks that its exit line names the
-# installed fingerprint, that the log holds one line per execution, and
-# that a refit skips the lines priced under the installed calibration.
+# that /v1/sessions lists both sessions, reads them back through
+# `arb sessions` (index, one session's history, --json), PUTs the fitted
+# calibration, ticks once more (both sessions must re-plan: the
+# plan-cache key names the model), stops the server, and checks that its
+# exit line names the installed fingerprint, that the log holds one line
+# per execution, and that a refit skips the lines priced under the
+# installed calibration.
 # Then serves a one-shot workload four times on one --cache-dir: cold,
 # hit, cold under the fitted calibration, and hit again without it. Needs
 # sh, curl and jq. Run it through the dune alias:
@@ -71,6 +73,24 @@ keys=$(curl -sf "$url/v1/budget" | jq -c keys)
 [ "$keys" = '["delta","epsilon"]' ] || fail "/v1/budget keys are $keys"
 names=$(curl -sf "$url/v1/sessions" | jq -c '[.sessions[].name] | sort')
 [ "$names" = '["median","top1"]' ] || fail "/v1/sessions lists $names"
+
+# 4b. The CLI view of the same sessions: the index at epoch 2 with one
+#     line per session, top1's summary and its two history records, and
+#     the server's JSON verbatim.
+index=$("$arb" sessions --port "$port") || fail "arb sessions failed"
+[ "$(echo "$index" | sed -n 1p)" = "epoch 2" ] ||
+  fail "arb sessions index: $index"
+[ "$(echo "$index" | grep -c '^top1 ')" = 1 ] &&
+  [ "$(echo "$index" | grep -c '^median ')" = 1 ] ||
+  fail "arb sessions index: $index"
+detail=$("$arb" sessions --port "$port" --session top1) ||
+  fail "arb sessions --session top1 failed"
+echo "$detail" | sed -n 1p | grep -q '^top1 .* runs 2 ' ||
+  fail "arb sessions --session top1: $detail"
+[ "$(echo "$detail" | grep -c '^  {"epoch":')" = 2 ] ||
+  fail "arb sessions --session top1 history: $detail"
+[ "$("$arb" sessions --port "$port" --json | jq .epoch)" = 2 ] ||
+  fail "arb sessions --json is not at epoch 2"
 
 # 5. Install the fitted calibration: the next epoch re-plans both sessions.
 reply=$(curl -sf -X PUT --data-binary "@$dir/calib.json" "$url/v1/calibration") ||

@@ -49,8 +49,8 @@ let counter reg name =
   | Some row -> int_of_float (J.to_float (J.member "value" row))
   | None -> 0
 
-let register engine ?name s =
-  match E.register engine ?name s with
+let register engine s =
+  match E.register engine s with
   | Ok n -> n
   | Error m -> Alcotest.fail ("register: " ^ m)
 
@@ -161,9 +161,6 @@ let test_register () =
   checks "defaults to the query name" "top1" a;
   let b = register eng (sub ~epsilon:0.5 ~every:1 "top1") in
   checks "name collision auto-suffixes" "top1#2" b;
-  (match E.register eng ~name:"top1" (sub ~epsilon:0.5 ~every:1 "top1") with
-  | Ok _ -> Alcotest.fail "explicit duplicate name accepted"
-  | Error m -> checkb "duplicate error" true (String.length m > 0));
   checki "both sessions listed" 2 (List.length (E.sessions eng))
 
 (* ---------------- scheduling: cadence, revalidate, re-plan ---------------- *)
@@ -187,14 +184,14 @@ let test_cadence_and_revalidation () =
           (rm.E.er_outcome = E.Skipped))
     epochs;
   let va = view eng a in
-  checki "one cold plan" 1 va.E.v_cold;
-  checki "revalidations ever after" 3 va.E.v_revalidations;
-  checki "no replans" 0 va.E.v_replans;
-  checki "every epoch ran" 4 va.E.v_runs;
+  checki "one cold plan" 1 va.E.cold;
+  checki "revalidations ever after" 3 va.E.revalidations;
+  checki "no replans" 0 va.E.replans;
+  checki "every epoch ran" 4 va.E.runs;
   let vm = view eng m in
-  checki "median runs at half cadence" 2 vm.E.v_runs;
-  checki "median cold once" 1 vm.E.v_cold;
-  checki "median revalidates once" 1 vm.E.v_revalidations;
+  checki "median runs at half cadence" 2 vm.E.runs;
+  checki "median cold once" 1 vm.E.cold;
+  checki "median revalidates once" 1 vm.E.revalidations;
   checki "cold-plan counter" 2 (counter reg "arb_continual_cold_plans_total");
   checki "revalidation counter" 4
     (counter reg "arb_continual_revalidations_total");
@@ -233,8 +230,8 @@ let test_install_replans_each_session_once () =
     (planned () = [ E.Replanned; E.Replanned ]);
   checkb "epoch 4 revalidates both" true
     (planned () = [ E.Revalidated; E.Revalidated ]);
-  checki "top1 re-planned once" 1 (view eng a).E.v_replans;
-  checki "median re-planned once" 1 (view eng m).E.v_replans;
+  checki "top1 re-planned once" 1 (view eng a).E.replans;
+  checki "median re-planned once" 1 (view eng m).E.replans;
   checki "re-plan counter" 2 (counter reg "arb_continual_replans_total")
 
 let test_install_replans_warm_session_at_next_due_epoch () =
@@ -253,9 +250,9 @@ let test_install_replans_warm_session_at_next_due_epoch () =
   checkb "epoch 4 is off cadence" true (planned () = []);
   checkb "epoch 5 revalidates" true (planned () = [ E.Revalidated ]);
   let v = view eng n in
-  checki "never cold" 0 v.E.v_cold;
-  checki "exactly one re-plan" 1 v.E.v_replans;
-  checki "two revalidations" 2 v.E.v_revalidations
+  checki "never cold" 0 v.E.cold;
+  checki "exactly one re-plan" 1 v.E.replans;
+  checki "two revalidations" 2 v.E.revalidations
 
 (* ---------------- window refusal and recovery ---------------- *)
 
@@ -269,10 +266,10 @@ let test_window_refusal_and_recovery () =
          "top1")
   in
   ignore (E.run_epochs eng 2);
-  checki "two executed epochs" 2 (view eng c).E.v_runs;
+  checki "two executed epochs" 2 (view eng c).E.runs;
   let budget_before = S.Service.budget_left svc in
   let spent_before =
-    match (view eng c).E.v_window with
+    match (view eng c).E.window with
     | Some w -> B.Window.spent w
     | None -> Alcotest.fail "windowed session lost its window"
   in
@@ -287,7 +284,7 @@ let test_window_refusal_and_recovery () =
   | _ -> Alcotest.fail "exhausted window did not refuse epoch 3");
   checkb "service budget byte-identical across the refusal" true
     (B.equal budget_before (S.Service.budget_left svc));
-  (match (view eng c).E.v_window with
+  (match (view eng c).E.window with
   | Some w ->
       checkb "window spend byte-identical across the refusal" true
         (B.equal spent_before (B.Window.spent w))
@@ -295,13 +292,13 @@ let test_window_refusal_and_recovery () =
   (* Epoch 4: the epoch-1 charge expires; the refund re-opens the window. *)
   (match E.tick eng with
   | [ { E.er_outcome = E.Ran { status = "executed"; _ }; er_refunded; _ } ] -> (
-      match (view eng c).E.v_last_cost with
+      match (view eng c).E.last_cost with
       | Some cost ->
           checkb "recovery refund is exactly the expired charge" true
             (B.equal er_refunded cost)
       | None -> Alcotest.fail "no recorded cost")
   | _ -> Alcotest.fail "expiry refund did not revive the session");
-  checki "exactly one refusal recorded" 1 (view eng c).E.v_window_refusals;
+  checki "exactly one refusal recorded" 1 (view eng c).E.window_refusals;
   checki "window-refusal counter" 1
     (counter reg "arb_continual_window_refusals_total")
 
@@ -362,8 +359,9 @@ let test_carry_convergence () =
   in
   let v = view eng n in
   checkb "carried estimate is the modal epoch output" true
-    (v.E.v_estimate = modal);
-  checki "state folded every epoch" k (J.to_int (J.member "epochs" v.E.v_state))
+    (E.estimate v = modal);
+  checki "state folded every epoch" k
+    (J.to_int (J.member "epochs" (Ms.to_json v.E.state)))
 
 let test_mstate_roundtrip () =
   let st = Ms.create Ms.Winners in
@@ -390,11 +388,11 @@ let test_worker_count_invisible_across_epochs () =
   let run workers =
     let svc, eng = fresh () in
     ignore
-      (register eng ~name:"a"
+      (register eng
          (sub ~epsilon:0.5 ~every:1
             ~window:(win ~epochs:4 ~epsilon:4.0 ~delta:1e-4 ())
             "top1"));
-    ignore (register eng ~name:"b" (sub ~epsilon:0.4 ~every:2 "median"));
+    ignore (register eng (sub ~epsilon:0.4 ~every:2 "median"));
     let epochs = E.run_epochs ~workers eng 4 in
     ( String.concat "\n" (List.map E.records_string epochs),
       S.Lifecycle.records_to_string ~timings:false (S.Service.history svc),
@@ -455,6 +453,68 @@ let test_settle_under_concurrent_drains () =
   checks "continual records unchanged by a racing drainer"
     (E.records_string e1) (E.records_string e);
   checks "lifecycle records unchanged by a racing drainer" l1 l
+
+(* A tick publishes every session at once, so a reader on another domain
+   sees each session as of one completed tick: its counters agree with its
+   history, and a windowed session's window has advanced exactly as far
+   as its newest record. The test domain reads in a loop while a second
+   domain runs the ticks. *)
+let test_views_are_whole_ticks () =
+  let _svc, eng = fresh () in
+  ignore
+    (register eng
+       (sub ~epsilon:0.5 ~every:1
+          ~window:(win ~epochs:3 ~epsilon:4.0 ~delta:1e-4 ())
+          "top1"));
+  ignore (register eng (sub ~epsilon:0.4 ~every:1 "median"));
+  let finished = Atomic.make false in
+  let ticker =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () -> E.run_epochs eng 4))
+  in
+  let count pred (s : E.session) =
+    List.length
+      (List.filter
+         (fun r ->
+           match r.E.er_outcome with
+           | E.Ran { status; _ } -> pred status
+           | _ -> false)
+         s.E.history)
+  in
+  let torn (s : E.session) =
+    let newest = match s.E.history with r :: _ -> r.E.er_epoch | [] -> 0 in
+    List.filter_map
+      (fun (what, ok) -> if ok then None else Some (s.E.name ^ ": " ^ what))
+      [
+        ("runs disagree with history",
+         s.E.runs = count (( = ) "executed") s);
+        ("plan counters disagree with history",
+         s.E.cold + s.E.replans + s.E.revalidations
+         = count (fun st -> st <> "refused" && st <> "missing") s);
+        ("window is not at the newest record's epoch",
+         match s.E.window with
+         | None -> true
+         | Some w -> B.Window.epoch w = newest);
+      ]
+  in
+  let reads = ref 0 and failures = ref [] in
+  while not (Atomic.get finished) do
+    incr reads;
+    failures := List.concat_map torn (E.sessions eng) @ !failures
+  done;
+  let epochs = Domain.join ticker in
+  Printf.printf "%d reads during the ticks, %d torn\n" !reads
+    (List.length !failures);
+  checki "four epochs ran" 4 (List.length epochs);
+  checki "top1 executed every epoch" 4 (view eng "top1").E.runs;
+  checki "median executed every epoch" 4 (view eng "median").E.runs;
+  checkb
+    (match !failures with
+    | [] -> "no torn read"
+    | f :: _ -> Printf.sprintf "torn read: %s" f)
+    true (!failures = [])
 
 (* ---------------- views and JSON surface ---------------- *)
 
@@ -527,6 +587,8 @@ let () =
             test_worker_count_invisible_across_epochs;
           Alcotest.test_case "settle under a concurrent drainer" `Quick
             test_settle_under_concurrent_drains;
+          Alcotest.test_case "views are whole ticks" `Quick
+            test_views_are_whole_ticks;
         ] );
       ( "surface",
         [

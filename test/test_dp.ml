@@ -316,16 +316,24 @@ let dyadic k =
     ~epsilon:(float_of_int k /. 64.0)
     ~delta:(float_of_int k /. 1_048_576.0)
 
+(* The window with [cost] charged, or [w] itself when it refuses the
+   charge. *)
+let charge_or_keep w cost = Option.value (W.charge w ~cost) ~default:w
+
 let test_window_basics () =
   let w = W.create ~horizon:3 ~limit:(B.create ~epsilon:1.0 ~delta:1e-5) in
   checki "starts at epoch 0" 0 (W.epoch w);
-  ignore (W.advance w 1);
+  let w, _ = W.advance w 1 in
   let c = B.create ~epsilon:0.5 ~delta:0.0 in
-  (match W.charge w ~cost:c with
-  | Some b -> checkf "balance after first charge" 0.5 b.B.epsilon
-  | None -> Alcotest.fail "affordable charge refused");
-  ignore (W.advance w 2);
-  ignore (W.charge w ~cost:c);
+  let w =
+    match W.charge w ~cost:c with
+    | Some w ->
+        checkf "balance after first charge" 0.5 (W.balance w).B.epsilon;
+        w
+    | None -> Alcotest.fail "affordable charge refused"
+  in
+  let w, _ = W.advance w 2 in
+  let w = charge_or_keep w c in
   checkb "exhausted window refuses" true (not (W.can_afford w ~cost:c));
   checkb "refused charge leaves state" true (W.charge w ~cost:c = None);
   checkf "spent over live window" 1.0 (W.spent w).B.epsilon;
@@ -334,7 +342,7 @@ let test_window_basics () =
       checki "oldest charge expires at epoch 4" 4 e;
       checkf "and refunds exactly its cost" 0.5 r.B.epsilon
   | None -> Alcotest.fail "live window has no expiry");
-  let refund = W.advance w 4 in
+  let w, refund = W.advance w 4 in
   checkf "advance returns the exact refund" 0.5 refund.B.epsilon;
   checkb "refund makes the window affordable again" true
     (W.can_afford w ~cost:c);
@@ -346,16 +354,15 @@ let test_window_basics () =
 
 let test_window_composed_partial () =
   let limit = B.create ~epsilon:100.0 ~delta:1.0 in
-  let w = W.create ~horizon:2 ~limit in
-  ignore (W.advance w 1);
+  let w, _ = W.advance (W.create ~horizon:2 ~limit) 1 in
   checkb "empty window composes to zero" true (B.equal (W.composed w) B.zero);
   let c = B.create ~epsilon:0.01 ~delta:0.0 in
-  ignore (W.charge w ~cost:c);
+  let w = charge_or_keep w c in
   (* A single live charge composes to itself: k=1 advanced composition
      cannot beat the sequential bound. *)
   checkf "single charge composes to itself" c.B.epsilon
     (W.composed w).B.epsilon;
-  for _ = 1 to 199 do ignore (W.charge w ~cost:c) done;
+  let w = List.fold_left (fun w _ -> charge_or_keep w c) w (List.init 199 Fun.id) in
   let comp = W.composed ~delta_slack:1e-6 w in
   let seq = W.spent w in
   checkb "advanced beats sequential over 200 small charges" true
@@ -363,9 +370,9 @@ let test_window_composed_partial () =
   checkb "delta slack accounted" true (comp.B.delta >= 1e-6);
   (* Partially-filled window: expired charges must drop out of the
      composition, leaving only the live ones. *)
-  ignore (W.advance w 2);
-  ignore (W.charge w ~cost:(B.create ~epsilon:2.0 ~delta:0.0));
-  ignore (W.advance w 3);
+  let w, _ = W.advance w 2 in
+  let w = charge_or_keep w (B.create ~epsilon:2.0 ~delta:0.0) in
+  let w, _ = W.advance w 3 in
   checkb "composition covers live charges only" true
     (B.equal (W.composed w) (B.create ~epsilon:2.0 ~delta:0.0))
 
@@ -380,18 +387,24 @@ let prop_window_conservation =
         (list_of_size Gen.(int_range 1 40) (pair bool (int_range 1 16))))
     (fun (horizon, ops) ->
       let limit = B.create ~epsilon:0.25 ~delta:2e-4 in
-      let w = W.create ~horizon ~limit in
+      let w = ref (W.create ~horizon ~limit) in
       let epoch = ref 0 in
       let charged = ref B.zero and refunded = ref B.zero in
+      let advance e =
+        let w', r = W.advance !w e in
+        w := w';
+        refunded := B.spend_all !refunded r
+      in
       List.iter
         (fun (is_charge, k) ->
           (if is_charge then begin
              let cost = dyadic k in
-             let affordable = W.can_afford w ~cost in
-             match W.charge w ~cost with
-             | Some _ ->
+             let affordable = W.can_afford !w ~cost in
+             match W.charge !w ~cost with
+             | Some w' ->
                  if not affordable then
                    QCheck.Test.fail_report "charged past the prescreen";
+                 w := w';
                  charged := B.spend_all !charged cost
              | None ->
                  if affordable then
@@ -399,13 +412,13 @@ let prop_window_conservation =
            end
            else begin
              epoch := !epoch + 1 + (k mod 3);
-             refunded := B.spend_all !refunded (W.advance w !epoch)
+             advance !epoch
            end);
-          let sp = W.spent w in
+          let sp = W.spent !w in
           if sp.B.epsilon > limit.B.epsilon || sp.B.delta > limit.B.delta then
             QCheck.Test.fail_report "window over-spent its limit")
         ops;
-      refunded := B.spend_all !refunded (W.advance w (!epoch + horizon + 1));
+      advance (!epoch + horizon + 1);
       B.equal !charged !refunded)
 
 let prop_window_commutative =
@@ -417,10 +430,8 @@ let prop_window_commutative =
       let limit = B.create ~epsilon:1000.0 ~delta:1.0 in
       let bytes w = Arb_util.Json.to_string (W.to_json w) in
       let mk order =
-        let w = W.create ~horizon:3 ~limit in
-        ignore (W.advance w 1);
-        List.iter (fun k -> ignore (W.charge w ~cost:(dyadic k))) order;
-        w
+        let w, _ = W.advance (W.create ~horizon:3 ~limit) 1 in
+        List.fold_left (fun w k -> charge_or_keep w (dyadic k)) w order
       in
       let w1 = mk ks and w2 = mk (List.rev ks) in
       W.equal w1 w2 && bytes w1 = bytes w2)

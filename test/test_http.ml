@@ -623,22 +623,23 @@ let test_api_multi_epoch_equivalence () =
     let svc = service () in
     let engine = E.create ~service:svc () in
     List.iter
-      (fun (name, s) ->
-        match E.register engine ~name s with
+      (fun s ->
+        match E.register engine s with
         | Ok _ -> ()
         | Error m -> Alcotest.fail m)
-      [ ( "trend",
-          { (sub ~epsilon:0.5 "top1") with
-            every = Some 1;
-            window =
-              Some
-                { S.Workload.w_epochs = 3;
-                  w_budget = B.create ~epsilon:2.0 ~delta:1e-4;
-                  w_compose = None } } );
-        ("pulse", { (sub ~epsilon:0.4 "median") with every = Some 2 }) ];
+      [ { (sub ~epsilon:0.5 "top1") with
+          every = Some 1;
+          window =
+            Some
+              { S.Workload.w_epochs = 3;
+                w_budget = B.create ~epsilon:2.0 ~delta:1e-4;
+                w_compose = None } };
+        { (sub ~epsilon:0.4 "median") with every = Some 2 } ];
     drive svc engine;
     ( String.concat "\n"
-        (List.map (fun v -> E.records_string v.E.v_history) (E.sessions engine)),
+        (List.map
+           (fun s -> E.records_string (List.rev s.E.history))
+           (E.sessions engine)),
       S.Lifecycle.records_to_string ~timings:false (S.Service.history svc),
       S.Service.budget_left svc )
   in
