@@ -46,13 +46,18 @@ let () =
   in
   let db = Arboretum.synthesize_database ~seed:77L ~skew:1.4 top1 ~n:128 in
   (* Budget for roughly the three queries: 1.0 + 3*0.5 + 1.0 = 3.5. *)
+  let n = Array.length db in
   let session =
     Arb_runtime.Session.create
       ~budget:(Arb_dp.Budget.create ~epsilon:3.6 ~delta:1e-3)
-      ~db ()
+      ~devices:n ()
   in
   let show name q =
-    let result = Arb_runtime.Session.run session q in
+    (* The planner chooses the plan; the session only runs it. *)
+    let planned = Arboretum.plan ~n q in
+    let result =
+      Arb_runtime.Session.run session ~db ~plan:planned.Arboretum.plan q
+    in
     (match result with
     | Ok r ->
         Printf.printf "%-8s (round %d, block %s...) -> %s   [budget left: %s]\n" name

@@ -38,8 +38,6 @@
 
 type planned = Cold | Revalidated | Replanned
 
-val planned_name : planned -> string
-
 type outcome =
   | Skipped  (** not due this epoch *)
   | Window_refused of string  (** window prescreen refused; nothing ran *)

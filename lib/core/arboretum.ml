@@ -65,22 +65,14 @@ let builtin_query ?epsilon ?error_tolerance ?categories name =
 
 let certify (q : query) ~n = Arb_lang.Certify.certify q.Arb_queries.Registry.program ~n
 
-let plan ?cm ?goal ?limits ?tracer ?metrics:registry ~n (q : query) =
+let plan ?cm ?goal ?(limits = Arb_planner.Constraints.no_limits) ?tracer
+    ?metrics:registry ~n (q : query) =
   let certification = certify q ~n in
   if not certification.Arb_lang.Certify.certified then
     raise
       (Rejected
          ("certification failed: "
          ^ Option.value certification.Arb_lang.Certify.reason ~default:"?"));
-  (* The query's declared tolerance becomes a planner constraint: without
-     one, only zero-error (exact) plans qualify and the search is byte-for-
-     byte what it was before the approximate variants existed. *)
-  let limits =
-    let base = Option.value limits ~default:Arb_planner.Constraints.no_limits in
-    match q.Arb_queries.Registry.error_tolerance with
-    | None -> base
-    | Some _ as tol -> Arb_planner.Constraints.with_error_tolerance base tol
-  in
   let r =
     Arb_planner.Search.plan ?cm ?goal ?tracer ?metrics:registry ~limits
       ~query:q ~n ()

@@ -73,7 +73,9 @@ val plan :
   query ->
   planned
 (** Certify then search for the best plan (§4). Raises {!Rejected} when
-    certification fails or no plan satisfies the limits. [cm] selects the
+    certification fails or no plan satisfies the limits (default
+    {!Arb_planner.Constraints.no_limits}) and the query's own error
+    tolerance, which the search reads off the query. [cm] selects the
     cost model pricing candidates (default {!Arb_planner.Cost_model.default};
     pass a fitted [Calibration.t]'s constants — [arb plan --calibration]).
     [tracer] and [metrics] are handed to {!Arb_planner.Search.plan} for

@@ -115,19 +115,14 @@ let ctx_of params =
 
 let workspace ctx = Domain.DLS.get ctx.wk
 
-(* An element of R_q in RNS form: one coefficient array per prime, tagged
-   with the representation it is in. Everything long-lived — ciphertexts,
-   public keys, relin/galois keys, secret-key shares — is held in [Eval]
-   (NTT) form end-to-end, so homomorphic add stays a coefficient-wise map
-   and mul/relinearize become pointwise products with no redundant
-   transforms. [Coeff] appears only transiently at the encode/decode,
+(* An element of R_q in RNS form: one array per prime, always in
+   evaluation (NTT) form. Everything — ciphertexts, public keys,
+   relin/galois keys, secret-key shares — is held in that form end-to-end,
+   so homomorphic add stays a coefficient-wise map and mul/relinearize
+   become pointwise products with no redundant transforms. Coefficient
+   form appears only transiently, in scratch arrays, at the encode/decode,
    serialize, galois and relin-digit boundaries (DESIGN.md §10). *)
-type domain = Coeff | Eval [@@warning "-37"]
-(* Coeff is currently only ever matched (serialize) — long-lived values
-   are all built in Eval form — but the tag keeps the representation
-   explicit and the boundaries checkable. *)
-
-type rq = { dom : domain; rs : int array array }
+type rq = { rs : int array array }
 
 type secret_key = { sk_ctx : ctx; s : rq }
 type public_key = { pk_ctx : ctx; pk_a : rq; pk_b : rq }
@@ -135,13 +130,11 @@ type relin_key = { rk_ctx : ctx; rk : (rq * rq) array (* per digit: (b, a) *) }
 
 type ciphertext = {
   ct_ctx : ctx;
-  cs : rq array; (* c0, c1 [, c2], all Eval *)
+  cs : rq array; (* c0, c1 [, c2] *)
   noise_bits : float; (* log2 estimate of |m + t*e - m| = |t*e| *)
 }
 
-let params_of_ct ct = ct.ct_ctx.params
 let ciphertext_degree ct = Array.length ct.cs - 1
-let slot_count p = p.n
 
 let ciphertext_bytes p degree =
   (degree + 1) * List.length p.q_primes * p.n * 4
@@ -151,9 +144,6 @@ let public_key_bytes p = 2 * List.length p.q_primes * p.n * 4
 let noise_budget_bits ct = ct.ct_ctx.log2_q -. 1.0 -. ct.noise_bits
 
 (* --- small-integer polynomials, reduced consistently into every prime --- *)
-
-let same_dom a b =
-  if a.dom <> b.dom then invalid_arg "Bgv: mixed-domain rq operation"
 
 (* Reduce a small signed coefficient vector into every prime and transform
    to evaluation form. *)
@@ -166,7 +156,7 @@ let reduce_small_eval ctx (small : int array) : rq =
         v)
       ctx.fields
   in
-  { dom = Eval; rs }
+  { rs }
 
 let sample_ternary ctx rng =
   Array.init ctx.params.n (fun _ -> Arb_util.Rng.int rng 3 - 1)
@@ -176,21 +166,19 @@ let sample_error ctx rng =
       int_of_float (Float.round (Arb_util.Rng.gaussian rng ~sigma:ctx.params.sigma)))
 
 let rq_add_into ctx ~(dst : rq) (a : rq) (b : rq) =
-  same_dom a b;
   Array.iteri
     (fun j fld -> Poly.add_into fld ~dst:dst.rs.(j) a.rs.(j) b.rs.(j))
     ctx.fields
 
-let rq_fresh ctx dom = { dom; rs = Array.map (fun _ -> Array.make ctx.params.n 0) ctx.fields }
+let rq_fresh ctx = { rs = Array.map (fun _ -> Array.make ctx.params.n 0) ctx.fields }
 
 let rq_add ctx a b =
-  let dst = rq_fresh ctx a.dom in
+  let dst = rq_fresh ctx in
   rq_add_into ctx ~dst a b;
   dst
 
 let rq_sub ctx a b =
-  same_dom a b;
-  let dst = rq_fresh ctx a.dom in
+  let dst = rq_fresh ctx in
   Array.iteri
     (fun j fld -> Poly.sub_into fld ~dst:dst.rs.(j) a.rs.(j) b.rs.(j))
     ctx.fields;
@@ -199,9 +187,7 @@ let rq_sub ctx a b =
 (* Pointwise product of evaluation-form elements — the whole point of the
    representation: ring multiplication with no transforms. *)
 let rq_mul_eval ctx a b =
-  same_dom a b;
-  if a.dom <> Eval then invalid_arg "Bgv: rq_mul_eval wants evaluation form";
-  let dst = rq_fresh ctx Eval in
+  let dst = rq_fresh ctx in
   Array.iteri
     (fun j plan -> Ntt.pointwise_into plan ~dst:dst.rs.(j) a.rs.(j) b.rs.(j))
     ctx.plans;
@@ -212,11 +198,10 @@ let rq_mul_eval ctx a b =
    and order match the seed implementation exactly. *)
 let rq_uniform ctx rng : rq =
   {
-    dom = Eval;
     rs = Array.map (fun fld -> Poly.random_uniform fld rng ctx.params.n) ctx.fields;
   }
 
-let rq_zero ctx : rq = rq_fresh ctx Eval
+let rq_zero ctx : rq = rq_fresh ctx
 
 (* --- plaintext slot encoding: NTT over Z_t --- *)
 
@@ -265,7 +250,7 @@ let masked_key_poly ctx ~a ~s ~e ?extra ~at () =
         | _ -> ());
         dst)
   in
-  { dom = Eval; rs }
+  { rs }
 
 let keygen params rng =
   let ctx = ctx_of params in
@@ -311,7 +296,7 @@ let encrypt_with_randomness pk r slots =
     done;
     Ntt.forward ctx.plans.(j) dst
   done;
-  let c0 = rq_fresh ctx Eval and c1 = rq_fresh ctx Eval in
+  let c0 = rq_fresh ctx and c1 = rq_fresh ctx in
   for j = 0 to nprimes - 1 do
     let fld = ctx.fields.(j) and plan = ctx.plans.(j) in
     let s = ws.w_small in
@@ -441,13 +426,6 @@ let sub a b =
     noise_bits = add_noise_bits a.noise_bits b.noise_bits;
   }
 
-let add_plain ct slots =
-  let ctx = ct.ct_ctx in
-  let m = reduce_small_eval ctx (encode ctx slots) in
-  let cs = Array.copy ct.cs in
-  cs.(0) <- rq_add ctx cs.(0) m;
-  { ct with cs }
-
 let mul_plain ct slots =
   let ctx = ct.ct_ctx in
   let m = reduce_small_eval ctx (encode ctx slots) in
@@ -502,8 +480,8 @@ let relin_keygen params rng sk =
   in
   { rk_ctx = ctx; rk }
 
-(* Key-switch the digits of [src] (an Eval-form rq) through the per-digit
-   key pairs, accumulating b-parts into [acc0] and a-parts into [acc1].
+(* Key-switch the digits of [src] through the per-digit key pairs,
+   accumulating b-parts into [acc0] and a-parts into [acc1].
    Digit j is src's coefficient-form residue at prime j promoted into every
    prime: one inverse transform recovers it, and at prime j itself the
    promotion is the identity, so src's residue is reused untransformed. *)
@@ -543,9 +521,8 @@ let relinearize rk ct =
   let ctx = ct.ct_ctx in
   if rk.rk_ctx != ctx then invalid_arg "Bgv.relinearize: mismatched parameters";
   let ws = workspace ctx in
-  let c0 =
-    { dom = Eval; rs = Array.map Array.copy ct.cs.(0).rs }
-  and c1 = { dom = Eval; rs = Array.map Array.copy ct.cs.(1).rs } in
+  let c0 = { rs = Array.map Array.copy ct.cs.(0).rs }
+  and c1 = { rs = Array.map Array.copy ct.cs.(1).rs } in
   key_switch_digits ctx ws ~keys:rk.rk ~src:ct.cs.(2) ~acc0:c0 ~acc1:c1;
   {
     ct_ctx = ctx;
@@ -622,7 +599,6 @@ let galois_poly fld n k (a : int array) =
    is a coefficient permutation with signs). Cold path — key setup and
    rotations only. *)
 let rq_galois ctx k (a : rq) : rq =
-  if a.dom <> Eval then invalid_arg "Bgv.rq_galois: evaluation form expected";
   let rs =
     Array.mapi
       (fun j aj ->
@@ -633,7 +609,7 @@ let rq_galois ctx k (a : rq) : rq =
         g)
       a.rs
   in
-  { dom = Eval; rs }
+  { rs }
 
 (* The generator of the slot-rotation subgroup for power-of-two
    cyclotomics. *)
@@ -729,14 +705,10 @@ let serialize_ciphertext ct =
     (fun (comp : rq) ->
       Array.iteri
         (fun j poly ->
-          match comp.dom with
-          | Coeff ->
-              Array.iter (fun c -> Buffer.add_int32_le buf (Int32.of_int c)) poly
-          | Eval ->
-              let c = ws.w_small in
-              Array.blit poly 0 c 0 n;
-              Ntt.inverse ctx.plans.(j) c;
-              Array.iter (fun x -> Buffer.add_int32_le buf (Int32.of_int x)) c)
+          let c = ws.w_small in
+          Array.blit poly 0 c 0 n;
+          Ntt.inverse ctx.plans.(j) c;
+          Array.iter (fun x -> Buffer.add_int32_le buf (Int32.of_int x)) c)
         comp.rs)
     ct.cs;
   Buffer.contents buf
@@ -758,14 +730,10 @@ let serialize_public_key pk =
     (fun (comp : rq) ->
       Array.iteri
         (fun j poly ->
-          match comp.dom with
-          | Coeff ->
-              Array.iter (fun c -> Buffer.add_int32_le buf (Int32.of_int c)) poly
-          | Eval ->
-              let c = ws.w_small in
-              Array.blit poly 0 c 0 n;
-              Ntt.inverse ctx.plans.(j) c;
-              Array.iter (fun x -> Buffer.add_int32_le buf (Int32.of_int x)) c)
+          let c = ws.w_small in
+          Array.blit poly 0 c 0 n;
+          Ntt.inverse ctx.plans.(j) c;
+          Array.iter (fun x -> Buffer.add_int32_le buf (Int32.of_int x)) c)
         comp.rs)
     [ pk.pk_a; pk.pk_b ];
   Buffer.contents buf
@@ -814,7 +782,7 @@ let deserialize_ciphertext params s =
        Array.map
          (fun comp ->
            Array.iteri (fun j poly -> Ntt.forward ctx.plans.(j) poly) comp;
-           { dom = Eval; rs = comp })
+           { rs = comp })
          css
      in
      { ct_ctx = ctx; cs; noise_bits = float_of_int noise_q /. 256.0 }

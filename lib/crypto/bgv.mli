@@ -98,7 +98,6 @@ val accumulate : ciphertext -> ciphertext -> ciphertext
     [acc] must not be used by the caller afterwards. Result values and
     noise bookkeeping are identical to [add acc ct]. *)
 
-val add_plain : ciphertext -> int array -> ciphertext
 val mul_plain : ciphertext -> int array -> ciphertext
 (** Slot-wise product with a cleartext vector. *)
 
@@ -108,14 +107,7 @@ val mul : ciphertext -> ciphertext -> ciphertext
 val relinearize : relin_key -> ciphertext -> ciphertext
 (** Degree 2 -> degree 1 via RNS-gadget key switching. *)
 
-val params_of_ct : ciphertext -> params
-
-val ciphertext_bytes : params -> int -> int
-(** [ciphertext_bytes p degree] — serialized size: (degree+1) polynomials,
-    4 bytes per residue coefficient. *)
-
 val public_key_bytes : params -> int
-val slot_count : params -> int
 
 (** {2 Threshold decryption} — used by decryption committees (§5.2/§5.4). *)
 
@@ -158,7 +150,7 @@ val slot_rotation_of_galois : params -> k:int -> int array
     derived from the encoding and cached. *)
 
 (** {2 Serialization} — the wire format devices upload; its length is what
-    the byte accounting charges (validated against [ciphertext_bytes] by
+    the byte accounting charges (validated against {!serialized_bytes} by
     tests). *)
 
 val serialize_ciphertext : ciphertext -> string
@@ -173,8 +165,8 @@ val deserialize_ciphertext : params -> string -> ciphertext
     non-canonical coefficients (a malformed upload). *)
 
 val serialized_bytes : params -> int -> int
-(** Exact wire size for a given degree: a 14-byte header plus
-    [ciphertext_bytes]. Use this (not [String.length] of
+(** Exact wire size for a given degree: a 14-byte header plus (degree+1)
+    polynomials of 4 bytes per residue coefficient. Use this (not [String.length] of
     {!serialize_ciphertext}) when only the byte count is needed — e.g. the
     runtime's upload accounting. *)
 

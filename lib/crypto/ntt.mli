@@ -63,15 +63,14 @@ val multiply_reference : plan -> int array -> int array -> int array
 (** {2 Kernel counters}
 
     Process-lifetime totals, exported as [arb_crypto_*] metrics gauges by
-    the runtime's [Trace.export]. [reductions_saved] counts hardware
-    divisions the seed kernels would have issued for the same call
-    sequence (one per butterfly, per inverse-scaling coefficient, per
-    pointwise slot). *)
+    the runtime's [Trace.export]. *)
 module Stats : sig
   val transforms : int Atomic.t
   val pointwise_ops : int Atomic.t
-  val reductions_saved : int Atomic.t
 
   val get : unit -> int * int * int
-  (** [(transforms, pointwise_ops, reductions_saved)] snapshot. *)
+  (** [(transforms, pointwise_ops, reductions_saved)] snapshot.
+      [reductions_saved] counts hardware divisions the seed kernels would
+      have issued for the same call sequence (one per butterfly, per
+      inverse-scaling coefficient, per pointwise slot). *)
 end

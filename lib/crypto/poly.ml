@@ -78,21 +78,6 @@ let mul_naive fld a b =
 
 let random_uniform fld rng n = Array.init n (fun _ -> Field.random fld rng)
 
-let random_ternary fld rng n =
-  Array.init n (fun _ ->
-      match Arb_util.Rng.int rng 3 with
-      | 0 -> 0
-      | 1 -> 1
-      | _ -> Field.neg fld 1)
-
-let random_error fld rng ~sigma n =
-  Array.init n (fun _ ->
-      let e = int_of_float (Float.round (Arb_util.Rng.gaussian rng ~sigma)) in
-      Field.of_int fld e)
-
-let inf_norm fld a =
-  Array.fold_left (fun acc x -> max acc (abs (Field.center fld x))) 0 a
-
 (* Explicit structural equality on int arrays: immune to polymorphic-
    compare surprises if a caller's representation ever grows variants or
    records around these coefficient vectors. *)

@@ -21,15 +21,6 @@ val mul_naive : Field.t -> int array -> int array -> int array
 val random_uniform : Field.t -> Arb_util.Rng.t -> int -> int array
 (** Uniform coefficients. *)
 
-val random_ternary : Field.t -> Arb_util.Rng.t -> int -> int array
-(** Coefficients in \{-1, 0, 1\} (canonicalized mod p) — secret keys. *)
-
-val random_error : Field.t -> Arb_util.Rng.t -> sigma:float -> int -> int array
-(** Rounded-Gaussian error coefficients. *)
-
-val inf_norm : Field.t -> int array -> int
-(** Largest centered absolute coefficient. *)
-
 val equal : int array -> int array -> bool
 (** Structural equality on coefficient arrays (explicitly monomorphic on
     [int array] — no polymorphic compare). *)

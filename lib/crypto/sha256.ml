@@ -1,7 +1,5 @@
 type digest = string
 
-let digest_length = 32
-
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
      0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
@@ -152,7 +150,11 @@ let digest s =
   feed ctx s;
   finalize ctx
 
-let digest_bytes b = digest (Bytes.to_string b)
+let seed_of s =
+  String.fold_left
+    (fun acc c -> Int64.add (Int64.mul acc 131L) (Int64.of_int (Char.code c)))
+    7L
+    (String.sub (digest s) 0 8)
 
 (* HMAC's first block is the padded key, so a key fixes the chaining state
    after it on each side: [inner] after the ipad block, [outer] after the

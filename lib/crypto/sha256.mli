@@ -12,13 +12,14 @@
 type digest = string
 (** 32-byte raw digest. *)
 
-val digest_length : int
-(** 32. *)
-
 val digest : string -> digest
 (** Hash of a full string. *)
 
-val digest_bytes : bytes -> digest
+val seed_of : string -> int64
+(** A 64-bit RNG seed derived from [s]: the first 8 bytes of
+    [digest s], folded as [acc * 131 + byte] starting at 7. Sessions derive
+    each query's execution seed with it, and the service each submission's
+    database seed. *)
 
 type hmac_key
 (** An HMAC key with its two pad blocks already compressed: the chaining

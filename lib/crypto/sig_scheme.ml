@@ -18,8 +18,6 @@ type secret = {
 type public = string
 type keypair = { secret : secret; public : public }
 
-let signature_bytes = 256
-
 (* "lamport|b|i|", the PRF input's prefix for s[b][i]. *)
 let prefixes = Array.init 512 (fun j -> Printf.sprintf "lamport|%d|%d|" (j / 256) (j mod 256))
 

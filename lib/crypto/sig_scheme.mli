@@ -6,7 +6,7 @@
     has no bignum library, so we substitute Lamport one-time signatures built
     on our SHA-256 — a real, verifiable scheme, deterministic by
     construction. Signatures are larger than RSA's (8 KiB vs 256 B), so the
-    cost model charges [signature_bytes] = 256 to match the deployed scheme
+    cost model charges RSA-2048's 256 bytes to match the deployed scheme
     (documented substitution; DESIGN.md §1). Keys are one-time: the runtime
     derives a fresh per-query key from a device's long-term seed. *)
 
@@ -39,7 +39,3 @@ val verify : public:public -> msg:string -> signature:string -> bool
 (** Hashes the signature's commitment block and each revealed preimage
     where they lie in [signature], through one reused context: no
     substring is built. *)
-
-val signature_bytes : int
-(** Wire size charged by the cost model (256, matching RSA-2048 as deployed
-    in the paper's prototype). *)

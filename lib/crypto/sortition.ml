@@ -69,7 +69,6 @@ module Registry = struct
     done;
     { n; block_seeds; root = Merkle.root (Merkle.build leaves) }
 
-  let size t = t.n
   let n_blocks t = Array.length t.block_seeds
   let root t = t.root
 

@@ -46,9 +46,6 @@ module Registry : sig
   (** Derive the registry for a population of [n] devices. O(n /
       block_size) work and memory. Raises [Invalid_argument] if [n <= 0]. *)
 
-  val size : t -> int
-  val n_blocks : t -> int
-
   val root : t -> Sha256.digest
   (** The registry commitment carried in the query authorization
       certificate. Depends only on (seed, n). *)

@@ -7,9 +7,6 @@ let laplace rng ~epsilon ~sensitivity v =
   if epsilon <= 0.0 then invalid_arg "Mechanisms.laplace: epsilon <= 0";
   v +. laplace_sample rng ~scale:(sensitivity /. epsilon)
 
-let laplace_vector rng ~epsilon ~sensitivity vs =
-  Array.map (laplace rng ~epsilon ~sensitivity) vs
-
 let argmax_float (a : float array) =
   if Array.length a = 0 then invalid_arg "Mechanisms: empty scores";
   let best = ref 0 in

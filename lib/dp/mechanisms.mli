@@ -10,9 +10,6 @@
 val laplace : Arb_util.Rng.t -> epsilon:float -> sensitivity:float -> float -> float
 (** [laplace rng ~epsilon ~sensitivity v] = v + Lap(sensitivity/epsilon). *)
 
-val laplace_vector :
-  Arb_util.Rng.t -> epsilon:float -> sensitivity:float -> float array -> float array
-
 val exponential_gumbel :
   Arb_util.Rng.t -> epsilon:float -> sensitivity:float -> float array -> int
 (** Exponential mechanism by adding Gumbel(2*sens/eps) noise to each quality
@@ -37,9 +34,6 @@ val noisy_max_gap :
   int * float
 (** Exponential mechanism with free gap: the winning index together with the
     noisy gap to the runner-up, which is released for free (Ding et al.). *)
-
-val gumbel_sample : Arb_util.Rng.t -> scale:float -> float
-val laplace_sample : Arb_util.Rng.t -> scale:float -> float
 
 val geometric :
   Arb_util.Rng.t -> epsilon:float -> sensitivity:float -> int -> int

@@ -31,17 +31,6 @@ let as_float = function
   | V_bool b -> if b then 1.0 else 0.0
   | V_arr _ -> err "expected a scalar, got an array"
 
-let rec equal_value a b =
-  match (a, b) with
-  | V_int x, V_int y -> x = y
-  | V_fix x, V_fix y -> Fx.equal x y
-  | V_bool x, V_bool y -> x = y
-  | V_arr x, V_arr y ->
-      Array.length x = Array.length y
-      && Array.for_all2 equal_value x y
-  | (V_int _ | V_fix _), (V_int _ | V_fix _) -> as_float a = as_float b
-  | _ -> false
-
 type env = {
   vars : (string, value) Hashtbl.t;
   rng : Arb_util.Rng.t;

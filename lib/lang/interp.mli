@@ -29,4 +29,3 @@ val run :
 val value_to_string : value -> string
 val as_int : value -> int
 val as_float : value -> float
-val equal_value : value -> value -> bool

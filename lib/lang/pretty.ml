@@ -69,4 +69,3 @@ let rec stmt_lines indent s =
       @ [ pad ^ "endif" ]
 
 let stmt s = String.concat "\n" (stmt_lines 0 s) ^ "\n"
-let pp_stmt fmt s = Format.pp_print_string fmt (stmt s)

@@ -3,4 +3,3 @@
 
 val expr : Ast.expr -> string
 val stmt : Ast.stmt -> string
-val pp_stmt : Format.formatter -> Ast.stmt -> unit

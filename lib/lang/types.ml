@@ -317,9 +317,3 @@ let static_eval_expr = static_eval
 
 let plaintext_bits_needed env = env.max_bits
 let max_category_count env = env.max_cats
-
-let pp_ty fmt t =
-  let base = match t.base with Ty_int -> "int" | Ty_fix -> "fix" | Ty_bool -> "bool" in
-  Format.fprintf fmt "%s%s %a" base
-    (String.concat "" (List.map (Printf.sprintf "[%d]") t.dims))
-    I.pp t.range

@@ -42,5 +42,3 @@ val plaintext_bits_needed : env -> int
 val max_category_count : env -> int
 (** Largest vector length flowing through the program (e.g. the histogram
     width) — drives ciphertext packing. *)
-
-val pp_ty : Format.formatter -> ty -> unit

@@ -15,11 +15,6 @@ val argmax : Engine.t -> Fixpoint_mpc.t array -> Engine.sec
 
 val max : Engine.t -> Fixpoint_mpc.t array -> Fixpoint_mpc.t
 
-val noised_scores :
-  Engine.t -> noise:(Engine.t -> Fixpoint_mpc.t) -> Fixpoint_mpc.t array ->
-  Fixpoint_mpc.t array
-(** Add independently sampled in-MPC noise to each score. *)
-
 val em_gumbel : Engine.t -> epsilon:float -> sensitivity:float ->
   Fixpoint_mpc.t array -> int
 (** Exponential mechanism, Gumbel instantiation: noise each quality score

@@ -314,18 +314,6 @@ let fit ?(base = Cost_model.default) ~runs () =
 let log_schema = "arb-residuals/1"
 let log_file ~dir = Filename.concat dir "residuals.jsonl"
 
-(* EEXIST-tolerant recursive mkdir: two writers sharing a store may race
-   to create it, and losing that race is success. *)
-let rec mkdir_p dir =
-  if not (dir = "" || dir = "." || dir = "/" || Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    match Sys.mkdir dir 0o755 with
-    | () -> ()
-    | exception Sys_error _
-      when try Sys.is_directory dir with Sys_error _ -> false ->
-        ()
-  end
-
 let append ~dir ~model samples =
   let line =
     J.to_string
@@ -343,7 +331,7 @@ let append ~dir ~model samples =
   in
   let path = log_file ~dir in
   match
-    mkdir_p dir;
+    Plan_io.mkdir_p dir;
     let fd =
       Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
     in

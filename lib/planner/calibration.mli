@@ -36,8 +36,6 @@ type provenance = {
   p_sections : section_fit list;
 }
 
-val empty_provenance : provenance
-
 type t = {
   version : int;
   constants : Cost_model.t;

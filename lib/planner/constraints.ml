@@ -13,12 +13,6 @@ type limits = {
   max_part_max_time : float option;
   max_part_exp_bytes : float option;
   max_part_max_bytes : float option;
-  max_est_error : float option;
-      (* Unlike the resource caps, [None] here does NOT mean "unconstrained":
-         it means the analyst supplied no error tolerance, so only exact
-         plans ([est_error = 0]) are admissible. This keeps the planner's
-         winners byte-identical to the pre-approximation planner whenever no
-         tolerance is given. *)
 }
 
 let no_limits =
@@ -29,7 +23,6 @@ let no_limits =
     max_part_max_time = None;
     max_part_exp_bytes = None;
     max_part_max_bytes = None;
-    max_est_error = None;
   }
 
 (* §7.2 caps participants at 4 GB / 20 min. The aggregator cap follows
@@ -44,31 +37,30 @@ let evaluation_limits =
     max_part_max_time = Some (20.0 *. 60.0);
     max_part_exp_bytes = None;
     max_part_max_bytes = Some 4.0e9;
-    max_est_error = None;
   }
 
 let with_agg_core_hours limits h = { limits with max_agg_time = Some (h *. 3600.0) }
-let with_error_tolerance limits tol = { limits with max_est_error = tol }
 
 let le_opt v = function None -> true | Some limit -> v <= limit
 
-(* [est_error] is capped by the tolerance when one is given; with no
-   tolerance only exact plans pass. *)
+(* [est_error] is capped by the tolerance when one is given. Unlike the
+   resource caps, [None] does NOT mean "unconstrained": the analyst supplied
+   no tolerance, so only exact plans pass. *)
 let error_ok v = function None -> v <= 0.0 | Some limit -> v <= limit
 
-let satisfies l (m : Cost_model.metrics) =
+let satisfies l ~tolerance (m : Cost_model.metrics) =
   le_opt m.Cost_model.agg_time l.max_agg_time
   && le_opt m.Cost_model.agg_bytes l.max_agg_bytes
   && le_opt m.Cost_model.part_exp_time l.max_part_exp_time
   && le_opt m.Cost_model.part_max_time l.max_part_max_time
   && le_opt m.Cost_model.part_exp_bytes l.max_part_exp_bytes
   && le_opt m.Cost_model.part_max_bytes l.max_part_max_bytes
-  && error_ok m.Cost_model.est_error l.max_est_error
+  && error_ok m.Cost_model.est_error tolerance
 
 (* Every limit is an upper cap, so a *lower bound* on a candidate's metrics
    that already violates one can never be repaired by completing the plan:
    pruning on this predicate is admissible. *)
-let lower_bound_infeasible l m = not (satisfies l m)
+let lower_bound_infeasible l ~tolerance m = not (satisfies l ~tolerance m)
 
 let goal_value g (m : Cost_model.metrics) =
   match g with

@@ -15,11 +15,10 @@ type limits = {
   max_part_max_time : float option;
   max_part_exp_bytes : float option;
   max_part_max_bytes : float option;
-  max_est_error : float option;
-      (** Error tolerance. [None] means "no tolerance supplied": only exact
-          plans ([est_error = 0]) are admissible, keeping winners
-          byte-identical to the exact-only planner. *)
 }
+(** Resource caps only. The error tolerance is not a limit: it is declared
+    on the query ([Arb_queries.Registry.query.error_tolerance]), and
+    {!Search.plan} reads it there. *)
 
 val no_limits : limits
 
@@ -29,17 +28,18 @@ val evaluation_limits : limits
 
 val with_agg_core_hours : limits -> float -> limits
 
-val with_error_tolerance : limits -> float option -> limits
-(** [with_error_tolerance l tol] sets the error tolerance: [Some t] admits
-    plans whose [est_error] is at most [t]; [None] admits exact plans only. *)
+val satisfies : limits -> tolerance:float option -> Cost_model.metrics -> bool
+(** Every cap holds, and [est_error] is at most [tolerance]. With no
+    tolerance ([None]) only exact plans ([est_error = 0]) pass, keeping
+    winners byte-identical to the exact-only planner. *)
 
-val satisfies : limits -> Cost_model.metrics -> bool
-
-val lower_bound_infeasible : limits -> Cost_model.metrics -> bool
-(** [lower_bound_infeasible l bound] is true when [bound] — a componentwise
-    lower bound on some candidate's final metrics — already violates a
-    limit. Because every limit is an upper cap, no completion of that
-    candidate can satisfy [l]: pruning on this predicate is admissible. *)
+val lower_bound_infeasible :
+  limits -> tolerance:float option -> Cost_model.metrics -> bool
+(** [lower_bound_infeasible l ~tolerance bound] is true when [bound] — a
+    componentwise lower bound on some candidate's final metrics — already
+    fails {!satisfies}. Because every limit and the tolerance are upper
+    caps, no completion of that candidate can pass: pruning on this
+    predicate is admissible. *)
 
 val goal_value : goal -> Cost_model.metrics -> float
 val goal_name : goal -> string

@@ -3,17 +3,9 @@
     alternatives the search kept — the tooling face of "it is possible to
     build a query planner for federated analytics" (§3.4). *)
 
-val vignette_table :
-  cm:Cost_model.t -> n_devices:int -> cols:int -> Plan.t -> string
-(** One row per vignette: location, operation, aggregator cost, per-member
-    cost, instances. *)
-
 val summary : Plan.t -> Cost_model.metrics -> string
 (** The headline: cryptosystem, committees, committee size, em variant and
     the six metrics in human units. *)
-
-val alternatives_table : (Plan.t * Cost_model.metrics) list -> string
-(** The ranked design-space sample from {!Search.result.alternatives}. *)
 
 val full :
   cm:Cost_model.t ->
@@ -23,4 +15,6 @@ val full :
   Cost_model.metrics ->
   (Plan.t * Cost_model.metrics) list ->
   string
-(** Summary + vignette table + alternatives. *)
+(** Summary + vignette table (one row per vignette: location, operation,
+    aggregator cost, per-member cost, instances) + the ranked design-space
+    sample from {!Search.result.alternatives}. *)

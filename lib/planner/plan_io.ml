@@ -223,6 +223,19 @@ let plan_of_string s = plan_of_json (J.of_string s)
    approximate plans. *)
 let format_version = 2
 
+(* EEXIST-tolerant: two processes sharing a store (a --cache-dir, a
+   residual log) may race to create it or its parents, and losing that
+   race is success, as long as a directory ends up there. *)
+let rec mkdir_p dir =
+  if not (dir = "" || dir = "." || dir = "/" || Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    match Sys.mkdir dir 0o755 with
+    | () -> ()
+    | exception Sys_error _
+      when try Sys.is_directory dir with Sys_error _ -> false ->
+        ()
+  end
+
 let save_versioned path fields =
   let doc = J.Obj (("formatVersion", J.Int format_version) :: fields) in
   let oc = open_out path in

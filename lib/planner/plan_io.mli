@@ -24,6 +24,11 @@ val plan_of_string : string -> Plan.t
 val format_version : int
 (** The version stamped into every file this build writes. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents. Tolerates concurrent
+    creators: a directory that another process creates first counts as
+    success. Raises [Sys_error] when it cannot be created. *)
+
 val save_versioned : string -> (string * Arb_util.Json.t) list -> unit
 (** Write a JSON object with [formatVersion] prepended to the given fields.
     Raises [Sys_error] when the path is not writable. *)

@@ -75,6 +75,7 @@ type searcher = {
   bins : int option;
   phi : float option;  (* device-sampling rate for this task; None = exact *)
   limits : Constraints.limits;
+  tolerance : float option;  (* the query's error tolerance; None = exact only *)
   goal : Constraints.goal;
   heuristics : bool;
   incremental : bool;
@@ -210,7 +211,7 @@ let score_full s ~em_variant ~committees:c ~partial acc query_name =
   let metrics = Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n (partial m) in
   if s.timed then
     s.score_seconds <- s.score_seconds +. (Unix.gettimeofday () -. t_start);
-  if Constraints.satisfies s.limits metrics then begin
+  if Constraints.satisfies s.limits ~tolerance:s.tolerance metrics then begin
     let v = Constraints.goal_value s.goal metrics in
     let plan =
       {
@@ -315,7 +316,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
         (List.fold_left Cost_model.add_contribution (fold_at node m)
            (memo_m memo m (fun () -> price_all s ~m vs)))
     in
-    Constraints.lower_bound_infeasible s.limits bound
+    Constraints.lower_bound_infeasible s.limits ~tolerance:s.tolerance bound
     ||
     match List.nth_opt s.top (top_cap - 1) with
     | Some (last, _, _) -> Constraints.goal_value s.goal bound >= last
@@ -395,7 +396,8 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
                  incumbent may still hold a plan tying the optimum, and
                  exploring it keeps the first such plan the winner. *)
               s.heuristics
-              && (Constraints.lower_bound_infeasible s.limits bound
+              && (Constraints.lower_bound_infeasible s.limits
+                    ~tolerance:s.tolerance bound
                  || Constraints.goal_value s.goal bound > s.inc.best_value)
             then s.pruned <- s.pruned + 1
             else
@@ -459,6 +461,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
   let ops = Extract.ops query.Arb_queries.Registry.program ~n in
   let cols = query.Arb_queries.Registry.categories in
   let m_lb = committee_size_for 1 in
+  let tolerance = query.Arb_queries.Registry.error_tolerance in
   let inc = { best_value = infinity; best = None } in
   (* Canonical task order: crypto profile major, sampled-bins middle,
      device-sampling rate minor (exact first). The tasks run in this order
@@ -467,7 +470,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
      enumerated, so the task list — and therefore the winner — is
      byte-identical to the exact-only planner. *)
   let phis =
-    match limits.Constraints.max_est_error with
+    match tolerance with
     | None -> [ None ]
     | Some _ -> [ None; Some 0.25; Some 0.1; Some 0.01; Some 0.001 ]
   in
@@ -494,6 +497,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
         bins;
         phi;
         limits;
+        tolerance;
         goal;
         heuristics;
         incremental;
@@ -535,7 +539,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
         bins;
         cm;
         redundant_boundaries = not heuristics;
-        tolerance = limits.Constraints.max_est_error;
+        tolerance;
       }
     in
     let prefix_vs = Expand.prefix ctx ~sampled_bins:bins in

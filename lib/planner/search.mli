@@ -1,7 +1,7 @@
 (** The planner's search (§4.3–§4.6): enumerate candidate plans operator by
     operator with branch-and-bound, score with the cost model, re-solve the
     committee size for each complete candidate, and keep the best plan that
-    satisfies the analyst's limits.
+    satisfies the analyst's limits and the query's error tolerance.
 
     Pricing is incremental: each DFS node folds only its delta vignettes
     into the running {!Cost_model.partial} for the prefix, so root→leaf
@@ -67,7 +67,13 @@ val plan :
   n:int ->
   unit ->
   result
-(** Defaults: the §7 setting — [limits] = {!Constraints.evaluation_limits},
+(** The error tolerance is the query's own
+    ([Arb_queries.Registry.query.error_tolerance]): with [Some t] the search
+    also enumerates device-sampling rates and approximate variants and
+    admits plans whose [est_error] is at most [t]; with [None] only exact
+    plans qualify.
+
+    Defaults: the §7 setting — [limits] = {!Constraints.evaluation_limits},
     [goal] = minimize expected participant time, heuristics on, 5M-prefix
     cap (per task); committees are sized by {!committee_size_for}.
     [incremental] (default true)

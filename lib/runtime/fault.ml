@@ -121,8 +121,6 @@ let create ~seed spec =
     seed;
   }
 
-let inactive () = create ~seed:0L no_faults
-
 let spec t = t.spec
 
 let probability t = function
@@ -163,11 +161,6 @@ let backoff t ~attempt =
     t.retries <- t.retries + 1;
     Some d
   end
-
-let sub_seed t kind =
-  Int64.add
-    (Int64.mul t.seed 0xBF58476D1CE4E5B9L)
-    (Int64.of_int (kind_index kind + 17))
 
 let injected t = List.map (fun k -> (k, t.injected.(kind_index k))) all_kinds
 let recovered t = List.map (fun k -> (k, t.recovered.(kind_index k))) all_kinds

@@ -70,9 +70,6 @@ val create : seed:int64 -> spec -> t
 (** Derive the per-kind decision streams from [seed]. Equal seeds and
     specs give byte-identical fault schedules. *)
 
-val inactive : unit -> t
-(** An injector that never fires (equivalent to [create ~seed:0L no_faults]). *)
-
 val spec : t -> spec
 
 val fires : t -> kind -> bool
@@ -86,11 +83,6 @@ val backoff : t -> attempt:int -> float option
 (** Exponential backoff for retry [attempt] (0-based):
     [backoff_base_s *. 2^attempt], charged against the backoff budget.
     [None] once the budget is exhausted — the caller must fail closed. *)
-
-val sub_seed : t -> kind -> int64
-(** A deterministic seed for auxiliary randomness tied to a kind (e.g. the
-    garbage the tampering aggregator injects), so faulted payloads never
-    consume the session RNG. *)
 
 val injected : t -> (kind * int) list
 (** Injection counts per kind, in [all_kinds] order, zeros included. *)

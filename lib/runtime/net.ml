@@ -20,7 +20,6 @@ type link = {
   delay : unit -> float;
 }
 
-let reliable p = { base = p; drop = (fun () -> false); delay = (fun () -> 0.0) }
 let lossy p ~drop ~delay = { base = p; drop; delay }
 
 type delivery = { attempts : int; latency : float }

@@ -36,9 +36,6 @@ type link = {
   delay : unit -> float;  (** extra one-way latency for this attempt *)
 }
 
-val reliable : profile -> link
-(** Never drops, never delays — the clean-run link. *)
-
 val lossy : profile -> drop:(unit -> bool) -> delay:(unit -> float) -> link
 (** A link whose failures are decided by the caller (normally a
     {!Fault.t} injector, keeping faulted runs replayable). *)

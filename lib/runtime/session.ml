@@ -7,18 +7,19 @@ type query_result = {
 type t = {
   config : Exec.config;
   max_rounds : int;
-  db : int array array;
+  devices : int;
   mutable budget : Arb_dp.Budget.t;
   mutable block : string;
   mutable index : int;
   mutable chain : query_result list; (* newest first *)
 }
 
-let create ?(config = Exec.default_config) ?(max_rounds = 1000) ~budget ~db () =
+let create ?(config = Exec.default_config) ?(max_rounds = 1000) ~budget ~devices
+    () =
   {
     config;
     max_rounds;
-    db;
+    devices;
     budget;
     block = "genesis";
     index = 0;
@@ -28,26 +29,23 @@ let create ?(config = Exec.default_config) ?(max_rounds = 1000) ~budget ~db () =
 let budget_left t = t.budget
 let queries_run t = t.index
 
-let run_with_plan t ?db ~plan query =
-  let db = Option.value db ~default:t.db in
+let run t ~db ~plan query =
   if t.index >= t.max_rounds then
     Error
       (Printf.sprintf
          "round limit R = %d reached; the per-round failure bound p1 no longer covers further queries"
          t.max_rounds)
-  else if Array.length db <> Array.length t.db then
+  else if Array.length db <> t.devices then
     Error
       (Printf.sprintf
-         "database override has %d rows but the session's device population is %d"
-         (Array.length db) (Array.length t.db))
+         "database has %d rows but the session's device population is %d"
+         (Array.length db) t.devices)
   else
     let block_used = t.block in
     (* Each query gets a fresh seed derived from the chained block so the
        whole session is reproducible yet unpredictable before B_i. *)
     let seed =
-      let h = Arb_crypto.Sha256.digest (block_used ^ string_of_int (t.index + 1)) in
-      String.fold_left (fun acc c -> Int64.add (Int64.mul acc 131L) (Int64.of_int (Char.code c)))
-        7L (String.sub h 0 8)
+      Arb_crypto.Sha256.seed_of (block_used ^ string_of_int (t.index + 1))
     in
     let config =
       { t.config with Exec.seed; budget = t.budget; block = block_used;
@@ -70,19 +68,6 @@ let run_with_plan t ?db ~plan query =
         Error
           (Format.asprintf "%a (session unchanged, budget intact)"
              Exec.pp_failure f)
-
-let run t query =
-  let n = Array.length t.db in
-  (* Callers that already hold a plan for this query at this deployment
-     size (e.g. the service's plan cache) skip planning through
-     [run_with_plan]. *)
-  let planned =
-    Arb_planner.Search.plan ~limits:Arb_planner.Constraints.no_limits ~query ~n
-      ()
-  in
-  match planned.Arb_planner.Search.plan with
-  | None -> Error "planner found no plan for this query"
-  | Some plan -> run_with_plan t ~plan query
 
 let chain_verifies t =
   let rec check prev_next = function

@@ -9,7 +9,11 @@
     refused — with the budget intact — once the balance runs out.
 
     The per-round failure probability p1 used for committee sizing assumes
-    a bounded number of rounds R (§5.1); the session enforces R. *)
+    a bounded number of rounds R (§5.1); the session enforces R.
+
+    A session does not plan: it runs the plan it is handed (from
+    [Arboretum.plan] or the service's plan cache) over the inputs it is
+    handed, so a query's plan is chosen in one place, the planner. *)
 
 type t
 
@@ -23,38 +27,33 @@ val create :
   ?config:Exec.config ->
   ?max_rounds:int ->
   budget:Arb_dp.Budget.t ->
-  db:int array array ->
+  devices:int ->
   unit ->
   t
-(** A session over a fixed device population. [max_rounds] defaults to 1000
-    (the paper's R). The genesis block comes from the trusted setup
-    (§3.1: the aggregator is honest at the start). *)
+(** A session over a device population of [devices] rows. [max_rounds]
+    defaults to 1000 (the paper's R). The genesis block comes from the
+    trusted setup (§3.1: the aggregator is honest at the start). *)
 
 val budget_left : t -> Arb_dp.Budget.t
 val queries_run : t -> int
 
-val run : t -> Arb_queries.Registry.query -> (query_result, string) result
-(** Plan and execute the next query in the chain. [Error] (leaving the
-    session unchanged — budget, block and index intact) when the round
-    limit R is exhausted or when execution fails closed. The session does
-    not certify or check the budget itself: {!Exec.run_source} certifies
-    the query and its key-generation committee refuses a cost the balance
-    cannot cover, so those refusals read like every other {!Exec}
-    failure, e.g. ["[budget] privacy budget exhausted (session unchanged,
-    budget intact)"]. *)
-
-val run_with_plan :
+val run :
   t ->
-  ?db:int array array ->
+  db:int array array ->
   plan:Arb_planner.Plan.t ->
   Arb_queries.Registry.query ->
   (query_result, string) result
-(** {!run} with the planning step skipped: execute a plan the caller
-    already holds (e.g. from the service's plan cache). The round limit
-    and the fail-closed semantics are identical to {!run}. [db] substitutes this query's device inputs — the
-    same population answering a different question — and must have exactly
-    the session's row count; the plan must have been chosen for this query
-    at the session's deployment size. *)
+(** Execute the next query in the chain: [plan], chosen for this query at
+    the session's deployment size, over [db], this query's device inputs
+    (the same population answering a different question). [Error]
+    (leaving the session unchanged — budget, block and index intact) when
+    the round limit R is exhausted, when [db] does not have exactly
+    [devices] rows, or when execution fails closed. The session does not
+    certify or check the budget itself: {!Exec.run_source} certifies the
+    query and its key-generation committee refuses a cost the balance
+    cannot cover, so those refusals read like every other {!Exec} failure,
+    e.g. ["[budget] privacy budget exhausted (session unchanged, budget
+    intact)"]. *)
 
 val chain_verifies : t -> bool
 (** Every certificate in the chain verifies, and each query's sortition

@@ -38,7 +38,6 @@ let population ~seed ~n ~byzantine_fraction =
     sample_seed = sub 0x1A53;
   }
 
-let population_size pop = C.Sortition.Registry.size pop.registry
 let device_seed pop id = C.Sortition.Registry.device_seed pop.registry id
 let registry_root pop = C.Sortition.Registry.root pop.registry
 

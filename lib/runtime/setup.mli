@@ -36,8 +36,6 @@ type population
 val population :
   seed:int64 -> n:int -> byzantine_fraction:float -> population
 
-val population_size : population -> int
-
 val device_seed : population -> int -> string
 (** Sortition/signing secret of device [id], derived on demand. *)
 
@@ -51,13 +49,11 @@ val device_input_rng : population -> int -> Arb_util.Rng.t
     randomness — streamed (extrapolated) passes stop after the bin draw
     without perturbing any other device's stream. *)
 
-val device_sample_rng : population -> int -> Arb_util.Rng.t
-(** Device [id]'s sampling-inclusion stream — separate from
-    {!device_input_rng} so a sampled plan perturbs no input draw. *)
-
 val device_sampled : population -> phi:float option -> int -> bool
 (** Whether device [id] participates under device-sampling rate [phi]
-    ([None] = exact plan, everyone participates). Pure in
+    ([None] = exact plan, everyone participates). The draw comes from the
+    device's own sampling-inclusion stream, separate from
+    {!device_input_rng}, so a sampled plan perturbs no input draw. Pure in
     [(population seed, id)], hence byte-identical across worker counts and
     cohort geometries. *)
 

@@ -6,8 +6,6 @@
 
 type committee_kind = Keygen | Decryption | Operations
 
-val committee_kind_name : committee_kind -> string
-
 type t = {
   mutable device_upload_bytes : float;  (** per device: ciphertexts + proof *)
   mutable device_encrypt_ops : int;

@@ -16,26 +16,13 @@ type t = {
   mutable revived : int;
 }
 
-(* Recursive and EEXIST-tolerant: two processes sharing a --cache-dir may
-   race to create it (and its parents) — losing the race is success, as
-   long as a directory ends up there. *)
-let rec mkdir_p dir =
-  if not (dir = "" || dir = "." || dir = "/" || Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    match Sys.mkdir dir 0o755 with
-    | () -> ()
-    | exception Sys_error _ when try Sys.is_directory dir with Sys_error _ -> false
-      ->
-        () (* another creator won the race *)
-  end
-
 let is_tmp_file name =
   String.length name > 4 && String.sub name (String.length name - 4) 4 = ".tmp"
 
 let create ?dir () =
   (match dir with
   | Some d ->
-      mkdir_p d;
+      P.Plan_io.mkdir_p d;
       (* Sweep tmp files stranded by writers that crashed mid-save. A
          concurrently *live* writer can lose its tmp file here too; its
          rename then fails and is logged as a non-persisted entry — the
@@ -58,30 +45,16 @@ let row_repr = function
   | Arb_lang.Ast.Bounded { width; lo; hi } ->
       Printf.sprintf "bounded:%d:%d:%d" width lo hi
 
-let limits_repr (l : P.Constraints.limits) =
-  let opt = function None -> "-" | Some f -> float_repr f in
-  String.concat ","
-    [
-      opt l.P.Constraints.max_agg_time;
-      opt l.max_agg_bytes;
-      opt l.max_part_exp_time;
-      opt l.max_part_max_time;
-      opt l.max_part_exp_bytes;
-      opt l.max_part_max_bytes;
-      opt l.max_est_error;
-    ]
-
-let key ?(limits = P.Constraints.no_limits) ~model ~goal
-    ~(query : Arb_queries.Registry.query) ~n () =
+let key ~model ~goal ~(query : Arb_queries.Registry.query) ~n () =
   (* The program's canonical pretty-printed form — not the registry name —
      identifies the query, together with every other search input. The
-     leading tag versions the canonicalization itself (v3: the pricing
-     model's fingerprint joined the key, so entries filed before it demote
-     to misses instead of serving a plan another model chose). *)
+     leading tag versions the canonicalization itself (v4: the search
+     always runs at [no_limits], so the limits left the key and the
+     tolerance is hashed once, as the query declares it). *)
   let canonical =
     String.concat "\n"
       [
-        "arb-plan-cache-key-v3";
+        "arb-plan-cache-key-v4";
         model;
         Arb_lang.Pretty.stmt query.Arb_queries.Registry.program.Arb_lang.Ast.body;
         row_repr query.Arb_queries.Registry.program.Arb_lang.Ast.row;
@@ -91,7 +64,6 @@ let key ?(limits = P.Constraints.no_limits) ~model ~goal
         (match query.Arb_queries.Registry.error_tolerance with
         | None -> "-"
         | Some tol -> float_repr tol);
-        limits_repr limits;
         P.Constraints.goal_name goal;
       ]
   in

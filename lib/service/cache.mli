@@ -3,13 +3,15 @@
 
     The planner is deterministic: the winning plan and its metrics are a
     pure function of (pricing model, query AST, deployment size N,
-    category count, error tolerance, analyst limits, optimization goal).
-    The cache key is the SHA-256 of a canonical rendering of exactly that
-    tuple — the model's {!Arb_planner.Calibration.fingerprint} and the
-    query's {e program text} (pretty-printed canonical form), not its
-    registry name, so two differently-named submissions of the same program
-    share an entry while any change to the model, AST, epsilon, row shape,
-    N, C, tolerance, limits or goal misses. Entries filed under one model
+    category count, the query's error tolerance, optimization goal); the
+    service always plans at {!Arb_planner.Constraints.no_limits}, so limits
+    are not part of the key. The cache key is the SHA-256 of a canonical
+    rendering of exactly that tuple — the model's
+    {!Arb_planner.Calibration.fingerprint} and the query's {e program text}
+    (pretty-printed canonical form), not its registry name, so two
+    differently-named submissions of the same program share an entry while
+    any change to the model, AST, epsilon, row shape, N, C, tolerance or
+    goal misses. Entries filed under one model
     stay in memory and on disk when another is installed; they are reached
     again only once their model is.
 
@@ -37,17 +39,15 @@ val create : ?dir:string -> unit -> t
     mid-save are swept on creation. *)
 
 val key :
-  ?limits:Arb_planner.Constraints.limits ->
   model:string ->
   goal:Arb_planner.Constraints.goal ->
   query:Arb_queries.Registry.query ->
   n:int ->
   unit ->
   key
-(** Canonical cache key. [model] is the fingerprint of the cost model the
-    search prices with ({!Arb_planner.Calibration.fingerprint}); [limits]
-    defaults to {!Arb_planner.Constraints.no_limits}, the setting
-    execution planning uses. *)
+(** Canonical cache key (tag [arb-plan-cache-key-v4]). [model] is the
+    fingerprint of the cost model the search prices with
+    ({!Arb_planner.Calibration.fingerprint}). *)
 
 val find : t -> key -> entry option
 (** Memory first, then (when persisting) the entry's file on disk —

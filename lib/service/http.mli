@@ -54,8 +54,6 @@ type response = {
   resp_body : string;
 }
 
-val reason_phrase : int -> string
-
 val response :
   ?headers:(string * string) list ->
   ?content_type:string ->

@@ -27,11 +27,9 @@ module Log = (val Logs.src_log src : Logs.LOG)
 type config = {
   host : string;
   port : int;  (* 0 picks an ephemeral port; see {!port} *)
-  backlog : int;
   workers : int;
   max_pending : int;  (* accepted connections waiting for a worker *)
   request_timeout_s : float;  (* whole-request deadline (slowloris guard) *)
-  limits : Http.limits;
   faults : Fault.t option;
   metrics : M.t option;
 }
@@ -40,11 +38,9 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 1024;
     workers = 4;
     max_pending = 1024;
     request_timeout_s = 10.0;
-    limits = Http.default_limits;
     faults = None;
     metrics = None;
   }
@@ -195,7 +191,7 @@ let handle_conn t fd =
     (not truncated) && ok
   in
   let rec requests buf deadline =
-    match Http.parse_request ~limits:t.config.limits (Buffer.contents buf) with
+    match Http.parse_request (Buffer.contents buf) with
     | Http.Reject (status, reason) ->
         record t Bad;
         ignore (respond ~close:true (Http.error_response status reason))
@@ -352,7 +348,7 @@ let start ?(config = default_config) ~handler () =
    with e ->
      close_quiet lsock;
      raise e);
-  Unix.listen lsock config.backlog;
+  Unix.listen lsock 1024 (* the kernel's accept backlog *);
   let bound_port =
     match Unix.getsockname lsock with
     | Unix.ADDR_INET (_, p) -> p

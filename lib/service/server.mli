@@ -27,7 +27,6 @@
 type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
-  backlog : int;
   workers : int;  (** connection-handler domains *)
   max_pending : int;
       (** accepted connections allowed to wait for a worker; beyond this
@@ -35,7 +34,6 @@ type config = {
   request_timeout_s : float;
       (** whole-request deadline (slowloris guard) and idle keep-alive
           expiry *)
-  limits : Http.limits;
   faults : Arb_runtime.Fault.t option;
   metrics : Arb_obs.Metrics.t option;
       (** [arb_http_*] counters/gauges (connections, responses by status,
@@ -43,8 +41,9 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:ephemeral, backlog 1024, 4 workers, 1024 pending, 10 s
-    request deadline, {!Http.default_limits}, no faults, no metrics. *)
+(** 127.0.0.1:ephemeral, 4 workers, 1024 pending, 10 s request deadline,
+    no faults, no metrics. The listen backlog is 1024 and requests are
+    parsed under {!Http.default_limits}. *)
 
 type stats = {
   accepted : int;

@@ -55,12 +55,8 @@ and pending_query = {
 
 let create ?exec_config ?cache ?metrics ?calibration ?snapshots ~budget
     ~devices ~seed () =
-  (* The session's creation-time database is a placeholder: every query
-     brings its own synthesized inputs (same population, different
-     question) through [run_with_plan]'s [?db]. *)
-  let db = Array.make devices [||] in
   {
-    session = R.Session.create ?config:exec_config ~budget ~db ();
+    session = R.Session.create ?config:exec_config ~budget ~devices ();
     cache = (match cache with Some c -> c | None -> Cache.create ());
     devices;
     seed;
@@ -135,16 +131,11 @@ let refusal_message = function
       Printf.sprintf "submission queue is full (bound %d), retry later" bound
   | Over_budget m -> m
 
-(* A per-submission RNG for database synthesis, chained off the service
-   seed the same way the session derives execution seeds off the block
-   chain: hash, then fold into an int64. *)
+(* A per-submission RNG seed for database synthesis, derived off the
+   service seed the same way the session derives execution seeds off the
+   block chain. *)
 let db_seed ~seed ~index =
-  let h =
-    Arb_crypto.Sha256.digest (Printf.sprintf "arb-serve-db:%d:%d" seed index)
-  in
-  String.fold_left
-    (fun acc c -> Int64.add (Int64.mul acc 131L) (Int64.of_int (Char.code c)))
-    7L (String.sub h 0 8)
+  Arb_crypto.Sha256.seed_of (Printf.sprintf "arb-serve-db:%d:%d" seed index)
 
 let now () = Unix.gettimeofday ()
 
@@ -354,14 +345,10 @@ let drain ?tracer ?(workers = 1) t =
   let pool = max 1 (min workers (Array.length tasks)) in
   Arb_util.Pool.run ~workers:pool (Array.length tasks) (fun ~slot:_ i ->
       let _, query, goal = tasks.(i) in
-      let limits =
-        P.Constraints.with_error_tolerance P.Constraints.no_limits
-          query.Q.error_tolerance
-      in
       slots.(i) <-
         Some
-          (P.Search.plan ~cm ~goal ~limits ?tracer:children.(i)
-             ?metrics:t.metrics ~query ~n ()));
+          (P.Search.plan ~cm ~goal ~limits:P.Constraints.no_limits
+             ?tracer:children.(i) ?metrics:t.metrics ~query ~n ()));
   (match tracer with
   | Some tr -> Array.iter (Option.iter (Arb_obs.Tracer.graft tr)) children
   | None -> ());
@@ -450,8 +437,7 @@ let drain ?tracer ?(workers = 1) t =
             let db = Q.random_database rng p.p_query ~n () in
             let t0 = now () in
             match
-              R.Session.run_with_plan t.session ~db ~plan:entry.Cache.plan
-                p.p_query
+              R.Session.run t.session ~db ~plan:entry.Cache.plan p.p_query
             with
             | Ok qr ->
                 let report = qr.R.Session.report in

@@ -26,12 +26,14 @@
       deterministically).
     + {b plan} — the distinct cache misses are planned concurrently by a
       pool of OCaml domains. Each worker runs its own
-      {!Arb_planner.Search.plan}; results land in per-task slots and are
+      {!Arb_planner.Search.plan} at {!Arb_planner.Constraints.no_limits},
+      under the query's own error tolerance; results land in per-task slots and are
       committed to the cache in canonical task order, so the cache contents and every
       lifecycle record are independent of the worker count and of domain
       scheduling.
     + {b execute} — sequential, in submission order, against the shared
-      {!Arb_runtime.Session}: execution must stay serialized because each
+      {!Arb_runtime.Session}, which runs the cached plan over the query's
+      inputs: execution must stay serialized because each
       query's sortition consumes the randomness block minted by the
       previous certificate (§5.1–5.2) — the chain is inherently ordered.
       Per-query device inputs are synthesized deterministically from the

@@ -92,8 +92,6 @@ val goal_names : (string * Arb_planner.Constraints.goal) list
 (** CLI-facing goal spellings: part-exp-time, part-max-time,
     part-exp-bytes, part-max-bytes, agg-time, agg-bytes. *)
 
-val goal_to_name : Arb_planner.Constraints.goal -> string
-
 val submission_of_json : Arb_util.Json.t -> (submission, string) result
 (** One query entry (the element shape of ["queries"]) — also the request
     body of the HTTP front door's [POST /v1/queries]. Recurring fields are

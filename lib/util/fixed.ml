@@ -47,8 +47,6 @@ let abs = Stdlib.abs
 
 let max_nominal = (1 lsl (int_bits + frac_bits - 1)) - 1
 
-let in_range x = x >= -max_nominal - 1 && x <= max_nominal
-
 (* 2^f for f in [0,1), degree-4 polynomial fit of 2^x (max abs error ~1e-7,
    well below the 2^-16 quantum). *)
 let exp2_frac f =

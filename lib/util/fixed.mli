@@ -7,8 +7,7 @@
     implementations need to avoid floating-point irregularities (Mironov 2012).
 
     The representable range is about ±2^46 in raw terms, far wider than the
-    30.16 format; [in_range] checks the nominal 30.16 bounds so overflow in a
-    simulated MPC can be detected the way a real circuit would wrap. *)
+    nominal 30.16 format. *)
 
 type t = private int
 (** Scaled representation: the rational value is [t / 2^16]. *)
@@ -47,9 +46,6 @@ val equal : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t
 val abs : t -> t
-
-val in_range : t -> bool
-(** True when the value fits the nominal 30.16 signed format. *)
 
 val exp2 : t -> t
 (** Base-2 exponential 2^x, computed with integer shifts plus a degree-4

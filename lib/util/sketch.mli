@@ -17,10 +17,6 @@ val coarsen : groups:int -> int array -> int array
     total mass lands on its first bin and the other bins zero. The result
     keeps the input's width. [groups >= length] returns a copy. *)
 
-val decimate : 'a list -> 'a list
-(** Keep every other element (the first, third, ...) — one level of the
-    classic deterministic eps-approximate quantile compaction. *)
-
 val merge_bounded : capacity:int -> float list -> float list -> float list
 (** [merge_bounded ~capacity samples xs] merges [xs] into the sorted list
     [samples] and decimates until at most [capacity] elements remain. *)

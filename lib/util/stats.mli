@@ -8,9 +8,6 @@
 val log_comb : int -> int -> float
 (** [log_comb n k] = ln C(n, k), via lgamma. *)
 
-val log_binom_pmf : n:int -> k:int -> p:float -> float
-(** ln P\[Bin(n, p) = k\]. *)
-
 val log_binom_cdf : n:int -> k:int -> p:float -> float
 (** ln P\[Bin(n, p) <= k\]. [k < 0] gives [neg_infinity]. *)
 

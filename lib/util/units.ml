@@ -1,7 +1,4 @@
-let mib = 1024.0 *. 1024.0
-let gib = mib *. 1024.0
 let mb = 1.0e6
-let gb = 1.0e9
 let tb = 1.0e12
 let minute = 60.0
 let hour = 3600.0

@@ -9,10 +9,5 @@ val seconds_to_string : float -> string
 val core_hours : float -> float
 (** Seconds of single-core compute -> core-hours. *)
 
-val mib : float
-val gib : float
 val mb : float
-val gb : float
 val tb : float
-val minute : float
-val hour : float

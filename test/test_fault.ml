@@ -499,12 +499,23 @@ let session_db () =
   let q = Q.test_instance ~epsilon:2.0 "top1" in
   (q, Q.random_database (Rng.create 42L) q ~n:64 ~skew:2.0 ())
 
+(* A session runs the plan it is handed: plan this query for the
+   population, then run it. *)
+let session_run session ~db q =
+  let r =
+    P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:(Array.length db)
+      ()
+  in
+  R.Session.run session ~db ~plan:(Option.get r.P.Search.plan) q
+
 let test_session_faulted_query_leaves_state_intact () =
   let q, db = session_db () in
   let cfg = config ~faults:{ Fault.no_faults with Fault.tamper_p = 1.0 } () in
   let budget = Arb_dp.Budget.create ~epsilon:10.0 ~delta:1e-3 in
-  let session = R.Session.create ~config:cfg ~budget ~db () in
-  (match R.Session.run session q with
+  let session =
+    R.Session.create ~config:cfg ~budget ~devices:(Array.length db) ()
+  in
+  (match session_run session ~db q with
   | Ok _ -> Alcotest.fail "tampered session query must fail closed"
   | Error m -> checkb "error mentions the audit stage" true (contains m "audit"));
   checkb "budget intact after the failure" true
@@ -520,8 +531,10 @@ let test_session_recovers_after_failure () =
     config ~faults:{ Fault.no_faults with Fault.dropout_at = Some 0 } ()
   in
   let budget = Arb_dp.Budget.create ~epsilon:10.0 ~delta:1e-3 in
-  let session = R.Session.create ~config:cfg ~budget ~db () in
-  (match R.Session.run session q with
+  let session =
+    R.Session.create ~config:cfg ~budget ~devices:(Array.length db) ()
+  in
+  (match session_run session ~db q with
   | Ok qr ->
       checkb "forced dropout absorbed inside the session" true
         (qr.R.Session.report.R.Exec.trace.R.Trace.committees_reassigned >= 1)
@@ -534,13 +547,15 @@ let test_session_recovers_after_failure () =
 let test_session_budget_depletion_refuses_next () =
   let q, db = session_db () in
   let budget = Arb_dp.Budget.create ~epsilon:3.0 ~delta:1e-3 in
-  let session = R.Session.create ~config:(config ()) ~budget ~db () in
-  (match R.Session.run session q with
+  let session =
+    R.Session.create ~config:(config ()) ~budget ~devices:(Array.length db) ()
+  in
+  (match session_run session ~db q with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
   let left = R.Session.budget_left session in
   (* epsilon 2 spent of 3: the second query must be refused up front. *)
-  match R.Session.run session q with
+  match session_run session ~db q with
   | Ok _ -> Alcotest.fail "depleted budget must refuse the next query"
   | Error m ->
       checkb "refusal mentions the budget" true (contains m "budget");
@@ -551,9 +566,10 @@ let test_session_budget_depletion_refuses_next () =
 let test_session_zero_rounds_refuses_immediately () =
   let q, db = session_db () in
   let session =
-    R.Session.create ~config:(config ()) ~max_rounds:0 ~budget:big_budget ~db ()
+    R.Session.create ~config:(config ()) ~max_rounds:0 ~budget:big_budget
+      ~devices:(Array.length db) ()
   in
-  match R.Session.run session q with
+  match session_run session ~db q with
   | Ok _ -> Alcotest.fail "max_rounds 0 must refuse every query"
   | Error m ->
       checkb "round-limit refusal is an Error, not an exception" true

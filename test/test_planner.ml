@@ -674,8 +674,11 @@ let test_tolerance_byte_identity () =
      variant — the winner is the byte-identical exact plan. *)
   let q = Q.paper_instance "top1" in
   let pick tol =
-    let limits = P.Constraints.with_error_tolerance P.Constraints.no_limits tol in
-    match (P.Search.plan ~limits ~query:q ~n:paper_n ()).P.Search.plan with
+    let q = { q with Q.error_tolerance = tol } in
+    match
+      (P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:paper_n ())
+        .P.Search.plan
+    with
     | Some p -> p
     | None -> Alcotest.fail "no plan"
   in
@@ -691,8 +694,11 @@ let test_tolerance_admits_cheaper_winner () =
   List.iter
     (fun (n, tol) ->
       let run tol =
-        let limits = P.Constraints.with_error_tolerance P.Constraints.no_limits tol in
-        match (P.Search.plan ~goal ~limits ~query:q ~n ()).P.Search.metrics with
+        let q = { q with Q.error_tolerance = tol } in
+        match
+          (P.Search.plan ~goal ~limits:P.Constraints.no_limits ~query:q ~n ())
+            .P.Search.metrics
+        with
         | Some m -> m
         | None -> Alcotest.fail "no plan"
       in
@@ -713,16 +719,40 @@ let test_est_error_pricing_and_pruning () =
   let m = Cm.combine ~sample_phi:0.01 ~n_devices:10_000 [] in
   checkb "sampling error term" true
     (Float.abs (m.Cm.est_error -. 0.2) < 1e-9);
-  let q = Q.paper_instance "top1" in
-  let limits =
-    P.Constraints.with_error_tolerance P.Constraints.no_limits (Some 0.05)
-  in
-  let r = P.Search.plan ~limits ~query:q ~n:paper_n () in
+  let q = { (Q.paper_instance "top1") with Q.error_tolerance = Some 0.05 } in
+  let r = P.Search.plan ~limits:P.Constraints.no_limits ~query:q ~n:paper_n () in
   List.iter
     (fun (_, (m : Cm.metrics)) ->
       checkb "every surviving candidate within tolerance" true
         (m.Cm.est_error <= 0.05))
     r.P.Search.alternatives
+
+let test_tolerance_read_off_the_query () =
+  (* The query declares its tolerance and every planning entry point reads
+     it there: the search under its default limits, the search at
+     [no_limits] and [Arboretum.plan] all pick the same sampled plan. *)
+  let q =
+    { (Q.test_instance ~epsilon:0.5 "top1") with Q.error_tolerance = Some 0.1 }
+  in
+  let n = 5_000 in
+  let search ?limits () =
+    match (P.Search.plan ?limits ~query:q ~n ()).P.Search.plan with
+    | Some p -> p
+    | None -> Alcotest.fail "no plan"
+  in
+  let default = search ()
+  and unlimited = search ~limits:P.Constraints.no_limits ()
+  and planned = (Arboretum.plan ~n q).Arboretum.plan in
+  let sample = Alcotest.(option (float 0.0)) in
+  Alcotest.check sample "default limits sample devices" (Some 0.1)
+    default.P.Plan.device_sample;
+  Alcotest.check sample "no_limits samples devices" (Some 0.1)
+    unlimited.P.Plan.device_sample;
+  Alcotest.check sample "Arboretum.plan samples devices" (Some 0.1)
+    planned.P.Plan.device_sample;
+  Alcotest.check Alcotest.string "the search and Arboretum.plan agree"
+    (Format.asprintf "%a" P.Plan.pp planned)
+    (Format.asprintf "%a" P.Plan.pp unlimited)
 
 let test_goals_change_plans () =
   (* Different optimization goals must be able to pick different plans:
@@ -1039,6 +1069,8 @@ let () =
             test_tolerance_admits_cheaper_winner;
           Alcotest.test_case "tolerance: est_error priced and pruned" `Quick
             test_est_error_pricing_and_pruning;
+          Alcotest.test_case "tolerance is read off the query" `Quick
+            test_tolerance_read_off_the_query;
           Alcotest.test_case "goals change plans" `Quick test_goals_change_plans;
           Alcotest.test_case "plan pretty-prints" `Quick test_plan_pretty_prints;
         ] );

@@ -615,26 +615,32 @@ let test_verify_catches_tampered_audit () =
 
 (* ---------------- sessions (query chains, §5.1-5.2) ---------------- *)
 
+(* A session runs the plan it is handed: plan this query for the
+   population, then run it. *)
+let session_run session ~db q =
+  R.Session.run session ~db ~plan:(plan_for q ~n:(Array.length db)) q
+
 let test_session_chain () =
   let q = Q.test_instance ~epsilon:1.0 "top1" in
   let db = Q.random_database (Rng.create 70L) q ~n:96 () in
   let session =
     R.Session.create ~config:(config ())
-      ~budget:(Arb_dp.Budget.create ~epsilon:2.5 ~delta:1.0e-3) ~db ()
+      ~budget:(Arb_dp.Budget.create ~epsilon:2.5 ~delta:1.0e-3)
+      ~devices:(Array.length db) ()
   in
   (* Two queries fit the 2.5-epsilon budget; the third must be refused. *)
-  (match R.Session.run session q with
+  (match session_run session ~db q with
   | Ok r1 ->
       checki "first query is round 1" 1 r1.R.Session.query_index;
       Alcotest.check Alcotest.string "genesis block" "genesis" r1.R.Session.block_used
   | Error m -> Alcotest.fail m);
-  (match R.Session.run session q with
+  (match session_run session ~db q with
   | Ok r2 ->
       checki "second query is round 2" 2 r2.R.Session.query_index;
       checkb "second round uses the minted block" true
         (r2.R.Session.block_used <> "genesis")
   | Error m -> Alcotest.fail m);
-  (match R.Session.run session q with
+  (match session_run session ~db q with
   | Ok _ -> Alcotest.fail "third query should be refused"
   | Error m -> checkb "refusal mentions the budget" true
       (String.length m > 0));
@@ -650,12 +656,13 @@ let test_session_blocks_differ () =
   let db = Q.random_database (Rng.create 71L) q ~n:96 () in
   let session =
     R.Session.create ~config:(config ())
-      ~budget:(Arb_dp.Budget.create ~epsilon:10.0 ~delta:1.0e-2) ~db ()
+      ~budget:(Arb_dp.Budget.create ~epsilon:10.0 ~delta:1.0e-2)
+      ~devices:(Array.length db) ()
   in
   let blocks =
     List.filter_map
       (fun _ ->
-        match R.Session.run session q with
+        match session_run session ~db q with
         | Ok r -> Some r.R.Session.block_used
         | Error _ -> None)
       [ (); (); () ]
@@ -668,13 +675,38 @@ let test_session_round_limit () =
   let db = Q.random_database (Rng.create 72L) q ~n:96 () in
   let session =
     R.Session.create ~config:(config ()) ~max_rounds:2
-      ~budget:(Arb_dp.Budget.create ~epsilon:100.0 ~delta:1.0) ~db ()
+      ~budget:(Arb_dp.Budget.create ~epsilon:100.0 ~delta:1.0)
+      ~devices:(Array.length db) ()
   in
-  (match R.Session.run session q with Ok _ -> () | Error m -> Alcotest.fail m);
-  (match R.Session.run session q with Ok _ -> () | Error m -> Alcotest.fail m);
-  match R.Session.run session q with
+  (match session_run session ~db q with Ok _ -> () | Error m -> Alcotest.fail m);
+  (match session_run session ~db q with Ok _ -> () | Error m -> Alcotest.fail m);
+  match session_run session ~db q with
   | Ok _ -> Alcotest.fail "round limit must bind"
   | Error m -> checkb "mentions the round limit" true (String.length m > 10)
+
+let test_session_refuses_wrong_row_count () =
+  (* A database that is not the session's population is refused before
+     anything runs, and the session is left exactly as it was. *)
+  let q = Q.test_instance ~epsilon:1.0 "top1" in
+  let db = Q.random_database (Rng.create 73L) q ~n:96 () in
+  let session =
+    R.Session.create ~config:(config ())
+      ~budget:(Arb_dp.Budget.create ~epsilon:2.5 ~delta:1.0e-3)
+      ~devices:(Array.length db) ()
+  in
+  (match session_run session ~db q with Ok _ -> () | Error m -> Alcotest.fail m);
+  let budget = R.Session.budget_left session in
+  (match
+     R.Session.run session ~db:(Array.sub db 0 95) ~plan:(plan_for q ~n:96) q
+   with
+  | Ok _ -> Alcotest.fail "a database one row short must be refused"
+  | Error m ->
+      Alcotest.check Alcotest.string "names both row counts"
+        "database has 95 rows but the session's device population is 96" m);
+  checkb "budget unchanged" true
+    (Arb_dp.Budget.equal budget (R.Session.budget_left session));
+  checki "still one query" 1 (R.Session.queries_run session);
+  checkb "chain still verifies" true (R.Session.chain_verifies session)
 
 (* ---------------- sampled-vs-full differential (approximation) -------- *)
 
@@ -699,10 +731,10 @@ let test_sampled_vs_full_within_est_error () =
     let q = Q.test_instance ~epsilon:1.0 name in
     let src = { R.Exec.n_devices = n; row = Q.device_source ~seed:7L q } in
     let plan_with tol =
-      let limits =
-        P.Constraints.with_error_tolerance P.Constraints.no_limits tol
+      let q = { q with Q.error_tolerance = tol } in
+      let r =
+        P.Search.plan ~goal ~limits:P.Constraints.no_limits ~query:q ~n ()
       in
-      let r = P.Search.plan ~goal ~limits ~query:q ~n () in
       match (r.P.Search.plan, r.P.Search.metrics) with
       | Some p, Some m -> (p, m)
       | _ -> Alcotest.fail "no plan"
@@ -876,5 +908,7 @@ let () =
           Alcotest.test_case "budget chain + certificates" `Slow test_session_chain;
           Alcotest.test_case "blocks differ per round" `Slow test_session_blocks_differ;
           Alcotest.test_case "round limit R" `Slow test_session_round_limit;
+          Alcotest.test_case "wrong row count refused" `Slow
+            test_session_refuses_wrong_row_count;
         ] );
     ]

@@ -121,8 +121,6 @@ let test_cache_key_canonicalization () =
         ~n:1000 ();
       S.Cache.key ~model ~goal ~query:(Q.make ~name:"top1" ~c:8 ()) ~n:1000 ();
       S.Cache.key ~model ~goal ~query:(Q.test_instance "median") ~n:1000 ();
-      S.Cache.key ~model ~limits:P.Constraints.evaluation_limits ~goal ~query:q
-        ~n:1000 ();
       S.Cache.key ~model ~goal
         ~query:{ q with Q.error_tolerance = Some 0.1 }
         ~n:1000 ();
