@@ -60,11 +60,10 @@ let tolerance_arg =
     & opt (some float) None
     & info [ "error-tolerance" ] ~docv:"TOL" ~doc)
 
-let check_tolerance = function
-  | Some tol when not (tol > 0.0 && tol <= 1.0) ->
-      Error
-        (`Msg (Printf.sprintf "--error-tolerance must be in (0, 1], got %g" tol))
-  | t -> Ok t
+let check_tolerance tol =
+  Result.map_error
+    (fun m -> `Msg ("--error-tolerance " ^ m))
+    (Arb_queries.Registry.check_tolerance tol)
 
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
@@ -73,7 +72,7 @@ let setup_logs verbose =
 let build_query ?tolerance name categories epsilon =
   match check_tolerance tolerance with
   | Error e -> Error e
-  | Ok tolerance -> (
+  | Ok () -> (
       try
         Ok
           (Arboretum.builtin_query ~epsilon ?error_tolerance:tolerance

@@ -8,6 +8,7 @@ type planned = {
   stats : Arb_planner.Search.stats;
   certification : Arb_lang.Certify.report;
   planned_n : int;
+  cost_model : Arb_planner.Cost_model.t;
 }
 
 exception Rejected of string
@@ -65,8 +66,12 @@ let builtin_query ?epsilon ?error_tolerance ?categories name =
 
 let certify (q : query) ~n = Arb_lang.Certify.certify q.Arb_queries.Registry.program ~n
 
-let plan ?cm ?goal ?(limits = Arb_planner.Constraints.no_limits) ?tracer
-    ?metrics:registry ~n (q : query) =
+let plan ?(cm = Arb_planner.Cost_model.default) ?goal
+    ?(limits = Arb_planner.Constraints.no_limits) ?tracer ?metrics:registry ~n
+    (q : query) =
+  (match Arb_queries.Registry.check_tolerance q.Arb_queries.Registry.error_tolerance with
+  | Ok () -> ()
+  | Error m -> raise (Rejected ("error tolerance " ^ m)));
   let certification = certify q ~n in
   if not certification.Arb_lang.Certify.certified then
     raise
@@ -74,14 +79,17 @@ let plan ?cm ?goal ?(limits = Arb_planner.Constraints.no_limits) ?tracer
          ("certification failed: "
          ^ Option.value certification.Arb_lang.Certify.reason ~default:"?"));
   let r =
-    Arb_planner.Search.plan ?cm ?goal ?tracer ?metrics:registry ~limits
-      ~query:q ~n ()
+    try
+      Arb_planner.Search.plan ~cm ?goal ?tracer ?metrics:registry ~limits
+        ~query:q ~n ()
+    with Arb_planner.Extract.Unsupported m -> raise (Rejected ("cannot plan: " ^ m))
   in
   match (r.Arb_planner.Search.plan, r.Arb_planner.Search.metrics) with
   | Some plan, Some metrics ->
       { query = q; plan; metrics;
         alternatives = r.Arb_planner.Search.alternatives;
-        stats = r.Arb_planner.Search.stats; certification; planned_n = n }
+        stats = r.Arb_planner.Search.stats; certification; planned_n = n;
+        cost_model = cm }
   | _ ->
       raise
         (Rejected
@@ -91,7 +99,7 @@ let plan ?cm ?goal ?(limits = Arb_planner.Constraints.no_limits) ?tracer
               r.Arb_planner.Search.stats.Arb_planner.Search.full_plans))
 
 let explain p =
-  Arb_planner.Explain.full ~cm:Arb_planner.Cost_model.default
+  Arb_planner.Explain.full ~cm:p.cost_model
     ~n_devices:p.planned_n ~cols:p.query.Arb_queries.Registry.categories p.plan
     p.metrics p.alternatives
   ^ Format.asprintf "privacy: %a over %d mechanism call(s)@.planner: %d prefixes, %d complete candidates, %.3f s@."

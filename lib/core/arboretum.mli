@@ -34,6 +34,9 @@ type planned = {
   stats : Arb_planner.Search.stats;
   certification : Arb_lang.Certify.report;
   planned_n : int;  (** the deployment size this plan was chosen for *)
+  cost_model : Arb_planner.Cost_model.t;
+      (** the model that priced the search; {!explain} prices its table
+          with it *)
 }
 
 exception Rejected of string
@@ -73,16 +76,19 @@ val plan :
   query ->
   planned
 (** Certify then search for the best plan (§4). Raises {!Rejected} when
-    certification fails or no plan satisfies the limits (default
-    {!Arb_planner.Constraints.no_limits}) and the query's own error
-    tolerance, which the search reads off the query. [cm] selects the
-    cost model pricing candidates (default {!Arb_planner.Cost_model.default};
+    the query's error tolerance lies outside (0, 1]
+    ({!Arb_queries.Registry.check_tolerance}), when certification fails,
+    when the planner cannot lower the certified program, or when no plan
+    satisfies the limits (default {!Arb_planner.Constraints.no_limits})
+    and the query's own error tolerance, which the search reads off the
+    query. [cm] selects the cost model pricing candidates (default {!Arb_planner.Cost_model.default};
     pass a fitted [Calibration.t]'s constants — [arb plan --calibration]).
     [tracer] and [metrics] are handed to {!Arb_planner.Search.plan} for
     span-level profiling and [arb_planner_*] counters. *)
 
 val explain : planned -> string
-(** Human-readable plan: vignettes, placements, costs, committee sizing. *)
+(** Human-readable plan: vignettes, placements, costs, committee sizing,
+    all priced with the plan's own [cost_model]. *)
 
 val synthesize_database :
   ?seed:int64 -> ?skew:float -> query -> n:int -> int array array

@@ -31,20 +31,9 @@ let as_float = function
   | V_bool b -> if b then 1.0 else 0.0
   | V_arr _ -> err "expected a scalar, got an array"
 
-type env = {
-  vars : (string, value) Hashtbl.t;
-  rng : Arb_util.Rng.t;
-  mutable outputs : value list;
-  epsilon : float;
-  sensitivity : float;
-}
+(* --- the public-value primitives [eval] and [exec] are built from --- *)
 
-let lookup env v =
-  match Hashtbl.find_opt env.vars v with
-  | Some x -> x
-  | None -> err "unbound variable %s" v
-
-let to_bool = function
+let truthy = function
   | V_bool b -> b
   | V_int i -> i <> 0
   | v -> err "expected a boolean, got %s" (value_to_string v)
@@ -59,55 +48,57 @@ let arith op_int op_fix a b =
 
 let compare_vals a b = Float.compare (as_float a) (as_float b)
 
-let float_array = function
-  | V_arr a -> Array.map as_float a
-  | v -> err "expected an array, got %s" (value_to_string v)
+let unop (op : Ast.unop) v =
+  match (op, v) with
+  | Not, v -> V_bool (not (truthy v))
+  | Neg, V_int i -> V_int (-i)
+  | Neg, V_fix f -> V_fix (Fx.neg f)
+  | Neg, v -> err "negating %s" (value_to_string v)
 
-let rec eval env (e : Ast.expr) : value =
-  match e with
-  | Int_lit i -> V_int i
-  | Fix_lit f -> V_fix (Fx.of_float f)
-  | Bool_lit b -> V_bool b
-  | Var v -> lookup env v
-  | Index (v, idxs) ->
-      let rec descend value idxs =
-        match (value, idxs) with
-        | v, [] -> v
-        | V_arr a, i :: rest ->
-            let ix = as_int (eval env i) in
-            if ix < 0 || ix >= Array.length a then
-              err "index %d out of bounds for %s (length %d)" ix v_name
-                (Array.length a)
-            else descend a.(ix) rest
-        | v, _ -> err "indexing a non-array %s" (value_to_string v)
-      and v_name = v in
-      descend (lookup env v) idxs
-  | Unop (Not, e) -> V_bool (not (to_bool (eval env e)))
-  | Unop (Neg, e) -> (
-      match eval env e with
-      | V_int i -> V_int (-i)
-      | V_fix f -> V_fix (Fx.neg f)
-      | v -> err "negating %s" (value_to_string v))
-  | Binop (op, e1, e2) -> (
-      match op with
-      | And -> V_bool (to_bool (eval env e1) && to_bool (eval env e2))
-      | Or -> V_bool (to_bool (eval env e1) || to_bool (eval env e2))
-      | Lt -> V_bool (compare_vals (eval env e1) (eval env e2) < 0)
-      | Le -> V_bool (compare_vals (eval env e1) (eval env e2) <= 0)
-      | Gt -> V_bool (compare_vals (eval env e1) (eval env e2) > 0)
-      | Ge -> V_bool (compare_vals (eval env e1) (eval env e2) >= 0)
-      | Eq -> V_bool (compare_vals (eval env e1) (eval env e2) = 0)
-      | Ne -> V_bool (compare_vals (eval env e1) (eval env e2) <> 0)
-      | Add -> arith ( + ) Fx.add (eval env e1) (eval env e2)
-      | Sub -> arith ( - ) Fx.sub (eval env e1) (eval env e2)
-      | Mul -> arith ( * ) Fx.mul (eval env e1) (eval env e2)
-      | Div ->
-          let a = eval env e1 and b = eval env e2 in
-          if as_float b = 0.0 then err "division by zero";
-          arith ( / ) Fx.div a b)
-  | Call (f, args) -> eval_call env f (List.map (eval env) args)
+let binop (op : Ast.binop) a b =
+  match op with
+  | And -> V_bool (truthy a && truthy b)
+  | Or -> V_bool (truthy a || truthy b)
+  | Lt -> V_bool (compare_vals a b < 0)
+  | Le -> V_bool (compare_vals a b <= 0)
+  | Gt -> V_bool (compare_vals a b > 0)
+  | Ge -> V_bool (compare_vals a b >= 0)
+  | Eq -> V_bool (compare_vals a b = 0)
+  | Ne -> V_bool (compare_vals a b <> 0)
+  | Add -> arith ( + ) Fx.add a b
+  | Sub -> arith ( - ) Fx.sub a b
+  | Mul -> arith ( * ) Fx.mul a b
+  | Div ->
+      if as_float b = 0.0 then err "division by zero";
+      arith ( / ) Fx.div a b
 
-and eval_call env f args =
+let short_circuit (op : Ast.binop) a =
+  match op with
+  | And when not (truthy a) -> Some (V_bool false)
+  | Or when truthy a -> Some (V_bool true)
+  | _ -> None
+
+let index v is =
+  List.fold_left
+    (fun v i ->
+      match v with
+      | V_arr a when i >= 0 && i < Array.length a -> a.(i)
+      | V_arr a -> err "index %d out of bounds (length %d)" i (Array.length a)
+      | v -> err "indexing a non-array %s" (value_to_string v))
+    v is
+
+let rec update v is x =
+  match is with
+  | [] -> x
+  | i :: rest ->
+      if i < 0 then err "negative index %d in an indexed write" i;
+      let a = match v with V_arr a -> a | _ -> [||] in
+      let n = Array.length a in
+      let a = Array.init (max n (i + 1)) (fun j -> if j < n then a.(j) else V_int 0) in
+      a.(i) <- update a.(i) rest x;
+      V_arr a
+
+let builtin f args =
   match (f, args) with
   | "sum", [ V_arr rows ] when Array.length rows > 0 && (match rows.(0) with V_arr _ -> true | _ -> false) ->
       (* Column sums over the participant axis. *)
@@ -158,6 +149,33 @@ and eval_call env f args =
       let x = as_float v in
       if x <= 0.0 then err "log of non-positive value";
       V_fix (Fx.of_float (log x))
+  | "declassify", [ v ] -> v
+  | _ ->
+      err "unknown builtin %s/%d" f (List.length args)
+
+(* --- the reference interpreter --- *)
+
+type env = {
+  vars : (string, value) Hashtbl.t;
+  rng : Arb_util.Rng.t;
+  mutable outputs : value list;
+  epsilon : float;
+  sensitivity : float;
+}
+
+let lookup env v =
+  match Hashtbl.find_opt env.vars v with
+  | Some x -> x
+  | None -> err "unbound variable %s" v
+
+let float_array = function
+  | V_arr a -> Array.map as_float a
+  | v -> err "expected an array, got %s" (value_to_string v)
+
+(* The mechanisms draw from the run's RNG; every other builtin is
+   [builtin]. *)
+let call env f args =
+  match (f, args) with
   | "laplace", [ V_arr a ] ->
       V_arr
         (Array.map
@@ -194,43 +212,29 @@ and eval_call env f args =
       (* Keep the shape non-degenerate for downstream sums. *)
       let kept = if kept = [] then [ rows.(0) ] else kept in
       V_arr (Array.of_list kept)
-  | "declassify", [ v ] -> v
-  | _ ->
-      err "unknown builtin %s/%d" f (List.length args)
+  | _ -> builtin f args
 
-let grow_array a len fill =
-  if Array.length a >= len then a
-  else
-    Array.init len (fun i -> if i < Array.length a then a.(i) else fill)
+let rec eval env (e : Ast.expr) : value =
+  match e with
+  | Int_lit i -> V_int i
+  | Fix_lit f -> V_fix (Fx.of_float f)
+  | Bool_lit b -> V_bool b
+  | Var v -> lookup env v
+  | Index (v, idxs) -> index (lookup env v) (List.map (fun i -> as_int (eval env i)) idxs)
+  | Unop (op, e) -> unop op (eval env e)
+  | Binop (op, e1, e2) -> (
+      let a = eval env e1 in
+      match short_circuit op a with Some v -> v | None -> binop op a (eval env e2))
+  | Call (f, args) -> call env f (List.map (eval env) args)
 
-let rec assign_index env name idx_values rhs =
-  let current =
-    match Hashtbl.find_opt env.vars name with
-    | Some v -> v
-    | None -> V_arr [||]
-  in
-  let rec go value idxs =
-    match idxs with
-    | [] -> rhs
-    | i :: rest ->
-        let a = match value with V_arr a -> a | _ -> [||] in
-        let a = grow_array a (i + 1) (V_int 0) in
-        let a = Array.copy a in
-        a.(i) <- go a.(i) rest;
-        V_arr a
-  in
-  Hashtbl.replace env.vars name (go current idx_values)
-
-and exec env (s : Ast.stmt) =
+let rec exec env (s : Ast.stmt) =
   match s with
   | Seq ss -> List.iter (exec env) ss
   | Assign (v, e) -> Hashtbl.replace env.vars v (eval env e)
   | Assign_idx (v, idxs, e) ->
-      let idx_values = List.map (fun i -> as_int (eval env i)) idxs in
-      List.iter
-        (fun i -> if i < 0 then err "negative index writing %s" v)
-        idx_values;
-      assign_index env v idx_values (eval env e)
+      let is = List.map (fun i -> as_int (eval env i)) idxs in
+      let current = Option.value (Hashtbl.find_opt env.vars v) ~default:(V_arr [||]) in
+      Hashtbl.replace env.vars v (update current is (eval env e))
   | Output e -> env.outputs <- eval env e :: env.outputs
   | For (v, lo, hi, body) ->
       let lo = as_int (eval env lo) and hi = as_int (eval env hi) in
@@ -238,7 +242,7 @@ and exec env (s : Ast.stmt) =
         Hashtbl.replace env.vars v (V_int i);
         exec env body
       done
-  | If (c, s1, s2) -> if to_bool (eval env c) then exec env s1 else exec env s2
+  | If (c, s1, s2) -> exec env (if truthy (eval env c) then s1 else s2)
 
 let default_sensitivity (p : Ast.program) =
   match p.row with

@@ -169,6 +169,7 @@ and infer_call _env f (args : ty list) : ty =
   | "clip", [ t; lo; hi ] ->
       if lo.dims <> [] || hi.dims <> [] then err "clip bounds must be scalars";
       let lo_v = lo.range.I.lo and hi_v = hi.range.I.hi in
+      if lo_v > hi_v then err "clip: lo > hi";
       { t with range = I.clip t.range ~lo:lo_v ~hi:hi_v }
   | "exp", [ { dims = []; _ } ] ->
       (* e^x saturates at the fixpoint format bound. *)

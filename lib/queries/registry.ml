@@ -8,6 +8,11 @@ type query = {
   error_tolerance : float option;
 }
 
+let check_tolerance = function
+  | Some tol when not (tol > 0.0 && tol <= 1.0) ->
+      Error (Printf.sprintf "must be in (0, 1], got %g" tol)
+  | _ -> Ok ()
+
 let names =
   [ "top1"; "topK"; "gap"; "auction"; "hypotest"; "secrecy"; "median"; "cms";
     "bayes"; "kmedians" ]

@@ -21,6 +21,11 @@ type query = {
           (sampled/sketched) variants for the query *)
 }
 
+val check_tolerance : float option -> (unit, string) result
+(** The one rule for [error_tolerance]: absent, or in (0, 1]. The error
+    reads ["must be in (0, 1], got TOL"]; each surface prefixes the name it
+    knows the field by. *)
+
 val names : string list
 (** In Table 2 order: top1, topK, gap, auction, hypotest, secrecy, median,
     cms, bayes, kmedians. *)

@@ -173,7 +173,6 @@ let as_clean = function
   | _ -> err "expected a public value, found a secret one"
 
 let clean_int v = L.Interp.as_int (as_clean v)
-let clean_float v = L.Interp.as_float (as_clean v)
 
 let to_sscalar st = function
   | R_sscalar s -> s
@@ -181,37 +180,6 @@ let to_sscalar st = function
   | R_svec _ -> err "expected a scalar, found a vector"
 
 let is_secret = function R_clean _ -> false | _ -> true
-
-(* --- clean-value arithmetic (mirrors the reference interpreter) --- *)
-
-let clean_binop op a b : L.Interp.value =
-  let fa = L.Interp.as_float a and fb = L.Interp.as_float b in
-  let arith f =
-    match (a, b) with
-    | L.Interp.V_int x, L.Interp.V_int y -> (
-        match op with
-        | L.Ast.Add -> L.Interp.V_int (x + y)
-        | Sub -> V_int (x - y)
-        | Mul -> V_int (x * y)
-        | Div -> if y = 0 then err "division by zero" else V_int (x / y)
-        | _ -> assert false)
-    | _ -> L.Interp.V_fix (Fx.of_float (f fa fb))
-  in
-  match op with
-  | L.Ast.Add -> arith ( +. )
-  | Sub -> arith ( -. )
-  | Mul -> arith ( *. )
-  | Div -> if fb = 0.0 then err "division by zero" else arith ( /. )
-  | Lt -> V_bool (fa < fb)
-  | Le -> V_bool (fa <= fb)
-  | Gt -> V_bool (fa > fb)
-  | Ge -> V_bool (fa >= fb)
-  | Eq -> V_bool (fa = fb)
-  | Ne -> V_bool (fa <> fb)
-  | And | Or -> (
-      match (a, b) with
-      | V_bool x, V_bool y -> V_bool (if op = L.Ast.And then x && y else x || y)
-      | _ -> err "boolean operator on non-booleans")
 
 (* Secret binop: at least one side secret. *)
 let secret_binop st op a b : rvalue =
@@ -244,10 +212,29 @@ let secret_binop st op a b : rvalue =
       R_sscalar (E.sub eng (E.const eng 1) lt)
   | Eq | Ne | And | Or -> err "operator not supported on secret values"
 
-let secret_abs st s =
+(* A builtin with at least one secret argument. *)
+let secret_builtin st f args : rvalue =
   let eng = st.eng_ops in
-  let neg = Fm.less_than eng s (E.const eng 0) in
-  E.select eng neg (E.neg eng s) s
+  match (f, args) with
+  | "sum", [ R_svec a ] -> R_sscalar (Pr.sum eng a)
+  | "prefixSums", [ R_svec a ] -> R_svec (Pr.prefix_sums eng a)
+  | "suffixSums", [ R_svec a ] ->
+      let rev a = Array.of_list (List.rev (Array.to_list a)) in
+      R_svec (rev (Pr.prefix_sums eng (rev a)))
+  | "max", [ R_svec a ] -> R_sscalar (Pr.max eng a)
+  | "argmax", [ R_svec a ] -> R_sscalar (Pr.argmax eng a)
+  | "len", [ R_svec a ] -> R_clean (V_int (Array.length a))
+  | "abs", [ R_sscalar s ] ->
+      let neg = Fm.less_than eng s (E.const eng 0) in
+      R_sscalar (E.select eng neg (E.neg eng s) s)
+  | "clip", [ x; lo; hi ] ->
+      let s = to_sscalar st x and lo = to_sscalar st lo and hi = to_sscalar st hi in
+      let s = E.select eng (Fm.less_than eng s lo) lo s in
+      R_sscalar (E.select eng (Fm.less_than eng hi s) hi s)
+  | "declassify", [ R_sscalar s ] -> R_clean (V_fix (Fm.open_fixed eng s))
+  | "declassify", [ v ] -> v
+  | ("exp" | "log"), _ -> err "%s on secret values must go through a mechanism" f
+  | _ -> err "unsupported builtin %s/%d on secret values" f (List.length args)
 
 (* --- mechanisms: each runs as one charged vignette of the operations
    committee --- *)
@@ -397,7 +384,8 @@ let em_mechanism st ~gap v : rvalue =
                    Pr.em_gumbel eng ~epsilon ~sensitivity scores
                  else em_chunked st scores ~chunk)))
 
-(* --- expression evaluation --- *)
+(* --- expression evaluation: an operation on public values alone is the
+   reference interpreter's; the cases below are for secret operands --- *)
 
 let rec eval st (e : L.Ast.expr) : rvalue =
   match e with
@@ -406,117 +394,45 @@ let rec eval st (e : L.Ast.expr) : rvalue =
   | Bool_lit b -> R_clean (V_bool b)
   | Var v -> lookup st v
   | Index (v, idxs) -> (
-      let idx_vals = List.map (fun i -> clean_int (eval st i)) idxs in
-      match (lookup st v, idx_vals) with
-      | R_svec a, [ i ] ->
-          if i < 0 || i >= Array.length a then err "index %d out of bounds" i
-          else R_sscalar a.(i)
-      | R_clean (V_arr a), is ->
-          let rec descend v = function
-            | [] -> v
-            | i :: rest -> (
-                match v with
-                | L.Interp.V_arr a when i >= 0 && i < Array.length a ->
-                    descend a.(i) rest
-                | _ -> err "bad index into %s" "array")
-          in
-          R_clean (descend (V_arr a) is)
+      let is = List.map (fun i -> clean_int (eval st i)) idxs in
+      match (lookup st v, is) with
+      | R_clean a, _ -> R_clean (L.Interp.index a is)
+      | R_svec a, [ i ] when i >= 0 && i < Array.length a -> R_sscalar a.(i)
+      | R_svec a, [ i ] -> err "index %d out of bounds (length %d)" i (Array.length a)
       | _ -> err "cannot index %s" v)
-  | Unop (Neg, e) -> (
-      match eval st e with
-      | R_clean (V_int i) -> R_clean (V_int (-i))
-      | R_clean (V_fix f) -> R_clean (V_fix (Fx.neg f))
-      | R_sscalar s -> R_sscalar (E.neg st.eng_ops s)
-      | _ -> err "cannot negate this value")
-  | Unop (Not, e) -> (
-      match eval st e with
-      | R_clean (V_bool b) -> R_clean (V_bool (not b))
-      | _ -> err "! on a non-boolean")
-  | Binop (op, e1, e2) ->
-      let a = eval st e1 and b = eval st e2 in
-      if is_secret a || is_secret b then secret_binop st op a b
-      else R_clean (clean_binop op (as_clean a) (as_clean b))
+  | Unop (op, e) -> (
+      match (op, eval st e) with
+      | _, R_clean v -> R_clean (L.Interp.unop op v)
+      | Neg, R_sscalar s -> R_sscalar (E.neg st.eng_ops s)
+      | _ -> err "operator not supported on secret values")
+  | Binop (op, e1, e2) -> (
+      match eval st e1 with
+      | R_clean x -> (
+          match L.Interp.short_circuit op x with
+          | Some v -> R_clean v
+          | None -> (
+              match eval st e2 with
+              | R_clean y -> R_clean (L.Interp.binop op x y)
+              | b -> secret_binop st op (R_clean x) b))
+      | a -> secret_binop st op a (eval st e2))
   | Call (f, args) -> eval_call st f args
 
 and eval_call st f (args : L.Ast.expr list) : rvalue =
-  let eng = st.eng_ops in
   match (f, args) with
   | "sum", [ Var src ]
     when src = "db" || Some src = st.sampled_var ->
       R_svec st.shared_db_sums
-  | "sum", [ e ] -> (
-      match eval st e with
-      | R_svec a -> R_sscalar (Pr.sum eng a)
-      | R_clean (V_arr a) ->
-          R_clean
-            (V_fix
-               (Array.fold_left
-                  (fun acc v -> Fx.add acc (Fx.of_float (L.Interp.as_float v)))
-                  Fx.zero a))
-      | _ -> err "sum over a non-array")
-  | ("prefixSums" | "suffixSums"), [ e ] -> (
-      match eval st e with
-      | R_svec a ->
-          if f = "prefixSums" then R_svec (Pr.prefix_sums eng a)
-          else begin
-            let rev = Array.of_list (List.rev (Array.to_list a)) in
-            let sums = Pr.prefix_sums eng rev in
-            R_svec (Array.of_list (List.rev (Array.to_list sums)))
-          end
-      | _ -> err "%s over a non-secret-vector" f)
-  | "max", [ e ] -> (
-      match eval st e with
-      | R_svec a -> R_sscalar (Pr.max eng a)
-      | _ -> err "max over a non-secret-vector")
-  | "argmax", [ e ] -> (
-      match eval st e with
-      | R_svec a -> R_sscalar (Pr.argmax eng a)
-      | _ -> err "argmax over a non-secret-vector")
-  | "len", [ e ] -> (
-      match eval st e with
-      | R_svec a -> R_clean (V_int (Array.length a))
-      | R_clean (V_arr a) -> R_clean (V_int (Array.length a))
-      | _ -> err "len of a non-array")
-  | "abs", [ e ] -> (
-      match eval st e with
-      | R_sscalar s -> R_sscalar (secret_abs st s)
-      | R_clean (V_int i) -> R_clean (V_int (abs i))
-      | R_clean (V_fix f) -> R_clean (V_fix (Fx.abs f))
-      | _ -> err "abs of a non-scalar")
-  | "clip", [ e; lo; hi ] -> (
-      let lo = clean_float (eval st lo) and hi = clean_float (eval st hi) in
-      match eval st e with
-      | R_clean v ->
-          let x = Float.min hi (Float.max lo (L.Interp.as_float v)) in
-          R_clean (V_fix (Fx.of_float x))
-      | R_sscalar s ->
-          let lo_s = E.const eng (Fx.to_raw (Fx.of_float lo)) in
-          let hi_s = E.const eng (Fx.to_raw (Fx.of_float hi)) in
-          let below = Fm.less_than eng s lo_s in
-          let s = E.select eng below lo_s s in
-          let above = Fm.less_than eng hi_s s in
-          R_sscalar (E.select eng above hi_s s)
-      | _ -> err "clip of a vector")
-  | "declassify", [ e ] -> (
-      match eval st e with
-      | R_sscalar s -> R_clean (V_fix (Fm.open_fixed eng s))
-      | v -> v)
   | "laplace", [ e ] -> laplace_mechanism st (eval st e)
   | ("em" | "emGap"), [ e ] -> em_mechanism st ~gap:(f = "emGap") (eval st e)
-  | "exp", [ e ] -> (
-      match eval st e with
-      | R_clean v -> R_clean (V_fix (Fx.of_float (exp (L.Interp.as_float v))))
-      | _ -> err "exp on secret values must go through a mechanism")
-  | "log", [ e ] -> (
-      match eval st e with
-      | R_clean v -> R_clean (V_fix (Fx.of_float (log (L.Interp.as_float v))))
-      | _ -> err "log on secret values must go through a mechanism")
   | "sampleUniform", _ ->
       (* Sampling is folded into the input pipeline; the variable is bound
          by the interpret stage; reaching here means the query used it
          oddly. *)
       err "sampleUniform may only be bound to a variable and summed"
-  | _ -> err "unsupported builtin %s/%d" f (List.length args)
+  | _ ->
+      let vs = List.map (eval st) args in
+      if List.exists is_secret vs then secret_builtin st f vs
+      else R_clean (L.Interp.builtin f (List.map as_clean vs))
 
 (* --- statements --- *)
 
@@ -530,53 +446,29 @@ let rec exec st (s : L.Ast.stmt) =
       Hashtbl.replace st.vars v (R_clean (V_int 0))
   | Assign (v, e) -> Hashtbl.replace st.vars v (eval st e)
   | Assign_idx (v, idxs, e) -> (
-      let idx_vals = List.map (fun i -> clean_int (eval st i)) idxs in
+      let is = List.map (fun i -> clean_int (eval st i)) idxs in
       let rhs = eval st e in
-      let grow a i =
-        if Array.length a > i then a
-        else
-          Array.init (i + 1) (fun j ->
-              if j < Array.length a then a.(j) else E.const st.eng_ops 0)
-      in
-      match (Hashtbl.find_opt st.vars v, idx_vals, rhs) with
-      | Some (R_svec a), [ i ], R_clean cv ->
-          (* Public masking of a secret vector (topK). *)
-          if i < 0 then err "mask index out of bounds";
-          let a = grow a i in
-          let raw = Fx.to_raw (Fx.of_float (L.Interp.as_float cv)) in
-          a.(i) <- E.const st.eng_ops raw;
-          Hashtbl.replace st.vars v (R_svec a)
-      | Some (R_svec a), [ i ], R_sscalar s ->
-          if i < 0 then err "index out of bounds";
-          let a = grow a i in
-          a.(i) <- s;
-          Hashtbl.replace st.vars v (R_svec a)
-      | (Some (R_clean _) | None), is, R_clean cv ->
-          let current =
-            match Hashtbl.find_opt st.vars v with
-            | Some (R_clean (V_arr a)) -> L.Interp.V_arr a
-            | _ -> V_arr [||]
+      match (Hashtbl.find_opt st.vars v, is, rhs) with
+      | ((None | Some (R_clean _)) as cur), _, R_clean x ->
+          let cur = match cur with Some (R_clean a) -> a | _ -> L.Interp.V_arr [||] in
+          Hashtbl.replace st.vars v (R_clean (L.Interp.update cur is x))
+      | ((None | Some (R_clean _ | R_svec _)) as cur), [ i ], _ ->
+          (* A write into a secret vector (topK masks one with a public
+             value), or the first secret write into a public array, whose
+             public entries become constant shares. The vector is copied,
+             so other variables holding it keep their entries. *)
+          if i < 0 then err "negative index %d in an indexed write" i;
+          let a =
+            match cur with
+            | Some (R_svec a) -> a
+            | Some (R_clean (V_arr a)) -> Array.map (fun x -> to_sscalar st (R_clean x)) a
+            | _ -> [||]
           in
-          let rec write value = function
-            | [] -> cv
-            | i :: rest ->
-                let a =
-                  match value with L.Interp.V_arr a -> Array.copy a | _ -> [||]
-                in
-                let a =
-                  if Array.length a > i then a
-                  else
-                    Array.init (i + 1) (fun j ->
-                        if j < Array.length a then a.(j) else L.Interp.V_int 0)
-                in
-                a.(i) <- write a.(i) rest;
-                V_arr a
+          let n = Array.length a in
+          let a =
+            Array.init (max n (i + 1)) (fun j -> if j < n then a.(j) else E.const st.eng_ops 0)
           in
-          Hashtbl.replace st.vars v (R_clean (write current is))
-      | (Some (R_clean _) | None), [ i ], R_sscalar s ->
-          (* First secret write into a fresh vector: materialize it. *)
-          let a = grow [||] i in
-          a.(i) <- s;
+          a.(i) <- to_sscalar st rhs;
           Hashtbl.replace st.vars v (R_svec a)
       | _ -> err "unsupported indexed assignment into %s" v)
   | Output e -> (
@@ -591,8 +483,7 @@ let rec exec st (s : L.Ast.stmt) =
       done
   | If (c, s1, s2) -> (
       match eval st c with
-      | R_clean (V_bool b) -> exec st (if b then s1 else s2)
-      | R_clean (V_int i) -> exec st (if i <> 0 then s1 else s2)
+      | R_clean v -> exec st (if L.Interp.truthy v then s1 else s2)
       | _ -> err "branch on a secret value")
 
 (* ---------------- the protocol pipeline (§5) ---------------- *)
@@ -1410,6 +1301,7 @@ let run_source cfg ~(query : Arb_queries.Registry.query) ~(plan : Plan.t) ~src =
         }
   | r -> Ok r
   | exception Failed f -> Error f
+  | exception L.Interp.Runtime_error reason -> Error { stage = "execute"; reason }
   | exception E.Cheating_detected reason -> Error { stage = "mpc"; reason }
   | exception Setup.Budget_exhausted ->
       Error { stage = "budget"; reason = "privacy budget exhausted" }

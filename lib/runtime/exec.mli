@@ -12,6 +12,10 @@
     threshold-decrypts (real partial decryptions combined); and the rest of
     the query runs inside an honest-majority MPC engine — noise sampling,
     comparisons, argmax — before the declassified outputs are released.
+    An operation whose operands are all public (post-processing of a
+    released value, loop arithmetic) runs in the clear on
+    {!Arb_lang.Interp}'s primitives, so it means exactly what the
+    reference interpreter says.
 
     Fidelity notes (DESIGN.md §1): operator-instantiation details that only
     affect cost (sum-tree fanout, committee chunking) are executed in their
@@ -138,7 +142,10 @@ type failure = { stage : string; reason : string }
 (** Where a run failed closed and why. Stages:
     - ["execute"]: the run is outside the runtime's supported shape (too
       few devices for the committees, a bad sharding, an uncertifiable
-      query, catastrophic churn, a failed sortition or VSR check);
+      query, an unsupported operation on secret values, catastrophic
+      churn, a failed sortition or VSR check), or the program stops where
+      the reference interpreter stops ({!Arb_lang.Interp.Runtime_error}:
+      a bad index, a division by zero, the log of a non-positive value);
     - ["budget"]: the query's certified cost exceeds [config.budget];
     - ["degraded"]: injected faults exceeded the recovery budget (a lost
       device upload, every auditing device offline);

@@ -180,10 +180,9 @@ let try_submit ?max_queue ?(check_budget = true) t (s : Workload.submission) =
         Error (0, Printf.sprintf "unknown query %S (see `arb list`)" s.Workload.query)
     | Some query -> (
         let categories = query.Q.categories in
-        match s.Workload.tolerance with
-        | Some tol when not (tol > 0.0 && tol <= 1.0) ->
-            Error (categories, Printf.sprintf "tolerance must be in (0, 1], got %g" tol)
-        | _ ->
+        match Q.check_tolerance s.Workload.tolerance with
+        | Error m -> Error (categories, "tolerance " ^ m)
+        | Ok () ->
             let cert = certify t query in
             if not cert.Arb_lang.Certify.certified then
               Error

@@ -209,13 +209,10 @@ let submission_of_json j =
               if repeat <= 0 then
                 Error (Printf.sprintf "query %s: repeat must be positive" query)
               else (
-                match tolerance with
-                | Some tol when not (tol > 0.0 && tol <= 1.0) ->
-                    Error
-                      (Printf.sprintf
-                         "query %s: tolerance must be in (0, 1], got %g" query
-                         tol)
-                | _ ->
+                match Arb_queries.Registry.check_tolerance tolerance with
+                | Error m ->
+                    Error (Printf.sprintf "query %s: tolerance %s" query m)
+                | Ok () ->
                     let s =
                       {
                         query; epsilon; categories; goal; repeat; every; window;

@@ -58,6 +58,47 @@ let test_plan_rejects_infeasible_limits () =
        false
      with A.Rejected _ -> true)
 
+let test_explain_prices_with_plan_model () =
+  let d = P.Cost_model.default in
+  let cm = { d with P.Cost_model.kg_coeff_time = 1.2 *. d.P.Cost_model.kg_coeff_time } in
+  let q = simple_query () in
+  let p = A.plan ~cm ~n:10_000_000 q in
+  let table cm =
+    P.Explain.full ~cm ~n_devices:p.A.planned_n ~cols:q.Arb_queries.Registry.categories
+      p.A.plan p.A.metrics p.A.alternatives
+  in
+  checkb "the two models price the table differently" true (table cm <> table d);
+  checkb "explain prints the plan's own model's table" true
+    (String.starts_with ~prefix:(table cm) (A.explain p))
+
+(* A program the planner cannot lower after certifying it, and one whose
+   clip bounds cross, each end in [Rejected] with its reason. *)
+let test_plan_raises_only_rejected () =
+  List.iter
+    (fun (source, reason) ->
+      let q =
+        A.query_of_source ~name:"rejected" ~source ~row:(A.one_hot 4) ~epsilon:5.0 ()
+      in
+      match A.plan ~n:48 q with
+      | _ -> Alcotest.failf "planned %s" source
+      | exception A.Rejected m -> Alcotest.(check string) source reason m)
+    [ ("a[0] = 7; a[1] = 2; output(sum(a));",
+       "cannot plan: builtin sum not allowed inside expressions here");
+      ("output(clip(5, 10, 0));", "certification failed: type error: clip: lo > hi") ]
+
+let test_plan_rejects_bad_tolerance () =
+  List.iter
+    (fun tol ->
+      let q = A.builtin_query ~categories:16 ~error_tolerance:tol "top1" in
+      match A.plan ~n:5_000 q with
+      | _ -> Alcotest.failf "tolerance %g planned" tol
+      | exception A.Rejected m ->
+          Alcotest.(check string)
+            (Printf.sprintf "tolerance %g" tol)
+            (Printf.sprintf "error tolerance must be in (0, 1], got %g" tol)
+            m)
+    [ 5.0; -0.5; Float.nan; 0.0 ]
+
 let released = function
   | Ok report -> report
   | Error f -> Alcotest.failf "run failed closed: %a" Arb_runtime.Exec.pp_failure f
@@ -390,6 +431,12 @@ let () =
           Alcotest.test_case "leaky query rejected" `Quick test_plan_rejects_leaky_query;
           Alcotest.test_case "infeasible limits rejected" `Quick
             test_plan_rejects_infeasible_limits;
+          Alcotest.test_case "explain prices with the plan's model" `Quick
+            test_explain_prices_with_plan_model;
+          Alcotest.test_case "plan raises only Rejected" `Quick
+            test_plan_raises_only_rejected;
+          Alcotest.test_case "tolerance outside (0, 1] rejected" `Quick
+            test_plan_rejects_bad_tolerance;
           Alcotest.test_case "builtin queries" `Quick test_builtin_queries_accessible;
           Alcotest.test_case "certify" `Quick test_certify_through_facade;
         ] );

@@ -324,6 +324,18 @@ let test_interp_out_of_bounds () =
        false
      with L.Interp.Runtime_error _ -> true)
 
+let test_interp_update_primitive () =
+  let a = L.Interp.V_arr [| L.Interp.V_int 1 |] in
+  (match L.Interp.update a [ 2 ] (L.Interp.V_int 9) with
+  | L.Interp.V_arr [| L.Interp.V_int 1; L.Interp.V_int 0; L.Interp.V_int 9 |] -> ()
+  | v -> Alcotest.failf "grown write: %s" (L.Interp.value_to_string v));
+  checkb "the written array is unchanged" true (a = L.Interp.V_arr [| L.Interp.V_int 1 |]);
+  checkb "a negative index raises" true
+    (try
+       ignore (L.Interp.update a [ -1 ] (L.Interp.V_int 9));
+       false
+     with L.Interp.Runtime_error _ -> true)
+
 let test_interp_empty_loop () =
   match run_src "s = 1; for i = 5 to 4 do s = s + 1; endfor output(s);" with
   | [ L.Interp.V_int 1 ] -> ()
@@ -462,6 +474,8 @@ let () =
           Alcotest.test_case "em epsilon behavior" `Slow test_interp_em_respects_epsilon;
           Alcotest.test_case "nested arrays" `Quick test_interp_nested_arrays;
           Alcotest.test_case "out of bounds" `Quick test_interp_out_of_bounds;
+          Alcotest.test_case "update copies, refuses a negative index" `Quick
+            test_interp_update_primitive;
           Alcotest.test_case "empty loop" `Quick test_interp_empty_loop;
           Alcotest.test_case "emGap shape" `Quick test_interp_gap_shape;
           Alcotest.test_case "boolean operators" `Quick test_interp_bool_ops;

@@ -833,6 +833,88 @@ let test_sampled_vs_full_within_est_error () =
       Float.max 0.0
         (Float.max (lo i_samp -. cdf i_full) (lo i_full -. cdf i_samp)))
 
+(* ---------------- public values: the reference interpreter's semantics ----------------
+
+   The interpret stage evaluates every operation on public values alone
+   with the reference interpreter's primitives. Each program certifies and
+   runs through the facade over one-hot rows of width 4 at epsilon 5 and 48
+   devices; the run must release what the reference computes (up to the
+   mechanism's noise) or stop where the reference stops. *)
+
+let public_run source =
+  let q =
+    Arboretum.query_of_source ~name:"public" ~source ~row:(Arboretum.one_hot 4)
+      ~epsilon:5.0 ()
+  in
+  let db = Arboretum.synthesize_database q ~n:48 in
+  (q, db, Arboretum.run ~db (Arboretum.plan ~n:48 q))
+
+let rec flat = function
+  | L.Interp.V_arr a -> List.concat_map flat (Array.to_list a)
+  | v -> [ L.Interp.as_float v ]
+
+(* Noise of scale 0.2, drawn separately on each side, and integer
+   truncation of running sums stay well inside 5. *)
+let check_near_reference source =
+  let q, db, r = public_run source in
+  let want = List.concat_map flat (Arboretum.reference_outputs ~db q) in
+  let got = List.concat_map flat (released r).R.Exec.outputs in
+  checki (source ^ ": output count") (List.length want) (List.length got);
+  List.iter2
+    (fun w g ->
+      checkb (Printf.sprintf "%s: %f within 5 of %f" source g w) true
+        (Float.abs (g -. w) < 5.0))
+    want got
+
+let test_noisy_max_post_processing () =
+  List.iter
+    (fun post -> check_near_reference ("c = sum(db); n = laplace(c); " ^ post))
+    [ "output(max(n));"; "output(argmax(n));"; "p = prefixSums(n); output(p);";
+      "p = suffixSums(n); output(p);" ]
+
+let test_guards_short_circuit () =
+  List.iter
+    (fun guard ->
+      check_near_reference
+        ("c = sum(db); n = laplace(c); k = 0; for i = 0 to 4 do if " ^ guard
+       ^ " then k = k + 1; endif endfor output(k);"))
+    [ "i < 4 && n[i] > 10"; "i > 3 || n[i] > 10" ]
+
+let test_public_outputs_equal_reference () =
+  List.iter
+    (fun source ->
+      let q, db, r = public_run source in
+      Alcotest.(check (list string))
+        source
+        (List.map L.Interp.value_to_string (Arboretum.reference_outputs ~db q))
+        (Arboretum.outputs_to_strings (released r)))
+    [ "output(clip(N, 0, 10));"; "a[0] = 4; a[1] = 5; s = sum(a); output(s);" ]
+
+let check_execute_failure source =
+  let q, db, r = public_run source in
+  checkb (source ^ ": the reference stops") true
+    (match Arboretum.reference_outputs ~db q with
+    | _ -> false
+    | exception L.Interp.Runtime_error _ -> true);
+  Alcotest.(check string) (source ^ ": fails closed at execute") "execute" (stage r)
+
+let test_log_of_negative_fails_closed () = check_execute_failure "output(log(0 - 1));"
+
+let test_negative_index_writes_fail_closed () =
+  List.iter check_execute_failure
+    [ "a[0 - 1] = 3; output(1);";
+      "aggr = sum(db); a[0 - 1] = aggr[0]; b = laplace(a); output(b);" ]
+
+let test_secret_write_keeps_public_entries () =
+  List.iter check_near_reference
+    [ "aggr = sum(db); a[0] = 1000; a[1] = aggr[0]; b = laplace(a); output(b[0]);";
+      "aggr = sum(db); a[1] = aggr[0]; a[0] = 1000; b = laplace(a); output(b[0]);" ]
+
+let test_secret_write_copies_vector () =
+  List.iter check_near_reference
+    [ "aggr = sum(db); b = aggr; aggr[0] = 0 - N; n = laplace(b); output(n[0]);";
+      "a = sum(db); b = sum(db); a[0] = 0 - N; n = laplace(b); output(n[0]);" ]
+
 let () =
   Alcotest.run "arb_runtime"
     [
@@ -902,6 +984,22 @@ let () =
             test_verify_catches_wrong_plan;
           Alcotest.test_case "tampered audit detected" `Slow
             test_verify_catches_tampered_audit;
+        ] );
+      ( "public values",
+        [
+          Alcotest.test_case "noisy-max post-processing" `Quick
+            test_noisy_max_post_processing;
+          Alcotest.test_case "guards short-circuit" `Quick test_guards_short_circuit;
+          Alcotest.test_case "public outputs equal the reference" `Quick
+            test_public_outputs_equal_reference;
+          Alcotest.test_case "log of a negative fails closed" `Quick
+            test_log_of_negative_fails_closed;
+          Alcotest.test_case "negative-index writes fail closed" `Quick
+            test_negative_index_writes_fail_closed;
+          Alcotest.test_case "secret write keeps public entries" `Quick
+            test_secret_write_keeps_public_entries;
+          Alcotest.test_case "secret write copies the vector" `Quick
+            test_secret_write_copies_vector;
         ] );
       ( "sessions",
         [
