@@ -120,6 +120,8 @@ let builtin f args =
       else V_int (Array.fold_left (fun acc v -> acc + as_int v) 0 a)
   | "max", [ V_arr a ] when Array.length a > 0 ->
       Array.fold_left (fun acc v -> if compare_vals v acc > 0 then v else acc) a.(0) a
+  | "min", [ V_arr a ] when Array.length a > 0 ->
+      Array.fold_left (fun acc v -> if compare_vals v acc < 0 then v else acc) a.(0) a
   | "argmax", [ V_arr a ] when Array.length a > 0 ->
       let best = ref 0 in
       Array.iteri (fun i v -> if compare_vals v a.(!best) > 0 then best := i) a;

@@ -443,18 +443,21 @@ let price t ~n_devices ~m ~cols (v : Plan.vignette) : contribution =
    each vignette by the probability of serving in it. The running state is
    a monoid: sums for the additive components, maxima for the per-member
    worst case, with seat-weighted member costs kept unnormalized so the
-   value is independent of [n_devices] until {!finalize}. *)
+   value is independent of [n_devices] until {!finalize}. The fields are
+   mutable only for [add_contributions], which writes a fold into the
+   fresh copy it returns (one flat block of floats, not a partial per
+   vignette); no partial changes once returned. *)
 type partial = {
-  p_agg_time : float;
-  p_agg_bytes : float;
-  p_all_time : float;
-  p_all_bytes : float;
-  p_seat_time : float;  (* sum of instances * members * member_time *)
-  p_seat_bytes : float;
-  p_max_member_time : float;
-  p_max_member_bytes : float;
-  p_est_error : float;  (* additive over vignettes, so monotone under
-                           completion: pruning on it is admissible *)
+  mutable p_agg_time : float;
+  mutable p_agg_bytes : float;
+  mutable p_all_time : float;
+  mutable p_all_bytes : float;
+  mutable p_seat_time : float;  (* sum of instances * members * member_time *)
+  mutable p_seat_bytes : float;
+  mutable p_max_member_time : float;
+  mutable p_max_member_bytes : float;
+  mutable p_est_error : float;  (* additive over vignettes, so monotone under
+                                   completion: pruning on it is admissible *)
 }
 
 let empty_partial =
@@ -470,19 +473,30 @@ let empty_partial =
     p_est_error = 0.0;
   }
 
-let add_contribution p c =
-  let seats = float_of_int (c.c_instances * c.c_members) in
-  {
-    p_agg_time = p.p_agg_time +. c.c_agg_time;
-    p_agg_bytes = p.p_agg_bytes +. c.c_agg_bytes;
-    p_all_time = p.p_all_time +. c.c_all_time;
-    p_all_bytes = p.p_all_bytes +. c.c_all_bytes;
-    p_seat_time = p.p_seat_time +. (seats *. c.c_member_time);
-    p_seat_bytes = p.p_seat_bytes +. (seats *. c.c_member_bytes);
-    p_max_member_time = Float.max p.p_max_member_time c.c_member_time;
-    p_max_member_bytes = Float.max p.p_max_member_bytes c.c_member_bytes;
-    p_est_error = p.p_est_error +. c.c_est_error;
-  }
+let rec add_all p = function
+  | [] -> ()
+  | c :: rest ->
+      let seats = float_of_int (c.c_instances * c.c_members) in
+      p.p_agg_time <- p.p_agg_time +. c.c_agg_time;
+      p.p_agg_bytes <- p.p_agg_bytes +. c.c_agg_bytes;
+      p.p_all_time <- p.p_all_time +. c.c_all_time;
+      p.p_all_bytes <- p.p_all_bytes +. c.c_all_bytes;
+      p.p_seat_time <- p.p_seat_time +. (seats *. c.c_member_time);
+      p.p_seat_bytes <- p.p_seat_bytes +. (seats *. c.c_member_bytes);
+      p.p_max_member_time <- Float.max p.p_max_member_time c.c_member_time;
+      p.p_max_member_bytes <- Float.max p.p_max_member_bytes c.c_member_bytes;
+      p.p_est_error <- p.p_est_error +. c.c_est_error;
+      add_all p rest
+
+(* Each contribution in list order, each component by the same float
+   operation as a step at a time: the result is bit-identical to folding
+   one contribution into a fresh partial per step. *)
+let add_contributions p = function
+  | [] -> p
+  | cs ->
+      let fresh = { p with p_agg_time = p.p_agg_time } in
+      add_all fresh cs;
+      fresh
 
 let combine_partial a b =
   {
@@ -497,7 +511,7 @@ let combine_partial a b =
     p_est_error = a.p_est_error +. b.p_est_error;
   }
 
-let partial_of_contributions cs = List.fold_left add_contribution empty_partial cs
+let partial_of_contributions cs = add_contributions empty_partial cs
 
 (* Relative standard error of a count estimated from a Bernoulli(phi) device
    sample: ~2 standard deviations, 2 * sqrt((1-phi)/(phi*n)) <= 2/sqrt(phi*n). *)

@@ -141,7 +141,7 @@ type partial
     deployment size until {!finalize}. The search prices each DFS node
     incrementally: it folds only the node's delta vignettes into the
     parent's partial instead of re-pricing the whole prefix. Every metric
-    component is monotone under {!add_contribution} and in the committee
+    component is monotone under {!add_contributions} and in the committee
     size [m] used to price, so a partial priced at a lower-bound [m] over a
     plan prefix finalizes to a componentwise lower bound for every
     completion of that prefix. For the sequential fold
@@ -150,7 +150,12 @@ type partial
     non-negative; the search's exact cut-offs rely on it. *)
 
 val empty_partial : partial
-val add_contribution : partial -> contribution -> partial
+
+val add_contributions : partial -> contribution list -> partial
+(** Fold contributions into a partial one at a time, in list order. It
+    allocates the result only, and its floats are those of a fold that
+    builds a partial per contribution. *)
+
 val combine_partial : partial -> partial -> partial
 val partial_of_contributions : contribution list -> partial
 

@@ -13,7 +13,6 @@ type ctx = {
 }
 
 type choice = {
-  label : string;
   vignettes : Plan.vignette list;
   domain_after : domain;
   needs_fhe : bool;
@@ -26,8 +25,8 @@ let cts_for ctx cols = max 1 ((cols + slots ctx - 1) / slots ctx)
 
 let vign loc work = { Plan.location = loc; work }
 
-let simple ?(needs_fhe = false) ?(em = `None) label vignettes domain_after =
-  { label; vignettes; domain_after; needs_fhe; em_variant = em }
+let simple ?(needs_fhe = false) ?(em = `None) vignettes domain_after =
+  { vignettes; domain_after; needs_fhe; em_variant = em }
 
 (* Chunk sizes considered when spreading per-category committee work; the
    paper's plans go as fine as one category per committee (Fig. 5). *)
@@ -100,7 +99,7 @@ let sampled_bins_options ops =
 let sum_choices ctx ~cols ~sampled =
   let cts = cts_for ctx (cols * match sampled with Some b -> b | None -> 1) in
   let agg =
-    simple "sum:aggregator"
+    simple
       [ vign Plan.Aggregator (Plan.W_he_sum { crypto = ctx.crypto; cts; inputs = ctx.n_devices }) ]
       D_enc
   in
@@ -115,7 +114,7 @@ let sum_choices ctx ~cols ~sampled =
                 (Plan.W_he_sum { crypto = ctx.crypto; cts; inputs = f }))
             levels
         in
-        simple (Printf.sprintf "sum:tree(%d)" f) vs D_enc)
+        simple vs D_enc)
       fanout_options
   in
   let unmask_choices base =
@@ -130,7 +129,6 @@ let sum_choices ctx ~cols ~sampled =
         let fhe_mask =
           {
             base with
-            label = base.label ^ "+fheMask";
             vignettes =
               base.vignettes
               @ [
@@ -146,7 +144,6 @@ let sum_choices ctx ~cols ~sampled =
         let mpc_mask =
           {
             base with
-            label = base.label ^ "+mpcMask";
             vignettes =
               base.vignettes
               @ decrypt_vignettes ctx ~count:(ctx.cols * bins) ~chunk:(ctx.cols * bins)
@@ -166,7 +163,7 @@ let scan_choices ctx domain ~cols =
     match domain with
     | D_enc ->
         [
-          simple "scan:heRotate"
+          simple
             [
               vign Plan.Aggregator
                 (Plan.W_he_rotate_sum
@@ -181,7 +178,6 @@ let scan_choices ctx domain ~cols =
       (fun chunk ->
         let committees = ceil_div cols chunk in
         simple
-          (Printf.sprintf "scan:mpc(%d)" chunk)
           (to_shares ctx domain ~count:cols ~chunk
           @ [ vign (Plan.Committees committees) (Plan.W_mpc_scan { elements = chunk }) ])
           (D_shares chunk))
@@ -199,7 +195,6 @@ let scan_choices ctx domain ~cols =
             else
               Some
                 (simple
-                   (Printf.sprintf "scan:coarsen(%d)" groups)
                    ((vign Plan.Aggregator
                        (Plan.W_he_coarsen
                           { crypto = ctx.crypto; cts = cts_for ctx cols; groups })
@@ -216,7 +211,7 @@ let affine_choices ctx domain ~cols =
     match domain with
     | D_enc ->
         [
-          simple "affine:he"
+          simple
             [
               vign Plan.Aggregator
                 (Plan.W_he_affine
@@ -231,7 +226,6 @@ let affine_choices ctx domain ~cols =
       (fun chunk ->
         let committees = ceil_div cols chunk in
         simple
-          (Printf.sprintf "affine:mpc(%d)" chunk)
           (to_shares ctx domain ~count:cols ~chunk
           @ [ vign (Plan.Committees committees) (Plan.W_mpc_affine { elements = chunk }) ])
           (D_shares chunk))
@@ -248,7 +242,7 @@ let nonlinear_choices ctx domain ~cols =
     | D_enc ->
         [
           {
-            (simple "nonlinear:fhe"
+            (simple
                [
                  vign Plan.Aggregator
                    (Plan.W_he_affine
@@ -267,7 +261,6 @@ let nonlinear_choices ctx domain ~cols =
       (fun chunk ->
         let committees = ceil_div cols chunk in
         simple
-          (Printf.sprintf "nonlinear:mpc(%d)" chunk)
           (to_shares ctx domain ~count:cols ~chunk
           @ [ vign (Plan.Committees committees) (Plan.W_mpc_nonlinear { elements = chunk }) ])
           (D_shares chunk))
@@ -285,7 +278,6 @@ let laplace_choices ctx domain ~count =
       let release = vign (Plan.Committees 1) (Plan.W_mpc_output { values = count }) in
       let split =
         simple
-          (Printf.sprintf "laplace:mpc(%d)" chunk)
           (to_shares ctx domain ~count ~chunk @ [ noise `Laplace; release ])
           (D_shares chunk)
       in
@@ -297,7 +289,6 @@ let laplace_choices ctx domain ~count =
           let cts = max 1 (ceil_div chunk (slots ctx)) in
           let fused =
             simple
-              (Printf.sprintf "laplace:fused(%d)" chunk)
               [
                 vign (Plan.Committees committees)
                   (Plan.W_mpc_decrypt_noise
@@ -322,101 +313,85 @@ let rec em_choices ctx domain ~cols ~gap ~rounds =
         if k = 0 then acc
         else build (k - 1) (acc @ (mask :: c.vignettes))
       in
-      {
-        c with
-        label = Printf.sprintf "%s x%d" c.label rounds;
-        vignettes = build (rounds - 1) c.vignettes;
-      }
+      { c with vignettes = build (rounds - 1) c.vignettes }
   in
   List.map repeat (em_choices_once ctx domain ~cols ~gap)
 
+(* The sub-lists that do not depend on a choice's chunkings — the decrypt
+   into each chunking, the argmax tree of each fanout, exponentiate's
+   trees and sample variants — are built once and shared by every choice
+   that holds them. *)
 and em_choices_once ctx domain ~cols ~gap =
+  let chunks = chunk_options cols in
+  let decrypts =
+    List.map (fun dec_chunk -> to_shares ctx domain ~count:cols ~chunk:dec_chunk) chunks
+  in
+  let output =
+    vign (Plan.Committees 1) (Plan.W_mpc_output { values = (if gap then 2 else 1) })
+  in
+  let argmax_trees =
+    let inputs_scale = if gap then 2 else 1 in
+    List.map
+      (fun fanout ->
+        List.map
+          (fun nodes ->
+            vign (Plan.Committees nodes)
+              (Plan.W_mpc_argmax { inputs = fanout * inputs_scale }))
+          (tree_levels cols fanout)
+        @ [ output ])
+      argmax_fanouts
+  in
   let gumbel =
     List.concat_map
-      (fun dec_chunk ->
+      (fun decrypt ->
         List.concat_map
           (fun noise_chunk ->
+            let noise =
+              vign (Plan.Committees (ceil_div cols noise_chunk))
+                (Plan.W_mpc_noise { kind = `Gumbel; count = noise_chunk })
+            in
             List.map
-              (fun fanout ->
-                let noise_committees = ceil_div cols noise_chunk in
-                let levels = tree_levels cols fanout in
-                let inputs_scale = if gap then 2 else 1 in
-                let argmax_vs =
-                  List.map
-                    (fun nodes ->
-                      vign (Plan.Committees nodes)
-                        (Plan.W_mpc_argmax { inputs = fanout * inputs_scale }))
-                    levels
-                in
-                {
-                  (simple
-                     (Printf.sprintf "em:gumbel(dec=%d,noise=%d,tree=%d)" dec_chunk
-                        noise_chunk fanout)
-                     (to_shares ctx domain ~count:cols ~chunk:dec_chunk
-                     @ [
-                         vign (Plan.Committees noise_committees)
-                           (Plan.W_mpc_noise { kind = `Gumbel; count = noise_chunk });
-                       ]
-                     @ argmax_vs
-                     @ [ vign (Plan.Committees 1) (Plan.W_mpc_output { values = if gap then 2 else 1 }) ])
-                     (D_shares noise_chunk))
-                  with
-                  em_variant = `Gumbel;
-                })
-              argmax_fanouts)
-          (chunk_options cols))
-      (chunk_options cols)
+              (fun tree ->
+                simple ~em:`Gumbel (decrypt @ (noise :: tree)) (D_shares noise_chunk))
+              argmax_trees)
+          chunks)
+      decrypts
   in
   let exponentiate =
+    let max_tree =
+      List.map
+        (fun nodes -> vign (Plan.Committees nodes) (Plan.W_mpc_argmax { inputs = 8 }))
+        (tree_levels cols 8)
+    in
+    let sum_tree =
+      List.map
+        (fun nodes -> vign (Plan.Committees nodes) (Plan.W_mpc_affine { elements = 64 }))
+        (tree_levels cols 64)
+    in
+    let sample_variants =
+      List.map
+        (fun sample_vs -> sum_tree @ sample_vs @ [ output ])
+        [
+          [ vign (Plan.Committees 1) (Plan.W_mpc_sample_index { inputs = cols }) ];
+          List.map
+            (fun _ -> vign (Plan.Committees 1) (Plan.W_mpc_sample_index { inputs = 64 }))
+            (tree_levels cols 64);
+        ]
+    in
     List.concat_map
-      (fun dec_chunk ->
+      (fun decrypt ->
+        let decrypt_max = decrypt @ max_tree in
         List.concat_map
           (fun exp_chunk ->
-            let exp_committees = ceil_div cols exp_chunk in
-            let max_tree =
-              List.map
-                (fun nodes ->
-                  vign (Plan.Committees nodes) (Plan.W_mpc_argmax { inputs = 8 }))
-                (tree_levels cols 8)
-            in
-            let sum_tree =
-              List.map
-                (fun nodes ->
-                  vign (Plan.Committees nodes) (Plan.W_mpc_affine { elements = 64 }))
-                (tree_levels cols 64)
-            in
-            let sample_variants =
-              [
-                ( "scan",
-                  [ vign (Plan.Committees 1) (Plan.W_mpc_sample_index { inputs = cols }) ] );
-                ( "descend",
-                  List.map
-                    (fun _ ->
-                      vign (Plan.Committees 1) (Plan.W_mpc_sample_index { inputs = 64 }))
-                    (tree_levels cols 64) );
-              ]
+            let exp =
+              vign (Plan.Committees (ceil_div cols exp_chunk)) (Plan.W_mpc_exp { count = exp_chunk })
             in
             List.map
-              (fun (sname, sample_vs) ->
-                {
-                  (simple
-                     (Printf.sprintf "em:exp(dec=%d,exp=%d,sample=%s)" dec_chunk
-                        exp_chunk sname)
-                     (to_shares ctx domain ~count:cols ~chunk:dec_chunk
-                     @ max_tree
-                     @ [
-                         vign (Plan.Committees exp_committees)
-                           (Plan.W_mpc_exp { count = exp_chunk });
-                       ]
-                     @ sum_tree @ sample_vs
-                     @ [ vign (Plan.Committees 1) (Plan.W_mpc_output { values = if gap then 2 else 1 }) ])
-                     (D_shares exp_chunk))
-                  with
-                  em_variant = `Exponentiate;
-                })
+              (fun rest ->
+                simple ~em:`Exponentiate (decrypt_max @ (exp :: rest)) (D_shares exp_chunk))
               sample_variants)
-          (chunk_options cols))
-      (chunk_options cols)
+          chunks)
+      decrypts
   in
   (* Under a tolerance: project the encrypted histogram into a Count-Min
      sketch (public HE work — CMS is linear), then decrypt + Laplace-noise
@@ -435,7 +410,6 @@ and em_choices_once ctx domain ~cols ~gap =
               Some
                 {
                   (simple
-                     (Printf.sprintf "em:sketch(%dx%d)" sketch_depth width)
                      [
                        vign Plan.Aggregator
                          (Plan.W_he_sketch
@@ -461,7 +435,7 @@ and em_choices_once ctx domain ~cols ~gap =
 
 let mask_choices ctx ~cols =
   [
-    simple "mask:he"
+    simple
       [
         vign Plan.Aggregator
           (Plan.W_he_affine { crypto = ctx.crypto; cts = cts_for ctx cols; muls = 1; adds = 1 });
@@ -470,7 +444,7 @@ let mask_choices ctx ~cols =
   ]
 
 let post_choices ~flops =
-  [ simple "post" [ vign Plan.Aggregator (Plan.W_post { flops = max 1 flops }) ] D_enc ]
+  [ simple [ vign Plan.Aggregator (Plan.W_post { flops = max 1 flops }) ] D_enc ]
 
 let choices ctx domain (op : Extract.aop) =
   let cs =
@@ -500,8 +474,7 @@ let choices ctx domain (op : Extract.aop) =
     List.concat_map
       (fun c ->
         let n = List.length c.vignettes in
-        List.init (max 1 n) (fun i ->
-            { c with label = Printf.sprintf "%s/seg%d" c.label i }))
+        List.init (max 1 n) (fun _ -> c))
       cs
 
 (* Cleartext post-processing and public re-masking have one choice, the

@@ -29,7 +29,6 @@ type ctx = {
 }
 
 type choice = {
-  label : string;
   vignettes : Plan.vignette list;
   domain_after : domain;
   needs_fhe : bool;

@@ -88,6 +88,9 @@ type searcher = {
   sizes : (int, int) Hashtbl.t;
       (* committee count -> size: this task's own memo in front of the
          shared, mutex-guarded [committee_size_for] *)
+  prices : (int * Plan.vignette, Cost_model.contribution) Hashtbl.t;
+      (* (committee size, vignette) -> contribution: one memo shared by
+         every task of a [plan] call *)
   inc : incumbent;
   mutable top : (float * Plan.t * Cost_model.metrics) list; (* ranked, capped *)
   mutable prefixes : int;
@@ -128,9 +131,24 @@ let domain_label = function
   | Expand.D_enc -> "enc"
   | Expand.D_shares k -> "shares:" ^ string_of_int k
 
+(* [cm], [n] and [cols] are fixed for a whole [plan] call, so a price is a
+   pure function of (m, vignette) and a memo hit is bit-identical to
+   pricing afresh. The reference mode prices afresh: it is the oracle the
+   differential tests hold the memoized search against. *)
+let price s ~m v =
+  if not s.incremental then Cost_model.price s.cm ~n_devices:s.n ~m ~cols:s.cols v
+  else
+    match Hashtbl.find_opt s.prices (m, v) with
+    | Some c -> c
+    | None ->
+        let c = Cost_model.price s.cm ~n_devices:s.n ~m ~cols:s.cols v in
+        Hashtbl.add s.prices (m, v) c;
+        c
+
+(* [price_calls] counts the vignettes asked for, memo hits included. *)
 let price_all s ~m vs =
   s.price_calls <- s.price_calls + List.length vs;
-  List.map (fun v -> Cost_model.price s.cm ~n_devices:s.n ~m ~cols:s.cols v) vs
+  List.map (price s ~m) vs
 
 let size_of s c =
   match Hashtbl.find_opt s.sizes c with
@@ -164,24 +182,27 @@ type priced_choice = {
   contributions : Cost_model.contribution list per_m;
 }
 
+let contributions_at s memo vs m = memo_m memo m (fun () -> price_all s ~m vs)
+
 (* A node of the incremental DFS. Its canonical partial at committee size
    m is the fold [score_full] would run over the node's path — the same
-   [add_contribution] sequence, in vignette order — priced at m. *)
+   contributions, folded in vignette order — priced at m. *)
 type node = {
   up : node option;
   committees : int;  (* MPC committees on the path *)
-  own : int -> Cost_model.contribution list;  (* this step's vignettes at m *)
+  vignettes : Plan.vignette list;  (* this step's *)
+  own : Cost_model.contribution list per_m;  (* [vignettes] priced per m *)
   folds : Cost_model.partial per_m;
 }
 
-let rec fold_at node m =
+let rec fold_at s node m =
   memo_m node.folds m (fun () ->
       let base =
         match node.up with
         | None -> Cost_model.empty_partial
-        | Some up -> fold_at up m
+        | Some up -> fold_at s up m
       in
-      List.fold_left Cost_model.add_contribution base (node.own m))
+      Cost_model.add_contributions base (contributions_at s node.own node.vignettes m))
 
 let top_cap = 5
 
@@ -235,13 +256,7 @@ let score_full s ~em_variant ~committees:c ~partial acc query_name =
   end
 
 let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
-  let price_lb v =
-    Cost_model.price s.cm ~n_devices:s.n ~m:s.m_lb ~cols:s.cols v
-  in
-  let partial_lb vs =
-    s.price_calls <- s.price_calls + List.length vs;
-    Cost_model.partial_of_contributions (List.map price_lb vs)
-  in
+  let partial_lb vs = Cost_model.partial_of_contributions (price_all s ~m:s.m_lb vs) in
   (* The choices at a DFS node — and their delta partials at m_lb — depend
      only on (abstract domain, operator position), not on the prefix that
      led there, so the DFS revisits the same few expansions thousands of
@@ -301,20 +316,18 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
          (fun vs -> (vs, per_m ()))
          (after (List.map (Expand.forced_vignettes ctx) ops)))
   in
-  (* The exact cut-offs (DESIGN.md §7.4). [node]'s canonical partial at the
-     committee size its path already commits to, with the forced suffix
-     folded in, is at most — in floats, with no epsilon — the score of any
-     completion. A bound that breaks a limit, or that cannot beat the last
-     entry of a full ranked list, rules out the whole subtree: its plans
-     would be infeasible, or dropped by [insert_top] and unable to become
-     the incumbent. *)
-  let exact_cut depth node =
-    let m = size_of s node.committees in
+  (* The exact cut-offs (DESIGN.md §7.4). [fold], a child's canonical
+     partial at the committee size m its path already commits to, with the
+     forced suffix folded in, is at most — in floats, with no epsilon — the
+     score of any completion. A bound that breaks a limit, or that cannot
+     beat the last entry of a full ranked list, rules out the whole
+     subtree: its plans would be infeasible, or dropped by [insert_top] and
+     unable to become the incumbent. *)
+  let exact_cut depth m fold =
     let vs, memo = forced.(depth) in
     let bound =
       Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n
-        (List.fold_left Cost_model.add_contribution (fold_at node m)
-           (memo_m memo m (fun () -> price_all s ~m vs)))
+        (Cost_model.add_contributions fold (contributions_at s memo vs m))
     in
     Constraints.lower_bound_infeasible s.limits ~tolerance:s.tolerance bound
     ||
@@ -330,7 +343,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
         match node with
         | Some node ->
             score_full s ~em_variant ~committees:node.committees
-              ~partial:(fold_at node) acc query_name
+              ~partial:(fold_at s node) acc query_name
         | None ->
             score_full s ~em_variant ~committees:(mpc_committee_count acc)
               ~partial:(fun m ->
@@ -340,18 +353,18 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
         (* [pc] is the memoized choice in incremental mode; [vs] caches the
            extended prefix when the re-pricing mode had to build it anyway,
            so neither mode pays the append twice. *)
+        let child c pc vs_cached partial =
+          let bound = Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n partial in
+          (c, pc, vs_cached, partial, bound, Constraints.goal_value s.goal bound)
+        in
         let priced =
           if s.incremental then
             List.map
               (fun pc ->
                 (* Fold only the delta vignettes into the running prefix
                    partial; the delta itself comes priced from the memo. *)
-                let partial = Cost_model.combine_partial acc_partial pc.delta in
-                ( pc.choice,
-                  Some pc,
-                  None,
-                  partial,
-                  Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n partial ))
+                child pc.choice (Some pc) None
+                  (Cost_model.combine_partial acc_partial pc.delta))
               (priced_choices domain depth op)
           else
             (* The pre-optimization behavior: re-expand and re-price the
@@ -359,12 +372,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
             List.map
               (fun (c : Expand.choice) ->
                 let vs = acc @ c.Expand.vignettes in
-                let partial = partial_lb vs in
-                ( c,
-                  None,
-                  Some vs,
-                  partial,
-                  Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n partial ))
+                child c None (Some vs) (partial_lb vs))
               (Expand.choices ctx domain op)
         in
         (* Explore cheap choices first so branch-and-bound gets a good
@@ -372,15 +380,12 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
         let priced =
           if s.heuristics then
             List.sort
-              (fun (_, _, _, _, m1) (_, _, _, _, m2) ->
-                Float.compare
-                  (Constraints.goal_value s.goal m1)
-                  (Constraints.goal_value s.goal m2))
+              (fun (_, _, _, _, _, v1) (_, _, _, _, _, v2) -> Float.compare v1 v2)
               priced
           else priced
         in
         List.iter
-          (fun ((c : Expand.choice), pc, vs_cached, partial, bound) ->
+          (fun ((c : Expand.choice), pc, vs_cached, partial, bound, value) ->
             s.prefixes <- s.prefixes + 1;
             if s.obs_on then bump_depth_nodes s depth;
             if s.prefixes > s.max_prefixes then begin
@@ -398,38 +403,45 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
               s.heuristics
               && (Constraints.lower_bound_infeasible s.limits
                     ~tolerance:s.tolerance bound
-                 || Constraints.goal_value s.goal bound > s.inc.best_value)
+                 || value > s.inc.best_value)
             then s.pruned <- s.pruned + 1
             else
-              let node =
-                match (node, pc) with
-                | Some up, Some pc ->
+              let descend node =
+                let em_variant' =
+                  match c.Expand.em_variant with `None -> em_variant | v -> v
+                in
+                let vs =
+                  match vs_cached with
+                  | Some vs -> vs
+                  | None -> acc @ c.Expand.vignettes
+                in
+                go c.Expand.domain_after (depth + 1) node vs partial em_variant' rest
+              in
+              match (node, pc) with
+              | Some up, Some pc ->
+                  let built folds =
                     Some
                       {
                         up = Some up;
                         committees = up.committees + pc.adds;
-                        own =
-                          (fun m ->
-                            memo_m pc.contributions m (fun () ->
-                                price_all s ~m c.Expand.vignettes));
-                        folds = per_m ();
+                        vignettes = c.Expand.vignettes;
+                        own = pc.contributions;
+                        folds;
                       }
-                | _ -> None
-              in
-              match node with
-              | Some node when s.heuristics && exact_cut depth node ->
-                  s.pruned <- s.pruned + 1
-              | _ ->
-                  let em_variant' =
-                    match c.Expand.em_variant with `None -> em_variant | v -> v
                   in
-                  let vs =
-                    match vs_cached with
-                    | Some vs -> vs
-                    | None -> acc @ c.Expand.vignettes
-                  in
-                  go c.Expand.domain_after (depth + 1) node vs partial em_variant'
-                    rest)
+                  if not s.heuristics then descend (built (per_m ()))
+                  else
+                    (* The child's fold at its own m comes from its
+                       parent's and its choice's memos; only a child the
+                       cut keeps is built, its fold memo seeded with it. *)
+                    let m = size_of s (up.committees + pc.adds) in
+                    let fold =
+                      Cost_model.add_contributions (fold_at s up m)
+                        (contributions_at s pc.contributions c.Expand.vignettes m)
+                    in
+                    if exact_cut depth m fold then s.pruned <- s.pruned + 1
+                    else descend (built { at = [ (m, fold) ] })
+              | _ -> descend None)
           priced
   in
   let root =
@@ -438,7 +450,8 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
         {
           up = None;
           committees = mpc_committee_count prefix_vs;
-          own = (fun m -> price_all s ~m prefix_vs);
+          vignettes = prefix_vs;
+          own = per_m ();
           folds = per_m ();
         }
     else None
@@ -463,6 +476,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
   let m_lb = committee_size_for 1 in
   let tolerance = query.Arb_queries.Registry.error_tolerance in
   let inc = { best_value = infinity; best = None } in
+  let prices = Hashtbl.create 1024 in
   (* Canonical task order: crypto profile major, sampled-bins middle,
      device-sampling rate minor (exact first). The tasks run in this order
      and the incumbent only moves on a strictly better plan, so an earlier
@@ -506,6 +520,7 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
         cols;
         m_lb;
         sizes = Hashtbl.create 16;
+        prices;
         inc;
         top = [];
         prefixes = 0;

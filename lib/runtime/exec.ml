@@ -181,6 +181,13 @@ let to_sscalar st = function
 
 let is_secret = function R_clean _ -> false | _ -> true
 
+(* A mechanism's public operand as constant shares (which cost nothing):
+   its noise, and the vignette charged for it, are a secret operand's. *)
+let to_secret st = function
+  | R_clean (L.Interp.V_arr a) -> R_svec (Array.map (fun v -> to_sscalar st (R_clean v)) a)
+  | R_clean _ as v -> R_sscalar (to_sscalar st v)
+  | v -> v
+
 (* Secret binop: at least one side secret. *)
 let secret_binop st op a b : rvalue =
   let eng = st.eng_ops in
@@ -222,6 +229,7 @@ let secret_builtin st f args : rvalue =
       let rev a = Array.of_list (List.rev (Array.to_list a)) in
       R_svec (rev (Pr.prefix_sums eng (rev a)))
   | "max", [ R_svec a ] -> R_sscalar (Pr.max eng a)
+  | "min", [ R_svec a ] -> R_sscalar (E.neg eng (Pr.max eng (Array.map (E.neg eng) a)))
   | "argmax", [ R_svec a ] -> R_sscalar (Pr.argmax eng a)
   | "len", [ R_svec a ] -> R_clean (V_int (Array.length a))
   | "abs", [ R_sscalar s ] ->
@@ -277,10 +285,9 @@ let laplace_mechanism st v : rvalue =
     L.Interp.V_fix (Fm.open_fixed eng noised)
   in
   charged st (fun () ->
-      match v with
-      | R_sscalar s -> R_clean (noise_one s)
+      match to_secret st v with
       | R_svec a -> R_clean (V_arr (Array.map noise_one a))
-      | R_clean _ -> err "laplace over an already-public value")
+      | s -> R_clean (noise_one (to_sscalar st s)))
 
 (* Count-min variant: fold the C scores into depth x width counters on
    shares, noise and open only the counters, and pick the winner from the
@@ -364,9 +371,9 @@ let em_mechanism st ~gap v : rvalue =
   let eng = st.eng_ops in
   let epsilon = st.epsilon and sensitivity = st.sensitivity in
   let scores =
-    match v with
+    match to_secret st v with
     | R_svec a -> a
-    | _ -> err "em over a non-secret-vector"
+    | _ -> err "em over a scalar"
   in
   charged st (fun () ->
       if gap then
@@ -1211,11 +1218,23 @@ let run_audit ctx audit =
     ~args:[ ("auditors", J.Int auditors); ("challenges", J.Int challenges) ]
     "audit"
     (fun () ->
+      (* A step's outcome is a pure function of its index once the log is
+         sealed (and tampered, if it is): each step drawn is proven and
+         checked once, and a repeat draw counts that outcome again. *)
+      let outcome = Array.make steps None in
       for _ = 1 to challenges do
-        let leaf, proof = Audit.respond audit (Arb_util.Rng.int ctx.rng steps) in
+        let i = Arb_util.Rng.int ctx.rng steps in
+        let ok =
+          match outcome.(i) with
+          | Some ok -> ok
+          | None ->
+              let leaf, proof = Audit.respond audit i in
+              let ok = Audit.check ~root ~leaf proof in
+              outcome.(i) <- Some ok;
+              ok
+        in
         t.Trace.audits_performed <- t.Trace.audits_performed + 1;
-        if not (Audit.check ~root ~leaf proof) then
-          t.Trace.audits_failed <- t.Trace.audits_failed + 1
+        if not ok then t.Trace.audits_failed <- t.Trace.audits_failed + 1
       done);
   (root, t.Trace.audits_failed = 0)
 

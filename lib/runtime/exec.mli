@@ -15,7 +15,9 @@
     An operation whose operands are all public (post-processing of a
     released value, loop arithmetic) runs in the clear on
     {!Arb_lang.Interp}'s primitives, so it means exactly what the
-    reference interpreter says.
+    reference interpreter says. A mechanism is the exception: it lifts a
+    public operand to constant shares and noises it, and is charged, as
+    it would a secret one.
 
     Fidelity notes (DESIGN.md §1): operator-instantiation details that only
     affect cost (sum-tree fanout, committee chunking) are executed in their

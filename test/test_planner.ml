@@ -98,14 +98,25 @@ let test_expand_sum_choices () =
     P.Expand.choices (ctx ()) P.Expand.D_enc
       (P.Extract.A_sum { cols = 1024; sampled_phi = None })
   in
+  let he_sum_at loc (v : P.Plan.vignette) =
+    match (v.P.Plan.location, v.P.Plan.work) with
+    | P.Plan.Aggregator, P.Plan.W_he_sum _ -> loc = `Aggregator
+    | P.Plan.Committees _, P.Plan.W_he_sum _ -> loc = `Committees
+    | _ -> false
+  in
   checkb "several sum instantiations" true (List.length cs >= 4);
   checkb "has aggregator loop" true
-    (List.exists (fun (c : P.Expand.choice) -> c.P.Expand.label = "sum:aggregator") cs);
+    (List.exists
+       (fun (c : P.Expand.choice) ->
+         match c.P.Expand.vignettes with
+         | [ v ] -> he_sum_at `Aggregator v
+         | _ -> false)
+       cs);
   checkb "has sum trees" true
     (List.exists
        (fun (c : P.Expand.choice) ->
-         String.length c.P.Expand.label > 8
-         && String.sub c.P.Expand.label 0 8 = "sum:tree")
+         c.P.Expand.vignettes <> []
+         && List.for_all (he_sum_at `Committees) c.P.Expand.vignettes)
        cs)
 
 let test_expand_em_choices () =
@@ -618,6 +629,179 @@ let test_search_golden_byte_identity () =
     Alcotest.(list string)
     "cases whose winner, metrics or alternatives moved" [] moved
 
+(* The search's counters for each "paper" case of [golden_digests]: plan
+   prefixes, complete plans and prunes ([Search.stats]), then the
+   choice-memo hits and misses and the cost-model pricing calls
+   ([arb_planner_*] metrics; the node counter equals the prefixes).
+   Recorded before the per-call price memo and the node-less exact cut
+   existed: both must save work without moving a count. *)
+let golden_counters =
+  [
+    ("top1", "part-exp-time", 358, 5, 347, 3, 5, 3956);
+    ("top1", "part-max-time", 3137, 40, 3048, 37, 14, 12259);
+    ("top1", "part-exp-bytes", 702, 6, 688, 5, 5, 3884);
+    ("top1", "part-max-bytes", 3137, 40, 3048, 37, 14, 12259);
+    ("top1", "agg-time", 706, 10, 684, 8, 6, 12836);
+    ("top1", "agg-bytes", 702, 6, 688, 5, 5, 3884);
+    ("topK", "part-exp-time", 363, 5, 347, 7, 6, 21595);
+    ("topK", "part-max-time", 3177, 40, 3048, 75, 16, 64423);
+    ("topK", "part-exp-bytes", 1053, 7, 1029, 13, 6, 20600);
+    ("topK", "part-max-bytes", 3177, 40, 3048, 75, 16, 64423);
+    ("topK", "agg-time", 2764, 5, 2741, 14, 6, 54125);
+    ("topK", "agg-bytes", 1053, 7, 1029, 13, 6, 20600);
+    ("gap", "part-exp-time", 358, 5, 347, 3, 5, 3978);
+    ("gap", "part-max-time", 3137, 40, 3048, 37, 14, 12259);
+    ("gap", "part-exp-bytes", 702, 6, 688, 5, 5, 3890);
+    ("gap", "part-max-bytes", 3137, 40, 3048, 37, 14, 12259);
+    ("gap", "agg-time", 706, 10, 684, 8, 6, 12836);
+    ("gap", "agg-bytes", 702, 6, 688, 5, 5, 3890);
+    ("auction", "part-exp-time", 7266, 9, 7221, 23, 15, 19497);
+    ("auction", "part-max-time", 21929, 40, 21750, 115, 26, 36296);
+    ("auction", "part-exp-bytes", 17951, 10, 17866, 60, 17, 23152);
+    ("auction", "part-max-bytes", 21929, 40, 21750, 115, 26, 36296);
+    ("auction", "agg-time", 736, 10, 710, 8, 10, 12808);
+    ("auction", "agg-bytes", 17951, 10, 17866, 60, 17, 23152);
+    ("hypotest", "part-exp-time", 14, 2, 9, 1, 4, 74);
+    ("hypotest", "part-max-time", 40, 10, 10, 16, 6, 178);
+    ("hypotest", "part-exp-bytes", 14, 2, 9, 1, 4, 74);
+    ("hypotest", "part-max-bytes", 40, 10, 10, 16, 6, 178);
+    ("hypotest", "agg-time", 32, 10, 6, 12, 6, 168);
+    ("hypotest", "agg-bytes", 14, 2, 9, 1, 4, 74);
+    ("secrecy", "part-exp-time", 62, 1, 59, 0, 8, 385);
+    ("secrecy", "part-max-time", 80, 9, 54, 12, 11, 500);
+    ("secrecy", "part-exp-bytes", 62, 1, 59, 0, 8, 385);
+    ("secrecy", "part-max-bytes", 120, 26, 44, 35, 21, 776);
+    ("secrecy", "agg-time", 112, 26, 40, 31, 21, 757);
+    ("secrecy", "agg-bytes", 62, 1, 59, 0, 8, 385);
+    ("median", "part-exp-time", 5552, 10, 5510, 20, 14, 15785);
+    ("median", "part-max-time", 4107, 40, 3978, 63, 28, 36196);
+    ("median", "part-exp-bytes", 11435, 11, 11367, 44, 15, 15366);
+    ("median", "part-max-bytes", 12668, 40, 12516, 86, 28, 47911);
+    ("median", "agg-time", 736, 10, 710, 8, 10, 12808);
+    ("median", "agg-bytes", 11435, 11, 11367, 44, 15, 15366);
+    ("cms", "part-exp-time", 26, 4, 17, 2, 5, 113);
+    ("cms", "part-max-time", 152, 22, 98, 22, 12, 374);
+    ("cms", "part-exp-bytes", 26, 4, 17, 2, 5, 113);
+    ("cms", "part-max-bytes", 148, 18, 102, 20, 10, 308);
+    ("cms", "agg-time", 44, 10, 22, 4, 10, 336);
+    ("cms", "agg-bytes", 26, 4, 17, 2, 5, 113);
+    ("bayes", "part-exp-time", 20, 2, 15, 1, 4, 89);
+    ("bayes", "part-max-time", 110, 20, 60, 20, 12, 358);
+    ("bayes", "part-exp-bytes", 20, 2, 15, 1, 4, 89);
+    ("bayes", "part-max-bytes", 106, 16, 64, 18, 10, 344);
+    ("bayes", "agg-time", 36, 10, 14, 4, 10, 272);
+    ("bayes", "agg-bytes", 20, 2, 15, 1, 4, 89);
+    ("kmedians", "part-exp-time", 30, 4, 18, 3, 7, 129);
+    ("kmedians", "part-max-time", 136, 14, 84, 24, 16, 388);
+    ("kmedians", "part-exp-bytes", 34, 5, 19, 4, 8, 143);
+    ("kmedians", "part-max-bytes", 158, 18, 92, 32, 18, 416);
+    ("kmedians", "agg-time", 40, 10, 14, 4, 14, 260);
+    ("kmedians", "agg-bytes", 34, 5, 19, 4, 8, 143)
+  ]
+
+let test_search_golden_counters () =
+  let moved =
+    List.filter_map
+      (fun (name, tag, prefixes, full_plans, pruned, hits, misses, price_calls) ->
+        let reg = Arb_obs.Metrics.create () in
+        let r =
+          P.Search.plan ~goal:(List.assoc tag goals)
+            ~limits:P.Constraints.evaluation_limits ~metrics:reg
+            ~query:(Q.paper_instance name) ~n:(1 lsl 30) ()
+        in
+        let st = r.P.Search.stats in
+        let v k =
+          match Arb_obs.Metrics.value_at reg k with
+          | Some x -> int_of_float x
+          | None -> -1
+        in
+        let want = [ prefixes; prefixes; full_plans; pruned; hits; misses; price_calls ] in
+        let got =
+          [
+            st.P.Search.prefixes;
+            v "arb_planner_nodes_total";
+            st.P.Search.full_plans;
+            st.P.Search.pruned;
+            v "arb_planner_memo_hits_total";
+            v "arb_planner_memo_misses_total";
+            v "arb_planner_price_calls_total";
+          ]
+        in
+        if got = want then None
+        else
+          Some
+            (Printf.sprintf "%s/%s: %s" name tag
+               (String.concat " " (List.map string_of_int got))))
+      golden_counters
+  in
+  checki "counter cases" 60 (List.length golden_counters);
+  Alcotest.check
+    Alcotest.(list string)
+    "cases whose counters moved (prefixes nodes plans pruned hits misses \
+     price calls)"
+    [] moved
+
+(* The same counters for searches stopped at the prefix cap (per task),
+   with the per-depth node counts: a change that saves search work must
+   still stop at the same prefix. Recorded with the table above. *)
+let golden_cap_counters =
+  [
+    ("auction", "part-max-bytes", 40, 82, 20, 34, true, [3; 2; 2; 55; 20; 0; 0; 0]);
+    ("auction", "part-max-bytes", 300, 602, 40, 514, true, [3; 2; 2; 555; 40; 0; 0; 0]);
+    ("auction", "part-max-bytes", 2000, 4002, 40, 3900, true, [3; 16; 42; 3901; 40; 0; 0; 0]);
+    ("auction", "part-max-bytes", 9000, 18002, 40, 17838, true, [9; 62; 162; 17729; 40; 0; 0; 0]);
+    ("topK", "part-max-time", 40, 82, 20, 18, true, [3; 39; 20; 20; 0; 0; 0; 0]);
+    ("topK", "part-max-time", 300, 602, 40, 478, true, [3; 519; 40; 40; 0; 0; 0; 0]);
+    ("topK", "part-max-time", 2000, 3177, 40, 3048, false, [10; 3087; 40; 40; 0; 0; 0; 0]);
+    ("topK", "part-max-time", 9000, 3177, 40, 3048, false, [10; 3087; 40; 40; 0; 0; 0; 0]);
+    ("median", "part-max-bytes", 40, 82, 15, 44, true, [3; 2; 3; 59; 15; 0; 0; 0]);
+    ("median", "part-max-bytes", 300, 602, 25, 544, true, [3; 2; 3; 569; 25; 0; 0; 0]);
+    ("median", "part-max-bytes", 2000, 4002, 40, 3900, true, [4; 10; 38; 3910; 40; 0; 0; 0]);
+    ("median", "part-max-bytes", 9000, 12668, 40, 12516, false, [10; 72; 198; 12348; 40; 0; 0; 0])
+  ]
+
+let test_search_golden_cap_counters () =
+  let moved =
+    List.filter_map
+      (fun (name, tag, cap, prefixes, full_plans, pruned, aborted, depths) ->
+        let reg = Arb_obs.Metrics.create () in
+        let r =
+          P.Search.plan ~goal:(List.assoc tag goals)
+            ~limits:P.Constraints.evaluation_limits ~metrics:reg
+            ~max_prefixes:cap ~query:(Q.paper_instance name) ~n:(1 lsl 30) ()
+        in
+        let st = r.P.Search.stats in
+        let got_depths =
+          List.init (List.length depths) (fun d ->
+              match
+                Arb_obs.Metrics.value_at reg
+                  ~labels:[ ("depth", string_of_int d) ]
+                  "arb_planner_depth_nodes_total"
+              with
+              | Some v -> int_of_float v
+              | None -> 0)
+        in
+        if
+          st.P.Search.prefixes = prefixes
+          && st.P.Search.full_plans = full_plans
+          && st.P.Search.pruned = pruned
+          && st.P.Search.aborted = aborted
+          && got_depths = depths
+        then None
+        else
+          Some
+            (Printf.sprintf "%s/%s cap %d: %d %d %d %b [%s]" name tag cap
+               st.P.Search.prefixes st.P.Search.full_plans st.P.Search.pruned
+               st.P.Search.aborted
+               (String.concat "; " (List.map string_of_int got_depths))))
+      golden_cap_counters
+  in
+  Alcotest.check
+    Alcotest.(list string)
+    "capped cases whose counters moved (prefixes plans pruned aborted \
+     [nodes per depth])"
+    [] moved
+
 let test_search_ablation_blowup () =
   (* §7.3: disabling the heuristics inflates the explored space by orders
      of magnitude. *)
@@ -1057,6 +1241,9 @@ let () =
             test_search_incremental_matches_full_repricing;
           Alcotest.test_case "golden byte-identity" `Slow
             test_search_golden_byte_identity;
+          Alcotest.test_case "golden counters" `Slow test_search_golden_counters;
+          Alcotest.test_case "golden counters at the prefix cap" `Quick
+            test_search_golden_cap_counters;
           Alcotest.test_case "ablation blowup" `Slow test_search_ablation_blowup;
           Alcotest.test_case "committee sizing consistent" `Quick
             test_search_committee_sizing_consistent;

@@ -915,6 +915,38 @@ let test_secret_write_copies_vector () =
     [ "aggr = sum(db); b = aggr; aggr[0] = 0 - N; n = laplace(b); output(n[0]);";
       "a = sum(db); b = sum(db); a[0] = 0 - N; n = laplace(b); output(n[0]);" ]
 
+(* [min] is the reference's smallest element on a public vector and the
+   negated max of the negated shares on a secret one. The certifier gives
+   the min of a secret vector unbounded sensitivity, so no mechanism may
+   release it: the secret case is checked to run to the reference's
+   release. *)
+let test_min_public_and_secret () =
+  check_near_reference "c = sum(db); n = laplace(c); m = min(n); output(m);";
+  List.iter
+    (fun source ->
+      let q, db, r = public_run source in
+      Alcotest.(check (list string))
+        source
+        (List.map L.Interp.value_to_string (Arboretum.reference_outputs ~db q))
+        (Arboretum.outputs_to_strings (released r)))
+    [ "a[0] = 4; a[1] = 0 - 2; a[2] = 7; output(min(a));";
+      "c = sum(db); m = min(c); output(len(c));" ]
+
+(* A mechanism lifts a public operand to constant shares and noises it as
+   the reference does. The em over 0, 100, 0 has one likely winner on both
+   sides. *)
+let test_mechanisms_take_public_operands () =
+  List.iter check_near_reference
+    [ "c = sum(db); n = laplace(c); w = em(n); output(w);";
+      "a[0] = 1; a[1] = 2; w = em(a); output(w);";
+      "x = 5; y = laplace(x); output(y);";
+      "a[0] = 3; a[1] = 9; y = laplace(a); output(y);" ];
+  let q, db, r = public_run "a[0] = 0; a[1] = 100; a[2] = 0; w = em(a); output(w);" in
+  Alcotest.(check (list string))
+    "em over a public vector"
+    (List.map L.Interp.value_to_string (Arboretum.reference_outputs ~db q))
+    (Arboretum.outputs_to_strings (released r))
+
 let () =
   Alcotest.run "arb_runtime"
     [
@@ -1000,6 +1032,9 @@ let () =
             test_secret_write_keeps_public_entries;
           Alcotest.test_case "secret write copies the vector" `Quick
             test_secret_write_copies_vector;
+          Alcotest.test_case "min, public and secret" `Quick test_min_public_and_secret;
+          Alcotest.test_case "mechanisms take public operands" `Quick
+            test_mechanisms_take_public_operands;
         ] );
       ( "sessions",
         [
