@@ -283,51 +283,55 @@ let rec abs_stmt st (s : Ast.stmt) =
       stabilize 16
 
 let certify (p : Ast.program) ~n =
-  match Types.infer p ~n with
-  | exception Types.Type_error m ->
-      {
-        certified = false;
-        reason = Some ("type error: " ^ m);
-        cost = Arb_dp.Budget.zero;
-        sensitivity = 0.0;
-        mechanism_calls = 0;
-      }
-  | tenv -> (
-      let row_s =
-        match p.row with
-        | Ast.One_hot _ -> 1.0
-        | Ast.Bounded { lo; hi; _ } -> float_of_int (hi - lo)
-      in
-      let st =
-        {
-          vars = Hashtbl.create 16;
-          tenv;
-          epsilon = p.epsilon;
-          row_sens = row_s;
-          cost = Arb_dp.Budget.zero;
-          max_sens = 0.0;
-          calls = 0;
-          loop_factor = 1.0;
-          tainted_context = false;
-        }
-      in
-      match abs_stmt st p.body with
-      | () ->
+  let refuse reason =
+    {
+      certified = false;
+      reason = Some reason;
+      cost = Arb_dp.Budget.zero;
+      sensitivity = 0.0;
+      mechanism_calls = 0;
+    }
+  in
+  let width = match p.row with Ast.One_hot c -> c | Ast.Bounded { width; _ } -> width in
+  (* The analysis scales ranges by N and C, which only a non-empty
+     population of non-empty rows makes meaningful. *)
+  if n < 1 || width < 1 then
+    refuse
+      (Printf.sprintf
+         "a query needs N >= 1 participants and rows of C >= 1 columns, not N = %d, C = %d"
+         n width)
+  else
+    match Types.infer p ~n with
+    | exception Types.Type_error m -> refuse ("type error: " ^ m)
+    | tenv -> (
+        let row_s =
+          match p.row with
+          | Ast.One_hot _ -> 1.0
+          | Ast.Bounded { lo; hi; _ } -> float_of_int (hi - lo)
+        in
+        let st =
           {
-            certified = true;
-            reason = None;
-            cost = st.cost;
-            sensitivity = (if st.max_sens = 0.0 then row_s else st.max_sens);
-            mechanism_calls = st.calls;
-          }
-      | exception Reject m ->
-          {
-            certified = false;
-            reason = Some m;
+            vars = Hashtbl.create 16;
+            tenv;
+            epsilon = p.epsilon;
+            row_sens = row_s;
             cost = Arb_dp.Budget.zero;
-            sensitivity = 0.0;
-            mechanism_calls = 0;
-          })
+            max_sens = 0.0;
+            calls = 0;
+            loop_factor = 1.0;
+            tainted_context = false;
+          }
+        in
+        match abs_stmt st p.body with
+        | () ->
+            {
+              certified = true;
+              reason = None;
+              cost = st.cost;
+              sensitivity = (if st.max_sens = 0.0 then row_s else st.max_sens);
+              mechanism_calls = st.calls;
+            }
+        | exception Reject m -> refuse m)
 
 let check p ~n =
   let r = certify p ~n in

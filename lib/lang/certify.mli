@@ -30,7 +30,8 @@ type report = {
 val certify : Ast.program -> n:int -> report
 (** Analyze the program for a deployment of [n] participants (loop bounds
     must be static, as in {!Types.infer}). Never raises on analysis
-    failure — returns [certified = false] with a reason. *)
+    failure — returns [certified = false] with a reason. A population [n]
+    or a row width below 1 is refused so. *)
 
 val check : Ast.program -> n:int -> (report, string) result
 (** [Ok report] only when certified. *)

@@ -87,14 +87,22 @@ let index v is =
       | v -> err "indexing a non-array %s" (value_to_string v))
     v is
 
+(* Far above the 2^15 categories of the widest paper instance, and small
+   enough that a stray index fails at once instead of exhausting memory. *)
+let write_bound = 1 lsl 20
+
+let grow_for_write a i zero =
+  if i < 0 then err "negative index %d in an indexed write" i;
+  if i >= write_bound then
+    err "index %d in an indexed write is not below %d" i write_bound;
+  let n = Array.length a in
+  Array.init (max n (i + 1)) (fun j -> if j < n then a.(j) else zero ())
+
 let rec update v is x =
   match is with
   | [] -> x
   | i :: rest ->
-      if i < 0 then err "negative index %d in an indexed write" i;
-      let a = match v with V_arr a -> a | _ -> [||] in
-      let n = Array.length a in
-      let a = Array.init (max n (i + 1)) (fun j -> if j < n then a.(j) else V_int 0) in
+      let a = grow_for_write (match v with V_arr a -> a | _ -> [||]) i (fun () -> V_int 0) in
       a.(i) <- update a.(i) rest x;
       V_arr a
 

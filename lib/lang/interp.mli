@@ -64,6 +64,12 @@ val index : value -> int list -> value
 
 val update : value -> int list -> value -> value
 (** [update a is x] is [a] with the element at path [is] set to [x]; [a]
-    itself is unchanged. Arrays grow with [V_int 0] to reach the index,
-    and a non-array is read as the empty array. A negative index is a
-    {!Runtime_error}. *)
+    itself is unchanged. Arrays grow with [V_int 0] to reach the index
+    ({!grow_for_write}), and a non-array is read as the empty array. *)
+
+val grow_for_write : 'a array -> int -> (unit -> 'a) -> 'a array
+(** [grow_for_write a i zero] is a copy of [a] that reaches index [i],
+    each new entry [zero ()]: how every indexed write, public or secret,
+    makes room. An index below 0 or at or above 2^20 is a
+    {!Runtime_error}, so no write allocates without bound; 2^20 is far
+    above the 2^15 categories of the widest paper instance. *)

@@ -12,8 +12,14 @@ type ctx = {
          enumeration (not just the winner) is unchanged without one *)
 }
 
+(* [priced] is Search's: Expand only creates it empty. *)
+type item = {
+  vignette : Plan.vignette;
+  mutable priced : (int * Cost_model.contribution) list;
+}
+
 type choice = {
-  vignettes : Plan.vignette list;
+  items : item list;
   domain_after : domain;
   needs_fhe : bool;
   em_variant : [ `Gumbel | `Exponentiate | `Sketch | `None ];
@@ -23,10 +29,10 @@ let slots ctx = (Cost_model.ring_for ctx.cm ctx.crypto ~cols:ctx.cols).Cost_mode
 
 let cts_for ctx cols = max 1 ((cols + slots ctx - 1) / slots ctx)
 
-let vign loc work = { Plan.location = loc; work }
+let vign loc work = { vignette = { Plan.location = loc; work }; priced = [] }
 
-let simple ?(needs_fhe = false) ?(em = `None) vignettes domain_after =
-  { vignettes; domain_after; needs_fhe; em_variant = em }
+let simple ?(needs_fhe = false) ?(em = `None) items domain_after =
+  { items; domain_after; needs_fhe; em_variant = em }
 
 (* Chunk sizes considered when spreading per-category committee work; the
    paper's plans go as fine as one category per committee (Fig. 5). *)
@@ -117,46 +123,32 @@ let sum_choices ctx ~cols ~sampled =
         simple vs D_enc)
       fanout_options
   in
-  let unmask_choices base =
-    match sampled with
-    | None -> [ base ]
-    | Some bins ->
-        (* Secrecy of the sample: after summing, only the bins inside the
-           committee's secret window may be decrypted. Either the window
-           mask is applied homomorphically (ciphertext-by-ciphertext
-           multiply -> FHE), or all bins are decrypted into an MPC that
-           masks on shares (AHE suffices). *)
-        let fhe_mask =
-          {
-            base with
-            vignettes =
-              base.vignettes
-              @ [
-                  vign (Plan.Committees 1)
-                    (Plan.W_he_affine
-                       { crypto = Plan.Fhe; cts = cts_for ctx (ctx.cols * bins);
-                         muls = 1; adds = 1 });
-                ];
-            needs_fhe = true;
-            domain_after = D_enc;
-          }
-        in
-        let mpc_mask =
-          {
-            base with
-            vignettes =
-              base.vignettes
-              @ decrypt_vignettes ctx ~count:(ctx.cols * bins) ~chunk:(ctx.cols * bins)
-              @ [
-                  vign (Plan.Committees 1)
-                    (Plan.W_mpc_affine { elements = ctx.cols * bins });
-                ];
-            domain_after = D_shares (ctx.cols * bins);
-          }
-        in
-        [ fhe_mask; mpc_mask ]
-  in
-  List.concat_map unmask_choices (agg :: trees)
+  match sampled with
+  | None -> agg :: trees
+  | Some bins ->
+      (* Secrecy of the sample: after summing, only the bins inside the
+         committee's secret window may be decrypted. Either the window
+         mask is applied homomorphically (ciphertext-by-ciphertext
+         multiply -> FHE), or all bins are decrypted into an MPC that
+         masks on shares (AHE suffices). *)
+      let elements = ctx.cols * bins in
+      let fhe_mask =
+        vign (Plan.Committees 1)
+          (Plan.W_he_affine
+             { crypto = Plan.Fhe; cts = cts_for ctx elements; muls = 1; adds = 1 })
+      in
+      let mpc_mask =
+        decrypt_vignettes ctx ~count:elements ~chunk:elements
+        @ [ vign (Plan.Committees 1) (Plan.W_mpc_affine { elements }) ]
+      in
+      List.concat_map
+        (fun base ->
+          [
+            { base with items = base.items @ [ fhe_mask ]; needs_fhe = true;
+                        domain_after = D_enc };
+            { base with items = base.items @ mpc_mask; domain_after = D_shares elements };
+          ])
+        (agg :: trees)
 
 let scan_choices ctx domain ~cols =
   let enc_rotate =
@@ -269,17 +261,15 @@ let nonlinear_choices ctx domain ~cols =
   fhe @ mpc
 
 let laplace_choices ctx domain ~count =
+  let release = vign (Plan.Committees 1) (Plan.W_mpc_output { values = count }) in
   List.concat_map
     (fun chunk ->
       let committees = ceil_div count chunk in
-      let noise k =
-        vign (Plan.Committees committees) (Plan.W_mpc_noise { kind = k; count = chunk })
+      let noise =
+        vign (Plan.Committees committees) (Plan.W_mpc_noise { kind = `Laplace; count = chunk })
       in
-      let release = vign (Plan.Committees 1) (Plan.W_mpc_output { values = count }) in
       let split =
-        simple
-          (to_shares ctx domain ~count ~chunk @ [ noise `Laplace; release ])
-          (D_shares chunk)
+        simple (to_shares ctx domain ~count ~chunk @ [ noise; release ]) (D_shares chunk)
       in
       (* §4.4's exception: let the decryption committee also do the
          noising (fused), saving a hand-off and halving the committee
@@ -301,27 +291,11 @@ let laplace_choices ctx domain ~count =
       | D_shares _ -> [ split ])
     (chunk_options count)
 
-let rec em_choices ctx domain ~cols ~gap ~rounds =
-  let repeat (c : choice) =
-    if rounds <= 1 then c
-    else
-      let mask =
-        vign Plan.Aggregator
-          (Plan.W_he_affine { crypto = ctx.crypto; cts = cts_for ctx cols; muls = 1; adds = 1 })
-      in
-      let rec build k acc =
-        if k = 0 then acc
-        else build (k - 1) (acc @ (mask :: c.vignettes))
-      in
-      { c with vignettes = build (rounds - 1) c.vignettes }
-  in
-  List.map repeat (em_choices_once ctx domain ~cols ~gap)
-
-(* The sub-lists that do not depend on a choice's chunkings — the decrypt
-   into each chunking, the argmax tree of each fanout, exponentiate's
-   trees and sample variants — are built once and shared by every choice
-   that holds them. *)
-and em_choices_once ctx domain ~cols ~gap =
+(* Every vignette of the expansion is built once and shared by the
+   choices that hold it: the decrypt, the Gumbel noise and the
+   exponentiation into each chunking, the argmax tree of each fanout, and
+   exponentiate's trees and sample variants. *)
+let em_choices_once ctx domain ~cols ~gap =
   let chunks = chunk_options cols in
   let decrypts =
     List.map (fun dec_chunk -> to_shares ctx domain ~count:cols ~chunk:dec_chunk) chunks
@@ -342,19 +316,23 @@ and em_choices_once ctx domain ~cols ~gap =
       argmax_fanouts
   in
   let gumbel =
+    let noises =
+      List.map
+        (fun noise_chunk ->
+          ( noise_chunk,
+            vign (Plan.Committees (ceil_div cols noise_chunk))
+              (Plan.W_mpc_noise { kind = `Gumbel; count = noise_chunk }) ))
+        chunks
+    in
     List.concat_map
       (fun decrypt ->
         List.concat_map
-          (fun noise_chunk ->
-            let noise =
-              vign (Plan.Committees (ceil_div cols noise_chunk))
-                (Plan.W_mpc_noise { kind = `Gumbel; count = noise_chunk })
-            in
+          (fun (noise_chunk, noise) ->
             List.map
               (fun tree ->
                 simple ~em:`Gumbel (decrypt @ (noise :: tree)) (D_shares noise_chunk))
               argmax_trees)
-          chunks)
+          noises)
       decrypts
   in
   let exponentiate =
@@ -369,28 +347,32 @@ and em_choices_once ctx domain ~cols ~gap =
         (tree_levels cols 64)
     in
     let sample_variants =
+      let sample_64 = vign (Plan.Committees 1) (Plan.W_mpc_sample_index { inputs = 64 }) in
       List.map
         (fun sample_vs -> sum_tree @ sample_vs @ [ output ])
         [
           [ vign (Plan.Committees 1) (Plan.W_mpc_sample_index { inputs = cols }) ];
-          List.map
-            (fun _ -> vign (Plan.Committees 1) (Plan.W_mpc_sample_index { inputs = 64 }))
-            (tree_levels cols 64);
+          List.map (fun _ -> sample_64) (tree_levels cols 64);
         ]
+    in
+    let exps =
+      List.map
+        (fun exp_chunk ->
+          ( exp_chunk,
+            vign (Plan.Committees (ceil_div cols exp_chunk)) (Plan.W_mpc_exp { count = exp_chunk })
+          ))
+        chunks
     in
     List.concat_map
       (fun decrypt ->
         let decrypt_max = decrypt @ max_tree in
         List.concat_map
-          (fun exp_chunk ->
-            let exp =
-              vign (Plan.Committees (ceil_div cols exp_chunk)) (Plan.W_mpc_exp { count = exp_chunk })
-            in
+          (fun (exp_chunk, exp) ->
             List.map
               (fun rest ->
                 simple ~em:`Exponentiate (decrypt_max @ (exp :: rest)) (D_shares exp_chunk))
               sample_variants)
-          chunks)
+          exps)
       decrypts
   in
   (* Under a tolerance: project the encrypted histogram into a Count-Min
@@ -433,6 +415,20 @@ and em_choices_once ctx domain ~cols ~gap =
   in
   gumbel @ exponentiate @ sketch
 
+let em_choices ctx domain ~cols ~gap ~rounds =
+  let once = em_choices_once ctx domain ~cols ~gap in
+  if rounds <= 1 then once
+  else
+    let mask =
+      vign Plan.Aggregator
+        (Plan.W_he_affine { crypto = ctx.crypto; cts = cts_for ctx cols; muls = 1; adds = 1 })
+    in
+    let repeat (c : choice) =
+      let rec build k acc = if k = 0 then acc else build (k - 1) (acc @ (mask :: c.items)) in
+      { c with items = build (rounds - 1) c.items }
+    in
+    List.map repeat once
+
 let mask_choices ctx ~cols =
   [
     simple
@@ -473,15 +469,15 @@ let choices ctx domain (op : Extract.aop) =
        the space. *)
     List.concat_map
       (fun c ->
-        let n = List.length c.vignettes in
+        let n = List.length c.items in
         List.init (max 1 n) (fun _ -> c))
       cs
 
 (* Cleartext post-processing and public re-masking have one choice, the
    same from every domain. *)
-let forced_vignettes ctx (op : Extract.aop) =
+let forced_items ctx (op : Extract.aop) =
   match op with
   | Extract.A_post _ | A_mask _ -> (
-      match choices ctx D_enc op with [ c ] -> c.vignettes | _ -> [])
+      match choices ctx D_enc op with [ c ] -> c.items | _ -> [])
   | A_sum _ | A_scan _ | A_affine _ | A_nonlinear _ | A_laplace _ | A_em _ ->
       []

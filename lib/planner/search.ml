@@ -53,13 +53,13 @@ let is_mpc_vignette (v : Plan.vignette) =
   | W_he_rotate_sum _ | W_he_sketch _ | W_he_coarsen _ | W_post _ ->
       false
 
-let mpc_committee_count vs =
+let mpc_committee_count items =
   List.fold_left
-    (fun acc (v : Plan.vignette) ->
-      match (v.Plan.location, is_mpc_vignette v) with
+    (fun acc (it : Expand.item) ->
+      match (it.Expand.vignette.Plan.location, is_mpc_vignette it.Expand.vignette) with
       | Plan.Committees k, true -> acc + k
       | _ -> acc)
-    0 vs
+    0 items
 
 (* The best feasible plan found so far, carried from task to task. *)
 type incumbent = {
@@ -88,9 +88,6 @@ type searcher = {
   sizes : (int, int) Hashtbl.t;
       (* committee count -> size: this task's own memo in front of the
          shared, mutex-guarded [committee_size_for] *)
-  prices : (int * Plan.vignette, Cost_model.contribution) Hashtbl.t;
-      (* (committee size, vignette) -> contribution: one memo shared by
-         every task of a [plan] call *)
   inc : incumbent;
   mutable top : (float * Plan.t * Cost_model.metrics) list; (* ranked, capped *)
   mutable prefixes : int;
@@ -131,24 +128,32 @@ let domain_label = function
   | Expand.D_enc -> "enc"
   | Expand.D_shares k -> "shares:" ^ string_of_int k
 
-(* [cm], [n] and [cols] are fixed for a whole [plan] call, so a price is a
-   pure function of (m, vignette) and a memo hit is bit-identical to
-   pricing afresh. The reference mode prices afresh: it is the oracle the
+(* The value a memo holds for committee size m. One search meets only a
+   handful of sizes, so a memo is an association list. *)
+let rec at_m (m : int) = function
+  | (m', v) :: rest -> if m' = m then v else at_m m rest
+  | [] -> raise Not_found
+
+(* An item comes from this task's own expansions, and [cm], [n] and
+   [cols] are fixed for the task, so a price is a pure function of (m,
+   item): the price the item keeps for m is bit-identical to pricing
+   afresh. The reference mode prices afresh: it is the oracle the
    differential tests hold the memoized search against. *)
-let price s ~m v =
-  if not s.incremental then Cost_model.price s.cm ~n_devices:s.n ~m ~cols:s.cols v
+let price s ~m (it : Expand.item) =
+  if not s.incremental then
+    Cost_model.price s.cm ~n_devices:s.n ~m ~cols:s.cols it.Expand.vignette
   else
-    match Hashtbl.find_opt s.prices (m, v) with
-    | Some c -> c
-    | None ->
-        let c = Cost_model.price s.cm ~n_devices:s.n ~m ~cols:s.cols v in
-        Hashtbl.add s.prices (m, v) c;
+    match at_m m it.Expand.priced with
+    | c -> c
+    | exception Not_found ->
+        let c = Cost_model.price s.cm ~n_devices:s.n ~m ~cols:s.cols it.Expand.vignette in
+        it.Expand.priced <- (m, c) :: it.Expand.priced;
         c
 
-(* [price_calls] counts the vignettes asked for, memo hits included. *)
-let price_all s ~m vs =
-  s.price_calls <- s.price_calls + List.length vs;
-  List.map (price s ~m) vs
+(* [price_calls] counts the items asked for, memoized ones included. *)
+let price_all s ~m items =
+  s.price_calls <- s.price_calls + List.length items;
+  List.map (price s ~m) items
 
 let size_of s c =
   match Hashtbl.find_opt s.sizes c with
@@ -158,16 +163,15 @@ let size_of s c =
       Hashtbl.add s.sizes c m;
       m
 
-(* A value memoized per committee size. One search meets only a handful of
-   sizes, so an association list is enough. *)
+(* A value memoized per committee size. *)
 type 'a per_m = { mutable at : (int * 'a) list }
 
 let per_m () = { at = [] }
 
 let memo_m t m compute =
-  match List.assoc_opt m t.at with
-  | Some v -> v
-  | None ->
+  match at_m m t.at with
+  | v -> v
+  | exception Not_found ->
       let v = compute () in
       t.at <- (m, v) :: t.at;
       v
@@ -182,7 +186,7 @@ type priced_choice = {
   contributions : Cost_model.contribution list per_m;
 }
 
-let contributions_at s memo vs m = memo_m memo m (fun () -> price_all s ~m vs)
+let contributions_at s memo items m = memo_m memo m (fun () -> price_all s ~m items)
 
 (* A node of the incremental DFS. Its canonical partial at committee size
    m is the fold [score_full] would run over the node's path — the same
@@ -190,8 +194,8 @@ let contributions_at s memo vs m = memo_m memo m (fun () -> price_all s ~m vs)
 type node = {
   up : node option;
   committees : int;  (* MPC committees on the path *)
-  vignettes : Plan.vignette list;  (* this step's *)
-  own : Cost_model.contribution list per_m;  (* [vignettes] priced per m *)
+  items : Expand.item list;  (* this step's *)
+  own : Cost_model.contribution list per_m;  (* [items] priced per m *)
   folds : Cost_model.partial per_m;
 }
 
@@ -202,7 +206,7 @@ let rec fold_at s node m =
         | None -> Cost_model.empty_partial
         | Some up -> fold_at s up m
       in
-      Cost_model.add_contributions base (contributions_at s node.own node.vignettes m))
+      Cost_model.add_contributions base (contributions_at s node.own node.items m))
 
 let top_cap = 5
 
@@ -238,7 +242,7 @@ let score_full s ~em_variant ~committees:c ~partial acc query_name =
       {
         Plan.query = query_name;
         crypto = s.crypto;
-        vignettes = acc;
+        vignettes = List.map (fun (it : Expand.item) -> it.Expand.vignette) acc;
         sample_bins = s.bins;
         device_sample = s.phi;
         committee_count = c;
@@ -255,8 +259,8 @@ let score_full s ~em_variant ~committees:c ~partial acc query_name =
     end
   end
 
-let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
-  let partial_lb vs = Cost_model.partial_of_contributions (price_all s ~m:s.m_lb vs) in
+let search_one s ~(ctx : Expand.ctx) ~prefix ~ops ~query_name =
+  let partial_lb items = Cost_model.partial_of_contributions (price_all s ~m:s.m_lb items) in
   (* The choices at a DFS node — and their delta partials at m_lb — depend
      only on (abstract domain, operator position), not on the prefix that
      led there, so the DFS revisits the same few expansions thousands of
@@ -280,8 +284,8 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
               (fun (c : Expand.choice) ->
                 {
                   choice = c;
-                  delta = partial_lb c.Expand.vignettes;
-                  adds = mpc_committee_count c.Expand.vignettes;
+                  delta = partial_lb c.Expand.items;
+                  adds = mpc_committee_count c.Expand.items;
                   contributions = per_m ();
                 })
               choices
@@ -306,15 +310,15 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
         Hashtbl.replace choice_memo (domain, depth) cs;
         cs
   in
-  (* [forced.(d)]: the vignettes every completion holds from the operators
+  (* [forced.(d)]: the items every completion holds from the operators
      after position d, in op order, with their contributions per committee
      size. *)
   let forced =
     let rec after = function [] -> [] | _ :: rest -> List.concat rest :: after rest in
     Array.of_list
       (List.map
-         (fun vs -> (vs, per_m ()))
-         (after (List.map (Expand.forced_vignettes ctx) ops)))
+         (fun items -> (items, per_m ()))
+         (after (List.map (Expand.forced_items ctx) ops)))
   in
   (* The exact cut-offs (DESIGN.md §7.4). [fold], a child's canonical
      partial at the committee size m its path already commits to, with the
@@ -324,10 +328,10 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
      subtree: its plans would be infeasible, or dropped by [insert_top] and
      unable to become the incumbent. *)
   let exact_cut depth m fold =
-    let vs, memo = forced.(depth) in
+    let items, memo = forced.(depth) in
     let bound =
       Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n
-        (Cost_model.add_contributions fold (contributions_at s memo vs m))
+        (Cost_model.add_contributions fold (contributions_at s memo items m))
     in
     Constraints.lower_bound_infeasible s.limits ~tolerance:s.tolerance bound
     ||
@@ -335,7 +339,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
     | Some (last, _, _) -> Constraints.goal_value s.goal bound >= last
     | None -> false
   in
-  (* DFS over operators. [acc] holds vignettes in order; [acc_partial] is
+  (* DFS over operators. [acc] holds items in order; [acc_partial] is
      its running lower-bound partial, priced at m_lb; [node] is its
      canonical node (None when re-pricing the whole prefix). *)
   let rec go domain depth node acc acc_partial em_variant = function
@@ -371,7 +375,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
                whole prefix at every node. *)
             List.map
               (fun (c : Expand.choice) ->
-                let vs = acc @ c.Expand.vignettes in
+                let vs = acc @ c.Expand.items in
                 child c None (Some vs) (partial_lb vs))
               (Expand.choices ctx domain op)
         in
@@ -413,7 +417,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
                 let vs =
                   match vs_cached with
                   | Some vs -> vs
-                  | None -> acc @ c.Expand.vignettes
+                  | None -> acc @ c.Expand.items
                 in
                 go c.Expand.domain_after (depth + 1) node vs partial em_variant' rest
               in
@@ -424,7 +428,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
                       {
                         up = Some up;
                         committees = up.committees + pc.adds;
-                        vignettes = c.Expand.vignettes;
+                        items = c.Expand.items;
                         own = pc.contributions;
                         folds;
                       }
@@ -437,7 +441,7 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
                     let m = size_of s (up.committees + pc.adds) in
                     let fold =
                       Cost_model.add_contributions (fold_at s up m)
-                        (contributions_at s pc.contributions c.Expand.vignettes m)
+                        (contributions_at s pc.contributions c.Expand.items m)
                     in
                     if exact_cut depth m fold then s.pruned <- s.pruned + 1
                     else descend (built { at = [ (m, fold) ] })
@@ -449,14 +453,14 @@ let search_one s ~(ctx : Expand.ctx) ~prefix_vs ~ops ~query_name =
       Some
         {
           up = None;
-          committees = mpc_committee_count prefix_vs;
-          vignettes = prefix_vs;
+          committees = mpc_committee_count prefix;
+          items = prefix;
           own = per_m ();
           folds = per_m ();
         }
     else None
   in
-  (try go Expand.D_enc 0 root prefix_vs (partial_lb prefix_vs) `None ops
+  (try go Expand.D_enc 0 root prefix (partial_lb prefix) `None ops
    with Abort -> ())
 
 let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
@@ -476,7 +480,6 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
   let m_lb = committee_size_for 1 in
   let tolerance = query.Arb_queries.Registry.error_tolerance in
   let inc = { best_value = infinity; best = None } in
-  let prices = Hashtbl.create 1024 in
   (* Canonical task order: crypto profile major, sampled-bins middle,
      device-sampling rate minor (exact first). The tasks run in this order
      and the incumbent only moves on a strictly better plan, so an earlier
@@ -520,7 +523,6 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
         cols;
         m_lb;
         sizes = Hashtbl.create 16;
-        prices;
         inc;
         top = [];
         prefixes = 0;
@@ -557,9 +559,9 @@ let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
         tolerance;
       }
     in
-    let prefix_vs = Expand.prefix ctx ~sampled_bins:bins in
+    let prefix = Expand.prefix ctx ~sampled_bins:bins in
     let search () =
-      search_one s ~ctx ~prefix_vs ~ops
+      search_one s ~ctx ~prefix ~ops
         ~query_name:query.Arb_queries.Registry.name
     in
     (match tr with

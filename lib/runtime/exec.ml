@@ -464,17 +464,13 @@ let rec exec st (s : L.Ast.stmt) =
              value), or the first secret write into a public array, whose
              public entries become constant shares. The vector is copied,
              so other variables holding it keep their entries. *)
-          if i < 0 then err "negative index %d in an indexed write" i;
           let a =
             match cur with
             | Some (R_svec a) -> a
             | Some (R_clean (V_arr a)) -> Array.map (fun x -> to_sscalar st (R_clean x)) a
             | _ -> [||]
           in
-          let n = Array.length a in
-          let a =
-            Array.init (max n (i + 1)) (fun j -> if j < n then a.(j) else E.const st.eng_ops 0)
-          in
+          let a = L.Interp.grow_for_write a i (fun () -> E.const st.eng_ops 0) in
           a.(i) <- to_sscalar st rhs;
           Hashtbl.replace st.vars v (R_svec a)
       | _ -> err "unsupported indexed assignment into %s" v)

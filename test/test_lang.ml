@@ -421,7 +421,20 @@ let test_certify_never_raises () =
   (* Even type errors come back as reports, not exceptions. *)
   let r = L.Certify.certify (program "x = unknown_fn(1);") ~n:10 in
   checkb "not certified" false r.L.Certify.certified;
-  checkb "has reason" true (r.L.Certify.reason <> None)
+  checkb "has reason" true (r.L.Certify.reason <> None);
+  (* So does a population or a row width below 1, which the analysis
+     cannot scale its ranges by. *)
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (n, c) ->
+          let r = L.Certify.certify (Q.make ~name ~c ()).Q.program ~n in
+          checkb
+            (Printf.sprintf "%s at N = %d, C = %d refused with a reason" name n c)
+            true
+            ((not r.L.Certify.certified) && r.L.Certify.reason <> None))
+        [ (-5, 16); (0, 16); (1000, -1); (1000, 0) ])
+    Q.names
 
 let () =
   Alcotest.run "arb_lang"

@@ -98,8 +98,8 @@ let test_expand_sum_choices () =
     P.Expand.choices (ctx ()) P.Expand.D_enc
       (P.Extract.A_sum { cols = 1024; sampled_phi = None })
   in
-  let he_sum_at loc (v : P.Plan.vignette) =
-    match (v.P.Plan.location, v.P.Plan.work) with
+  let he_sum_at loc (it : P.Expand.item) =
+    match (it.P.Expand.vignette.P.Plan.location, it.P.Expand.vignette.P.Plan.work) with
     | P.Plan.Aggregator, P.Plan.W_he_sum _ -> loc = `Aggregator
     | P.Plan.Committees _, P.Plan.W_he_sum _ -> loc = `Committees
     | _ -> false
@@ -108,15 +108,15 @@ let test_expand_sum_choices () =
   checkb "has aggregator loop" true
     (List.exists
        (fun (c : P.Expand.choice) ->
-         match c.P.Expand.vignettes with
-         | [ v ] -> he_sum_at `Aggregator v
+         match c.P.Expand.items with
+         | [ it ] -> he_sum_at `Aggregator it
          | _ -> false)
        cs);
   checkb "has sum trees" true
     (List.exists
        (fun (c : P.Expand.choice) ->
-         c.P.Expand.vignettes <> []
-         && List.for_all (he_sum_at `Committees) c.P.Expand.vignettes)
+         c.P.Expand.items <> []
+         && List.for_all (he_sum_at `Committees) c.P.Expand.items)
        cs)
 
 let test_expand_em_choices () =
@@ -140,9 +140,11 @@ let test_expand_em_choices () =
         | _ -> false);
       checkb "contains a decrypt vignette" true
         (List.exists
-           (fun (v : P.Plan.vignette) ->
-             match v.P.Plan.work with P.Plan.W_mpc_decrypt _ -> true | _ -> false)
-           c.P.Expand.vignettes))
+           (fun (it : P.Expand.item) ->
+             match it.P.Expand.vignette.P.Plan.work with
+             | P.Plan.W_mpc_decrypt _ -> true
+             | _ -> false)
+           c.P.Expand.items))
     cs
 
 let test_expand_nonlinear_needs_fhe_in_enc () =
@@ -164,13 +166,36 @@ let test_expand_sampled_sum_offers_both_maskings () =
     (List.exists (fun (c : P.Expand.choice) -> not c.P.Expand.needs_fhe) cs)
 
 let test_expand_prefix () =
-  let vs = P.Expand.prefix (ctx ()) ~sampled_bins:None in
-  checki "four prelude vignettes" 4 (List.length vs);
-  match List.map (fun (v : P.Plan.vignette) -> v.P.Plan.work) vs with
+  let items = P.Expand.prefix (ctx ()) ~sampled_bins:None in
+  checki "four prelude vignettes" 4 (List.length items);
+  match List.map (fun (it : P.Expand.item) -> it.P.Expand.vignette.P.Plan.work) items with
   | [ P.Plan.W_zk_setup _; P.Plan.W_keygen _; P.Plan.W_encrypt_input _;
       P.Plan.W_verify_inputs _ ] ->
       ()
   | _ -> Alcotest.fail "unexpected prelude shape"
+
+(* An expansion builds each vignette once and every choice that holds it
+   shares the item, so the search prices it once per committee size. The
+   EM expansion over 2^15 categories holds thousands of vignettes in a
+   few dozen items; one built per choice would need hundreds. *)
+let test_expand_builds_each_vignette_once () =
+  List.iter
+    (fun (label, gap, rounds) ->
+      let choices =
+        P.Expand.choices (ctx ~cols:32768 ()) P.Expand.D_enc
+          (P.Extract.A_em { cols = 32768; gap; rounds })
+      in
+      let items =
+        List.fold_left
+          (fun seen (c : P.Expand.choice) ->
+            List.fold_left
+              (fun seen it -> if List.memq it seen then seen else it :: seen)
+              seen c.P.Expand.items)
+          [] choices
+      in
+      let n = List.length items in
+      checkb (Printf.sprintf "em over 2^15, %s: %d items, at most 70" label n) true (n <= 70))
+    [ ("1 round", false, 1); ("5 rounds", false, 5); ("gap", true, 1) ]
 
 let all_aops cols =
   [ P.Extract.A_sum { cols; sampled_phi = None };
@@ -198,13 +223,13 @@ let prop_expand_total =
           && choices_sh <> []
           && List.for_all
                (fun (ch : P.Expand.choice) ->
-                 ch.P.Expand.vignettes <> []
+                 ch.P.Expand.items <> []
                  && List.for_all
-                      (fun (v : P.Plan.vignette) ->
-                        match v.P.Plan.location with
+                      (fun (it : P.Expand.item) ->
+                        match it.P.Expand.vignette.P.Plan.location with
                         | P.Plan.Committees k -> k >= 1
                         | _ -> true)
-                      ch.P.Expand.vignettes)
+                      ch.P.Expand.items)
                (choices_enc @ choices_sh))
         (all_aops cols))
 
@@ -293,11 +318,15 @@ let gen_fold_split =
       (List.map
          (fun (op, d) ->
            map
-             (fun (ch : P.Expand.choice) -> ch.P.Expand.vignettes)
+             (fun (ch : P.Expand.choice) -> ch.P.Expand.items)
              (oneofl (P.Expand.choices c d op)))
          steps)
   in
-  let vs = P.Expand.prefix c ~sampled_bins:bins @ List.concat picked in
+  let vs =
+    List.map
+      (fun (it : P.Expand.item) -> it.P.Expand.vignette)
+      (P.Expand.prefix c ~sampled_bins:bins @ List.concat picked)
+  in
   let* k = 0 -- List.length vs in
   let* m1 = 1 -- 80 in
   let* dm = 0 -- 40 in
@@ -456,6 +485,26 @@ let test_search_incremental_matches_full_repricing () =
             (render_winner full) (render_winner inc))
         Q.names)
     goals
+
+(* The same differential at any population N = 2^k: the winner, and its
+   metrics bit for bit. Only the winner is compared: where several plans
+   tie it, the two modes may rank different runners-up. *)
+let prop_incremental_matches_full_any_n =
+  let bits (m : Cm.metrics) =
+    List.map Int64.bits_of_float
+      Cm.[ m.agg_time; m.agg_bytes; m.part_exp_time; m.part_max_time;
+           m.part_exp_bytes; m.part_max_bytes; m.est_error ]
+  in
+  QCheck.Test.make ~name:"memoized pricing matches the reference at any N" ~count:30
+    (QCheck.make
+       ~print:(fun (name, (tag, _), k) -> Printf.sprintf "%s/%s at N = 2^%d" name tag k)
+       QCheck.Gen.(triple (oneofl Q.names) (oneofl goals) (6 -- 30)))
+    (fun (name, (_, goal), k) ->
+      let q = Q.test_instance name in
+      let inc = P.Search.plan ~goal ~query:q ~n:(1 lsl k) () in
+      let full = P.Search.plan ~goal ~incremental:false ~query:q ~n:(1 lsl k) () in
+      inc.P.Search.plan = full.P.Search.plan
+      && Option.map bits inc.P.Search.metrics = Option.map bits full.P.Search.metrics)
 
 (* SHA-256 of [render_all] — the winner's and every ranked alternative's
    plan and metrics JSON — recorded before the exact cut-offs existed.
@@ -1213,6 +1262,8 @@ let () =
           Alcotest.test_case "sampled sum maskings" `Quick
             test_expand_sampled_sum_offers_both_maskings;
           Alcotest.test_case "prelude" `Quick test_expand_prefix;
+          Alcotest.test_case "each vignette built once" `Quick
+            test_expand_builds_each_vignette_once;
           qtest prop_expand_total;
         ] );
       ( "cost-model",
@@ -1239,6 +1290,7 @@ let () =
             test_search_pruning_admissible_all_queries;
           Alcotest.test_case "incremental pricing matches full" `Slow
             test_search_incremental_matches_full_repricing;
+          qtest prop_incremental_matches_full_any_n;
           Alcotest.test_case "golden byte-identity" `Slow
             test_search_golden_byte_identity;
           Alcotest.test_case "golden counters" `Slow test_search_golden_counters;

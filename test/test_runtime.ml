@@ -905,6 +905,14 @@ let test_negative_index_writes_fail_closed () =
     [ "a[0 - 1] = 3; output(1);";
       "aggr = sum(db); a[0 - 1] = aggr[0]; b = laplace(a); output(b);" ]
 
+(* An index at or past the write bound (2^20) stops the program at once,
+   in both interpreters, instead of growing the array until memory runs
+   out. *)
+let test_writes_past_the_bound_fail_closed () =
+  List.iter check_execute_failure
+    [ "a[1000000000000] = 1; output(1);";
+      "aggr = sum(db); a[1000000000000] = aggr[0]; b = laplace(a); output(b[0]);" ]
+
 let test_secret_write_keeps_public_entries () =
   List.iter check_near_reference
     [ "aggr = sum(db); a[0] = 1000; a[1] = aggr[0]; b = laplace(a); output(b[0]);";
@@ -1028,6 +1036,8 @@ let () =
             test_log_of_negative_fails_closed;
           Alcotest.test_case "negative-index writes fail closed" `Quick
             test_negative_index_writes_fail_closed;
+          Alcotest.test_case "writes past the bound fail closed" `Quick
+            test_writes_past_the_bound_fail_closed;
           Alcotest.test_case "secret write keeps public entries" `Quick
             test_secret_write_keeps_public_entries;
           Alcotest.test_case "secret write copies the vector" `Quick

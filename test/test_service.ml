@@ -259,6 +259,16 @@ let test_unknown_query_refused () =
       | _ -> Alcotest.fail "expected a refusal")
   | rs -> Alcotest.fail (Printf.sprintf "expected 1 record, got %d" (List.length rs))
 
+(* A row width below 1 is a certification refusal, emitted by the drain
+   like any other, not an exception out of [submit]. *)
+let test_row_width_below_one_refused () =
+  let t = service () in
+  ignore (S.Service.submit t (sub ~categories:(-1) ~epsilon:0.5 "top1"));
+  match S.Service.drain t with
+  | [ { S.Lifecycle.status = S.Lifecycle.Refused reason; _ } ] ->
+      checkb "reason names the width" true (contains reason "C = -1")
+  | _ -> Alcotest.fail "expected one refusal"
+
 let test_submit_holds_against_try_submit () =
   (* A plain submit holds its certified cost at enqueue, so try_submit
      sees it: of two further eps-0.5 submissions under a budget of 1.0,
@@ -798,6 +808,8 @@ let () =
             test_admission_refuses_before_any_execution;
           Alcotest.test_case "unknown query refused" `Quick
             test_unknown_query_refused;
+          Alcotest.test_case "row width below 1 refused" `Quick
+            test_row_width_below_one_refused;
           Alcotest.test_case "submit holds its cost against try_submit" `Quick
             test_submit_holds_against_try_submit;
           Alcotest.test_case "a raising drain releases its holds" `Quick
