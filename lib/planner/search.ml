@@ -163,18 +163,21 @@ let size_of s c =
       Hashtbl.add s.sizes c m;
       m
 
-(* A value memoized per committee size. *)
+(* A value memoized per committee size. The reference mode keeps none: it
+   computes the value afresh at every use. *)
 type 'a per_m = { mutable at : (int * 'a) list }
 
 let per_m () = { at = [] }
 
-let memo_m t m compute =
-  match at_m m t.at with
-  | v -> v
-  | exception Not_found ->
-      let v = compute () in
-      t.at <- (m, v) :: t.at;
-      v
+let memo_m s t m compute =
+  if not s.incremental then compute ()
+  else
+    match at_m m t.at with
+    | v -> v
+    | exception Not_found ->
+        let v = compute () in
+        t.at <- (m, v) :: t.at;
+        v
 
 (* A choice as the choice memo keeps it: its delta partial at m_lb (which
    orders siblings and feeds the incumbent prune), the MPC committees it
@@ -186,27 +189,37 @@ type priced_choice = {
   contributions : Cost_model.contribution list per_m;
 }
 
-let contributions_at s memo items m = memo_m memo m (fun () -> price_all s ~m items)
+let contributions_at s memo items m = memo_m s memo m (fun () -> price_all s ~m items)
 
-(* A node of the incremental DFS. Its canonical partial at committee size
-   m is the fold [score_full] would run over the node's path — the same
-   contributions, folded in vignette order — priced at m. *)
+(* A node of the DFS: a plan prefix, the root holding the task's prefix
+   items. [lb], its partial at m_lb, is its parent's combined with its
+   choice's delta. Its canonical partial at committee size m is the fold
+   [score_full] scores: the path's contributions, folded in vignette
+   order, priced at m. *)
 type node = {
   up : node option;
   committees : int;  (* MPC committees on the path *)
   items : Expand.item list;  (* this step's *)
   own : Cost_model.contribution list per_m;  (* [items] priced per m *)
+  lb : Cost_model.partial;
   folds : Cost_model.partial per_m;
 }
 
 let rec fold_at s node m =
-  memo_m node.folds m (fun () ->
+  memo_m s node.folds m (fun () ->
       let base =
         match node.up with
         | None -> Cost_model.empty_partial
         | Some up -> fold_at s up m
       in
       Cost_model.add_contributions base (contributions_at s node.own node.items m))
+
+(* The vignettes of a node's path in plan order, the root's first. *)
+let rec path_vignettes node acc =
+  let acc =
+    List.fold_right (fun (it : Expand.item) acc -> it.Expand.vignette :: acc) node.items acc
+  in
+  match node.up with None -> acc | Some up -> path_vignettes up acc
 
 let top_cap = 5
 
@@ -227,13 +240,14 @@ let add_top ((_, p, _) as entry) tops =
   if List.exists (fun (_, p', _) -> p' = p) tops then tops
   else insert_top top_cap entry tops
 
-(* Score a complete plan holding [c] committees. [partial m] is its fold
-   priced at the true committee size m, only known now that c is. *)
-let score_full s ~em_variant ~committees:c ~partial acc query_name =
+(* Score a complete plan: its leaf's fold, priced at the true committee
+   size m, only known now that the plan's committee count is. *)
+let score_full s ~em_variant node query_name =
   s.full_plans <- s.full_plans + 1;
   let t_start = if s.timed then Unix.gettimeofday () else 0.0 in
+  let c = node.committees in
   let m = size_of s c in
-  let metrics = Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n (partial m) in
+  let metrics = Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n (fold_at s node m) in
   if s.timed then
     s.score_seconds <- s.score_seconds +. (Unix.gettimeofday () -. t_start);
   if Constraints.satisfies s.limits ~tolerance:s.tolerance metrics then begin
@@ -242,7 +256,7 @@ let score_full s ~em_variant ~committees:c ~partial acc query_name =
       {
         Plan.query = query_name;
         crypto = s.crypto;
-        vignettes = List.map (fun (it : Expand.item) -> it.Expand.vignette) acc;
+        vignettes = path_vignettes node [];
         sample_bins = s.bins;
         device_sample = s.phi;
         committee_count = c;
@@ -265,12 +279,15 @@ let search_one s ~(ctx : Expand.ctx) ~prefix ~ops ~query_name =
      only on (abstract domain, operator position), not on the prefix that
      led there, so the DFS revisits the same few expansions thousands of
      times. Memoize them per task; this, not the per-node delta fold, is
-     where incremental pricing earns its keep. *)
+     where incremental pricing earns its keep. The reference mode expands
+     and prices them afresh at every visit. *)
   let choice_memo : (Expand.domain * int, priced_choice list) Hashtbl.t =
     Hashtbl.create 32
   in
   let priced_choices domain depth op =
-    match Hashtbl.find_opt choice_memo (domain, depth) with
+    match
+      if s.incremental then Hashtbl.find_opt choice_memo (domain, depth) else None
+    with
     | Some cs ->
         s.memo_hits <- s.memo_hits + 1;
         cs
@@ -320,76 +337,62 @@ let search_one s ~(ctx : Expand.ctx) ~prefix ~ops ~query_name =
          (fun items -> (items, per_m ()))
          (after (List.map (Expand.forced_items ctx) ops)))
   in
-  (* The exact cut-offs (DESIGN.md §7.4). [fold], a child's canonical
-     partial at the committee size m its path already commits to, with the
-     forced suffix folded in, is at most — in floats, with no epsilon — the
-     score of any completion. A bound that breaks a limit, or that cannot
-     beat the last entry of a full ranked list, rules out the whole
-     subtree: its plans would be infeasible, or dropped by [insert_top] and
-     unable to become the incumbent. *)
-  let exact_cut depth m fold =
-    let items, memo = forced.(depth) in
-    let bound =
-      Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n
-        (Cost_model.add_contributions fold (contributions_at s memo items m))
-    in
-    Constraints.lower_bound_infeasible s.limits ~tolerance:s.tolerance bound
-    ||
-    match List.nth_opt s.top (top_cap - 1) with
-    | Some (last, _, _) -> Constraints.goal_value s.goal bound >= last
-    | None -> false
+  (* The exact cut-offs (DESIGN.md §7.4), which the reference mode does
+     not make. A child's canonical partial at the committee size m its
+     path already commits to, with the forced suffix folded in, is at most
+     — in floats, with no epsilon — the score of any completion. A bound
+     that breaks a limit, or that cannot beat the last entry of a full
+     ranked list, rules out the whole subtree: its plans would be
+     infeasible, or dropped by [insert_top] and unable to become the
+     incumbent. The child's fold comes from its parent's and its choice's
+     memos, so a cut child gets no node; a kept one gets its fold memo
+     seeded with that fold. [None]: the child is cut. *)
+  let kept_folds depth up pc committees =
+    if not (s.incremental && s.heuristics) then Some (per_m ())
+    else
+      let m = size_of s committees in
+      let fold =
+        Cost_model.add_contributions (fold_at s up m)
+          (contributions_at s pc.contributions pc.choice.Expand.items m)
+      in
+      let items, memo = forced.(depth) in
+      let bound =
+        Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n
+          (Cost_model.add_contributions fold (contributions_at s memo items m))
+      in
+      let cut =
+        Constraints.lower_bound_infeasible s.limits ~tolerance:s.tolerance bound
+        ||
+        match List.nth_opt s.top (top_cap - 1) with
+        | Some (last, _, _) -> Constraints.goal_value s.goal bound >= last
+        | None -> false
+      in
+      if cut then None else Some { at = [ (m, fold) ] }
   in
-  (* DFS over operators. [acc] holds items in order; [acc_partial] is
-     its running lower-bound partial, priced at m_lb; [node] is its
-     canonical node (None when re-pricing the whole prefix). *)
-  let rec go domain depth node acc acc_partial em_variant = function
-    | [] -> (
-        match node with
-        | Some node ->
-            score_full s ~em_variant ~committees:node.committees
-              ~partial:(fold_at s node) acc query_name
-        | None ->
-            score_full s ~em_variant ~committees:(mpc_committee_count acc)
-              ~partial:(fun m ->
-                Cost_model.partial_of_contributions (price_all s ~m acc))
-              acc query_name)
+  (* DFS over operators, one node per prefix. *)
+  let rec go domain depth node em_variant = function
+    | [] -> score_full s ~em_variant node query_name
     | op :: rest ->
-        (* [pc] is the memoized choice in incremental mode; [vs] caches the
-           extended prefix when the re-pricing mode had to build it anyway,
-           so neither mode pays the append twice. *)
-        let child c pc vs_cached partial =
-          let bound = Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n partial in
-          (c, pc, vs_cached, partial, bound, Constraints.goal_value s.goal bound)
-        in
-        let priced =
-          if s.incremental then
-            List.map
-              (fun pc ->
-                (* Fold only the delta vignettes into the running prefix
-                   partial; the delta itself comes priced from the memo. *)
-                child pc.choice (Some pc) None
-                  (Cost_model.combine_partial acc_partial pc.delta))
-              (priced_choices domain depth op)
-          else
-            (* The pre-optimization behavior: re-expand and re-price the
-               whole prefix at every node. *)
-            List.map
-              (fun (c : Expand.choice) ->
-                let vs = acc @ c.Expand.items in
-                child c None (Some vs) (partial_lb vs))
-              (Expand.choices ctx domain op)
+        (* A child's m_lb partial is its parent's combined with its
+           choice's delta. *)
+        let children =
+          List.map
+            (fun pc ->
+              let lb = Cost_model.combine_partial node.lb pc.delta in
+              let bound = Cost_model.finalize ?sample_phi:s.phi ~n_devices:s.n lb in
+              (pc, lb, bound, Constraints.goal_value s.goal bound))
+            (priced_choices domain depth op)
         in
         (* Explore cheap choices first so branch-and-bound gets a good
            incumbent early. *)
-        let priced =
+        let children =
           if s.heuristics then
-            List.sort
-              (fun (_, _, _, _, _, v1) (_, _, _, _, _, v2) -> Float.compare v1 v2)
-              priced
-          else priced
+            List.sort (fun (_, _, _, v1) (_, _, _, v2) -> Float.compare v1 v2) children
+          else children
         in
         List.iter
-          (fun ((c : Expand.choice), pc, vs_cached, partial, bound, value) ->
+          (fun (pc, lb, bound, value) ->
+            let c = pc.choice in
             s.prefixes <- s.prefixes + 1;
             if s.obs_on then bump_depth_nodes s depth;
             if s.prefixes > s.max_prefixes then begin
@@ -410,58 +413,36 @@ let search_one s ~(ctx : Expand.ctx) ~prefix ~ops ~query_name =
                  || value > s.inc.best_value)
             then s.pruned <- s.pruned + 1
             else
-              let descend node =
-                let em_variant' =
-                  match c.Expand.em_variant with `None -> em_variant | v -> v
-                in
-                let vs =
-                  match vs_cached with
-                  | Some vs -> vs
-                  | None -> acc @ c.Expand.items
-                in
-                go c.Expand.domain_after (depth + 1) node vs partial em_variant' rest
-              in
-              match (node, pc) with
-              | Some up, Some pc ->
-                  let built folds =
-                    Some
-                      {
-                        up = Some up;
-                        committees = up.committees + pc.adds;
-                        items = c.Expand.items;
-                        own = pc.contributions;
-                        folds;
-                      }
+              let committees = node.committees + pc.adds in
+              match kept_folds depth node pc committees with
+              | None -> s.pruned <- s.pruned + 1
+              | Some folds ->
+                  let em_variant =
+                    match c.Expand.em_variant with `None -> em_variant | v -> v
                   in
-                  if not s.heuristics then descend (built (per_m ()))
-                  else
-                    (* The child's fold at its own m comes from its
-                       parent's and its choice's memos; only a child the
-                       cut keeps is built, its fold memo seeded with it. *)
-                    let m = size_of s (up.committees + pc.adds) in
-                    let fold =
-                      Cost_model.add_contributions (fold_at s up m)
-                        (contributions_at s pc.contributions c.Expand.items m)
-                    in
-                    if exact_cut depth m fold then s.pruned <- s.pruned + 1
-                    else descend (built { at = [ (m, fold) ] })
-              | _ -> descend None)
-          priced
+                  go c.Expand.domain_after (depth + 1)
+                    {
+                      up = Some node;
+                      committees;
+                      items = c.Expand.items;
+                      own = pc.contributions;
+                      lb;
+                      folds;
+                    }
+                    em_variant rest)
+          children
   in
   let root =
-    if s.incremental then
-      Some
-        {
-          up = None;
-          committees = mpc_committee_count prefix;
-          items = prefix;
-          own = per_m ();
-          folds = per_m ();
-        }
-    else None
+    {
+      up = None;
+      committees = mpc_committee_count prefix;
+      items = prefix;
+      own = per_m ();
+      lb = partial_lb prefix;
+      folds = per_m ();
+    }
   in
-  (try go Expand.D_enc 0 root prefix (partial_lb prefix) `None ops
-   with Abort -> ())
+  try go Expand.D_enc 0 root `None ops with Abort -> ()
 
 let plan ?(cm = Cost_model.default) ?(limits = Constraints.evaluation_limits)
     ?(goal = Constraints.Min_part_exp_time) ?(heuristics = true)

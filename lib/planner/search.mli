@@ -3,13 +3,13 @@
     committee size for each complete candidate, and keep the best plan that
     satisfies the analyst's limits and the query's error tolerance.
 
-    Pricing is incremental: each DFS node folds only its delta vignettes
-    into the running {!Cost_model.partial} for the prefix, so root→leaf
-    work is linear in depth rather than quadratic. Each node also carries
-    its canonical partial: the fold a complete plan is scored with, over
-    the node's path, priced at the committee size m its committees already
-    force. A complete candidate is scored on its own, at the true m (only
-    known once the plan's total committee count is).
+    Pricing is incremental: a DFS node is a plan prefix whose bound, a
+    {!Cost_model.partial} at the c = 1 committee size, is its parent's
+    combined with its choice's delta, so root→leaf work is linear in depth.
+    Each node also carries its canonical partial: the fold a complete plan
+    is scored with, over the node's path, priced at the committee size m
+    its committees already force. A complete candidate is scored on its
+    own, at the true m (known once its committee count is).
 
     Pruning follows §4.4/§7.3 and is admissible: prefix bounds are priced
     with the c = 1 committee size — a lower bound on the size any completed
@@ -76,11 +76,11 @@ val plan :
     Defaults: the §7 setting — [limits] = {!Constraints.evaluation_limits},
     [goal] = minimize expected participant time, heuristics on, 5M-prefix
     cap (per task); committees are sized by {!committee_size_for}.
-    [incremental] (default true)
-    selects delta pricing and the exact cut-offs; [false] re-prices the
-    whole prefix at every node and every complete plan — the
-    pre-optimization behavior, kept only as the reference the
-    differential tests compare against.
+    [incremental] (default true) turns on the memos and the exact
+    cut-offs; [false], the reference the differential tests compare
+    against, is the same search over the same nodes and bounds with every
+    price, choice and fold computed afresh and no exact cut-off. Both
+    modes return the same result; only the counters differ.
 
     [tracer] records a plan → search → expand → price span tree: one
     "search" span per (crypto × bins) task carrying its node/prune/memo
